@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateBasis, DomainError, NotPositive
-from .qmat import PAULI, basis_from_axis
+from .errors import ConsistencyError, DegenerateBasis, DomainError, NotPositive
+from .qmat import PAULI, _require_hermitian, basis_from_axis
 
 EIG_FLOOR = 1e-8        # positivity gate for the entropy path
-EQUALITY_TOL = 1e-10    # trace-distance vs l1 consistency assert
+EQUALITY_TOL = 1e-10    # trace-distance vs l1 consistency check
 
 
 def _basis_unitary(dim: int, basis) -> np.ndarray:
@@ -79,13 +79,16 @@ def trace_distance_coherence_qubit(m: np.ndarray, axis) -> float:
 
     The minimizer keeps the population and drops the transverse Bloch
     component, so the value coincides with l1_coherence; that identity is
-    asserted here rather than assumed.
+    checked here rather than assumed. Raises NonHermitian on non-Hermitian
+    input and ConsistencyError when the identity fails.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise DomainError("trace_distance_coherence_qubit expects a 2x2 state")
+    _require_hermitian(m)
     r = np.array([np.trace(m @ PAULI[i]).real for i in (1, 2, 3)])
     value = l1_coherence_bloch(r, np.asarray(axis, dtype=float))
     l1 = l1_coherence(m, axis)
-    assert abs(value - l1) <= EQUALITY_TOL
+    if not abs(value - l1) <= EQUALITY_TOL:
+        raise ConsistencyError(f"trace distance {value!r} != l1 coherence {l1!r}")
     return value

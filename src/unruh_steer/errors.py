@@ -40,3 +40,7 @@ class DegenerateLimit(UnruhSteerError):
 
 class DenominatorZero(UnruhSteerError):
     """A printed-ratio denominator is numerically zero."""
+
+
+class ConsistencyError(UnruhSteerError):
+    """A closed-form identity the computation relies on failed numerically."""

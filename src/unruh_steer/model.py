@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConsistencyError,
     DegenerateLimit,
     DomainError,
     UnphysicalDrift,
@@ -151,7 +152,8 @@ def kossakowski_free(params: UnruhParams) -> KossakowskiFree:
     else:
         c_coef = pref * (2.0 / x - th)
     ratio = pref / a_coef
-    assert abs(ratio - math.tanh(x / 2.0)) <= 1e-12
+    if not abs(ratio - math.tanh(x / 2.0)) <= 1e-12:
+        raise ConsistencyError(f"B/A = {ratio!r} != tanh(x/2) at x = {x!r}")
     return KossakowskiFree(A=a_coef, B=pref, C=c_coef, ratio=ratio,
                            temperature=params.temperature,
                            omega=params.omega, accel=params.accel)
@@ -167,7 +169,7 @@ def kossakowski_boundary(params: UnruhParams, z: float, sep: float) -> Kossakows
         A2, B2 ~ sinc(sep omega) - sinc(sqrt(sep^2 + 4 z^2) omega)
 
     with the thermal factor multiplying the A pair, and C1 = -A1,
-    C2 = -A2 (asserted to 1e-12).
+    C2 = -A2 (checked to 1e-12).
     """
     if not (z > 0.0 and math.isfinite(z)):
         raise DomainError("z must be positive and finite")
@@ -187,7 +189,9 @@ def kossakowski_boundary(params: UnruhParams, z: float, sep: float) -> Kossakows
     c1 = pref * th * (sinc(2.0 * z * omega) - 1.0)
     c2 = pref * th * (-sinc(sep * omega) + sinc(math.sqrt(sep * sep + 4.0 * z * z) * omega))
     scale = max(abs(a1), abs(a2), abs(b1), abs(b2), 1e-300)
-    assert abs(c1 + a1) <= 1e-12 * scale and abs(c2 + a2) <= 1e-12 * scale
+    if not (abs(c1 + a1) <= 1e-12 * scale and abs(c2 + a2) <= 1e-12 * scale):
+        raise ConsistencyError(f"C != -A: C1 + A1 = {c1 + a1:.3e},"
+                               f" C2 + A2 = {c2 + a2:.3e}")
     return KossakowskiBoundary(A1=a1, A2=a2, B1=b1, B2=b2, C1=c1, C2=c2,
                                z=z, sep=sep, ratio=b1 / a1 if a1 != 0.0 else 0.0,
                                omega=omega, accel=params.accel)

@@ -10,10 +10,11 @@ the trace-norm distance between the state and its B-side dephasing in that
 same eigenbasis. The two coincide for two qubits; ``theorem1_residual``
 checks the identity numerically.
 
-All optimizations are deterministic: a 64 x 128 spherical grid (uniform in
-cos theta and phi, scanned in ascending (theta, phi) order so argmax ties
-resolve lexicographically) followed by coordinate-wise golden-section
-refinement, never a stochastic search.
+One 3x3 SVD gives the optimum. With Bob's axis e = b/|b| and P_e = I - e e^T,
+P_e b = 0, so Alice's axis m yields average coherence |P_e T^T m| and SIC
+= sigma_max(P_e T^T). For |b| = 0 the value is the infimum over e, which
+by singular-value interlacing is sigma_2(T) (Luo, PRA 77, 022301 (2008);
+Horodecki & Horodecki, PRA 54, 1838 (1996)).
 """
 
 from __future__ import annotations
@@ -33,16 +34,8 @@ DEGENERACY_GATE = 1e-9    # |b| below this: reduced state treated as maximally m
 PHYSICALITY_TOL = 1e-10   # min-eigenvalue gate on input states
 PROB_FLOOR = 1e-15        # outcome probability treated as zero
 MEAS_UNIT_TOL = 1e-12
-GRID_THETA = 64
-GRID_PHI = 128
-REFINE_FTOL = 1e-8
 
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2, 0: 0, 1: 1, 2: 2}
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# theta rows are uniform in cos, so the refinement bracket must cover the
-# widest (polar) row gap; phi rows are uniform
-_BRACKET_THETA = 0.3
-_BRACKET_PHI = 2.0 * (2.0 * math.pi / GRID_PHI)
 
 
 def _require_physical(state: FanoState) -> np.ndarray:
@@ -102,258 +95,42 @@ def steer_bob(state: FanoState, m) -> SteeredEnsemble:
     return SteeredEnsemble(probs=probs, blochs=blochs)
 
 
-# ----- deterministic spherical optimizer -----
-
-def _grid_vectors(n_theta: int, n_phi: int):
-    """Unit vectors ordered by ascending (theta, phi); uniform cos theta."""
-    cos_t = np.linspace(1.0, -1.0, n_theta)
-    sin_t = np.sqrt(np.clip(1.0 - cos_t ** 2, 0.0, None))
-    theta = np.arccos(cos_t)
-    phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    ct = np.repeat(cos_t, n_phi)
-    st = np.repeat(sin_t, n_phi)
-    th = np.repeat(theta, n_phi)
-    ph = np.tile(phi, n_theta)
-    vecs = np.stack([st * np.cos(ph), st * np.sin(ph), ct], axis=1)
-    return th, ph, vecs
-
-
-def _unit(theta: float, phi: float) -> np.ndarray:
-    st = math.sin(theta)
-    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
-
-
-def _sym3_max_eig(m11, m12, m13, m22, m23, m33) -> float:
-    """Largest eigenvalue of a symmetric 3x3, trigonometric closed form."""
-    q = (m11 + m22 + m33) / 3.0
-    a, b, c = m11 - q, m22 - q, m33 - q
-    p2 = (a * a + b * b + c * c
-          + 2.0 * (m12 * m12 + m13 * m13 + m23 * m23)) / 6.0
-    if p2 <= 0.0:
-        return q
-    p = math.sqrt(p2)
-    n11, n22, n33 = a / p, b / p, c / p
-    n12, n13, n23 = m12 / p, m13 / p, m23 / p
-    det = (n11 * (n22 * n33 - n23 * n23)
-           - n12 * (n12 * n33 - n23 * n13)
-           + n13 * (n12 * n23 - n22 * n13))
-    r = min(1.0, max(-1.0, det / 2.0))
-    return q + 2.0 * p * math.cos(math.acos(r) / 3.0)
-
-
-def _golden(f, lo: float, hi: float, xtol: float = 1e-8):
-    """Deterministic golden-section maximization on [lo, hi]."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > xtol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
-
-
-def _pick_starts(values: np.ndarray, vecs: np.ndarray, count: int = 3,
-                 sep: float = 0.1):
-    """Indices of the best grid points, best first, angularly separated.
-
-    A stable descending sort keeps the lexicographic (theta, phi) tie-break
-    of the underlying grid ordering.
-    """
-    order = np.argsort(-values, kind="stable")
-    picked = []
-    for idx in order:
-        if any(np.arccos(np.clip(vecs[idx] @ vecs[j], -1.0, 1.0)) < sep
-               for j in picked):
-            continue
-        picked.append(int(idx))
-        if len(picked) == count:
-            break
-    return picked
-
-
-def _refine(objective, theta: float, phi: float, best: float,
-            ftol: float) -> float:
-    """Coordinate-wise golden-section ascent from a grid start.
-
-    A golden probe on a non-unimodal bracket can come back below the
-    incumbent, so moves are only accepted on improvement; the returned
-    value never drops below the grid value.
-    """
-    for _ in range(50):
-        previous = best
-        t, ft = _golden(lambda x: objective(x, phi),
-                        max(0.0, theta - _BRACKET_THETA),
-                        min(math.pi, theta + _BRACKET_THETA))
-        if ft > best:
-            theta, best = t, ft
-        p, fp = _golden(lambda x: objective(theta, x),
-                        phi - _BRACKET_PHI, phi + _BRACKET_PHI)
-        if fp > best:
-            phi, best = p, fp
-        if best - previous < ftol:
-            break
-    return best
-
-
-def _search_sphere(batch, one, n_theta: int, n_phi: int, ftol: float,
-                   minimize: bool = False) -> float:
-    """Grid scan plus multi-start refinement; max by default, min on request.
-
-    `batch` maps an (n, 3) block of unit vectors to values, `one` maps a
-    single (theta, phi) pair; the split lets the grid pass vectorize while
-    refinement runs on plain floats.
-    """
-    theta, phi, vecs = _grid_vectors(n_theta, n_phi)
-    values = batch(vecs)
-    if minimize:
-        values = -values
-        scalar = lambda t, p: -one(t, p)
-    else:
-        scalar = one
-    best = -math.inf
-    for idx in _pick_starts(values, vecs):
-        best = max(best, _refine(scalar, theta[idx], phi[idx],
-                                 float(values[idx]), ftol))
-    return -best if minimize else best
-
-
 # ----- steering-induced coherence -----
 
-def _sic_objective(b: np.ndarray, t_mat: np.ndarray, e: np.ndarray):
-    """Average conditional l1 coherence as a function of Alice's axis.
+class SicSolution(NamedTuple):
+    """SIC value, Alice's optimal axis, and Bob's reference Bloch axis."""
 
-    The probability weights cancel against the conditional normalization:
-    sum_pm p_pm l1(r_pm) = ( |(b + T^T m) perp e| + |(b - T^T m) perp e| ) / 2,
-    well defined also for zero-probability outcomes.
-    """
-    def batch(m_rows: np.ndarray) -> np.ndarray:
-        m_rows = np.atleast_2d(m_rows)
-        w = m_rows @ t_mat                      # rows are T^T m
-        out = np.zeros(len(m_rows))
-        for sign in (1.0, -1.0):
-            v = b[None, :] + sign * w
-            sq = np.einsum("ij,ij->i", v, v) - (v @ e) ** 2
-            out += np.sqrt(np.clip(sq, 0.0, None))
-        return 0.5 * out
-
-    return batch
+    value: float
+    meas_axis: np.ndarray
+    ref_axis: np.ndarray
 
 
-def _sic_scalar(b: np.ndarray, t_mat: np.ndarray, e: np.ndarray):
-    """Same objective on plain floats, for the golden-section inner loop."""
-    b1, b2, b3 = (float(x) for x in b)
-    e1, e2, e3 = (float(x) for x in e)
-    (t11, t12, t13), (t21, t22, t23), (t31, t32, t33) = t_mat.tolist()
-
-    def value(theta: float, phi: float) -> float:
-        st = math.sin(theta)
-        m1, m2, m3 = st * math.cos(phi), st * math.sin(phi), math.cos(theta)
-        w1 = m1 * t11 + m2 * t21 + m3 * t31
-        w2 = m1 * t12 + m2 * t22 + m3 * t32
-        w3 = m1 * t13 + m2 * t23 + m3 * t33
-        total = 0.0
-        for sgn in (1.0, -1.0):
-            v1, v2, v3 = b1 + sgn * w1, b2 + sgn * w2, b3 + sgn * w3
-            ve = v1 * e1 + v2 * e2 + v3 * e3
-            sq = v1 * v1 + v2 * v2 + v3 * v3 - ve * ve
-            if sq > 0.0:
-                total += math.sqrt(sq)
-        return 0.5 * total
-
-    return value
-
-
-def _max_eig_sym3(mats: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of a batch of symmetric 3x3 matrices, closed form."""
-    q = np.trace(mats, axis1=-2, axis2=-1) / 3.0
-    m = mats - q[..., None, None] * np.eye(3)
-    p = np.sqrt(np.einsum("...ij,...ij->...", m, m) / 6.0)
-    safe = np.where(p > 0.0, p, 1.0)
-    n = m / safe[..., None, None]
-    det = (n[..., 0, 0] * (n[..., 1, 1] * n[..., 2, 2] - n[..., 1, 2] ** 2)
-           - n[..., 0, 1] * (n[..., 0, 1] * n[..., 2, 2]
-                             - n[..., 1, 2] * n[..., 0, 2])
-           + n[..., 0, 2] * (n[..., 0, 1] * n[..., 1, 2]
-                             - n[..., 1, 1] * n[..., 0, 2]))
-    angle = np.arccos(np.clip(det / 2.0, -1.0, 1.0)) / 3.0
-    return q + np.where(p > 0.0, 2.0 * p * np.cos(angle), 0.0)
-
-
-def _transverse_gain(t_mat: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """sigma_max((I - e e^T) T^T), batched over axes e.
-
-    Computed as the root of the largest eigenvalue of T T^T minus its
-    rank-one piece (T e)(T e)^T.
-    """
-    axes = np.atleast_2d(axes)
-    gram = t_mat @ t_mat.T
-    u = axes @ t_mat.T
-    g = gram[None, :, :] - u[:, :, None] * u[:, None, :]
-    return np.sqrt(np.clip(_max_eig_sym3(g), 0.0, None))
-
-
-def _gain_scalar(t_mat: np.ndarray):
-    """Transverse gain on plain floats, for the golden-section inner loop."""
-    (t11, t12, t13), (t21, t22, t23), (t31, t32, t33) = t_mat.tolist()
-    g11 = t11 * t11 + t12 * t12 + t13 * t13
-    g12 = t11 * t21 + t12 * t22 + t13 * t23
-    g13 = t11 * t31 + t12 * t32 + t13 * t33
-    g22 = t21 * t21 + t22 * t22 + t23 * t23
-    g23 = t21 * t31 + t22 * t32 + t23 * t33
-    g33 = t31 * t31 + t32 * t32 + t33 * t33
-
-    def value(theta: float, phi: float) -> float:
-        st = math.sin(theta)
-        e1, e2, e3 = st * math.cos(phi), st * math.sin(phi), math.cos(theta)
-        w1 = t11 * e1 + t12 * e2 + t13 * e3
-        w2 = t21 * e1 + t22 * e2 + t23 * e3
-        w3 = t31 * e1 + t32 * e2 + t33 * e3
-        lam = _sym3_max_eig(g11 - w1 * w1, g12 - w1 * w2, g13 - w1 * w3,
-                            g22 - w2 * w2, g23 - w2 * w3, g33 - w3 * w3)
-        return math.sqrt(lam) if lam > 0.0 else 0.0
-
-    return value
-
-
-def _degenerate_sic(state: FanoState, n_theta: int, n_phi: int,
-                    ftol: float) -> float:
-    """Infimum over reference axes when the reduced state is maximally mixed.
-
-    Below the degeneracy gate b is dropped (error bounded by |b|); the
-    inner maximum over Alice's axis is then exactly the largest singular
-    value of the transverse correlation block, and the grid plus
-    refinement runs over the reference axis. The infimum lands on the
-    middle singular value of T.
-    """
-    batch = lambda axes: _transverse_gain(state.t_mat, axes)
-    return _search_sphere(batch, _gain_scalar(state.t_mat),
-                          n_theta, n_phi, ftol, minimize=True)
-
-
-def steering_induced_coherence(state: FanoState, n_theta: int = GRID_THETA,
-                               n_phi: int = GRID_PHI,
-                               ftol: float = REFINE_FTOL) -> float:
-    """Maximal average conditional l1 coherence in Bob's eigenbasis.
-
-    For a nondegenerate reduced state the reference basis is fixed by Bob's
-    Bloch axis; below the degeneracy gate |b| < 1e-9 the basis is resolved
-    as the infimum over reference axes.
-    """
-    _require_physical(state)
-    b = state.b_vec
+def _solve_sic(b: np.ndarray, t_mat: np.ndarray) -> SicSolution:
+    # unvalidated core, so one_sided_mid reuses its own physicality check
     blen = float(np.linalg.norm(b))
     if blen < DEGENERACY_GATE:
-        return _degenerate_sic(state, n_theta, n_phi, ftol)
+        u, s, vt = np.linalg.svd(t_mat)
+        return SicSolution(float(s[1]), u[:, 1], vt[0])
     e_hat = b / blen
-    return _search_sphere(_sic_objective(b, state.t_mat, e_hat),
-                          _sic_scalar(b, state.t_mat, e_hat),
-                          n_theta, n_phi, ftol)
+    _, s, vt = np.linalg.svd((np.eye(3) - np.outer(e_hat, e_hat)) @ t_mat.T)
+    return SicSolution(float(s[0]), vt[0], e_hat)
+
+
+def sic_solution(state: FanoState) -> SicSolution:
+    """Optimal SIC value and axes from one 3x3 SVD.
+
+    Nondegenerate: e = b/|b|; the value and Alice's axis are the top
+    singular value and right singular vector of (I - e e^T) T^T. Below the
+    degeneracy gate |b| < 1e-9, b is dropped (error bounded by |b|): e is
+    T's top right singular vector and the value sigma_2(T).
+    """
+    _require_physical(state)
+    return _solve_sic(state.b_vec, state.t_mat)
+
+
+def steering_induced_coherence(state: FanoState) -> float:
+    """Maximal average conditional l1 coherence in Bob's eigenbasis."""
+    return sic_solution(state).value
 
 
 def sic_closed_form_free(tau: float, ratio: float) -> float:
@@ -363,53 +140,19 @@ def sic_closed_form_free(tau: float, ratio: float) -> float:
 
 # ----- one-sided measurement-induced disturbance -----
 
-def _mid_for_axis(m: np.ndarray, axis: np.ndarray) -> float:
+def one_sided_mid(state: FanoState) -> float:
+    """Trace-norm disturbance Tr|rho - D_B(rho)| under B-side dephasing.
+
+    First principles, in the eigenbasis ``sic_solution`` selects.
+    """
+    m = _require_physical(state)
+    axis = _solve_sic(state.b_vec, state.t_mat).ref_axis
     return trace_norm(m - dephase_b(m, axis))
 
 
-def _degenerate_mid(m: np.ndarray, n_theta: int, n_phi: int,
-                    ftol: float) -> float:
-    def batch(axes: np.ndarray) -> np.ndarray:
-        # B-side dephasing difference (m - (I x u) m (I x u)) / 2
-        # with u = e . sigma, batched over axes e
-        axes = np.atleast_2d(axes)
-        u = np.zeros((len(axes), 2, 2), dtype=complex)
-        u[:, 0, 0] = axes[:, 2]
-        u[:, 1, 1] = -axes[:, 2]
-        u[:, 0, 1] = axes[:, 0] - 1.0j * axes[:, 1]
-        u[:, 1, 0] = axes[:, 0] + 1.0j * axes[:, 1]
-        big = np.zeros((len(axes), 4, 4), dtype=complex)
-        big[:, :2, :2] = u
-        big[:, 2:, 2:] = u
-        delta = 0.5 * (m[None, :, :] - big @ m @ big)
-        return np.abs(np.linalg.eigvalsh(delta)).sum(axis=1)
-
-    return _search_sphere(batch, lambda t, p: _mid_for_axis(m, _unit(t, p)),
-                          n_theta, n_phi, ftol, minimize=True)
-
-
-def one_sided_mid(state: FanoState, n_theta: int = GRID_THETA,
-                  n_phi: int = GRID_PHI, ftol: float = REFINE_FTOL) -> float:
-    """Trace-norm disturbance under B-side eigenbasis dephasing.
-
-    Infimum over eigenbases of Bob's reduced state: a single evaluation
-    along the Bloch axis when that state is nondegenerate, a grid plus
-    refinement infimum below the degeneracy gate.
-    """
-    m = _require_physical(state)
-    b = state.b_vec
-    blen = float(np.linalg.norm(b))
-    if blen < DEGENERACY_GATE:
-        return _degenerate_mid(m, n_theta, n_phi, ftol)
-    return _mid_for_axis(m, b / blen)
-
-
-def theorem1_residual(state: FanoState, n_theta: int = GRID_THETA,
-                      n_phi: int = GRID_PHI, ftol: float = REFINE_FTOL) -> float:
-    """|SIC - MID|; zero up to optimizer tolerance for physical states."""
-    sic = steering_induced_coherence(state, n_theta, n_phi, ftol)
-    mid = one_sided_mid(state, n_theta, n_phi, ftol)
-    return abs(sic - mid)
+def theorem1_residual(state: FanoState) -> float:
+    """|SIC - MID|: SVD value against 4x4 trace norm, zero up to rounding."""
+    return abs(steering_induced_coherence(state) - one_sided_mid(state))
 
 
 # ----- conditional-coherence steering criteria -----

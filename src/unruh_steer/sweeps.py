@@ -62,6 +62,8 @@ class GridSpec:
                               f" got {self.scale!r}")
         if self.count < 2:
             raise DomainError("grid count must be at least 2")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise DomainError("grid bounds must be finite")
         if not self.lo < self.hi:
             raise DomainError("grid needs min < max")
         if self.scale == "log" and self.lo <= 0.0:
@@ -253,6 +255,7 @@ def result_to_csv(result: SweepResult) -> str:
 
 
 def result_to_json(result: SweepResult) -> str:
+    """Strict JSON text: NaN cells of flagged rows are written as null."""
     meta = dict(result.meta)
     meta["version"] = _tool_version()
     meta["timestamp"] = _timestamp()
@@ -260,9 +263,12 @@ def result_to_json(result: SweepResult) -> str:
     for row, diag in zip(result.rows, result.diagnostics):
         entry = dict(zip(result.columns, row))
         if diag:
+            entry = {name: None if isinstance(value, float) and math.isnan(value)
+                     else value for name, value in entry.items()}
             entry[DIAGNOSTICS_COLUMN] = diag
         rows.append(entry)
-    return json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
+    return json.dumps({"meta": meta, "rows": rows}, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def _tool_version() -> str:
@@ -327,7 +333,8 @@ def load_json(path: str) -> SweepResult:
         diag = entry.pop(DIAGNOSTICS_COLUMN, "")
         if not columns:
             columns = tuple(entry.keys())
-        rows.append(tuple(entry[name] for name in columns))
+        rows.append(tuple(math.nan if entry[name] is None else entry[name]
+                          for name in columns))
         diagnostics.append(diag)
     return SweepResult(columns=columns, rows=rows, diagnostics=diagnostics,
                        meta=meta)

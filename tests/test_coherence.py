@@ -1,11 +1,15 @@
 """Coherence measures against hand-computable states."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from unruh_steer.coherence import (l1_coherence, l1_coherence_bloch,
                                    relative_entropy_coherence,
                                    trace_distance_coherence_qubit)
+from unruh_steer.errors import ConsistencyError, NonHermitian
 from unruh_steer.qmat import basis_from_axis
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -75,3 +79,23 @@ def test_trace_distance_equals_l1_for_qubits():
         m = _qubit(r)
         assert trace_distance_coherence_qubit(m, ax) == pytest.approx(
             l1_coherence(m, ax), abs=1e-12)
+
+
+def test_trace_distance_validates_input():
+    # on this skew matrix the l1 path reads 0.6 and the Bloch path 0.0
+    skew = np.array([[0.5, 0.3], [-0.3, 0.5]])
+    with pytest.raises(NonHermitian):
+        trace_distance_coherence_qubit(skew, Z)
+    with pytest.raises(ConsistencyError):
+        trace_distance_coherence_qubit(np.full((2, 2), np.nan), Z)
+    # the checks raise rather than assert, so they survive python -O
+    code = ("import numpy as np\n"
+            "from unruh_steer import NonHermitian, trace_distance_coherence_qubit\n"
+            "try:\n"
+            "    trace_distance_coherence_qubit(np.array([[0.5, 0.3], [-0.3, 0.5]]),"
+            " [0, 0, 1])\n"
+            "except NonHermitian:\n"
+            "    print('NonHermitian')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.strip() == "NonHermitian", proc.stderr

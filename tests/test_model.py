@@ -13,7 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from unruh_steer.errors import DegenerateLimit, DomainError, UnsupportedDirection
+from unruh_steer import model
+from unruh_steer.errors import (ConsistencyError, DegenerateLimit, DomainError,
+                                UnsupportedDirection)
 from unruh_steer.model import (UnruhParams, equilibrium_boundary,
                                equilibrium_free, evolve, kossakowski_boundary,
                                kossakowski_free, ode_rhs, relaxation_horizon,
@@ -49,6 +51,16 @@ def test_ratio_identity_over_decades():
         k = kossakowski_free(UnruhParams(1.0, float(a)))
         assert abs(k.ratio - math.tanh(math.pi / a)) <= 1e-12
         assert abs(k.B - 1.0 / (4.0 * math.pi)) < 1e-16
+
+
+def test_ratio_identity_is_checked(monkeypatch):
+    # a thermal factor off by 1e-6 breaks B/A = tanh(x/2); the check raises
+    # a package error rather than asserting, so it also holds under -O
+    exact = model._thermal_factor
+    monkeypatch.setattr(model, "_thermal_factor",
+                        lambda x: exact(x) * (1.0 + 1e-6))
+    with pytest.raises(ConsistencyError):
+        kossakowski_free(REF)
 
 
 def test_infinite_acceleration_limit():

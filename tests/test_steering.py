@@ -1,4 +1,5 @@
-"""Steered ensembles, the coherence optimizer, and the steerability criteria."""
+"""Steered ensembles, closed-form SIC and MID with a brute-force oracle, and the
+steerability criteria."""
 
 import dataclasses
 import math
@@ -6,13 +7,16 @@ import math
 import numpy as np
 import pytest
 
+from unruh_steer.coherence import l1_coherence_bloch
 from unruh_steer.errors import DegenerateLimit, DenominatorZero, DomainError
 from unruh_steer.model import (UnruhParams, equilibrium_free,
                                kossakowski_boundary, kossakowski_free)
-from unruh_steer.qmat import FanoState, fano_to_matrix, random_fano_state
+from unruh_steer.qmat import (FanoState, dephase_b, fano_to_matrix,
+                              random_fano_state, trace_norm)
 from unruh_steer.steering import (alpha_matrix, conditional_coherence,
                                   one_sided_mid, sic_closed_form_free,
-                                  steer_bob, steerability_functional_free,
+                                  sic_solution, steer_bob,
+                                  steerability_functional_free,
                                   steerability_pairings_free,
                                   steerability_verdict_boundary,
                                   steering_induced_coherence,
@@ -20,6 +24,32 @@ from unruh_steer.steering import (alpha_matrix, conditional_coherence,
 
 SINGLET = FanoState(a_vec=np.zeros(3), b_vec=np.zeros(3), t_mat=-np.eye(3))
 REF = UnruhParams(1.0, 2.0 * math.pi)
+
+
+def _unital_states(rng, count):
+    """Rotated Bell-diagonal states with their middle singular value of T.
+
+    Unital states T = O1 diag(c) O2^T stay physical for c inside the
+    tetrahedron spanned by the four Bell corners.
+    """
+    corners = np.array([[-1, -1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, -1]],
+                       dtype=float)
+    for _ in range(count):
+        c = rng.dirichlet(np.ones(4)) @ corners
+        q1, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        q2, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        st = FanoState(a_vec=np.zeros(3), b_vec=np.zeros(3),
+                       t_mat=q1 @ np.diag(c) @ q2.T)
+        assert st.is_physical()
+        yield st, float(np.sort(np.abs(c))[1])
+
+
+def _fibonacci_sphere(n=2000):
+    k = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * k / n
+    rho = np.sqrt(1.0 - z * z)
+    phi = math.pi * (3.0 - math.sqrt(5.0)) * k
+    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
 
 
 # ----- steered ensembles -----
@@ -83,20 +113,52 @@ def test_sic_matches_closed_form_on_equilibria():
 
 def test_sic_degenerate_is_middle_singular_value():
     # maximally mixed marginals: the infimum lands on s2 of the correlation
-    # block; unital states T = O1 diag(c) O2^T stay physical for c inside
-    # the tetrahedron spanned by the four Bell corners
-    rng = np.random.default_rng(11)
-    corners = np.array([[-1, -1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, -1]],
-                       dtype=float)
+    # block, for SIC and MID alike
+    for st, want in _unital_states(np.random.default_rng(11), 10):
+        for value in (steering_induced_coherence(st), one_sided_mid(st)):
+            assert value == pytest.approx(want, abs=1e-8)
+
+
+def test_sic_solution_attains_value_on_steered_ensemble():
+    # the reported axes reproduce the value through the definition: Bob's
+    # conditional states for Alice's axis, averaged l1 coherence in the
+    # reference basis
+    rng = np.random.default_rng(41)
+    states = [random_fano_state(rng) for _ in range(20)]
+    states += [st for st, _ in _unital_states(rng, 10)]
+    for st in states:
+        sol = sic_solution(st)
+        ens = steer_bob(st, sol.meas_axis)
+        avg = sum(p * l1_coherence_bloch(r, sol.ref_axis)
+                  for p, r in zip(ens.probs, ens.blochs))
+        assert avg == pytest.approx(sol.value, abs=1e-12)
+        assert sol.value == steering_induced_coherence(st)
+
+
+def test_sic_is_maximum_over_dense_axis_scan():
+    # brute-force oracle: no scanned measurement axis beats the closed form
+    axes = _fibonacci_sphere()
+    rng = np.random.default_rng(43)
     for _ in range(10):
-        c = rng.dirichlet(np.ones(4)) @ corners
-        q1, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        q2, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        st = FanoState(a_vec=np.zeros(3), b_vec=np.zeros(3),
-                       t_mat=q1 @ np.diag(c) @ q2.T)
-        assert st.is_physical()
-        want = float(np.sort(np.abs(c))[1])
-        assert steering_induced_coherence(st) == pytest.approx(want, abs=1e-8)
+        st = random_fano_state(rng)
+        e = st.b_vec / np.linalg.norm(st.b_vec)
+        probs = 0.5 * (1.0 + np.outer([1.0, -1.0], axes @ st.a_vec))
+        total = np.zeros(len(axes))
+        for k, sign in enumerate((1.0, -1.0)):
+            r = (st.b_vec + sign * axes @ st.t_mat) / (2.0 * probs[k][:, None])
+            l1 = np.sqrt(np.clip(np.einsum("ij,ij->i", r, r) - (r @ e) ** 2,
+                                 0.0, None))
+            total += probs[k] * l1
+        assert total.max() <= steering_induced_coherence(st) + 1e-12
+
+
+def test_degenerate_mid_is_minimum_over_dense_axis_scan():
+    # brute-force oracle: no scanned reference axis disturbs less than s2
+    axes = _fibonacci_sphere()
+    for st, want in _unital_states(np.random.default_rng(47), 3):
+        m = fano_to_matrix(st)
+        low = min(trace_norm(m - dephase_b(m, ax)) for ax in axes)
+        assert low >= want - 1e-12
 
 
 def test_sic_invariant_under_bob_frame_rotation():
@@ -127,7 +189,6 @@ def test_mid_reference_values():
 
 
 def test_singlet_disturbance_is_basis_independent():
-    from unruh_steer.qmat import dephase_b, trace_norm
     m = fano_to_matrix(SINGLET)
     rng = np.random.default_rng(33)
     for _ in range(10):

@@ -11,11 +11,11 @@ from unruh_steer.errors import DomainError
 from unruh_steer.model import UnruhParams, kossakowski_free
 from unruh_steer.steering import sic_closed_form_free
 from unruh_steer.sweeps import (BOUNDARY_COLUMNS, DIAGNOSTICS_COLUMN,
-                                GridSpec, SweepResult, eval_boundary,
-                                eval_sic_free, eval_surface, load_csv,
-                                load_json, plot_script, resolve_jobs,
-                                result_to_csv, result_to_json, run_grid,
-                                write_result)
+                                SURFACE_COLUMNS, GridSpec, SweepResult,
+                                eval_boundary, eval_sic_free, eval_surface,
+                                load_csv, load_json, plot_script,
+                                resolve_jobs, result_to_csv, result_to_json,
+                                run_grid, write_result)
 
 
 def test_gridspec_parse_round_trip():
@@ -32,6 +32,7 @@ def test_gridspec_parse_round_trip():
     "a:cosine:0:1:5",       # unknown scale
     "a:linear:0:1",         # wrong arity
     "a:linear:x:1:5",       # non-numeric
+    "a:log:0.5:inf:5",      # non-finite bound
 ])
 def test_gridspec_rejects(bad):
     with pytest.raises(DomainError):
@@ -148,6 +149,26 @@ def test_json_round_trip_and_meta(tmp_path, monkeypatch):
     back = load_json(path)
     assert back.columns == res.columns
     assert back.rows == [tuple(r) for r in res.rows]
+
+
+def test_json_is_strict_on_flagged_rows(tmp_path):
+    # the surface grid hits the singular point (1, 1), a flagged NaN row
+    res = run_grid([("tau", [0.0, 1.0]), ("R", [0.5, 1.0])], eval_surface,
+                   SURFACE_COLUMNS)
+    assert res.diagnostics[3] == "singular"
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    path = str(tmp_path / "surface.json")
+    write_result(res, path, "json")
+    with open(path, encoding="utf-8") as handle:
+        payload = json.loads(handle.read(), parse_constant=reject)
+    assert payload["rows"][3]["literal"] is None
+    assert payload["rows"][3]["absolute"] is None
+    back = load_json(path)
+    assert math.isnan(back.rows[3][2]) and math.isnan(back.rows[3][3])
+    assert back.rows[:3] == res.rows[:3]
 
 
 def test_json_timestamp_honors_source_date_epoch(monkeypatch):
