@@ -80,7 +80,8 @@ def trace_distance_coherence_qubit(m: np.ndarray, axis) -> float:
     The minimizer keeps the population and drops the transverse Bloch
     component, so the value coincides with l1_coherence; that identity is
     checked here rather than assumed. Raises NonHermitian on non-Hermitian
-    input and ConsistencyError when the identity fails.
+    input, DomainError on non-finite input and ConsistencyError when the
+    identity fails.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):

@@ -123,6 +123,8 @@ def matrix_to_fano(m: np.ndarray) -> FanoState:
 
 
 def _require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
+    if not np.isfinite(m).all():
+        raise DomainError("matrix has non-finite entries")
     dev = np.abs(m - m.conj().T).max()
     if dev > tol:
         raise NonHermitian(f"max |m - m^dag| = {dev:.3e} exceeds {tol}")

@@ -105,15 +105,21 @@ class SicSolution(NamedTuple):
     ref_axis: np.ndarray
 
 
+def _frozen(v: np.ndarray) -> np.ndarray:
+    v = np.array(v, dtype=float)
+    v.setflags(write=False)
+    return v
+
+
 def _solve_sic(b: np.ndarray, t_mat: np.ndarray) -> SicSolution:
     # unvalidated core, so one_sided_mid reuses its own physicality check
     blen = float(np.linalg.norm(b))
     if blen < DEGENERACY_GATE:
         u, s, vt = np.linalg.svd(t_mat)
-        return SicSolution(float(s[1]), u[:, 1], vt[0])
+        return SicSolution(float(s[1]), _frozen(u[:, 1]), _frozen(vt[0]))
     e_hat = b / blen
     _, s, vt = np.linalg.svd((np.eye(3) - np.outer(e_hat, e_hat)) @ t_mat.T)
-    return SicSolution(float(s[0]), vt[0], e_hat)
+    return SicSolution(float(s[0]), _frozen(vt[0]), _frozen(e_hat))
 
 
 def sic_solution(state: FanoState) -> SicSolution:

@@ -254,20 +254,49 @@ def result_to_csv(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+_JSON_INF = {"inf": math.inf, "-inf": -math.inf}
+
+
+def _to_json(value):
+    # strict JSON has no NaN or infinity: NaN -> null, +-inf -> "inf"/"-inf"
+    if isinstance(value, float) and not math.isfinite(value):
+        return None if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    if isinstance(value, dict):
+        return {key: _to_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_to_json(item) for item in value]
+    return value
+
+
+def _from_json(value, null=None):
+    # inverse of _to_json; null reads as NaN in rows and stays None in meta
+    if isinstance(value, dict):
+        return {key: _from_json(item, null) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_from_json(item, null) for item in value]
+    if isinstance(value, str):
+        return _JSON_INF.get(value, value)
+    return null if value is None else value
+
+
 def result_to_json(result: SweepResult) -> str:
-    """Strict JSON text: NaN cells of flagged rows are written as null."""
+    """Strict JSON text: NaN as null, +-inf as the strings "inf"/"-inf".
+
+    The mapping covers rows and meta alike; load_json reverses it.
+    """
     meta = dict(result.meta)
     meta["version"] = _tool_version()
     meta["timestamp"] = _timestamp()
     rows = []
     for row, diag in zip(result.rows, result.diagnostics):
-        entry = dict(zip(result.columns, row))
+        # cells are floats and bools: one sum finds a NaN or inf among them,
+        # so only such rows pay for the mapping
+        entry = dict(zip(result.columns,
+                         row if math.isfinite(sum(row)) else _to_json(row)))
         if diag:
-            entry = {name: None if isinstance(value, float) and math.isnan(value)
-                     else value for name, value in entry.items()}
             entry[DIAGNOSTICS_COLUMN] = diag
         rows.append(entry)
-    return json.dumps({"meta": meta, "rows": rows}, indent=2,
+    return json.dumps({"meta": _to_json(meta), "rows": rows}, indent=2,
                       allow_nan=False) + "\n"
 
 
@@ -325,7 +354,7 @@ def load_csv(path: str) -> SweepResult:
 def load_json(path: str) -> SweepResult:
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    meta = payload.get("meta", {})
+    meta = _from_json(payload.get("meta", {}))
     entries = payload.get("rows", [])
     columns: tuple = ()
     rows, diagnostics = [], []
@@ -333,7 +362,7 @@ def load_json(path: str) -> SweepResult:
         diag = entry.pop(DIAGNOSTICS_COLUMN, "")
         if not columns:
             columns = tuple(entry.keys())
-        rows.append(tuple(math.nan if entry[name] is None else entry[name]
+        rows.append(tuple(_from_json(entry[name], math.nan)
                           for name in columns))
         diagnostics.append(diag)
     return SweepResult(columns=columns, rows=rows, diagnostics=diagnostics,

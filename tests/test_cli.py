@@ -16,6 +16,7 @@ import pytest
 from unruh_steer.cli import EXIT_DOMAIN, EXIT_IO, EXIT_USAGE, main
 from unruh_steer.model import UnruhParams, equilibrium_free, kossakowski_free
 from unruh_steer.steering import sic_closed_form_free
+from unruh_steer.sweeps import load_json
 
 
 def _csv_rows(text):
@@ -203,6 +204,34 @@ def test_out_file_json(tmp_path, capsys, monkeypatch):
     assert payload["meta"]["command"] == "sic-sweep"
     assert payload["meta"]["timestamp"] == "2023-11-14T22:13:20Z"
     assert len(payload["rows"]) == 4
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_equilibrium_json_at_infinite_acceleration(capsys):
+    assert main(["equilibrium", "--accel", "inf", "--tau", "0.5",
+                 "--format", "json"]) == 0
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["meta"]["accel"] == "inf"
+    assert payload["rows"][0]["a"] == "inf"
+    assert payload["rows"][0]["R"] == 0.0
+
+
+def test_tau_sweep_json_at_infinite_acceleration(tmp_path, capsys):
+    out = str(tmp_path / "sweep.json")
+    assert main(["tau-sweep", "--accel", "1,inf", "--grid",
+                 "tau:linear:-3:1:11", "--format", "json", "--out", out]) == 0
+    payload = _strict_json(open(out).read())
+    assert payload["meta"]["accel"] == [1.0, "inf"]
+    assert [row["a"] for row in payload["rows"]] == [1.0] * 11 + ["inf"] * 11
+    back = load_json(out)
+    assert back.meta["accel"] == [1.0, math.inf]
+    assert back.column("a") == [1.0] * 11 + [math.inf] * 11
 
 
 def test_jobs_do_not_change_bytes(tmp_path, monkeypatch):

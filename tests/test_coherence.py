@@ -9,7 +9,7 @@ import pytest
 from unruh_steer.coherence import (l1_coherence, l1_coherence_bloch,
                                    relative_entropy_coherence,
                                    trace_distance_coherence_qubit)
-from unruh_steer.errors import ConsistencyError, NonHermitian
+from unruh_steer.errors import ConsistencyError, DomainError, NonHermitian
 from unruh_steer.qmat import basis_from_axis
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -86,8 +86,9 @@ def test_trace_distance_validates_input():
     skew = np.array([[0.5, 0.3], [-0.3, 0.5]])
     with pytest.raises(NonHermitian):
         trace_distance_coherence_qubit(skew, Z)
-    with pytest.raises(ConsistencyError):
-        trace_distance_coherence_qubit(np.full((2, 2), np.nan), Z)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            trace_distance_coherence_qubit(np.full((2, 2), bad), Z)
     # the checks raise rather than assert, so they survive python -O
     code = ("import numpy as np\n"
             "from unruh_steer import NonHermitian, trace_distance_coherence_qubit\n"
@@ -99,3 +100,12 @@ def test_trace_distance_validates_input():
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, timeout=60)
     assert proc.stdout.strip() == "NonHermitian", proc.stderr
+
+
+def test_trace_distance_identity_is_checked(monkeypatch):
+    import unruh_steer.coherence as coherence
+
+    monkeypatch.setattr(coherence, "l1_coherence_bloch",
+                        lambda r, axis: 1e-6 + np.hypot(r[0], r[1]))
+    with pytest.raises(ConsistencyError):
+        trace_distance_coherence_qubit(_qubit(np.array([0.3, 0.0, 0.2])), Z)

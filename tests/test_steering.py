@@ -133,6 +133,8 @@ def test_sic_solution_attains_value_on_steered_ensemble():
                   for p, r in zip(ens.probs, ens.blochs))
         assert avg == pytest.approx(sol.value, abs=1e-12)
         assert sol.value == steering_induced_coherence(st)
+        assert not sol.meas_axis.flags.writeable
+        assert not sol.ref_axis.flags.writeable
 
 
 def test_sic_is_maximum_over_dense_axis_scan():

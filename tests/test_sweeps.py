@@ -171,6 +171,25 @@ def test_json_is_strict_on_flagged_rows(tmp_path):
     assert back.rows[:3] == res.rows[:3]
 
 
+def test_json_maps_every_non_finite_float(tmp_path):
+    res = SweepResult(columns=("x", "y"),
+                      rows=[(math.inf, -math.inf), (math.nan, 1.0)],
+                      diagnostics=["", ""],
+                      meta={"bounds": [-math.inf, math.inf], "gap": math.nan})
+    text = result_to_json(res)
+    assert "Infinity" not in text and "NaN" not in text
+    payload = json.loads(text)
+    assert payload["rows"] == [{"x": "inf", "y": "-inf"}, {"x": None, "y": 1.0}]
+    assert payload["meta"]["bounds"] == ["-inf", "inf"]
+    assert payload["meta"]["gap"] is None
+    path = str(tmp_path / "out.json")
+    write_result(res, path, "json")
+    back = load_json(path)
+    assert back.rows[0] == (math.inf, -math.inf)
+    assert math.isnan(back.rows[1][0]) and back.rows[1][1] == 1.0
+    assert back.meta["bounds"] == [-math.inf, math.inf]
+
+
 def test_json_timestamp_honors_source_date_epoch(monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     res = SweepResult(columns=("x",), rows=[(1.0,)], diagnostics=[""])
