@@ -84,6 +84,12 @@ def _float_list(text: str):
     return values
 
 
+def _count_arg(text: str) -> int:
+    if not (text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _grid_arg(text: str) -> GridSpec:
     try:
         return GridSpec.parse(text)
@@ -200,12 +206,12 @@ def cmd_evolve(args) -> int:
     meta = {"command": "evolve", "omega": args.omega, "accel": args.accel,
             "init": args.init, "tau": traj.tau, "t_end": t_end,
             "samples": args.samples, "step": traj.step,
-            "converged": traj.converged, "t_converged": traj.t_converged,
+            "converged": traj.converged, "landing": traj.landing,
             "axes": ("t",)}
     result = SweepResult(columns=columns, rows=rows,
                          diagnostics=[""] * len(rows), meta=meta)
     summary = (f"converged = {traj.converged}"
-               + (f" at t = {traj.t_converged:.6g}" if traj.converged else ""),)
+               f" (distance to equilibrium {traj.landing:.3e})",)
     return _deliver(result, args, summary)
 
 
@@ -357,7 +363,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tau", type=float)
     p.add_argument("--init", choices=_INIT_STATES, default="ground")
     p.add_argument("--t-end", type=float, dest="t_end")
-    p.add_argument("--samples", type=int, default=201)
+    p.add_argument("--samples", type=_count_arg, default=201)
     _add_output_args(p)
     p.set_defaults(handler=cmd_evolve)
 
@@ -404,7 +410,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("theorem-check",
                         help="SIC = MID identity on random states")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_count_arg, default=100)
     _add_jobs_arg(p)
     _add_output_args(p)
     p.set_defaults(handler=cmd_theorem_check)

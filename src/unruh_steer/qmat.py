@@ -33,6 +33,10 @@ PAULI = (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z)
 # sigma_y x sigma_y, used by the spin flip in the concurrence
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
 
+# _PAULI_PAIRS[i, j] = kron(sigma_i, sigma_j): Tr(m _PAULI_PAIRS[i, j]) is
+# the Fano coefficient of m at (i, j)
+_PAULI_PAIRS = np.einsum("iab,jcd->ijacbd", PAULI, PAULI).reshape(4, 4, 4, 4)
+
 
 @dataclass(frozen=True)
 class FanoState:
@@ -111,15 +115,8 @@ def matrix_to_fano(m: np.ndarray) -> FanoState:
     tr = np.trace(m).real
     if abs(tr - 1.0) > HERMITICITY_TOL:
         raise DomainError(f"trace {tr!r} is not 1 within {HERMITICITY_TOL}")
-    a = np.empty(3)
-    b = np.empty(3)
-    t = np.empty((3, 3))
-    for i in range(3):
-        a[i] = np.trace(m @ np.kron(PAULI[i + 1], SIGMA_0)).real
-        b[i] = np.trace(m @ np.kron(SIGMA_0, PAULI[i + 1])).real
-        for j in range(3):
-            t[i, j] = np.trace(m @ np.kron(PAULI[i + 1], PAULI[j + 1])).real
-    return FanoState(a, b, t)
+    coef = np.einsum("kl,ijlk->ij", m, _PAULI_PAIRS).real
+    return FanoState(coef[1:, 0], coef[0, 1:], coef[1:, 1:])
 
 
 def _require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> None:

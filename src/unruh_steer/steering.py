@@ -26,7 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .coherence import l1_coherence_bloch
-from .errors import DegenerateLimit, DenominatorZero, DomainError, NotPositive
+from .errors import DenominatorZero, DomainError, NotPositive
+from .model import boundary_denominator
 from .qmat import FanoState, dephase_b, fano_to_matrix, min_eigenvalue, trace_norm
 
 SQRT6 = math.sqrt(6.0)
@@ -297,17 +298,15 @@ def steerability_verdict_boundary(coeffs) -> BoundaryVerdict:
     """Coherence-sum steering criterion for the boundary equilibrium.
 
     x1 = -(A1-A2) B1 (2A1+A2) / D and x3 = (A1-A2) B1 (2B1+B2-2A1-A2) / D
-    share the denominator D of the boundary equilibrium; the criterion
+    share the denominator D of the boundary equilibrium
+    (:func:`~unruh_steer.model.boundary_denominator`); the criterion
     compares x3 / (1 + x1) against sqrt(6). Raises DegenerateLimit when D
     underflows and DenominatorZero when 1 + x1 <= 1e-9 (the ratio
     saturation regime near zero acceleration, where cancellation noise
     dominates the denominator).
     """
+    d = boundary_denominator(coeffs)
     a1, a2, b1, b2 = coeffs.A1, coeffs.A2, coeffs.B1, coeffs.B2
-    d = 2.0 * a1 ** 3 - a1 ** 2 * a2 - a2 * b1 * b2 + a1 * (b2 ** 2 - a2 ** 2)
-    scale = max(abs(a1), abs(a2), abs(b1), abs(b2), 1e-300) ** 3
-    if abs(d) <= 1e-14 * scale:
-        raise DegenerateLimit(f"|D| = {abs(d):.3e} underflows")
     x1 = -(a1 - a2) * b1 * (2.0 * a1 + a2) / d
     x3 = (a1 - a2) * b1 * (2.0 * b1 + b2 - 2.0 * a1 - a2) / d
     # analytically 1 + x1 = 1 - ratio > 0; rounding noise in x1 is ~5e-12,

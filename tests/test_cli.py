@@ -7,6 +7,7 @@ real interpreter entry point. argparse-level usage errors raise SystemExit
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -97,12 +98,36 @@ def test_evolve_singlet(capsys):
     assert main(["evolve", "--accel", "6.283185307179586", "--init", "singlet",
                  "--t-end", "2", "--samples", "5"]) == 0
     captured = capsys.readouterr()
-    assert "converged = True" in captured.err
+    landed = re.search(r"converged = True \(distance to equilibrium (\S+)\)",
+                       captured.err)
+    assert landed and float(landed.group(1)) < 1e-12
     header, rows = _csv_rows(captured.out)
     assert header[0] == "t" and header[-1] == "tau"
     assert len(rows) == 5
     assert all(float(r["tau"]) == -3.0 for r in rows)
     assert float(rows[-1]["txx"]) == -1.0
+
+
+def test_evolve_json_reports_landing(capsys):
+    assert main(["evolve", "--accel", "6.283185307179586", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    meta = json.loads(captured.out)["meta"]
+    assert "t_converged" not in meta
+    assert meta["converged"] is True and 0.0 < meta["landing"] < 1e-6
+    assert f"distance to equilibrium {meta['landing']:.3e}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--accel", "2", "--samples", "-1"],
+    ["evolve", "--accel", "2", "--samples", "0"],
+    ["theorem-check", "--count", "0"],
+    ["theorem-check", "--count", "-3"],
+])
+def test_nonpositive_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_USAGE
+    assert "must be an integer >= 1" in capsys.readouterr().err
 
 
 def test_evolve_requires_accel(capsys):

@@ -15,7 +15,7 @@ import pytest
 
 from unruh_steer import model
 from unruh_steer.errors import (ConsistencyError, DegenerateLimit, DomainError,
-                                UnsupportedDirection)
+                                UnphysicalDrift, UnsupportedDirection)
 from unruh_steer.model import (UnruhParams, equilibrium_boundary,
                                equilibrium_free, evolve, kossakowski_boundary,
                                kossakowski_free, ode_rhs, relaxation_horizon,
@@ -182,6 +182,8 @@ def test_ode_axis_restriction():
     st = random_fano_state(np.random.default_rng(1))
     with pytest.raises(UnsupportedDirection):
         ode_rhs(st, k, axis=np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(UnsupportedDirection):
+        evolve(st, k, axis=np.full(3, np.nan))
 
 
 def test_evolve_singlet_is_stationary():
@@ -189,6 +191,7 @@ def test_evolve_singlet_is_stationary():
     singlet = FanoState(a_vec=np.zeros(3), b_vec=np.zeros(3), t_mat=-np.eye(3))
     traj = evolve(singlet, k, t_end=5.0)
     assert traj.converged
+    assert traj.landing < 1e-12
     assert traj.tau == -3.0
     assert np.abs(traj.final_state.to_vector() - singlet.to_vector()).max() < 1e-12
 
@@ -205,6 +208,15 @@ def test_evolve_ground_state_relaxes():
     assert abs(traj.tau - 1.0) < 1e-12
     for st in traj.states[:: len(traj.states) // 7]:
         assert st.is_physical(tol=1e-8)
+
+
+def test_evolve_rejects_unphysical_input():
+    k = kossakowski_free(REF)
+    with pytest.raises(UnphysicalDrift):
+        evolve(FanoState(np.array([0, 0, 2.0]), np.zeros(3), np.zeros((3, 3))), k)
+    # no physical state has tau outside [-3, 1], so there is no equilibrium
+    with pytest.raises(DomainError):
+        evolve(FanoState(np.zeros(3), np.zeros(3), np.eye(3)), k)
 
 
 def test_evolve_hits_requested_samples():
@@ -286,3 +298,18 @@ def test_equilibrium_boundary_degenerate_limit():
     eq = equilibrium_boundary(flat, fallback_tau=0.25)
     assert eq.is_limit
     assert eq.tau_eq == pytest.approx(0.25, abs=0.0)
+    with pytest.raises(DegenerateLimit, match="supply fallback_tau"):
+        equilibrium_boundary(flat)
+
+
+def test_boundary_denominator_gate_is_relative():
+    kb = kossakowski_boundary(REF, 1.0, 1.0)
+    a1, a2, b1, b2 = kb.A1, kb.A2, kb.B1, kb.B2
+    want = 2 * a1 ** 3 - a1 ** 2 * a2 - a2 * b1 * b2 + a1 * (b2 ** 2 - a2 ** 2)
+    assert model.boundary_denominator(kb) == pytest.approx(want, rel=1e-15)
+    # the gate scales with the coefficients: a uniformly tiny set still passes
+    tiny = dataclasses.replace(kb, A1=a1 * 1e-90, A2=a2 * 1e-90,
+                               B1=b1 * 1e-90, B2=b2 * 1e-90)
+    assert model.boundary_denominator(tiny) == pytest.approx(want * 1e-270, rel=1e-12)
+    with pytest.raises(DegenerateLimit):
+        model.boundary_denominator(dataclasses.replace(kb, A2=a1, B2=b1))

@@ -21,12 +21,26 @@ def test_singlet_matrix():
     assert SINGLET.trace_sum == -3.0
 
 
+def _explicit_kron_sum(st):
+    s = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+         np.diag([1.0, -1.0]))
+    m = np.kron(s[0], s[0]).astype(complex)
+    for i in range(3):
+        m += st.a_vec[i] * np.kron(s[i + 1], s[0])
+        m += st.b_vec[i] * np.kron(s[0], s[i + 1])
+        for j in range(3):
+            m += st.t_mat[i, j] * np.kron(s[i + 1], s[j + 1])
+    return m / 4.0
+
+
 def test_matrix_round_trip_random():
     rng = np.random.default_rng(42)
     for _ in range(50):
         m = random_density_matrix(rng)
         st = matrix_to_fano(m)
         assert np.allclose(fano_to_matrix(st), m, atol=1e-13)
+        # the round trip alone would miss a consistent transpose of T
+        assert np.allclose(fano_to_matrix(st), _explicit_kron_sum(st), atol=1e-14)
         assert abs(np.trace(m) - 1.0) < 1e-13
         assert st.is_physical()
 
