@@ -3,7 +3,8 @@
 Exit codes follow sysexits conventions where they exist: 0 success,
 2 domain errors (bad physics parameters), 64 usage errors, 74 I/O errors.
 Every subcommand writes CSV or JSON through the sweep-result machinery, so
-outputs are byte-identical across runs and --jobs settings.
+outputs are byte-identical across runs. Sweeps run serially; the sweep
+commands still accept --jobs and ignore it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .sweeps import (
     GridSpec,
     SweepResult,
     eval_boundary,
-    eval_sic_by_tau,
     eval_sic_free,
     eval_surface,
     eval_theorem,
@@ -107,7 +107,7 @@ def _add_output_args(sub):
 
 def _add_jobs_arg(sub):
     sub.add_argument("--jobs", type=int, default=None,
-                     help="worker processes (default: $UNRUH_STEER_JOBS or 1)")
+                     help="ignored (sweeps run serially); kept for scripts")
 
 
 def _pick_grids(grids, names):
@@ -229,7 +229,7 @@ def cmd_sic_sweep(args) -> int:
             "grid": grid.spec_string(), "preset": args.preset or "",
             "axes": ("tau", "a")}
     result = run_grid(axes, partial(eval_sic_free, args.omega),
-                      SIC_SWEEP_COLUMNS, jobs=args.jobs, meta=meta)
+                      SIC_SWEEP_COLUMNS, meta=meta)
     return _deliver(result, args)
 
 
@@ -246,8 +246,9 @@ def cmd_tau_sweep(args) -> int:
     meta = {"command": "tau-sweep", "omega": args.omega,
             "accel": list(accels), "grid": grid.spec_string(),
             "preset": args.preset or "", "axes": ("a", "tau")}
-    result = run_grid(axes, partial(eval_sic_by_tau, args.omega),
-                      SIC_SWEEP_COLUMNS, jobs=args.jobs, meta=meta)
+    result = run_grid(axes,
+                      lambda accel, tau: eval_sic_free(args.omega, tau, accel),
+                      SIC_SWEEP_COLUMNS, meta=meta)
     return _deliver(result, args)
 
 
@@ -280,8 +281,7 @@ def cmd_surface(args) -> int:
     meta = {"command": "steerability-surface",
             "grid": [g.spec_string() for g in grids],
             "preset": args.preset or "", "axes": ("tau", "R")}
-    result = run_grid(axes, eval_surface, SURFACE_COLUMNS, jobs=args.jobs,
-                      meta=meta)
+    result = run_grid(axes, eval_surface, SURFACE_COLUMNS, meta=meta)
     return _deliver(result, args, _surface_summary(result))
 
 
@@ -292,7 +292,7 @@ def cmd_boundary_scan(args) -> int:
             "grid": [g.spec_string() for g in grids],
             "axes": ("a", "z", "L")}
     result = run_grid(axes, partial(eval_boundary, args.omega),
-                      BOUNDARY_COLUMNS, jobs=args.jobs, meta=meta)
+                      BOUNDARY_COLUMNS, meta=meta)
     sat_idx = result.columns.index("satisfied")
     n_sat = sum(1 for row in result.rows if row[sat_idx] is True)
     n_diag = sum(1 for diag in result.diagnostics if diag)
@@ -332,7 +332,7 @@ def cmd_theorem_check(args) -> int:
     meta = {"command": "theorem-check", "seed": args.seed,
             "count": args.count, "axes": ("state_index",)}
     result = run_grid(axes, partial(eval_theorem, states), THEOREM_COLUMNS,
-                      jobs=args.jobs, meta=meta)
+                      meta=meta)
     residual = max(result.column("residual"))
     summary = (f"max |sic - mid| = {residual:.3e} over {args.count} states"
                f" (seed {args.seed})",)

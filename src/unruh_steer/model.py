@@ -323,8 +323,9 @@ def ode_rhs(state: FanoState, coeffs: KossakowskiFree, axis=None,
 
 
 def relaxation_horizon(coeffs: KossakowskiFree) -> float:
-    """Hard equilibration horizon 20 / (4 A)."""
-    return 5.0 / coeffs.A
+    """Hard equilibration horizon 20 / (4 A - 2 B): twenty e-folds of the
+    slowest decay rate of the coefficient equations."""
+    return 20.0 / (4.0 * coeffs.A - 2.0 * coeffs.B)
 
 
 @dataclass(frozen=True)
@@ -355,7 +356,7 @@ def evolve(state: FanoState, coeffs: KossakowskiFree, t_end: float | None = None
     The base step is h = min(0.05 / (12 A), t_end / 1000); each interval
     between consecutive sample times is split into equal substeps no larger
     than h, so samples are hit exactly. Default sampling is 201 uniform
-    points on [0, t_end] with t_end the relaxation horizon 20 / (4 A).
+    points on [0, t_end] with t_end the relaxation horizon 20 / (4 A - 2 B).
 
     The equation is affine at fixed tau, dy/dt = M y + c, so a substep of
     length s applies the RK4 step map sum_{k<=4} (s G)^k / k! of

@@ -1,11 +1,10 @@
 """Deterministic parameter-sweep engine with CSV/JSON emission.
 
-Grid points are independent work items evaluated either inline or across a
-process pool; results land in an index-addressed table, so output bytes do
-not depend on the worker count. Per-point domain errors become row
-diagnostics instead of aborting the sweep. Serialization is reproducible:
-floats at 17 significant digits, LF endings, and a timestamp derived from
-SOURCE_DATE_EPOCH (epoch zero when unset) rather than the wall clock.
+Grid points are evaluated one after another in lexicographic order; per-point
+domain errors become row diagnostics instead of aborting the sweep.
+Serialization is reproducible: floats at 17 significant digits, LF endings,
+and a timestamp derived from SOURCE_DATE_EPOCH (epoch zero when unset)
+rather than the wall clock.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -36,7 +34,6 @@ from .steering import (
     steering_induced_coherence,
 )
 
-JOBS_ENV = "UNRUH_STEER_JOBS"
 GRID_NAMES = ("a", "tau", "R", "z", "L")
 DIAGNOSTICS_COLUMN = "diagnostics"
 
@@ -88,7 +85,8 @@ class GridSpec:
         return np.linspace(self.lo, self.hi, self.count)
 
     def spec_string(self) -> str:
-        return f"{self.name}:{self.scale}:{self.lo:g}:{self.hi:g}:{self.count}"
+        return (f"{self.name}:{self.scale}:{self.lo:.17g}:{self.hi:.17g}"
+                f":{self.count}")
 
 
 # ----- result table -----
@@ -117,74 +115,40 @@ def _py(value):
     return float(value)
 
 
-def _guarded(evaluator, point: tuple, n_out: int):
-    try:
-        values, diag = evaluator(*point)
-        return tuple(_py(v) for v in values), diag
-    except UnruhSteerError as exc:
-        return (math.nan,) * n_out, f"{type(exc).__name__}: {exc}"
-
-
-def _chunk_worker(evaluator, n_out: int, chunk: list) -> list:
-    return [_guarded(evaluator, point, n_out) for point in chunk]
-
-
-def resolve_jobs(requested=None) -> int:
-    """Explicit value, else the UNRUH_STEER_JOBS variable, else 1."""
-    if requested is not None:
-        jobs = int(requested)
-    else:
-        jobs = int(os.environ.get(JOBS_ENV, "1"))
-    if jobs < 1:
-        raise DomainError(f"jobs must be positive, got {jobs}")
-    return jobs
-
-
-def run_grid(axes, evaluator, out_columns, jobs=None, meta=None) -> SweepResult:
+def run_grid(axes, evaluator, out_columns, meta=None) -> SweepResult:
     """Evaluate ``evaluator`` over the cartesian product of the axes.
 
     ``axes`` is a sequence of (name, values) pairs; rows appear in
     lexicographic order of the axes as given (first axis outermost). The
     evaluator returns (values, diagnostic) and may raise package errors,
-    which are recorded as the row diagnostic with NaN outputs. Output is
-    bitwise independent of ``jobs``: points are pre-enumerated and results
-    written back by index.
+    which are recorded as the row diagnostic with NaN outputs.
     """
-    jobs = resolve_jobs(jobs)
-    n_out = len(out_columns)
-    points = [tuple(float(c) for c in combo)
-              for combo in itertools.product(*(vals for _, vals in axes))]
-    if jobs == 1 or len(points) < 2 * jobs:
-        outcomes = _chunk_worker(evaluator, n_out, points)
-    else:
-        chunk_size = max(1, math.ceil(len(points) / (jobs * 4)))
-        chunks = [points[i:i + chunk_size]
-                  for i in range(0, len(points), chunk_size)]
-        outcomes = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_chunk_worker, evaluator, n_out, chunk)
-                       for chunk in chunks]
-            for future in futures:
-                outcomes.extend(future.result())
-    rows = [point + values for point, (values, _) in zip(points, outcomes)]
-    diagnostics = [diag for _, diag in outcomes]
+    nan_row = (math.nan,) * len(out_columns)
+    rows, diagnostics = [], []
+    for combo in itertools.product(*(vals for _, vals in axes)):
+        point = tuple(float(c) for c in combo)
+        try:
+            values, diag = evaluator(*point)
+        except UnruhSteerError as exc:
+            values, diag = nan_row, f"{type(exc).__name__}: {exc}"
+        rows.append(point + tuple(_py(v) for v in values))
+        diagnostics.append(diag)
     columns = tuple(name for name, _ in axes) + tuple(out_columns)
     return SweepResult(columns=columns, rows=rows, diagnostics=diagnostics,
                        meta=dict(meta or {}))
 
 
-# ----- point evaluators (module level so process pools can pickle them) -----
+# ----- point evaluators -----
 
 def eval_sic_free(omega: float, tau: float, accel: float):
-    """Row (R, sic) for the free-space equilibrium; closed-form SIC."""
+    """Row (R, sic) for the free-space equilibrium; closed-form SIC.
+
+    The equilibrium is positive wherever ``equilibrium_free`` accepts
+    (tau, R), so it is built only for that range check.
+    """
     coeffs = kossakowski_free(UnruhParams(omega, accel))
-    state = equilibrium_free(tau, coeffs.ratio)
-    diag = "" if state.is_physical() else "NotPositive: equilibrium state"
-    return (coeffs.ratio, sic_closed_form_free(tau, coeffs.ratio)), diag
-
-
-def eval_sic_by_tau(omega: float, accel: float, tau: float):
-    return eval_sic_free(omega, tau, accel)
+    equilibrium_free(tau, coeffs.ratio)
+    return (coeffs.ratio, sic_closed_form_free(tau, coeffs.ratio)), ""
 
 
 def eval_surface(tau: float, ratio: float):

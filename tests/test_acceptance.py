@@ -172,7 +172,7 @@ def test_criterion_5_coherence_equals_disturbance():
 def test_criterion_6_relaxation_dynamics():
     t0 = time.perf_counter()
     coeffs = kossakowski_free(UnruhParams(1.0, 2.0 * math.pi))
-    horizon = relaxation_horizon(coeffs)  # 20 / (4A)
+    horizon = relaxation_horizon(coeffs)  # 20 / (4A - 2B)
     rng = np.random.default_rng(99)
     worst_tau = 0.0
     worst_land = 0.0

@@ -158,6 +158,15 @@ def test_sic_sweep_comma_list_with_negatives(capsys):
     assert sorted({row["tau"] for row in rows}) == ["-1", "0.5"]
 
 
+def test_sic_sweep_flags_out_of_range_tau(capsys):
+    assert main(["sic-sweep", "--tau=1.5,0.5", "--grid", "a:log:1:10:2"]) == 0
+    lines = capsys.readouterr().out.split("\n")
+    assert lines[0] == "tau,a,R,sic,diagnostics"
+    assert lines[1] == "1.5,1,nan,nan,DomainError: tau = 1.5 outside [-3; 1]"
+    assert lines[2] == "1.5,10,nan,nan,DomainError: tau = 1.5 outside [-3; 1]"
+    assert lines[3].startswith("0.5,1,") and lines[3].endswith(",")
+
+
 def test_sic_sweep_wrong_grid_name(capsys):
     assert main(["sic-sweep", "--tau", "0.5",
                  "--grid", "tau:linear:0:1:5"]) == EXIT_USAGE
@@ -260,14 +269,17 @@ def test_tau_sweep_json_at_infinite_acceleration(tmp_path, capsys):
 
 
 def test_jobs_do_not_change_bytes(tmp_path, monkeypatch):
+    # --jobs is accepted and ignored, and UNRUH_STEER_JOBS is not read
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
-    one = str(tmp_path / "one.json")
-    three = str(tmp_path / "three.json")
+    monkeypatch.setenv("UNRUH_STEER_JOBS", "abc")
     base = ["sic-sweep", "--tau=-2,0.5", "--grid", "a:log:0.5:50:11",
             "--format", "json"]
-    assert main(base + ["--jobs", "1", "--out", one]) == 0
-    assert main(base + ["--jobs", "3", "--out", three]) == 0
-    assert open(one, "rb").read() == open(three, "rb").read()
+    outputs = []
+    for jobs in ([], ["--jobs", "1"], ["--jobs", "3"]):
+        path = str(tmp_path / f"out{len(outputs)}.json")
+        assert main(base + jobs + ["--out", path]) == 0
+        outputs.append(open(path, "rb").read())
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_plot_requires_out(capsys):

@@ -100,10 +100,28 @@ def test_equilibrium_reference_point():
     assert m[1, 2] == pytest.approx(-0.125, abs=1e-15)
 
 
+def _equilibrium_spectrum(tau, ratio):
+    """Closed-form eigenvalues of the free-space equilibrium, ascending."""
+    d4 = 4.0 * (3.0 + ratio * ratio)
+    return np.sort([(3.0 + tau) * (1.0 - ratio) ** 2 / d4,
+                    (3.0 + tau) * (1.0 - ratio * ratio) / d4,
+                    (3.0 + tau) * (1.0 + ratio) ** 2 / d4,
+                    (1.0 - tau) / 4.0])
+
+
 def test_equilibrium_family_physical():
-    for tau in np.linspace(-3.0, 1.0, 9):
-        for ratio in np.linspace(0.0, 1.0, 5):
+    # the spectrum is nonnegative on the whole accepted range, slack included,
+    # so sweeps need no per-row eigensolve of the equilibrium
+    slack = model.RANGE_SLACK
+    taus = [*np.linspace(-3.0, 1.0, 9), -3.0 - slack, 1.0 + slack]
+    ratios = [*np.linspace(0.0, 1.0, 5), -slack, 1.0 + slack]
+    for tau in taus:
+        for ratio in ratios:
             eq = equilibrium_free(float(tau), float(ratio))
+            spectrum = _equilibrium_spectrum(tau, ratio)
+            numeric = np.linalg.eigvalsh(fano_to_matrix(eq))
+            assert np.abs(numeric - spectrum).max() < 1e-14
+            assert spectrum.min() > -1e-10
             assert eq.is_physical()
             assert eq.trace_sum == pytest.approx(tau, abs=1e-12)
             assert np.allclose(eq.a_vec, eq.b_vec, atol=1e-15)
@@ -208,6 +226,27 @@ def test_evolve_ground_state_relaxes():
     assert abs(traj.tau - 1.0) < 1e-12
     for st in traj.states[:: len(traj.states) // 7]:
         assert st.is_physical(tol=1e-8)
+
+
+def test_default_horizon_lands_random_states():
+    # the slowest decay rate of the coefficient equations is 4A - 2B
+    # (2A as a -> 0); a horizon in units of 4A stops short at small a
+    rng = np.random.default_rng(3)
+    for accel in (0.5, 1.0, 2.0 * math.pi, 50.0):
+        k = kossakowski_free(UnruhParams(1.0, accel))
+
+        def rhs(y):
+            return ode_rhs(FanoState.from_vector(y), k, tau=0.0).to_vector()
+
+        c = rhs(np.zeros(15))
+        m = np.column_stack([rhs(e) - c for e in np.eye(15)])
+        slowest = -np.linalg.eigvals(m).real.max()
+        assert slowest == pytest.approx(4.0 * k.A - 2.0 * k.B, rel=1e-9)
+    k = kossakowski_free(UnruhParams(1.0, 1.0))
+    traj = evolve(random_fano_state(rng), k)
+    assert traj.times[-1] == pytest.approx(20.0 / (4.0 * k.A - 2.0 * k.B),
+                                           rel=1e-12)
+    assert traj.converged, traj.landing
 
 
 def test_evolve_rejects_unphysical_input():
