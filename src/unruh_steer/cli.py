@@ -3,8 +3,8 @@
 Exit codes follow sysexits conventions where they exist: 0 success,
 2 domain errors (bad physics parameters), 64 usage errors, 74 I/O errors.
 Every subcommand writes CSV or JSON through the sweep-result machinery, so
-outputs are byte-identical across runs. Sweeps run serially; the sweep
-commands still accept --jobs and ignore it.
+outputs are byte-identical across runs. Sweeps run in one process, each
+evaluator on whole grid axes.
 """
 
 from __future__ import annotations
@@ -97,19 +97,6 @@ def _grid_arg(text: str) -> GridSpec:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _add_output_args(sub):
-    sub.add_argument("--out", help="output file; stdout (CSV/JSON text) if omitted")
-    sub.add_argument("--format", choices=("csv", "json"),
-                     help="default: by --out extension, else csv")
-    sub.add_argument("--plot", action="store_true",
-                     help="also write a gnuplot script next to --out")
-
-
-def _add_jobs_arg(sub):
-    sub.add_argument("--jobs", type=int, default=None,
-                     help="ignored (sweeps run serially); kept for scripts")
-
-
 def _pick_grids(grids, names):
     """Reorder --grid specs into canonical order; demand an exact set."""
     grids = grids or []
@@ -122,9 +109,8 @@ def _pick_grids(grids, names):
 
 
 def _deliver(result: SweepResult, args, summary=()):
-    fmt = args.format
-    if fmt is None:
-        fmt = "json" if (args.out or "").endswith(".json") else "csv"
+    fmt = args.format or ("json" if (args.out or "").endswith(".json")
+                          else "csv")
     if args.out:
         for line in summary:
             print(line)
@@ -135,8 +121,8 @@ def _deliver(result: SweepResult, args, summary=()):
             raise _UsageError("--plot requires --out")
         for line in summary:
             print(line, file=sys.stderr)
-        text = result_to_csv(result) if fmt == "csv" else result_to_json(result)
-        sys.stdout.write(text)
+        sys.stdout.write(result_to_csv(result) if fmt == "csv"
+                         else result_to_json(result))
     return EXIT_OK
 
 
@@ -170,20 +156,15 @@ def cmd_equilibrium(args) -> int:
         meta = {"command": "equilibrium", "geometry": "free",
                 "omega": args.omega, "accel": args.accel,
                 "tau": args.tau, "axes": ()}
-    result = SweepResult(columns=columns, rows=[row], diagnostics=[""],
-                         meta=meta)
-    return _deliver(result, args)
+    return _deliver(SweepResult(columns, [row], [""], meta), args)
 
 
 _INIT_STATES = ("ground", "excited", "singlet", "tau-mixed")
 
 
 def _initial_state(name: str, tau) -> FanoState:
-    if name == "ground":
-        n = np.array([0.0, 0.0, -1.0])
-        return FanoState(n, n, np.outer(n, n))
-    if name == "excited":
-        n = np.array([0.0, 0.0, 1.0])
+    if name in ("ground", "excited"):
+        n = np.array([0.0, 0.0, 1.0 if name == "excited" else -1.0])
         return FanoState(n, n, np.outer(n, n))
     if name == "singlet":
         return FanoState(np.zeros(3), np.zeros(3), -np.eye(3))
@@ -217,13 +198,11 @@ def cmd_evolve(args) -> int:
 
 def cmd_sic_sweep(args) -> int:
     if args.preset == "fig1":
-        taus = list(FIG1_TAUS)
-        grid = GridSpec("a", "log", 0.5, 100.0, 200)
+        taus, grid = list(FIG1_TAUS), GridSpec("a", "log", 0.5, 100.0, 200)
+    elif args.tau is None:
+        raise _UsageError("--tau list is required (or use --preset fig1)")
     else:
-        if args.tau is None:
-            raise _UsageError("--tau list is required (or use --preset fig1)")
-        taus = args.tau
-        grid, = _pick_grids(args.grid, ("a",))
+        taus, (grid,) = args.tau, _pick_grids(args.grid, ("a",))
     axes = (("tau", np.asarray(taus, dtype=float)), ("a", grid.values()))
     meta = {"command": "sic-sweep", "omega": args.omega, "tau": list(taus),
             "grid": grid.spec_string(), "preset": args.preset or "",
@@ -235,13 +214,11 @@ def cmd_sic_sweep(args) -> int:
 
 def cmd_tau_sweep(args) -> int:
     if args.preset == "fig2":
-        accels = list(FIG2_ACCELS)
-        grid = GridSpec("tau", "linear", -3.0, 1.0, 201)
+        accels, grid = list(FIG2_ACCELS), GridSpec("tau", "linear", -3.0, 1.0, 201)
+    elif args.accel is None:
+        raise _UsageError("--accel list is required (or use --preset fig2)")
     else:
-        if args.accel is None:
-            raise _UsageError("--accel list is required (or use --preset fig2)")
-        accels = args.accel
-        grid, = _pick_grids(args.grid, ("tau",))
+        accels, (grid,) = args.accel, _pick_grids(args.grid, ("tau",))
     axes = (("a", np.asarray(accels, dtype=float)), ("tau", grid.values()))
     meta = {"command": "tau-sweep", "omega": args.omega,
             "accel": list(accels), "grid": grid.spec_string(),
@@ -253,21 +230,18 @@ def cmd_tau_sweep(args) -> int:
 
 
 def _surface_summary(result: SweepResult):
+    kept = np.flatnonzero([not diag for diag in result.diagnostics])
     lines = []
     for form in ("literal", "absolute"):
-        idx = result.columns.index(form)
-        best, best_row = None, None
-        for row, diag in zip(result.rows, result.diagnostics):
-            if diag:
-                continue
-            if best is None or row[idx] > best:
-                best, best_row = row[idx], row
-        if best is None:
+        if kept.size == 0:
             lines.append(f"max {form} f: no unflagged grid points")
             continue
+        values = np.asarray(result.column(form))[kept]
+        tau, ratio = result.rows[kept[np.argmax(values)]][:2]
+        best = values.max()
         verdict = "EXCEEDED" if best > SQRT6 else "NOT exceeded"
-        lines.append(f"max {form} f = {best:.9g} at (tau = {best_row[0]:.9g},"
-                     f" R = {best_row[1]:.9g}), threshold sqrt(6) {verdict}")
+        lines.append(f"max {form} f = {best:.9g} at (tau = {tau:.9g},"
+                     f" R = {ratio:.9g}), threshold sqrt(6) {verdict}")
     return tuple(lines)
 
 
@@ -293,8 +267,7 @@ def cmd_boundary_scan(args) -> int:
             "axes": ("a", "z", "L")}
     result = run_grid(axes, partial(eval_boundary, args.omega),
                       BOUNDARY_COLUMNS, meta=meta)
-    sat_idx = result.columns.index("satisfied")
-    n_sat = sum(1 for row in result.rows if row[sat_idx] is True)
+    n_sat = sum(1 for flag in result.column("satisfied") if flag is True)
     n_diag = sum(1 for diag in result.diagnostics if diag)
     summary = (f"criterion satisfied at {n_sat} of {len(result.rows)} points"
                f" ({n_diag} rows flagged)",)
@@ -319,9 +292,8 @@ def cmd_node(args) -> int:
     if args.out:
         meta = {"command": "node", "omega": args.omega, "tau": args.tau,
                 "axes": ()}
-        result = SweepResult(columns=("tau", "a_star", "sic"), rows=[row],
-                             diagnostics=[diag], meta=meta)
-        return _deliver(result, args)
+        return _deliver(SweepResult(("tau", "a_star", "sic"), [row], [diag],
+                                    meta), args)
     return EXIT_OK
 
 
@@ -348,73 +320,60 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True,
                                  parser_class=_Parser)
 
-    p = subs.add_parser("equilibrium", help="asymptotic state coefficients")
-    p.add_argument("--omega", type=float, default=1.0)
+    def command(name, handler, about, omega=True):
+        sub = subs.add_parser(name, help=about)
+        sub.set_defaults(handler=handler)
+        if omega:
+            sub.add_argument("--omega", type=float, default=1.0)
+        return sub
+
+    p = command("equilibrium", cmd_equilibrium, "asymptotic state coefficients")
     p.add_argument("--accel", type=float)
     p.add_argument("--tau", type=float)
     p.add_argument("--z", type=float)
     p.add_argument("--sep", type=float)
-    _add_output_args(p)
-    p.set_defaults(handler=cmd_equilibrium)
 
-    p = subs.add_parser("evolve", help="integrate toward equilibrium")
-    p.add_argument("--omega", type=float, default=1.0)
+    p = command("evolve", cmd_evolve, "integrate toward equilibrium")
     p.add_argument("--accel", type=float)
     p.add_argument("--tau", type=float)
     p.add_argument("--init", choices=_INIT_STATES, default="ground")
     p.add_argument("--t-end", type=float, dest="t_end")
     p.add_argument("--samples", type=_count_arg, default=201)
-    _add_output_args(p)
-    p.set_defaults(handler=cmd_evolve)
 
-    p = subs.add_parser("sic-sweep", help="coherence vs acceleration")
-    p.add_argument("--omega", type=float, default=1.0)
+    p = command("sic-sweep", cmd_sic_sweep, "coherence vs acceleration")
     p.add_argument("--tau", type=_float_list)
     p.add_argument("--grid", type=_grid_arg, action="append")
     p.add_argument("--preset", choices=("fig1",))
-    _add_jobs_arg(p)
-    _add_output_args(p)
-    p.set_defaults(handler=cmd_sic_sweep)
 
-    p = subs.add_parser("tau-sweep", help="coherence vs initial correlation")
-    p.add_argument("--omega", type=float, default=1.0)
+    p = command("tau-sweep", cmd_tau_sweep, "coherence vs initial correlation")
     p.add_argument("--accel", type=_float_list)
     p.add_argument("--grid", type=_grid_arg, action="append")
     p.add_argument("--preset", choices=("fig2",))
-    _add_jobs_arg(p)
-    _add_output_args(p)
-    p.set_defaults(handler=cmd_tau_sweep)
 
-    p = subs.add_parser("steerability-surface",
-                        help="criterion functional over (tau, R)")
+    p = command("steerability-surface", cmd_surface,
+                "criterion functional over (tau, R)", omega=False)
     p.add_argument("--grid", type=_grid_arg, action="append")
     p.add_argument("--preset", choices=("fig3",))
-    _add_jobs_arg(p)
-    _add_output_args(p)
-    p.set_defaults(handler=cmd_surface)
 
-    p = subs.add_parser("boundary-scan",
-                        help="criterion verdict over (a, z, L)")
-    p.add_argument("--omega", type=float, default=1.0)
+    p = command("boundary-scan", cmd_boundary_scan,
+                "criterion verdict over (a, z, L)")
     p.add_argument("--grid", type=_grid_arg, action="append")
-    _add_jobs_arg(p)
-    _add_output_args(p)
-    p.set_defaults(handler=cmd_boundary_scan)
 
-    p = subs.add_parser("node", help="acceleration where coherence vanishes")
-    p.add_argument("--omega", type=float, default=1.0)
+    p = command("node", cmd_node, "acceleration where coherence vanishes")
     p.add_argument("--tau", type=float, required=True)
-    _add_output_args(p)
-    p.set_defaults(handler=cmd_node)
 
-    p = subs.add_parser("theorem-check",
-                        help="SIC = MID identity on random states")
+    p = command("theorem-check", cmd_theorem_check,
+                "SIC = MID identity on random states", omega=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=_count_arg, default=100)
-    _add_jobs_arg(p)
-    _add_output_args(p)
-    p.set_defaults(handler=cmd_theorem_check)
 
+    for sub in subs.choices.values():
+        sub.add_argument("--out",
+                         help="output file; stdout (CSV/JSON text) if omitted")
+        sub.add_argument("--format", choices=("csv", "json"),
+                         help="default: by --out extension, else csv")
+        sub.add_argument("--plot", action="store_true",
+                         help="also write a gnuplot script next to --out")
     return parser
 
 
@@ -423,12 +382,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except _UsageError as exc:
+    except (_UsageError, UnruhSteerError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except UnruhSteerError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return EXIT_USAGE if isinstance(exc, _UsageError) else EXIT_DOMAIN
     except OSError as exc:
         print(f"{PROG}: io error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -1,7 +1,8 @@
 """Deterministic parameter-sweep engine with CSV/JSON emission.
 
-Grid points are evaluated one after another in lexicographic order; per-point
-domain errors become row diagnostics instead of aborting the sweep.
+Evaluators take the whole grid at once, flattened in lexicographic order, one
+array per axis; domain errors at single points become row diagnostics instead
+of aborting the sweep.
 Serialization is reproducible: floats at 17 significant digits, LF endings,
 and a timestamp derived from SOURCE_DATE_EPOCH (epoch zero when unset)
 rather than the wall clock.
@@ -9,7 +10,6 @@ rather than the wall clock.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -18,8 +18,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import DomainError, UnruhSteerError
+from .errors import ConsistencyError, DomainError, UnruhSteerError
 from .model import (
+    RANGE_SLACK,
     UnruhParams,
     equilibrium_free,
     kossakowski_boundary,
@@ -27,6 +28,7 @@ from .model import (
 )
 from .qmat import matrix_to_fano
 from .steering import (
+    SQRT6,
     one_sided_mid,
     sic_closed_form_free,
     steerability_functional_free,
@@ -80,9 +82,8 @@ class GridSpec:
             raise DomainError(f"grid {text!r}: {exc}") from None
 
     def values(self) -> np.ndarray:
-        if self.scale == "log":
-            return np.geomspace(self.lo, self.hi, self.count)
-        return np.linspace(self.lo, self.hi, self.count)
+        space = np.geomspace if self.scale == "log" else np.linspace
+        return space(self.lo, self.hi, self.count)
 
     def spec_string(self) -> str:
         return (f"{self.name}:{self.scale}:{self.lo:.17g}:{self.hi:.17g}"
@@ -109,67 +110,128 @@ class SweepResult:
         return [row[idx] for row in self.rows]
 
 
-def _py(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    return float(value)
-
-
 def run_grid(axes, evaluator, out_columns, meta=None) -> SweepResult:
-    """Evaluate ``evaluator`` over the cartesian product of the axes.
+    """Evaluate ``evaluator`` on the cartesian product of the axes at once.
 
     ``axes`` is a sequence of (name, values) pairs; rows appear in
     lexicographic order of the axes as given (first axis outermost). The
-    evaluator returns (values, diagnostic) and may raise package errors,
-    which are recorded as the row diagnostic with NaN outputs.
+    evaluator receives that grid flattened, one 1-D float array per axis,
+    and returns (columns, diagnostics): one array or list per output
+    column and one diagnostic string per row.
     """
-    nan_row = (math.nan,) * len(out_columns)
-    rows, diagnostics = [], []
-    for combo in itertools.product(*(vals for _, vals in axes)):
-        point = tuple(float(c) for c in combo)
+    grid = np.meshgrid(*(np.asarray(vals, dtype=float) for _, vals in axes),
+                       indexing="ij")
+    flat = [mesh.ravel() for mesh in grid]
+    columns, diagnostics = evaluator(*flat)
+    if len(columns) != len(out_columns) or len(diagnostics) != flat[0].size:
+        raise ConsistencyError("evaluator output does not match the grid")
+    # tolist gives the Python floats and bools the writers expect
+    cells = [col.tolist() if isinstance(col, np.ndarray) else col
+             for col in flat + list(columns)]
+    names = tuple(name for name, _ in axes) + tuple(out_columns)
+    return SweepResult(columns=names, rows=list(zip(*cells, strict=True)),
+                       diagnostics=list(diagnostics), meta=dict(meta or {}))
+
+
+# ----- whole-axis evaluators -----
+
+def _fill_rows(columns, diagnostics, rows, point, *axes):
+    """Store the scalar ``point`` at each of ``rows`` into the columns.
+
+    This is where every evaluator flags rows: an UnruhSteerError makes the
+    row NaN, with the diagnostic "{Class}: {message}".
+    """
+    for i in rows:
         try:
-            values, diag = evaluator(*point)
+            values = point(*(float(axis[i]) for axis in axes))
         except UnruhSteerError as exc:
-            values, diag = nan_row, f"{type(exc).__name__}: {exc}"
-        rows.append(point + tuple(_py(v) for v in values))
-        diagnostics.append(diag)
-    columns = tuple(name for name, _ in axes) + tuple(out_columns)
-    return SweepResult(columns=columns, rows=rows, diagnostics=diagnostics,
-                       meta=dict(meta or {}))
+            values = (math.nan,) * len(columns)
+            diagnostics[i] = f"{type(exc).__name__}: {exc}"
+        for column, value in zip(columns, values):
+            column[i] = value
 
 
-# ----- point evaluators -----
+def _pointwise(point, n_out, *axes):
+    """Columns and diagnostics of the scalar ``point``, row by row."""
+    n = axes[0].size
+    columns, diagnostics = [[None] * n for _ in range(n_out)], [""] * n
+    _fill_rows(columns, diagnostics, range(n), point, *axes)
+    return columns, diagnostics
 
-def eval_sic_free(omega: float, tau: float, accel: float):
-    """Row (R, sic) for the free-space equilibrium; closed-form SIC.
 
-    The equilibrium is positive wherever ``equilibrium_free`` accepts
-    (tau, R), so it is built only for that range check.
+def _outside(tau, ratio):
+    # the (tau, R) range checks of equilibrium_free and the functional
+    return ~((-3.0 - RANGE_SLACK <= tau) & (tau <= 1.0 + RANGE_SLACK)
+             & (-RANGE_SLACK <= ratio) & (ratio <= 1.0 + RANGE_SLACK))
+
+
+def eval_sic_free(omega: float, tau, accel):
+    """Columns (R, sic) for the free-space equilibrium; closed-form SIC.
+
+    R is computed once per acceleration, the SIC on whole arrays. The
+    equilibrium is positive wherever ``equilibrium_free`` accepts (tau, R),
+    so it is built only to flag the rows outside that range.
     """
-    coeffs = kossakowski_free(UnruhParams(omega, accel))
-    equilibrium_free(tau, coeffs.ratio)
-    return (coeffs.ratio, sic_closed_form_free(tau, coeffs.ratio)), ""
+    def point(t, a):
+        ratio = kossakowski_free(UnruhParams(omega, a)).ratio
+        equilibrium_free(t, ratio)
+        return ratio, sic_closed_form_free(t, ratio)
+
+    values, where = np.unique(accel, return_inverse=True)
+    (ratios,), _ = _pointwise(
+        lambda a: (kossakowski_free(UnruhParams(omega, a)).ratio,), 1, values)
+    ratio = np.array(ratios)[where]
+    columns = [ratio.tolist(), sic_closed_form_free(tau, ratio).tolist()]
+    diagnostics = [""] * tau.size
+    _fill_rows(columns, diagnostics, np.flatnonzero(_outside(tau, ratio)),
+               point, tau, accel)
+    return columns, diagnostics
 
 
-def eval_surface(tau: float, ratio: float):
-    result = steerability_functional_free(tau, ratio)
-    diag = "singular" if result.singular else ""
-    return (result.literal, result.absolute, result.exceeds_literal,
-            result.exceeds_absolute), diag
+def eval_surface(tau, ratio):
+    """Columns SURFACE_COLUMNS of ``steerability_functional_free``.
+
+    The same arithmetic in the same operation order, on whole arrays; the
+    singular point comes back NaN/False with the diagnostic "singular".
+    """
+    square = ratio * ratio
+    with np.errstate(all="ignore"):
+        denom1 = 3.0 + square
+        denom2 = square - ratio * (tau + 3.0) + 3.0
+        singular = np.abs(denom2) <= 1e-12
+        term1 = 2.0 * (tau - square) / denom1
+        num2 = square * (tau + 2.0) - ratio * (tau + 3.0) + tau
+        literal = np.where(singular, math.nan, term1 + num2 / denom2)
+        absolute = np.where(singular, math.nan,
+                            np.abs(term1) + np.abs(num2) / denom2)
+    columns = [literal.tolist(), absolute.tolist(),
+               (literal > SQRT6).tolist(), (absolute > SQRT6).tolist()]
+    diagnostics = np.where(singular, "singular", "").tolist()
+    _fill_rows(columns, diagnostics, np.flatnonzero(_outside(tau, ratio)),
+               lambda t, r: steerability_functional_free(t, r)[:4], tau, ratio)
+    return columns, diagnostics
 
 
-def eval_boundary(omega: float, accel: float, z: float, sep: float):
-    coeffs = kossakowski_boundary(UnruhParams(omega, accel), z, sep)
-    verdict = steerability_verdict_boundary(coeffs)
-    return (coeffs.A1, coeffs.A2, coeffs.B1, coeffs.B2,
-            verdict.x1, verdict.x3, verdict.value, verdict.satisfied), ""
+def eval_boundary(omega: float, accel, z, sep):
+    """Columns BOUNDARY_COLUMNS, row by row: with numpy's array ``**``, D
+    would round differently at 448 of the 8000 points of the 20^3 scan.
+    """
+    def point(a, height, distance):
+        coeffs = kossakowski_boundary(UnruhParams(omega, a), height, distance)
+        return ((coeffs.A1, coeffs.A2, coeffs.B1, coeffs.B2)
+                + tuple(steerability_verdict_boundary(coeffs)))
+
+    return _pointwise(point, len(BOUNDARY_COLUMNS), accel, z, sep)
 
 
-def eval_theorem(states: np.ndarray, index: float):
-    state = matrix_to_fano(states[int(index)])
-    sic = steering_induced_coherence(state)
-    mid = one_sided_mid(state)
-    return (sic, mid, abs(sic - mid)), ""
+def eval_theorem(states: np.ndarray, index):
+    """Columns (sic, mid, residual) of ``states[index]``, state by state."""
+    def point(i):
+        state = matrix_to_fano(states[int(i)])
+        sic, mid = steering_induced_coherence(state), one_sided_mid(state)
+        return sic, mid, abs(sic - mid)
+
+    return _pointwise(point, len(THEOREM_COLUMNS), index)
 
 
 SIC_SWEEP_COLUMNS = ("R", "sic")
@@ -186,35 +248,39 @@ def _timestamp() -> str:
     return stamp.isoformat().replace("+00:00", "Z")
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return value
-    return f"{float(value):.17g}"
+_BOOL_CELLS = {"true": True, "false": False}
 
 
 def _parse_cell(text: str):
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    return float(text)
+    return _BOOL_CELLS[text] if text in _BOOL_CELLS else float(text)
+
+
+def _format_column(values) -> list:
+    # a whole column per pass; a mixed one (NaN in a flag column) cell by cell
+    kinds = set(map(type, values))
+    if kinds <= {bool, np.bool_}:
+        return ["true" if x else "false" for x in values]
+    if kinds == {float}:
+        return [f"{x:.17g}" for x in values]
+    if kinds == {str}:
+        return list(values)
+    if len(kinds) == 1:
+        return [f"{float(x):.17g}" for x in values]
+    return [_format_column((x,))[0] for x in values]
 
 
 def result_to_csv(result: SweepResult) -> str:
     """CSV text: header, 17-significant-digit floats, LF endings.
 
-    The diagnostics column appears only when some row has a diagnostic.
+    Cells are formatted a column at a time. The diagnostics column appears
+    only when some row has a diagnostic.
     """
-    with_diag = result.has_diagnostics
-    header = list(result.columns) + ([DIAGNOSTICS_COLUMN] if with_diag else [])
-    lines = [",".join(header)]
-    for row, diag in zip(result.rows, result.diagnostics):
-        cells = [_format_cell(cell) for cell in row]
-        if with_diag:
-            cells.append(diag.replace(",", ";"))
-        lines.append(",".join(cells))
+    cells = [_format_column(col) for col in zip(*result.rows)]
+    header = list(result.columns)
+    if result.has_diagnostics:
+        header.append(DIAGNOSTICS_COLUMN)
+        cells.append([diag.replace(",", ";") for diag in result.diagnostics])
+    lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
     return "\n".join(lines) + "\n"
 
 
@@ -248,9 +314,9 @@ def result_to_json(result: SweepResult) -> str:
 
     The mapping covers rows and meta alike; load_json reverses it.
     """
-    meta = dict(result.meta)
-    meta["version"] = _tool_version()
-    meta["timestamp"] = _timestamp()
+    from . import __version__
+
+    meta = dict(result.meta, version=__version__, timestamp=_timestamp())
     rows = []
     for row, diag in zip(result.rows, result.diagnostics):
         # cells are floats and bools: one sum finds a NaN or inf among them,
@@ -264,35 +330,23 @@ def result_to_json(result: SweepResult) -> str:
                       allow_nan=False) + "\n"
 
 
-def _tool_version() -> str:
-    from . import __version__
-
-    return __version__
-
-
 def write_result(result: SweepResult, path: str, fmt: str,
                  plot: bool = False) -> list:
     """Write the table (and optionally a plot script); returns paths written."""
-    if fmt == "csv":
-        text = result_to_csv(result)
-    elif fmt == "json":
-        text = result_to_json(result)
-    else:
+    writers = {"csv": result_to_csv, "json": result_to_json}
+    if fmt not in writers:
         raise DomainError(f"unknown format {fmt!r}")
-    written = []
+    files = [(path, writers[fmt](result))]
+    if plot:
+        files.append((path + ".gp",
+                      plot_script(result, os.path.basename(path), fmt)))
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        written.append(path)
-        if plot:
-            script = plot_script(result, os.path.basename(path), fmt)
-            script_path = path + ".gp"
-            with open(script_path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(script)
-            written.append(script_path)
+        for name, text in files:
+            with open(name, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
     except OSError as exc:
         raise OSError(f"{path}: {exc.strerror or exc}") from exc
-    return written
+    return [name for name, _ in files]
 
 
 def load_csv(path: str) -> SweepResult:
@@ -306,12 +360,8 @@ def load_csv(path: str) -> SweepResult:
     rows, diagnostics = [], []
     for line in lines[1:]:
         cells = line.split(",")
-        if with_diag:
-            diagnostics.append(cells[-1])
-            cells = cells[:-1]
-        else:
-            diagnostics.append("")
-        rows.append(tuple(_parse_cell(cell) for cell in cells))
+        diagnostics.append(cells.pop() if with_diag else "")
+        rows.append(tuple(map(_parse_cell, cells)))
     return SweepResult(columns=columns, rows=rows, diagnostics=diagnostics)
 
 
@@ -319,10 +369,9 @@ def load_json(path: str) -> SweepResult:
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     meta = _from_json(payload.get("meta", {}))
-    entries = payload.get("rows", [])
     columns: tuple = ()
     rows, diagnostics = [], []
-    for entry in entries:
+    for entry in payload.get("rows", []):
         diag = entry.pop(DIAGNOSTICS_COLUMN, "")
         if not columns:
             columns = tuple(entry.keys())
@@ -336,21 +385,14 @@ def load_json(path: str) -> SweepResult:
 def plot_script(result: SweepResult, data_file: str, fmt: str) -> str:
     """Minimal gnuplot companion for a CSV table (best effort for JSON)."""
     n_inputs = len(result.meta.get("axes", ())) or 1
-    x_col = n_inputs
     y_col = n_inputs + 1
-    lines = [
-        f"# gnuplot script for {data_file}",
-        "set datafile separator ','",
-        "set key autotitle columnhead",
-        "set grid",
-    ]
+    lines = [f"# gnuplot script for {data_file}", "set datafile separator ','",
+             "set key autotitle columnhead", "set grid"]
     if fmt != "csv":
         lines.append(f"# data is JSON; convert {data_file} to CSV to plot")
     if n_inputs >= 2 and len(result.columns) > 2:
-        lines += [
-            "set pm3d map",
-            f"splot '{data_file}' using {n_inputs - 1}:{n_inputs}:{y_col}",
-        ]
+        lines += ["set pm3d map",
+                  f"splot '{data_file}' using {n_inputs - 1}:{n_inputs}:{y_col}"]
     else:
-        lines.append(f"plot '{data_file}' using {x_col}:{y_col} with lines")
+        lines.append(f"plot '{data_file}' using {n_inputs}:{y_col} with lines")
     return "\n".join(lines) + "\n"

@@ -268,18 +268,24 @@ def test_tau_sweep_json_at_infinite_acceleration(tmp_path, capsys):
     assert back.column("a") == [1.0] * 11 + [math.inf] * 11
 
 
-def test_jobs_do_not_change_bytes(tmp_path, monkeypatch):
-    # --jobs is accepted and ignored, and UNRUH_STEER_JOBS is not read
+def test_jobs_do_not_change_bytes(tmp_path, monkeypatch, capsys):
+    # --jobs is gone, so it is a usage error; UNRUH_STEER_JOBS is not read
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
-    monkeypatch.setenv("UNRUH_STEER_JOBS", "abc")
     base = ["sic-sweep", "--tau=-2,0.5", "--grid", "a:log:0.5:50:11",
             "--format", "json"]
+    with pytest.raises(SystemExit) as info:
+        main(base + ["--jobs", "2"])
+    assert info.value.code == EXIT_USAGE
     outputs = []
-    for jobs in ([], ["--jobs", "1"], ["--jobs", "3"]):
+    for jobs_env in (None, "abc"):
+        if jobs_env is None:
+            monkeypatch.delenv("UNRUH_STEER_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("UNRUH_STEER_JOBS", jobs_env)
         path = str(tmp_path / f"out{len(outputs)}.json")
-        assert main(base + jobs + ["--out", path]) == 0
+        assert main(base + ["--out", path]) == 0
         outputs.append(open(path, "rb").read())
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1]
 
 
 def test_plot_requires_out(capsys):

@@ -1,4 +1,4 @@
-"""Sweep engine: grids, guarded evaluation, emission."""
+"""Sweep engine: grids, whole-axis evaluation, emission."""
 
 import json
 import math
@@ -7,15 +7,15 @@ import os
 import numpy as np
 import pytest
 
-from unruh_steer.errors import DomainError
+from unruh_steer.errors import ConsistencyError, DomainError
 from unruh_steer.model import UnruhParams, kossakowski_free
 from unruh_steer.steering import sic_closed_form_free
 from unruh_steer.sweeps import (BOUNDARY_COLUMNS, DIAGNOSTICS_COLUMN,
                                 SURFACE_COLUMNS, GridSpec, SweepResult,
-                                eval_boundary, eval_sic_free, eval_surface,
-                                load_csv, load_json, plot_script,
-                                result_to_csv, result_to_json, run_grid,
-                                write_result)
+                                _pointwise, eval_boundary, eval_sic_free,
+                                eval_surface, load_csv, load_json,
+                                plot_script, result_to_csv, result_to_json,
+                                run_grid, write_result)
 
 
 def test_gridspec_parse_round_trip():
@@ -55,13 +55,18 @@ def test_gridspec_values():
 
 
 def _square(x, y):
-    return (x * y, x - y), ""
+    return (x * y, x - y), [""] * x.size
+
+
+def _flaky_point(x, y):
+    if x == 2.0 and y == 10.0:
+        raise DomainError("bad, point")
+    return (x + y,)
 
 
 def _flaky(x, y):
-    if x == 2.0 and y == 10.0:
-        raise DomainError("bad, point")
-    return (x + y,), ""
+    # row by row through the guard the package's evaluators use
+    return _pointwise(_flaky_point, 1, x, y)
 
 
 def test_run_grid_serial_rows():
@@ -85,23 +90,34 @@ def test_run_grid_guards_package_errors():
     assert res.rows[3] == (2.0, 20.0, 22.0)
 
 
+def test_run_grid_rejects_mismatched_columns():
+    with pytest.raises(ConsistencyError):
+        run_grid([("x", [1.0, 2.0])], lambda x: ((x,), [""]), ("y",))
+    with pytest.raises(ConsistencyError):
+        run_grid([("x", [1.0, 2.0])], lambda x: ((x,), [""] * 2), ("y", "z"))
+    with pytest.raises(ValueError):
+        run_grid([("x", [1.0, 2.0])], lambda x: ((x[:1],), [""] * 2), ("y",))
+
+
 def test_eval_sic_free_row():
-    (ratio, sic), diag = eval_sic_free(1.0, 0.5, 2.0 * math.pi)
+    (ratio, sic), diag = eval_sic_free(1.0, np.array([0.5]),
+                                       np.array([2.0 * math.pi]))
     k = kossakowski_free(UnruhParams(1.0, 2.0 * math.pi))
-    assert ratio == k.ratio
-    assert sic == sic_closed_form_free(0.5, k.ratio)
-    assert diag == ""
+    assert ratio == [k.ratio]
+    assert sic == [sic_closed_form_free(0.5, k.ratio)]
+    assert diag == [""]
 
 
 def test_eval_surface_flags_singularity():
-    values, diag = eval_surface(1.0, 1.0)
-    assert diag == "singular"
-    assert math.isnan(values[0]) and math.isnan(values[1])
-    assert values[2] is False and values[3] is False
+    values, diag = eval_surface(np.array([1.0]), np.array([1.0]))
+    assert diag == ["singular"]
+    assert math.isnan(values[0][0]) and math.isnan(values[1][0])
+    assert values[2][0] is False and values[3][0] is False
 
 
 def test_csv_format(tmp_path):
-    res = run_grid([("x", [1.0 / 3.0, 2.0])], lambda x: ((x,), ""), ("y",))
+    res = run_grid([("x", [1.0 / 3.0, 2.0])], lambda x: ((x,), [""] * x.size),
+                   ("y",))
     text = result_to_csv(res)
     lines = text.split("\n")
     assert lines[0] == "x,y"
@@ -116,7 +132,7 @@ def test_csv_diagnostics_column_and_booleans():
     assert text.split("\n")[0] == f"x,y,s,{DIAGNOSTICS_COLUMN}"
     assert "DomainError: bad; point" in text  # commas sanitized
     bres = run_grid([("a", [2.0, 4.0])],
-                    lambda a: ((a > 3.0,), ""), ("big",))
+                    lambda a: ((a > 3.0,), [""] * a.size), ("big",))
     btext = result_to_csv(bres)
     assert "false" in btext and "true" in btext
 
@@ -136,7 +152,8 @@ def test_csv_round_trip(tmp_path):
 
 def test_json_round_trip_and_meta(tmp_path, monkeypatch):
     monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
-    res = run_grid([("x", [1.0, 2.0])], lambda x: ((2.0 * x, x > 1.5), ""),
+    res = run_grid([("x", [1.0, 2.0])],
+                   lambda x: ((2.0 * x, x > 1.5), [""] * x.size),
                    ("d", "flag"), meta={"axes": ["x"]})
     path = str(tmp_path / "out.json")
     write_result(res, path, "json")
@@ -223,6 +240,7 @@ def test_write_result_with_plot(tmp_path):
 
 
 def test_boundary_eval_columns():
-    values, diag = eval_boundary(1.0, 2.0 * math.pi, 1.0, 1.0)
+    values, diag = eval_boundary(1.0, np.array([2.0 * math.pi]),
+                                 np.array([1.0]), np.array([1.0]))
     assert len(values) == len(BOUNDARY_COLUMNS)
-    assert values[-1] is False and diag == ""
+    assert values[-1][0] is False and diag == [""]
