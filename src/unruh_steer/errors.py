@@ -14,20 +14,12 @@ class NonHermitian(UnruhSteerError):
     """Matrix input fails the Hermiticity check."""
 
 
-class DegenerateBasis(UnruhSteerError):
-    """Explicit measurement/dephasing basis is not orthonormal."""
-
-
 class NotPositive(UnruhSteerError):
     """Operator expected to be positive semidefinite is not."""
 
 
 class DomainError(UnruhSteerError):
     """Scalar parameter outside its validated range."""
-
-
-class UnsupportedDirection(UnruhSteerError):
-    """Dissipator direction other than (0, 0, 1) requested."""
 
 
 class UnphysicalDrift(UnruhSteerError):

@@ -13,9 +13,9 @@ reflecting boundary at distance ``z``, atom separation ``sep``), the
 asymptotic equilibrium states, the coefficient-space equation of motion,
 and its fixed-step RK4 solution, one 16x16 step map of the affine generator.
 
-Conventions: natural units, n is a unit vector (the equation of motion is
-only supported for n = (0, 0, 1)), and ``ratio`` denotes the dissipative
-asymmetry B / A = tanh(pi omega / accel) in [0, 1].
+Conventions: natural units, the dissipator direction is n = (0, 0, 1),
+and ``ratio`` denotes the dissipative asymmetry
+B / A = tanh(pi omega / accel) in [0, 1].
 """
 
 from __future__ import annotations
@@ -25,31 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConsistencyError,
-    DegenerateLimit,
-    DomainError,
-    UnphysicalDrift,
-    UnsupportedDirection,
-)
+from .errors import ConsistencyError, DegenerateLimit, DomainError, UnphysicalDrift
 from .qmat import FanoState, min_eigenvalue
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
-AXIS_TOL = 1e-9            # unit-vector validation
 RANGE_SLACK = 1e-12        # slack on closed parameter ranges
 SINC_SERIES_CUTOFF = 1e-4  # |x| below which sin(x)/x uses its series
 CSERIES_CUTOFF = 1e-2      # x below which the C coefficient uses its series
 DEGENERATE_D_REL = 1e-14   # |D| underflow gate, relative to coefficient scale
 DRIFT_TOL = -1e-6          # sampled min eigenvalue below this aborts evolve
 LANDING_TOL = 1e-6         # final sample this close to the equilibrium: converged
-
-
-def _unit_axis(axis) -> np.ndarray:
-    axis = np.asarray(axis, dtype=float).reshape(3)
-    if abs(np.linalg.norm(axis) - 1.0) > AXIS_TOL:
-        raise DomainError("axis must be a unit 3-vector")
-    return axis
 
 
 def sinc(x: float) -> float:
@@ -68,24 +54,19 @@ def _thermal_factor(x: float) -> float:
 
 @dataclass(frozen=True)
 class UnruhParams:
-    """Atom frequency, proper acceleration, and dissipator direction.
+    """Atom frequency and proper acceleration.
 
     ``accel = inf`` is accepted as the inertial limit flag (ratio -> 0).
     """
 
     omega: float
     accel: float
-    axis: np.ndarray = None
 
     def __post_init__(self):
         if not (self.omega > 0.0 and math.isfinite(self.omega)):
             raise DomainError("omega must be positive and finite")
         if not self.accel > 0.0:
             raise DomainError("accel must be positive (inf allowed)")
-        axis = Z_AXIS if self.axis is None else _unit_axis(self.axis)
-        axis = axis.copy()
-        axis.setflags(write=False)
-        object.__setattr__(self, "axis", axis)
 
     @property
     def temperature(self) -> float:
@@ -199,7 +180,7 @@ def kossakowski_boundary(params: UnruhParams, z: float, sep: float) -> Kossakows
 
 # ----- equilibrium states -----
 
-def equilibrium_free(tau: float, ratio: float, axis=None) -> FanoState:
+def equilibrium_free(tau: float, ratio: float) -> FanoState:
     """Asymptotic state of the free-space semigroup on the tau leaf.
 
     tau is the conserved correlation trace sum_i T_ii in [-3, 1], ratio the
@@ -214,12 +195,11 @@ def equilibrium_free(tau: float, ratio: float, axis=None) -> FanoState:
         raise DomainError(f"tau = {tau!r} outside [-3, 1]")
     if not -RANGE_SLACK <= ratio <= 1.0 + RANGE_SLACK:
         raise DomainError(f"ratio = {ratio!r} outside [0, 1]")
-    n = Z_AXIS if axis is None else _unit_axis(axis)
     denom = 3.0 + ratio * ratio
     c = -ratio * (tau + 3.0) / denom
     t_mat = ((tau - ratio * ratio) * np.eye(3)
-             + ratio * ratio * (tau + 3.0) * np.outer(n, n)) / denom
-    return FanoState(c * n, c * n, t_mat)
+             + ratio * ratio * (tau + 3.0) * np.outer(Z_AXIS, Z_AXIS)) / denom
+    return FanoState(c * Z_AXIS, c * Z_AXIS, t_mat)
 
 
 @dataclass(frozen=True)
@@ -253,7 +233,7 @@ def boundary_denominator(coeffs: KossakowskiBoundary) -> float:
     return d
 
 
-def equilibrium_boundary(coeffs: KossakowskiBoundary, axis=None,
+def equilibrium_boundary(coeffs: KossakowskiBoundary, *,
                          fallback_tau: float | None = None) -> BoundaryEquilibrium:
     """Asymptotic state in the boundary case.
 
@@ -263,7 +243,6 @@ def equilibrium_boundary(coeffs: KossakowskiBoundary, axis=None,
     leaf is returned flagged ``is_limit=True``, or DegenerateLimit raised
     when no fallback is supplied.
     """
-    n = Z_AXIS if axis is None else _unit_axis(axis)
     try:
         d = boundary_denominator(coeffs)
     except DegenerateLimit as exc:
@@ -271,14 +250,14 @@ def equilibrium_boundary(coeffs: KossakowskiBoundary, axis=None,
             raise DegenerateLimit(
                 f"{exc} at z={coeffs.z}, sep={coeffs.sep}; "
                 "supply fallback_tau for the free-space limit") from None
-        state = equilibrium_free(fallback_tau, coeffs.ratio, n)
+        state = equilibrium_free(fallback_tau, coeffs.ratio)
         return BoundaryEquilibrium(state=state, tau_eq=float(fallback_tau),
                                    trace_mismatch=math.nan, is_limit=True)
     a1, a2, b1, b2 = coeffs.A1, coeffs.A2, coeffs.B1, coeffs.B2
     c = -(a1 - a2) * b1 * (2.0 * a1 + a2) / d
     s = (a1 - a2) * b1 * (2.0 * b1 + b2) / d
     tau_eq = (2.0 * a1 + a2) * b1 * (b1 - b2) / d
-    state = FanoState(c * n, c * n, s * np.outer(n, n))
+    state = FanoState(c * Z_AXIS, c * Z_AXIS, s * np.outer(Z_AXIS, Z_AXIS))
     return BoundaryEquilibrium(state=state, tau_eq=tau_eq,
                                trace_mismatch=abs(tau_eq - state.trace_sum),
                                is_limit=False)
@@ -286,12 +265,11 @@ def equilibrium_boundary(coeffs: KossakowskiBoundary, axis=None,
 
 # ----- equation of motion and integrator -----
 
-def ode_rhs(state: FanoState, coeffs: KossakowskiFree, axis=None,
+def ode_rhs(state: FanoState, coeffs: KossakowskiFree, *,
             tau: float | None = None) -> FanoState:
     """Time derivative of the Pauli coefficients under the free dissipator.
 
-    Only the direction n = (0, 0, 1) is supported (UnsupportedDirection
-    otherwise); there the C coefficient drops out of every asymptotic
+    Along n = (0, 0, 1) the C coefficient drops out of every asymptotic
     quantity and is omitted. tau defaults to the state's own correlation
     trace; the derivative of sum_i T_ii is -12 A (sum_i T_ii - tau), so the
     trace is conserved on its own leaf.
@@ -303,9 +281,6 @@ def ode_rhs(state: FanoState, coeffs: KossakowskiFree, axis=None,
     completely positive, with :func:`equilibrium_free` its exact stationary
     family; a common transcription of these equations flips them.
     """
-    n = Z_AXIS if axis is None else np.asarray(axis, dtype=float).reshape(3)
-    if not np.abs(n - Z_AXIS).max() <= 1e-12:   # NaN axes fail too
-        raise UnsupportedDirection("only axis = (0, 0, 1) is supported")
     n = Z_AXIS
     if not math.isfinite(coeffs.A):
         raise DomainError("ode_rhs needs finite coefficients")
@@ -350,7 +325,7 @@ class Trajectory:
 
 
 def evolve(state: FanoState, coeffs: KossakowskiFree, t_end: float | None = None,
-           sample_times=None, axis=None, tau: float | None = None) -> Trajectory:
+           sample_times=None, *, tau: float | None = None) -> Trajectory:
     """Integrate the coefficient equations with classic fixed-step RK4.
 
     The base step is h = min(0.05 / (12 A), t_end / 1000); each interval
@@ -384,7 +359,7 @@ def evolve(state: FanoState, coeffs: KossakowskiFree, t_end: float | None = None
     h = min(0.05 / (12.0 * coeffs.A), t_end / 1000.0)
 
     def rhs(y):
-        return ode_rhs(FanoState.from_vector(y), coeffs, axis, tau).to_vector()
+        return ode_rhs(FanoState.from_vector(y), coeffs, tau=tau).to_vector()
 
     gen = np.zeros((16, 16))
     gen[:15, 15] = rhs(np.zeros(15))

@@ -14,14 +14,13 @@ requires it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBasis, DomainError, NonHermitian, NotPositive
+from .errors import DomainError, NonHermitian, NotPositive
 
 HERMITICITY_TOL = 1e-9
-BASIS_ORTHO_TOL = 1e-10
 POSITIVITY_TOL = 1e-8   # concurrence input gate
 
 SIGMA_0 = np.eye(2, dtype=complex)
@@ -127,22 +126,7 @@ def _require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
         raise NonHermitian(f"max |m - m^dag| = {dev:.3e} exceeds {tol}")
 
 
-# ----- reductions and basic functionals -----
-
-def partial_trace(m: np.ndarray, keep: str) -> np.ndarray:
-    """Bloch vector of the reduced state of one qubit.
-
-    keep: 'A' keeps the left factor, 'B' the right one.
-    """
-    m = np.asarray(m, dtype=complex).reshape(2, 2, 2, 2)
-    if keep == "A":
-        red = np.einsum("ikjk->ij", m)
-    elif keep == "B":
-        red = np.einsum("kikj->ij", m)
-    else:
-        raise DomainError("keep must be 'A' or 'B'")
-    return np.array([np.trace(red @ PAULI[i]).real for i in (1, 2, 3)])
-
+# ----- basic functionals -----
 
 def trace_norm(m: np.ndarray) -> float:
     """Tr|m| = sum of absolute eigenvalues, for Hermitian m (no 1/2 factor)."""
@@ -157,19 +141,13 @@ def min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(m)[0])
 
 
-def eigen_descending(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching eigenvector columns."""
-    m = np.asarray(m, dtype=complex)
-    _require_hermitian(m)
-    vals, vecs = np.linalg.eigh(m)
-    return vals[::-1], vecs[:, ::-1]
-
-
 # ----- dephasing of the B side -----
 
 def basis_from_axis(axis: np.ndarray) -> np.ndarray:
     """Columns are the +/- eigenkets of axis . sigma for a unit axis."""
-    axis = np.asarray(axis, dtype=float).reshape(3)
+    axis = np.asarray(axis, dtype=float)
+    if axis.shape != (3,):
+        raise DomainError(f"basis axis must have shape (3,), not {axis.shape}")
     norm = np.linalg.norm(axis)
     if not np.isfinite(norm) or norm < 1e-12:
         raise DomainError("basis axis must be a nonzero finite 3-vector")
@@ -184,24 +162,11 @@ def basis_from_axis(axis: np.ndarray) -> np.ndarray:
     return np.column_stack([plus, minus])
 
 
-def dephase_b(m: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Kill B-side coherences: sum_k (I x P_k) m (I x P_k).
-
-    ``basis`` is either a unit Bloch axis (shape (3,)) or an explicit 2x2
-    matrix whose columns are the basis kets; the latter is validated to be
-    orthonormal within 1e-10 (DegenerateBasis otherwise).
-    """
+def dephase_b(m: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """Kill B-side coherences in the eigenbasis of a Bloch axis:
+    sum_k (I x P_k) m (I x P_k)."""
     m = np.asarray(m, dtype=complex).reshape(4, 4)
-    basis = np.asarray(basis)
-    if basis.shape == (3,):
-        u = basis_from_axis(basis.astype(float))
-    elif basis.shape == (2, 2):
-        u = basis.astype(complex)
-        gram = u.conj().T @ u
-        if np.abs(gram - np.eye(2)).max() > BASIS_ORTHO_TOL:
-            raise DegenerateBasis("basis kets are not orthonormal within 1e-10")
-    else:
-        raise DomainError("basis must have shape (3,) or (2, 2)")
+    u = basis_from_axis(axis)
     out = np.zeros((4, 4), dtype=complex)
     for k in range(2):
         p = np.outer(u[:, k], u[:, k].conj())

@@ -27,7 +27,7 @@ import numpy as np
 
 from .coherence import l1_coherence_bloch
 from .errors import DenominatorZero, DomainError, NotPositive
-from .model import boundary_denominator
+from .model import boundary_denominator, equilibrium_free
 from .qmat import FanoState, dephase_b, fano_to_matrix, min_eigenvalue, trace_norm
 
 SQRT6 = math.sqrt(6.0)
@@ -36,8 +36,6 @@ PHYSICALITY_TOL = 1e-10   # min-eigenvalue gate on input states
 PROB_FLOOR = 1e-15        # outcome probability treated as zero
 MEAS_UNIT_TOL = 1e-12
 
-_AXIS_INDEX = {"x": 0, "y": 1, "z": 2, 0: 0, 1: 1, 2: 2}
-
 
 def _require_physical(state: FanoState) -> np.ndarray:
     m = fano_to_matrix(state)
@@ -45,6 +43,16 @@ def _require_physical(state: FanoState) -> np.ndarray:
     if low < -PHYSICALITY_TOL:
         raise NotPositive(f"state has min eigenvalue {low:.3e}")
     return m
+
+
+def _axis_index(axis) -> int:
+    # match on type, not on hashing: True == 1 and 1.0 == 1 would pass a dict
+    if isinstance(axis, str) and axis in ("x", "y", "z"):
+        return "xyz".index(axis)
+    if (isinstance(axis, (int, np.integer)) and not isinstance(axis, bool)
+            and 0 <= axis <= 2):
+        return int(axis)
+    raise DomainError(f"axes must be 'x', 'y', 'z' or 0, 1, 2, not {axis!r}")
 
 
 def _require_meas_axis(v) -> np.ndarray:
@@ -191,10 +199,8 @@ def conditional_coherence(state: FanoState, meas_axis, coh_axis,
     steered ensemble. Raises DenominatorZero when |1 + s a_k| <= 1e-12 and
     DomainError when the two axes coincide.
     """
-    k = _AXIS_INDEX.get(meas_axis)
-    w = _AXIS_INDEX.get(coh_axis)
-    if k is None or w is None:
-        raise DomainError("axes must be 'x', 'y', 'z' or 0, 1, 2")
+    k = _axis_index(meas_axis)
+    w = _axis_index(coh_axis)
     if k == w:
         raise DomainError("measurement and coherence axes must differ")
     if outcome not in (+1, -1):
@@ -273,8 +279,6 @@ class CyclicPairings(NamedTuple):
 
 def steerability_pairings_free(tau: float, ratio: float) -> CyclicPairings:
     """Evaluate both cyclic pairings on the equilibrium state (outcome +1)."""
-    from .model import equilibrium_free
-
     state = equilibrium_free(tau, ratio)
 
     def coh(meas, basis):

@@ -243,8 +243,12 @@ THEOREM_COLUMNS = ("sic", "mid", "residual")
 # ----- emission -----
 
 def _timestamp() -> str:
-    epoch = int(os.environ.get("SOURCE_DATE_EPOCH", "0"))
-    stamp = datetime.fromtimestamp(epoch, tz=timezone.utc)
+    text = os.environ.get("SOURCE_DATE_EPOCH", "0")
+    try:
+        stamp = datetime.fromtimestamp(int(text), tz=timezone.utc)
+    except (ValueError, OverflowError, OSError):
+        raise DomainError(f"SOURCE_DATE_EPOCH = {text!r} is not an integer"
+                          " number of seconds in a representable year") from None
     return stamp.isoformat().replace("+00:00", "Z")
 
 

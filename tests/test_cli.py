@@ -240,6 +240,16 @@ def test_out_file_json(tmp_path, capsys, monkeypatch):
     assert len(payload["rows"]) == 4
 
 
+@pytest.mark.parametrize("epoch", ["abc", "1.5", "99999999999999"])
+def test_malformed_source_date_epoch(epoch, capsys, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    assert main(["equilibrium", "--tau", "0.5", "--accel", "1",
+                 "--format", "json"]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("unruh-steer: error: SOURCE_DATE_EPOCH")
+    assert err.count("\n") == 1
+
+
 def _strict_json(text):
     def reject(token):
         raise ValueError(f"non-standard JSON token {token}")

@@ -1,15 +1,16 @@
-"""Fano-form state algebra: round trips, reductions, dephasing, concurrence."""
+"""Fano-form state algebra: round trips, trace norm, dephasing, concurrence."""
+
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from unruh_steer.errors import (DegenerateBasis, DomainError, NonHermitian,
-                                NotPositive)
+from unruh_steer.errors import DomainError, NonHermitian, NotPositive
 from unruh_steer.qmat import (FanoState, basis_from_axis, concurrence,
-                              dephase_b, eigen_descending, fano_to_matrix,
-                              matrix_to_fano, min_eigenvalue, partial_trace,
-                              random_density_matrix, random_fano_state,
-                              trace_norm)
+                              dephase_b, fano_to_matrix, matrix_to_fano,
+                              min_eigenvalue, random_density_matrix,
+                              random_fano_state, trace_norm)
 
 SINGLET = FanoState(a_vec=np.zeros(3), b_vec=np.zeros(3), t_mat=-np.eye(3))
 
@@ -65,20 +66,6 @@ def test_fano_state_rejects_nonfinite():
                   t_mat=np.zeros((3, 3)))
 
 
-def test_partial_trace_product_state():
-    rng = np.random.default_rng(3)
-    ra = rng.normal(size=3)
-    ra *= 0.8 / np.linalg.norm(ra)
-    rb = rng.normal(size=3)
-    rb *= 0.5 / np.linalg.norm(rb)
-    st = FanoState(a_vec=ra, b_vec=rb, t_mat=np.outer(ra, rb))
-    m = fano_to_matrix(st)
-    assert np.allclose(partial_trace(m, "A"), ra, atol=1e-13)
-    assert np.allclose(partial_trace(m, "B"), rb, atol=1e-13)
-    with pytest.raises(DomainError):
-        partial_trace(m, "C")
-
-
 def test_trace_norm_matches_spectrum():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -90,18 +77,20 @@ def test_trace_norm_matches_spectrum():
 def test_trace_norm_rejects_nonhermitian():
     with pytest.raises(NonHermitian):
         trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # the check raises rather than asserts, so it survives python -O
+    code = ("import numpy as np\n"
+            "from unruh_steer import NonHermitian, trace_norm\n"
+            "try:\n"
+            "    trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))\n"
+            "except NonHermitian:\n"
+            "    print('NonHermitian')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.strip() == "NonHermitian", proc.stderr
 
 
 def test_min_eigenvalue():
     assert abs(min_eigenvalue(np.diag([0.5, -0.25])) + 0.25) < 1e-15
-
-
-def test_eigen_descending():
-    vals, vecs = eigen_descending(np.diag([1.0, 3.0, 2.0]))
-    assert np.allclose(vals, [3.0, 2.0, 1.0])
-    m = np.diag([1.0, 3.0, 2.0]).astype(complex)
-    for k in range(3):
-        assert np.allclose(m @ vecs[:, k], vals[k] * vecs[:, k], atol=1e-14)
 
 
 def test_basis_from_axis_eigenvectors():
@@ -119,15 +108,6 @@ def test_basis_from_axis_eigenvectors():
         ns = n[0] * sx + n[1] * sy + n[2] * sz
         assert np.allclose(ns @ u[:, 0], u[:, 0], atol=1e-12)
         assert np.allclose(ns @ u[:, 1], -u[:, 1], atol=1e-12)
-
-
-def test_dephase_axis_equals_explicit_basis():
-    rng = np.random.default_rng(13)
-    m = random_density_matrix(rng)
-    ax = rng.normal(size=3)
-    ax /= np.linalg.norm(ax)
-    assert np.allclose(dephase_b(m, ax), dephase_b(m, basis_from_axis(ax)),
-                       atol=1e-14)
 
 
 def test_dephase_z_zeroes_transverse_b_sector():
@@ -153,8 +133,6 @@ def test_dephase_idempotent_trace_preserving():
 
 def test_dephase_rejects_bad_basis():
     m = random_density_matrix(np.random.default_rng(0))
-    with pytest.raises(DegenerateBasis):
-        dephase_b(m, np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))
     with pytest.raises(DomainError):
         dephase_b(m, np.zeros(4))
 

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from unruh_steer.coherence import l1_coherence_bloch
 from unruh_steer.errors import DegenerateLimit, DenominatorZero, DomainError
@@ -199,10 +200,16 @@ def test_singlet_disturbance_is_basis_independent():
         assert trace_norm(m - dephase_b(m, ax)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_sic_equals_mid_on_equilibria():
-    for tau in (-3.0, -1.0, 0.0, 0.5, 1.0):
-        for ratio in (0.0, 0.46211715726000974, 0.95):
-            assert theorem1_residual(equilibrium_free(tau, ratio)) < 1e-8
+@settings(max_examples=40, deadline=None)
+@given(tau=st.floats(-3.0, 1.0), ratio=st.floats(0.0, 1.0))
+@example(tau=-3.0, ratio=0.95)
+@example(tau=0.5, ratio=0.46211715726000974)
+@example(tau=1.0, ratio=0.0)
+def test_sic_equals_mid_on_equilibria(tau, ratio):
+    state = equilibrium_free(tau, ratio)
+    assert one_sided_mid(state) == pytest.approx(
+        sic_closed_form_free(tau, ratio), abs=1e-12)
+    assert theorem1_residual(state) < 1e-12
 
 
 def test_sic_equals_mid_on_random_states():
@@ -264,6 +271,11 @@ def test_conditional_coherence_errors():
         conditional_coherence(eq, "x", "x")
     with pytest.raises(DomainError):
         conditional_coherence(eq, "x", "y", outcome=0)
+    # True == 1 would read as axis y; a list is unhashable
+    with pytest.raises(DomainError):
+        conditional_coherence(eq, True, "x")
+    with pytest.raises(DomainError):
+        conditional_coherence(eq, "x", [0])
     product = FanoState(a_vec=np.array([0, 0, 1.0]),
                         b_vec=np.array([0, 0, 1.0]),
                         t_mat=np.diag([0.0, 0.0, 1.0]))
