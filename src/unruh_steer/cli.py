@@ -156,7 +156,8 @@ def cmd_equilibrium(args) -> int:
         meta = {"command": "equilibrium", "geometry": "free",
                 "omega": args.omega, "accel": args.accel,
                 "tau": args.tau, "axes": ()}
-    return _deliver(SweepResult(columns, [row], [""], meta), args)
+    return _deliver(SweepResult(columns, [[cell] for cell in row], [""], meta),
+                    args)
 
 
 _INIT_STATES = ("ground", "excited", "singlet", "tau-mixed")
@@ -182,15 +183,16 @@ def cmd_evolve(args) -> int:
     samples = np.linspace(0.0, t_end, args.samples)
     traj = evolve(state, coeffs, t_end=t_end, sample_times=samples)
     columns = ("t",) + STATE_COLUMNS + ("tau",)
-    rows = [(t,) + tuple(s.to_vector()) + (s.trace_sum,)
-            for t, s in zip(traj.times, traj.states)]
+    vectors = np.array([s.to_vector() for s in traj.states])
+    data = ([traj.times.tolist()] + vectors.T.tolist()
+            + [[s.trace_sum for s in traj.states]])
     meta = {"command": "evolve", "omega": args.omega, "accel": args.accel,
             "init": args.init, "tau": traj.tau, "t_end": t_end,
             "samples": args.samples, "step": traj.step,
             "converged": traj.converged, "landing": traj.landing,
             "axes": ("t",)}
-    result = SweepResult(columns=columns, rows=rows,
-                         diagnostics=[""] * len(rows), meta=meta)
+    result = SweepResult(columns=columns, data=data,
+                         diagnostics=[""] * len(traj.states), meta=meta)
     summary = (f"converged = {traj.converged}"
                f" (distance to equilibrium {traj.landing:.3e})",)
     return _deliver(result, args, summary)
@@ -237,7 +239,8 @@ def _surface_summary(result: SweepResult):
             lines.append(f"max {form} f: no unflagged grid points")
             continue
         values = np.asarray(result.column(form))[kept]
-        tau, ratio = result.rows[kept[np.argmax(values)]][:2]
+        row = kept[np.argmax(values)]
+        tau, ratio = result.column("tau")[row], result.column("R")[row]
         best = values.max()
         verdict = "EXCEEDED" if best > SQRT6 else "NOT exceeded"
         lines.append(f"max {form} f = {best:.9g} at (tau = {tau:.9g},"
@@ -269,8 +272,8 @@ def cmd_boundary_scan(args) -> int:
                       BOUNDARY_COLUMNS, meta=meta)
     n_sat = sum(1 for flag in result.column("satisfied") if flag is True)
     n_diag = sum(1 for diag in result.diagnostics if diag)
-    summary = (f"criterion satisfied at {n_sat} of {len(result.rows)} points"
-               f" ({n_diag} rows flagged)",)
+    summary = (f"criterion satisfied at {n_sat} of {len(result.diagnostics)}"
+               f" points ({n_diag} rows flagged)",)
     return _deliver(result, args, summary)
 
 
@@ -292,8 +295,9 @@ def cmd_node(args) -> int:
     if args.out:
         meta = {"command": "node", "omega": args.omega, "tau": args.tau,
                 "axes": ()}
-        return _deliver(SweepResult(("tau", "a_star", "sic"), [row], [diag],
-                                    meta), args)
+        return _deliver(SweepResult(("tau", "a_star", "sic"),
+                                    [[cell] for cell in row], [diag], meta),
+                        args)
     return EXIT_OK
 
 

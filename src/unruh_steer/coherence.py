@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .qmat import basis_from_axis
+from .qmat import basis_from_axis, unit_axis
 
 
 def l1_coherence(m: np.ndarray, axis) -> float:
@@ -23,8 +23,8 @@ def l1_coherence(m: np.ndarray, axis) -> float:
 
 
 def l1_coherence_bloch(r: np.ndarray, axis: np.ndarray) -> float:
-    """Transverse Bloch length sqrt(|r|^2 - (r.axis)^2), the qubit l1 value."""
+    """Transverse Bloch length sqrt(|r|^2 - (r.axis)^2), the qubit l1 value;
+    the axis is checked as in :func:`l1_coherence`."""
     r = np.asarray(r, dtype=float).reshape(3)
-    axis = np.asarray(axis, dtype=float).reshape(3)
-    axis = axis / np.linalg.norm(axis)
+    axis = unit_axis(axis)
     return float(np.sqrt(max(float(r @ r) - float(r @ axis) ** 2, 0.0)))

@@ -143,15 +143,21 @@ def min_eigenvalue(m: np.ndarray) -> float:
 
 # ----- dephasing of the B side -----
 
-def basis_from_axis(axis: np.ndarray) -> np.ndarray:
-    """Columns are the +/- eigenkets of axis . sigma for a unit axis."""
+def unit_axis(axis) -> np.ndarray:
+    """``axis`` scaled to unit length; DomainError unless it is a nonzero
+    finite 3-vector."""
     axis = np.asarray(axis, dtype=float)
     if axis.shape != (3,):
         raise DomainError(f"basis axis must have shape (3,), not {axis.shape}")
     norm = np.linalg.norm(axis)
     if not np.isfinite(norm) or norm < 1e-12:
         raise DomainError("basis axis must be a nonzero finite 3-vector")
-    n = axis / norm
+    return axis / norm
+
+
+def basis_from_axis(axis: np.ndarray) -> np.ndarray:
+    """Columns are the +/- eigenkets of axis . sigma for a unit axis."""
+    n = unit_axis(axis)
     # explicit eigenvectors of n.sigma, stable also near the poles
     if n[2] >= 0.0:
         plus = np.array([1.0 + n[2], n[0] + 1.0j * n[1]], dtype=complex)

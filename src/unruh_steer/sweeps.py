@@ -2,10 +2,12 @@
 
 Evaluators take the whole grid at once, flattened in lexicographic order, one
 array per axis; domain errors at single points become row diagnostics instead
-of aborting the sweep.
-Serialization is reproducible: floats at 17 significant digits, LF endings,
-and a timestamp derived from SOURCE_DATE_EPOCH (epoch zero when unset)
-rather than the wall clock.
+of aborting the sweep. The result table is column-major, one list per
+column, and both writers work a column at a time.
+Serialization is reproducible: CSV floats at 17 significant digits, JSON
+floats as the shortest repr that round-trips, LF endings, and a timestamp
+derived from SOURCE_DATE_EPOCH (epoch zero when unset) rather than the wall
+clock.
 """
 
 from __future__ import annotations
@@ -94,20 +96,31 @@ class GridSpec:
 
 @dataclass
 class SweepResult:
-    """Row-major sweep output: full column list, rows, per-row diagnostics."""
+    """Column-major sweep output: column names, one list of cells per column,
+    per-row diagnostics and metadata."""
 
     columns: tuple
-    rows: list
+    data: list
     diagnostics: list
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if (len(self.data) != len(self.columns) or any(
+                len(cells) != len(self.diagnostics) for cells in self.data)):
+            raise ConsistencyError("table needs one column per name and one"
+                                   " cell per row in each column")
+
+    @property
+    def rows(self) -> list:
+        """The cells row by row, built on each access."""
+        return list(zip(*self.data))
 
     @property
     def has_diagnostics(self) -> bool:
         return any(self.diagnostics)
 
     def column(self, name: str) -> list:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]
+        return self.data[self.columns.index(name)]
 
 
 def run_grid(axes, evaluator, out_columns, meta=None) -> SweepResult:
@@ -117,19 +130,18 @@ def run_grid(axes, evaluator, out_columns, meta=None) -> SweepResult:
     lexicographic order of the axes as given (first axis outermost). The
     evaluator receives that grid flattened, one 1-D float array per axis,
     and returns (columns, diagnostics): one array or list per output
-    column and one diagnostic string per row.
+    column and one diagnostic string per row. A column count or length
+    that does not match the grid raises ConsistencyError.
     """
     grid = np.meshgrid(*(np.asarray(vals, dtype=float) for _, vals in axes),
                        indexing="ij")
     flat = [mesh.ravel() for mesh in grid]
     columns, diagnostics = evaluator(*flat)
-    if len(columns) != len(out_columns) or len(diagnostics) != flat[0].size:
-        raise ConsistencyError("evaluator output does not match the grid")
     # tolist gives the Python floats and bools the writers expect
-    cells = [col.tolist() if isinstance(col, np.ndarray) else col
-             for col in flat + list(columns)]
+    data = [col.tolist() if isinstance(col, np.ndarray) else col
+            for col in flat + list(columns)]
     names = tuple(name for name, _ in axes) + tuple(out_columns)
-    return SweepResult(columns=names, rows=list(zip(*cells, strict=True)),
+    return SweepResult(columns=names, data=data,
                        diagnostics=list(diagnostics), meta=dict(meta or {}))
 
 
@@ -259,27 +271,38 @@ def _parse_cell(text: str):
     return _BOOL_CELLS[text] if text in _BOOL_CELLS else float(text)
 
 
-def _format_column(values) -> list:
-    # a whole column per pass; a mixed one (NaN in a flag column) cell by cell
+def _column_text(values, float_text, other_text) -> list:
+    """Text of each cell of one column, a whole column per pass.
+
+    Bools read true/false, floats go through ``float_text`` and any other
+    cell through ``other_text``. Each distinct float is spelled once, keyed
+    by its bit pattern so that -0.0 and 0.0 keep their own text. A mixed
+    column (NaN in a flag column) goes cell by cell.
+    """
     kinds = set(map(type, values))
     if kinds <= {bool, np.bool_}:
         return ["true" if x else "false" for x in values]
-    if kinds == {float}:
-        return [f"{x:.17g}" for x in values]
-    if kinds == {str}:
-        return list(values)
-    if len(kinds) == 1:
-        return [f"{float(x):.17g}" for x in values]
-    return [_format_column((x,))[0] for x in values]
+    if all(issubclass(kind, float) for kind in kinds):
+        bits, where = np.unique(np.asarray(values, dtype=float).view(np.int64),
+                                return_inverse=True)
+        texts = [float_text(x) for x in bits.view(np.float64).tolist()]
+        return np.array(texts, dtype=object)[where].tolist()
+    return [("true" if x else "false") if isinstance(x, (bool, np.bool_))
+            else float_text(float(x)) if isinstance(x, float)
+            else other_text(x) for x in values]
+
+
+def _csv_cell(value) -> str:
+    return value if isinstance(value, str) else f"{float(value):.17g}"
 
 
 def result_to_csv(result: SweepResult) -> str:
     """CSV text: header, 17-significant-digit floats, LF endings.
 
-    Cells are formatted a column at a time. The diagnostics column appears
-    only when some row has a diagnostic.
+    The diagnostics column appears only when some row has a diagnostic.
     """
-    cells = [_format_column(col) for col in zip(*result.rows)]
+    cells = [_column_text(col, "{:.17g}".format, _csv_cell)
+             for col in result.data]
     header = list(result.columns)
     if result.has_diagnostics:
         header.append(DIAGNOSTICS_COLUMN)
@@ -313,25 +336,36 @@ def _from_json(value, null=None):
     return null if value is None else value
 
 
+def _json_float(value: float) -> str:
+    return repr(value) if math.isfinite(value) else json.dumps(_to_json(value))
+
+
 def result_to_json(result: SweepResult) -> str:
     """Strict JSON text: NaN as null, +-inf as the strings "inf"/"-inf".
 
-    The mapping covers rows and meta alike; load_json reverses it.
+    The mapping covers rows and meta alike; load_json reverses it. The text
+    is what ``json.dumps({"meta": ..., "rows": [...]}, indent=2)`` gives for
+    the table as one dict per row, with the cells spelled a column at a time.
     """
     from . import __version__
 
     meta = dict(result.meta, version=__version__, timestamp=_timestamp())
-    rows = []
-    for row, diag in zip(result.rows, result.diagnostics):
-        # cells are floats and bools: one sum finds a NaN or inf among them,
-        # so only such rows pay for the mapping
-        entry = dict(zip(result.columns,
-                         row if math.isfinite(sum(row)) else _to_json(row)))
-        if diag:
-            entry[DIAGNOSTICS_COLUMN] = diag
-        rows.append(entry)
-    return json.dumps({"meta": _to_json(meta), "rows": rows}, indent=2,
-                      allow_nan=False) + "\n"
+    text = json.dumps({"meta": _to_json(meta), "rows": []}, indent=2,
+                      allow_nan=False)
+    if not result.diagnostics:
+        return text + "\n"
+    cells = [_column_text(col, _json_float,
+                          lambda x: json.dumps(x, allow_nan=False))
+             for col in result.data]
+    diag_key = json.dumps(DIAGNOSTICS_COLUMN)
+    cells.append([diag and f",\n      {diag_key}: {json.dumps(diag)}"
+                  for diag in result.diagnostics])
+    keys = [json.dumps(name).replace("%", "%%") for name in result.columns]
+    template = ("    {\n" + ",\n".join(f"      {key}: %s" for key in keys)
+                + "%s\n    }")
+    rows = ",\n".join([template % row for row in zip(*cells)])
+    # the rows replace the empty list that closes the text
+    return text[:-len("[]\n}")] + "[\n" + rows + "\n  ]\n}\n"
 
 
 def write_result(result: SweepResult, path: str, fmt: str,
@@ -361,28 +395,25 @@ def load_csv(path: str) -> SweepResult:
     header = lines[0].split(",")
     with_diag = header and header[-1] == DIAGNOSTICS_COLUMN
     columns = tuple(header[:-1] if with_diag else header)
-    rows, diagnostics = [], []
-    for line in lines[1:]:
-        cells = line.split(",")
-        diagnostics.append(cells.pop() if with_diag else "")
-        rows.append(tuple(map(_parse_cell, cells)))
-    return SweepResult(columns=columns, rows=rows, diagnostics=diagnostics)
+    body = [line.split(",") for line in lines[1:]]
+    diagnostics = [cells.pop() if with_diag else "" for cells in body]
+    if any(len(cells) != len(columns) for cells in body):
+        raise DomainError(f"{path}: a row does not have one cell per column")
+    data = [[_parse_cell(cells[k]) for cells in body]
+            for k in range(len(columns))]
+    return SweepResult(columns=columns, data=data, diagnostics=diagnostics)
 
 
 def load_json(path: str) -> SweepResult:
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     meta = _from_json(payload.get("meta", {}))
-    columns: tuple = ()
-    rows, diagnostics = [], []
-    for entry in payload.get("rows", []):
-        diag = entry.pop(DIAGNOSTICS_COLUMN, "")
-        if not columns:
-            columns = tuple(entry.keys())
-        rows.append(tuple(_from_json(entry[name], math.nan)
-                          for name in columns))
-        diagnostics.append(diag)
-    return SweepResult(columns=columns, rows=rows, diagnostics=diagnostics,
+    entries = payload.get("rows", [])
+    diagnostics = [entry.pop(DIAGNOSTICS_COLUMN, "") for entry in entries]
+    columns = tuple(entries[0]) if entries else ()
+    data = [[_from_json(entry[name], math.nan) for entry in entries]
+            for name in columns]
+    return SweepResult(columns=columns, data=data, diagnostics=diagnostics,
                        meta=meta)
 
 

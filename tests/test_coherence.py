@@ -40,3 +40,14 @@ def test_l1_bloch_matches_matrix_form():
 def test_l1_bloch_clips_rounding():
     r = np.array([0.0, 0.0, 0.3])
     assert l1_coherence_bloch(r, Z) == 0.0
+
+
+@pytest.mark.parametrize("axis", [np.zeros(3), np.array([np.nan, 0.0, 1.0]),
+                                  np.array([0.0, np.inf, 0.0])],
+                         ids=["zero", "nan", "inf"])
+def test_l1_rejects_bad_axis(axis):
+    # both forms share one axis check and its message
+    with pytest.raises(DomainError, match="nonzero finite 3-vector"):
+        l1_coherence(PLUS, axis)
+    with pytest.raises(DomainError, match="nonzero finite 3-vector"):
+        l1_coherence_bloch([0.3, 0.0, 0.0], axis)

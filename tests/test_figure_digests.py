@@ -2,7 +2,8 @@
 
 The four CSV commands of ``bench/workloads.py``'s ``FIGURE_COMMANDS`` run
 through ``cli.main`` into a temporary directory; their digests must equal
-``bench/digests.json``, which this test reads and never writes.
+``bench/digests.json``, which this test reads and never writes. The fig3
+JSON must match the digest pinned here and read back equal to the fig3 CSV.
 """
 
 import contextlib
@@ -20,19 +21,30 @@ from unruh_steer.cli import main
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _figure_commands():
+def _load_workloads():
     spec = importlib.util.spec_from_file_location(
         "bench_workloads", BENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up by name while it executes
     sys.modules[spec.name] = workloads
     spec.loader.exec_module(workloads)
-    return workloads.FIGURE_COMMANDS
+    return workloads
 
 
+WORKLOADS = _load_workloads()
 DIGESTS = json.loads((BENCH / "digests.json").read_text(encoding="utf-8"))
-CSV_COMMANDS = [(name, argv, out) for name, argv, out in _figure_commands()
-                if out.endswith(".csv")]
+CSV_COMMANDS = [(name, argv, out) for name, argv, out
+                in WORKLOADS.FIGURE_COMMANDS if out.endswith(".csv")]
+FIG3 = ["steerability-surface", "--preset", "fig3"]
+# fig3 JSON with SOURCE_DATE_EPOCH unset, as the row-at-a-time encoder
+# (json.dumps of one dict per row, indent=2) wrote it
+FIG3_JSON_SHA256 = (
+    "fa5bf8f9af2ac4374091e88be74255f6ff19119aff6a8d346959548180919c13")
+
+
+def _run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
 
 
 def test_every_digest_has_a_command():
@@ -43,6 +55,14 @@ def test_every_digest_has_a_command():
                          ids=[name for name, _, _ in CSV_COMMANDS])
 def test_figure_csv_matches_recorded_digest(tmp_path, name, argv, out):
     path = tmp_path / out
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(list(argv) + ["--out", str(path)]) == 0
+    _run(list(argv) + ["--out", str(path)])
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[name]
+
+
+def test_fig3_json_matches_pinned_digest_and_csv(tmp_path, monkeypatch):
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    json_path, csv_path = tmp_path / "fig3.json", tmp_path / "fig3.csv"
+    _run(FIG3 + ["--format", "json", "--out", str(json_path)])
+    assert hashlib.sha256(json_path.read_bytes()).hexdigest() == FIG3_JSON_SHA256
+    _run(FIG3 + ["--out", str(csv_path)])
+    assert WORKLOADS.compare_json_to_csv(str(json_path), str(csv_path)) is None

@@ -95,8 +95,19 @@ def test_run_grid_rejects_mismatched_columns():
         run_grid([("x", [1.0, 2.0])], lambda x: ((x,), [""]), ("y",))
     with pytest.raises(ConsistencyError):
         run_grid([("x", [1.0, 2.0])], lambda x: ((x,), [""] * 2), ("y", "z"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConsistencyError):
         run_grid([("x", [1.0, 2.0])], lambda x: ((x[:1],), [""] * 2), ("y",))
+
+
+def test_table_is_column_major():
+    res = SweepResult(columns=("x", "y"), data=[[1.0, 2.0], [True, False]],
+                      diagnostics=["", "bad"])
+    assert res.column("y") is res.data[1]
+    assert res.rows == [(1.0, True), (2.0, False)]
+    with pytest.raises(ConsistencyError):
+        SweepResult(columns=("x", "y"), data=[[1.0]], diagnostics=[""])
+    with pytest.raises(ConsistencyError):
+        SweepResult(columns=("x",), data=[[1.0, 2.0]], diagnostics=[""])
 
 
 def test_eval_sic_free_row():
@@ -124,6 +135,23 @@ def test_csv_format(tmp_path):
     assert "0.33333333333333331" in lines[1]  # 17 significant digits
     assert text.endswith("\n") and "\r" not in text
     assert DIAGNOSTICS_COLUMN not in text
+
+
+def test_signed_zero_keeps_its_text(monkeypatch):
+    # the writers spell each distinct float once; -0.0 == 0.0 must not merge
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    res = SweepResult(columns=("x",), data=[[-0.0, 0.0, -0.0]],
+                      diagnostics=[""] * 3)
+    assert result_to_csv(res).split("\n")[1:4] == ["-0", "0", "-0"]
+    rows = json.loads(result_to_json(res))["rows"]
+    assert [math.copysign(1.0, row["x"]) for row in rows] == [-1.0, 1.0, -1.0]
+
+
+def test_load_csv_rejects_ragged_row(tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text("x,y\n1,2\n3\n", encoding="utf-8")
+    with pytest.raises(DomainError, match="one cell per column"):
+        load_csv(str(path))
 
 
 def test_csv_diagnostics_column_and_booleans():
@@ -188,7 +216,7 @@ def test_json_is_strict_on_flagged_rows(tmp_path):
 
 def test_json_maps_every_non_finite_float(tmp_path):
     res = SweepResult(columns=("x", "y"),
-                      rows=[(math.inf, -math.inf), (math.nan, 1.0)],
+                      data=[[math.inf, math.nan], [-math.inf, 1.0]],
                       diagnostics=["", ""],
                       meta={"bounds": [-math.inf, math.inf], "gap": math.nan})
     text = result_to_json(res)
@@ -207,12 +235,12 @@ def test_json_maps_every_non_finite_float(tmp_path):
 
 def test_json_timestamp_honors_source_date_epoch(monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
-    res = SweepResult(columns=("x",), rows=[(1.0,)], diagnostics=[""])
+    res = SweepResult(columns=("x",), data=[[1.0]], diagnostics=[""])
     assert '"timestamp": "2023-11-14T22:13:20Z"' in result_to_json(res)
 
 
 def test_write_result_reports_path_on_failure(tmp_path):
-    res = SweepResult(columns=("x",), rows=[(1.0,)], diagnostics=[""])
+    res = SweepResult(columns=("x",), data=[[1.0]], diagnostics=[""])
     missing = str(tmp_path / "nope" / "out.csv")
     with pytest.raises(OSError, match="nope"):
         write_result(res, missing, "csv")
@@ -221,17 +249,18 @@ def test_write_result_reports_path_on_failure(tmp_path):
 
 
 def test_plot_script_shapes(tmp_path):
-    line = SweepResult(columns=("a", "sic"), rows=[(1.0, 2.0)],
+    line = SweepResult(columns=("a", "sic"), data=[[1.0], [2.0]],
                        diagnostics=[""], meta={"axes": ["a"]})
     text = plot_script(line, "data.csv", "csv")
     assert "plot 'data.csv'" in text and "splot" not in text
-    surf = SweepResult(columns=("tau", "R", "literal"), rows=[(0.0, 0.0, 0.0)],
+    surf = SweepResult(columns=("tau", "R", "literal"),
+                       data=[[0.0], [0.0], [0.0]],
                        diagnostics=[""], meta={"axes": ["tau", "R"]})
     assert "splot 'data.csv'" in plot_script(surf, "data.csv", "csv")
 
 
 def test_write_result_with_plot(tmp_path):
-    res = SweepResult(columns=("a", "sic"), rows=[(1.0, 2.0), (2.0, 1.0)],
+    res = SweepResult(columns=("a", "sic"), data=[[1.0, 2.0], [2.0, 1.0]],
                       diagnostics=["", ""], meta={"axes": ["a"]})
     path = str(tmp_path / "sweep.csv")
     written = write_result(res, path, "csv", plot=True)
