@@ -11,7 +11,9 @@ built from the field correlations at the Unruh temperature accel / (2 pi).
 This module computes the coefficients (free space and in the presence of a
 reflecting boundary at distance ``z``, atom separation ``sep``), the
 asymptotic equilibrium states, the coefficient-space equation of motion,
-and its fixed-step RK4 solution, one 16x16 step map of the affine generator.
+and its fixed-step RK4 solution, one 16x16 step map of the affine generator,
+with the positivity of every sampled state checked in one stacked
+eigensolve after the step loop.
 
 Conventions: natural units, the dissipator direction is n = (0, 0, 1),
 and ``ratio`` denotes the dissipative asymmetry
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateLimit, DomainError, UnphysicalDrift
-from .qmat import FanoState, min_eigenvalue
+from .qmat import FanoState, fano_matrices
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -336,8 +338,14 @@ def evolve(state: FanoState, coeffs: KossakowskiFree, t_end: float | None = None
     The equation is affine at fixed tau, dy/dt = M y + c, so a substep of
     length s applies the RK4 step map sum_{k<=4} (s G)^k / k! of
     G = [[M, c], [0, 0]] to (y, 1); G is probed from :func:`ode_rhs` once
-    per call. Raises DomainError for tau outside [-3, 1] and
-    UnphysicalDrift if any sampled state has minimum eigenvalue below -1e-6.
+    per call.
+
+    The samples are collected as rows of one (S, 15) array; after the step
+    loop their matrices are built in one contraction and checked in one
+    stacked ``eigvalsh``. UnphysicalDrift names the earliest sample whose
+    minimum eigenvalue is below -1e-6. Raises DomainError for tau outside
+    [-3, 1], for non-finite, descending or out-of-range sample times, and
+    for a sample that overflows (unless an earlier one drifted).
     """
     if not math.isfinite(coeffs.A):
         raise DomainError("evolve needs finite coefficients")
@@ -350,6 +358,8 @@ def evolve(state: FanoState, coeffs: KossakowskiFree, t_end: float | None = None
     samples = np.array(sample_times, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
         raise DomainError("sample_times must be a nonempty 1-d sequence")
+    if not np.isfinite(samples).all():
+        raise DomainError("sample_times must be finite")
     if np.any(np.diff(samples) < 0.0) or samples[0] < 0.0 or samples[-1] > t_end * (1 + 1e-12):
         raise DomainError("sample_times must be ascending within [0, t_end]")
 
@@ -367,7 +377,8 @@ def evolve(state: FanoState, coeffs: KossakowskiFree, t_end: float | None = None
     eye = np.eye(16)
 
     y = np.append(state.to_vector(), 1.0)
-    out_states = []
+    vectors = np.empty((samples.size, 15))
+    filled = 0
     for target, span in zip(samples, np.diff(samples, prepend=0.0)):
         if span > 1e-15 * max(1.0, target):
             nsub = max(1, int(math.ceil(span / h)))
@@ -375,12 +386,21 @@ def evolve(state: FanoState, coeffs: KossakowskiFree, t_end: float | None = None
             step = eye + sg @ (eye + sg @ (eye + sg @ (eye + sg / 4) / 3) / 2)
             for _ in range(nsub):
                 y = step @ y
-        st = FanoState.from_vector(y[:15])
-        low = min_eigenvalue(st.to_matrix())
-        if low < DRIFT_TOL:
-            raise UnphysicalDrift(
-                f"min eigenvalue {low:.3e} at t = {target:.6g} (below {DRIFT_TOL})")
-        out_states.append(st)
+        if not np.isfinite(y).all():
+            break   # no later sample is reached; reported after the drift check
+        vectors[filled] = y[:15]
+        filled += 1
+
+    # one stacked positivity check; the earliest sample below DRIFT_TOL raises
+    lows = np.linalg.eigvalsh(fano_matrices(vectors[:filled]))[:, 0]
+    drifted = np.flatnonzero(lows < DRIFT_TOL)
+    if drifted.size:
+        k = drifted[0]
+        raise UnphysicalDrift(f"min eigenvalue {lows[k]:.3e} at t = {samples[k]:.6g}"
+                              f" (below {DRIFT_TOL})")
+    if filled < samples.size:
+        raise DomainError(f"state coefficients overflowed at t = {samples[filled]:.6g}")
+    out_states = [FanoState.from_vector(v) for v in vectors]
 
     landing = float(np.abs(y[:15] - equilibrium.to_vector()).max())
     return Trajectory(times=samples, states=out_states, tau=float(tau),

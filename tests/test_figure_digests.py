@@ -3,7 +3,8 @@
 The four CSV commands of ``bench/workloads.py``'s ``FIGURE_COMMANDS`` run
 through ``cli.main`` into a temporary directory; their digests must equal
 ``bench/digests.json``, which this test reads and never writes. The fig3
-JSON must match the digest pinned here and read back equal to the fig3 CSV.
+JSON must match the digest pinned here and read back equal to the fig3 CSV,
+and two ``evolve`` outputs must match the digests pinned here.
 """
 
 import contextlib
@@ -41,6 +42,15 @@ FIG3 = ["steerability-surface", "--preset", "fig3"]
 FIG3_JSON_SHA256 = (
     "fa5bf8f9af2ac4374091e88be74255f6ff19119aff6a8d346959548180919c13")
 
+# evolve outputs with SOURCE_DATE_EPOCH=1700000000, as the per-sample
+# positivity check wrote them
+EVOLVE_SHA256 = {
+    ("--init", "excited", "--accel", "1", "--format", "csv"):
+        "c4aedfbff62dab5228be68f77dec42757d2897387b8077d9204177c03b3a2de4",
+    ("--init", "tau-mixed", "--tau", "0.5", "--accel", "2", "--format", "json"):
+        "64d67aeb9562d88a98e8a07acb5e45589c0cb91ff4f78aca36867585f09235e3",
+}
+
 
 def _run(argv):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -66,3 +76,12 @@ def test_fig3_json_matches_pinned_digest_and_csv(tmp_path, monkeypatch):
     assert hashlib.sha256(json_path.read_bytes()).hexdigest() == FIG3_JSON_SHA256
     _run(FIG3 + ["--out", str(csv_path)])
     assert WORKLOADS.compare_json_to_csv(str(json_path), str(csv_path)) is None
+
+
+@pytest.mark.parametrize("argv", list(EVOLVE_SHA256),
+                         ids=["excited-csv", "tau-mixed-json"])
+def test_evolve_matches_pinned_digest(tmp_path, monkeypatch, argv):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    path = tmp_path / "evolve.out"
+    _run(["evolve", *argv, "--out", str(path)])
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EVOLVE_SHA256[argv]

@@ -21,7 +21,8 @@ from unruh_steer.model import (UnruhParams, equilibrium_boundary,
                                equilibrium_free, evolve, kossakowski_boundary,
                                kossakowski_free, ode_rhs, relaxation_horizon,
                                steering_node_acceleration)
-from unruh_steer.qmat import FanoState, fano_to_matrix, random_fano_state
+from unruh_steer.qmat import (FanoState, fano_to_matrix, min_eigenvalue,
+                              random_fano_state)
 
 REF = UnruhParams(1.0, 2.0 * math.pi)  # beta * omega = 1
 
@@ -255,6 +256,49 @@ def test_evolve_rejects_unphysical_input():
     # no physical state has tau outside [-3, 1], so there is no equilibrium
     with pytest.raises(DomainError):
         evolve(FanoState(np.zeros(3), np.zeros(3), np.eye(3)), k)
+
+
+@pytest.mark.parametrize("times", [[0.0, math.nan, 1.0], [math.nan],
+                                   [0.0, 1.0, math.nan], [0.0, math.inf]])
+def test_evolve_rejects_non_finite_sample_times(times):
+    # NaN passes every ordering comparison, so it needs its own check
+    k = kossakowski_free(REF)
+    with pytest.raises(DomainError, match="finite"):
+        evolve(random_fano_state(np.random.default_rng(5)), k, t_end=2.0,
+               sample_times=times)
+
+
+# unphysical at t = 0.7 and still at t = 1.9 under REF
+_OFF_AXIS = FanoState(np.array([0, 0, 5.0]), np.zeros(3), np.zeros((3, 3)))
+
+
+def test_evolve_reports_earliest_drift(monkeypatch):
+    # the stacked check reports the first of the two samples below
+    # DRIFT_TOL, with the eigenvalue a single-state check of it gives
+    k = kossakowski_free(REF)
+    with pytest.raises(UnphysicalDrift, match=r"at t = 0\.7 ") as info:
+        evolve(_OFF_AXIS, k, sample_times=[0.7, 1.9])
+    monkeypatch.setattr(model, "DRIFT_TOL", -math.inf)
+    sample = evolve(_OFF_AXIS, k, sample_times=[0.7, 1.9]).states[0]
+    low = min_eigenvalue(fano_to_matrix(sample))
+    assert str(info.value) == f"min eigenvalue {low:.3e} at t = 0.7 (below -1e-06)"
+
+
+def test_evolve_drift_wins_over_later_overflow(monkeypatch):
+    # a generator that grows every coefficient at rate 1000 leaves the
+    # t = 0.7 sample finite (~1e122) and overflows before t = 1.9
+    def growth(state, coeffs, *, tau=None):
+        return FanoState.from_vector(1000.0 * state.to_vector())
+
+    monkeypatch.setattr(model, "ode_rhs", growth)
+    k = kossakowski_free(REF)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(UnphysicalDrift, match=r"at t = 0\.7 "):
+            evolve(_OFF_AXIS, k, sample_times=[0.7, 1.9])
+        # with no drift before it, the overflow itself is reported
+        singlet = FanoState(np.zeros(3), np.zeros(3), -np.eye(3))
+        with pytest.raises(DomainError, match=r"overflowed at t = 1\.9"):
+            evolve(singlet, k, sample_times=[0.0, 1.9])
 
 
 def test_evolve_hits_requested_samples():

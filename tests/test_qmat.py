@@ -5,12 +5,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unruh_steer.errors import DomainError, NonHermitian, NotPositive
 from unruh_steer.qmat import (FanoState, basis_from_axis, concurrence,
-                              dephase_b, fano_to_matrix, matrix_to_fano,
-                              min_eigenvalue, random_density_matrix,
-                              random_fano_state, trace_norm)
+                              dephase_b, fano_matrices, fano_to_matrix,
+                              matrix_to_fano, min_eigenvalue,
+                              random_density_matrix, random_fano_state,
+                              trace_norm)
 
 SINGLET = FanoState(a_vec=np.zeros(3), b_vec=np.zeros(3), t_mat=-np.eye(3))
 
@@ -52,6 +54,23 @@ def test_vector_round_trip():
     again = FanoState.from_vector(st.to_vector())
     assert again.isclose(st, atol=0.0)
     assert st.to_vector().shape == (15,)
+
+
+_FANO_VECTORS = st.lists(
+    st.lists(st.floats(-2.0, 2.0), min_size=15, max_size=15),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vectors=_FANO_VECTORS)
+def test_fano_matrices_match_kron_loop(vectors):
+    # most vectors in [-2, 2]^15 are unphysical; the build must not care
+    stack = fano_matrices(np.array(vectors))
+    assert stack.shape == (len(vectors), 4, 4)
+    for v, m in zip(vectors, stack):
+        assert np.abs(m - fano_to_matrix(FanoState.from_vector(v))).max() <= 1e-15
+        assert np.abs(m - m.conj().T).max() <= 1e-15
+        assert abs(np.trace(m) - 1.0) <= 1e-15
 
 
 def test_fano_state_arrays_read_only():
