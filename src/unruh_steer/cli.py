@@ -180,19 +180,17 @@ def cmd_evolve(args) -> int:
     state = _initial_state(args.init, args.tau)
     coeffs = kossakowski_free(UnruhParams(args.omega, args.accel))
     t_end = args.t_end if args.t_end is not None else relaxation_horizon(coeffs)
-    samples = np.linspace(0.0, t_end, args.samples)
-    traj = evolve(state, coeffs, t_end=t_end, sample_times=samples)
+    traj = evolve(state, coeffs, t_end=t_end, samples=args.samples)
     columns = ("t",) + STATE_COLUMNS + ("tau",)
-    vectors = np.array([s.to_vector() for s in traj.states])
-    data = ([traj.times.tolist()] + vectors.T.tolist()
-            + [[s.trace_sum for s in traj.states]])
+    traces = np.trace(traj.vectors[:, 6:].reshape(-1, 3, 3), axis1=1, axis2=2)
+    data = [traj.times.tolist()] + traj.vectors.T.tolist() + [traces.tolist()]
     meta = {"command": "evolve", "omega": args.omega, "accel": args.accel,
             "init": args.init, "tau": traj.tau, "t_end": t_end,
             "samples": args.samples, "step": traj.step,
             "converged": traj.converged, "landing": traj.landing,
             "axes": ("t",)}
     result = SweepResult(columns=columns, data=data,
-                         diagnostics=[""] * len(traj.states), meta=meta)
+                         diagnostics=[""] * len(traj.times), meta=meta)
     summary = (f"converged = {traj.converged}"
                f" (distance to equilibrium {traj.landing:.3e})",)
     return _deliver(result, args, summary)

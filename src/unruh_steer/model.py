@@ -8,12 +8,12 @@ matrix is
     a_ij = A delta_ij - i B eps_ijk n_k + C n_i n_j
 
 built from the field correlations at the Unruh temperature accel / (2 pi).
-This module computes the coefficients (free space and in the presence of a
-reflecting boundary at distance ``z``, atom separation ``sep``), the
-asymptotic equilibrium states, the coefficient-space equation of motion,
-and its fixed-step RK4 solution, one 16x16 step map of the affine generator,
-with the positivity of every sampled state checked in one stacked
-eigensolve after the step loop.
+This module computes the coefficients (free space and with a reflecting
+boundary at distance ``z``, atom separation ``sep``), the asymptotic
+equilibrium states, the coefficient-space equation of motion, and its
+fixed-step RK4 solution: one 16x16 step map of the affine generator,
+sampled on a uniform grid into one (S, 15) array that one stacked
+eigensolve checks for positivity.
 
 Conventions: natural units, the dissipator direction is n = (0, 0, 1),
 and ``ratio`` denotes the dissipative asymmetry
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -54,6 +55,26 @@ def _thermal_factor(x: float) -> float:
     return (1.0 + math.exp(-x)) / (-math.expm1(-x))
 
 
+def leaf_mask(tau, ratio):
+    """True where tau is in [-3, 1] and ratio in [0, 1] within RANGE_SLACK,
+    the domain of the equilibrium family; scalars or arrays, NaN outside."""
+    return ((-3.0 - RANGE_SLACK <= tau) & (tau <= 1.0 + RANGE_SLACK)
+            & (-RANGE_SLACK <= ratio) & (ratio <= 1.0 + RANGE_SLACK))
+
+
+def check_leaf(tau: float, ratio: float = 0.0) -> None:
+    """DomainError naming tau, else ratio, where :func:`leaf_mask` fails."""
+    if not leaf_mask(tau, 0.0):
+        raise DomainError(f"tau = {float(tau)!r} outside [-3, 1]")
+    if not leaf_mask(0.0, ratio):
+        raise DomainError(f"ratio = {float(ratio)!r} outside [0, 1]")
+
+
+def _check_omega(omega: float) -> None:
+    if not (omega > 0.0 and math.isfinite(omega)):
+        raise DomainError("omega must be positive and finite")
+
+
 @dataclass(frozen=True)
 class UnruhParams:
     """Atom frequency and proper acceleration.
@@ -65,8 +86,7 @@ class UnruhParams:
     accel: float
 
     def __post_init__(self):
-        if not (self.omega > 0.0 and math.isfinite(self.omega)):
-            raise DomainError("omega must be positive and finite")
+        _check_omega(self.omega)
         if not self.accel > 0.0:
             raise DomainError("accel must be positive (inf allowed)")
 
@@ -193,10 +213,7 @@ def equilibrium_free(tau: float, ratio: float) -> FanoState:
 
     At tau = -3 this is the singlet for every ratio.
     """
-    if not -3.0 - RANGE_SLACK <= tau <= 1.0 + RANGE_SLACK:
-        raise DomainError(f"tau = {tau!r} outside [-3, 1]")
-    if not -RANGE_SLACK <= ratio <= 1.0 + RANGE_SLACK:
-        raise DomainError(f"ratio = {ratio!r} outside [0, 1]")
+    check_leaf(tau, ratio)
     denom = 3.0 + ratio * ratio
     c = -ratio * (tau + 3.0) / denom
     t_mat = ((tau - ratio * ratio) * np.eye(3)
@@ -300,26 +317,34 @@ def ode_rhs(state: FanoState, coeffs: KossakowskiFree, *,
 
 
 def relaxation_horizon(coeffs: KossakowskiFree) -> float:
-    """Hard equilibration horizon 20 / (4 A - 2 B): twenty e-folds of the
-    slowest decay rate of the coefficient equations."""
+    """Hard equilibration horizon 20 / (4 A - 2 B), twenty e-folds of the
+    slowest decay rate; DomainError unless A is positive and finite."""
+    if not (coeffs.A > 0.0 and math.isfinite(coeffs.A)):
+        raise DomainError(f"the dynamics need a positive finite A, not {coeffs.A!r}")
     return 20.0 / (4.0 * coeffs.A - 2.0 * coeffs.B)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution of :func:`evolve`; ``landing`` is the max-norm
-    distance of the final sample from :func:`equilibrium_free` on the tau
-    leaf, and ``converged`` means it is below 1e-6."""
+    """Sampled solution of :func:`evolve`: read-only ``times`` and (S, 15)
+    ``vectors`` of :meth:`FanoState.to_vector` rows; ``landing`` is the
+    max-norm distance of the last row from :func:`equilibrium_free` on the
+    tau leaf, and ``converged`` means it is below 1e-6."""
 
     times: np.ndarray
-    states: list
+    vectors: np.ndarray
     tau: float
     landing: float
     step: float
 
     @property
+    def states(self) -> list:
+        """The samples as FanoStates, built on each access."""
+        return [FanoState.from_vector(v) for v in self.vectors]
+
+    @property
     def final_state(self) -> FanoState:
-        return self.states[-1]
+        return FanoState.from_vector(self.vectors[-1])
 
     @property
     def converged(self) -> bool:
@@ -327,44 +352,33 @@ class Trajectory:
 
 
 def evolve(state: FanoState, coeffs: KossakowskiFree, t_end: float | None = None,
-           sample_times=None, *, tau: float | None = None) -> Trajectory:
-    """Integrate the coefficient equations with classic fixed-step RK4.
-
-    The base step is h = min(0.05 / (12 A), t_end / 1000); each interval
-    between consecutive sample times is split into equal substeps no larger
-    than h, so samples are hit exactly. Default sampling is 201 uniform
-    points on [0, t_end] with t_end the relaxation horizon 20 / (4 A - 2 B).
+           samples: int = 201) -> Trajectory:
+    """Integrate the coefficient equations with classic fixed-step RK4 on
+    the state's own tau leaf, sampled at ``samples`` uniform times on
+    [0, t_end] (default: the horizon 20 / (4 A - 2 B)). The base step is
+    h = min(0.05 / (12 A), t_end / 1000); each interval between samples is
+    split into equal substeps no larger than h, so samples are hit exactly.
 
     The equation is affine at fixed tau, dy/dt = M y + c, so a substep of
     length s applies the RK4 step map sum_{k<=4} (s G)^k / k! of
     G = [[M, c], [0, 0]] to (y, 1); G is probed from :func:`ode_rhs` once
     per call.
 
-    The samples are collected as rows of one (S, 15) array; after the step
-    loop their matrices are built in one contraction and checked in one
-    stacked ``eigvalsh``. UnphysicalDrift names the earliest sample whose
-    minimum eigenvalue is below -1e-6. Raises DomainError for tau outside
-    [-3, 1], for non-finite, descending or out-of-range sample times, and
-    for a sample that overflows (unless an earlier one drifted).
+    After the step loop all samples are checked in one stacked ``eigvalsh``;
+    UnphysicalDrift names the earliest one whose minimum eigenvalue is below
+    -1e-6. DomainError for A, t_end, samples or tau out of range, and for a
+    sample that overflows (unless an earlier one drifted).
     """
-    if not math.isfinite(coeffs.A):
-        raise DomainError("evolve needs finite coefficients")
-    if t_end is None:
-        t_end = relaxation_horizon(coeffs)
+    horizon = relaxation_horizon(coeffs)   # checks A
+    t_end = horizon if t_end is None else t_end
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise DomainError("t_end must be positive and finite")
-    if sample_times is None:
-        sample_times = np.linspace(0.0, t_end, 201)
-    samples = np.array(sample_times, dtype=float)
-    if samples.ndim != 1 or samples.size == 0:
-        raise DomainError("sample_times must be a nonempty 1-d sequence")
-    if not np.isfinite(samples).all():
-        raise DomainError("sample_times must be finite")
-    if np.any(np.diff(samples) < 0.0) or samples[0] < 0.0 or samples[-1] > t_end * (1 + 1e-12):
-        raise DomainError("sample_times must be ascending within [0, t_end]")
+    if isinstance(samples, bool) or not isinstance(samples, Integral) or samples < 1:
+        raise DomainError(f"samples must be an integer >= 1, got {samples!r}")
+    times = np.linspace(0.0, t_end, samples)
+    times.setflags(write=False)
 
-    if tau is None:
-        tau = state.trace_sum
+    tau = state.trace_sum
     equilibrium = equilibrium_free(tau, coeffs.ratio)
     h = min(0.05 / (12.0 * coeffs.A), t_end / 1000.0)
 
@@ -377,9 +391,9 @@ def evolve(state: FanoState, coeffs: KossakowskiFree, t_end: float | None = None
     eye = np.eye(16)
 
     y = np.append(state.to_vector(), 1.0)
-    vectors = np.empty((samples.size, 15))
+    vectors = np.empty((samples, 15))
     filled = 0
-    for target, span in zip(samples, np.diff(samples, prepend=0.0)):
+    for target, span in zip(times, np.diff(times, prepend=0.0)):
         if span > 1e-15 * max(1.0, target):
             nsub = max(1, int(math.ceil(span / h)))
             sg = (span / nsub) * gen   # RK4 step map: sum_{k<=4} (sG)^k / k!
@@ -396,15 +410,14 @@ def evolve(state: FanoState, coeffs: KossakowskiFree, t_end: float | None = None
     drifted = np.flatnonzero(lows < DRIFT_TOL)
     if drifted.size:
         k = drifted[0]
-        raise UnphysicalDrift(f"min eigenvalue {lows[k]:.3e} at t = {samples[k]:.6g}"
+        raise UnphysicalDrift(f"min eigenvalue {lows[k]:.3e} at t = {times[k]:.6g}"
                               f" (below {DRIFT_TOL})")
-    if filled < samples.size:
-        raise DomainError(f"state coefficients overflowed at t = {samples[filled]:.6g}")
-    out_states = [FanoState.from_vector(v) for v in vectors]
+    if filled < samples:
+        raise DomainError(f"state coefficients overflowed at t = {times[filled]:.6g}")
+    vectors.setflags(write=False)
 
     landing = float(np.abs(y[:15] - equilibrium.to_vector()).max())
-    return Trajectory(times=samples, states=out_states, tau=float(tau),
-                      landing=landing, step=h)
+    return Trajectory(times=times, vectors=vectors, tau=tau, landing=landing, step=h)
 
 
 def steering_node_acceleration(tau: float, omega: float) -> float | None:
@@ -415,10 +428,8 @@ def steering_node_acceleration(tau: float, omega: float) -> float | None:
     tau <= 0 (no finite node) and 0.0 for tau = 1 as the a -> 0 boundary
     marker.
     """
-    if not (omega > 0.0 and math.isfinite(omega)):
-        raise DomainError("omega must be positive and finite")
-    if not -3.0 - RANGE_SLACK <= tau <= 1.0 + RANGE_SLACK:
-        raise DomainError(f"tau = {tau!r} outside [-3, 1]")
+    _check_omega(omega)
+    check_leaf(tau)
     if tau <= 0.0:
         return None
     if tau >= 1.0:

@@ -218,21 +218,18 @@ def concurrence(m: np.ndarray) -> float:
 
 # ----- reproducible random states -----
 
-def random_density_matrix(rng: np.random.Generator, n_pure: int = 4) -> np.ndarray:
-    """Mixture of n_pure Haar-ish random pure states with Dirichlet weights.
+def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
+    """Mixture of four Haar-ish random pure states with Dirichlet weights.
 
     This is the documented generator behind ``theorem-check`` and the
     randomized acceptance checks: complex standard-normal 4-vectors,
     normalized, combined with flat Dirichlet weights.
     """
-    psi = rng.normal(size=(n_pure, 4)) + 1.0j * rng.normal(size=(n_pure, 4))
-    w = rng.dirichlet(np.ones(n_pure))
-    m = np.zeros((4, 4), dtype=complex)
-    for k in range(n_pure):
-        v = psi[k] / np.linalg.norm(psi[k])
-        m += w[k] * np.outer(v, v.conj())
-    return m
+    psi = rng.normal(size=(4, 4)) + 1.0j * rng.normal(size=(4, 4))
+    w = rng.dirichlet(np.ones(4))
+    kets = [row / np.linalg.norm(row) for row in psi]
+    return sum(wk * np.outer(v, v.conj()) for wk, v in zip(w, kets))
 
 
-def random_fano_state(rng: np.random.Generator, n_pure: int = 4) -> FanoState:
-    return matrix_to_fano(random_density_matrix(rng, n_pure))
+def random_fano_state(rng: np.random.Generator) -> FanoState:
+    return matrix_to_fano(random_density_matrix(rng))

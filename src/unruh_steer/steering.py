@@ -27,7 +27,7 @@ import numpy as np
 
 from .coherence import l1_coherence_bloch
 from .errors import DenominatorZero, DomainError, NotPositive
-from .model import boundary_denominator, equilibrium_free
+from .model import boundary_denominator, check_leaf, equilibrium_free
 from .qmat import FanoState, dephase_b, fano_to_matrix, min_eigenvalue, trace_norm
 
 SQRT6 = math.sqrt(6.0)
@@ -245,10 +245,7 @@ def steerability_functional_free(tau: float, ratio: float) -> SteerabilityFree:
     denominator of the second term vanish together; that point comes back
     flagged singular with NaN values instead of raising.
     """
-    if not -3.0 - 1e-12 <= tau <= 1.0 + 1e-12:
-        raise DomainError(f"tau = {tau} outside [-3, 1]")
-    if not -1e-12 <= ratio <= 1.0 + 1e-12:
-        raise DomainError(f"ratio = {ratio} outside [0, 1]")
+    check_leaf(tau, ratio)
     denom1 = 3.0 + ratio * ratio
     denom2 = ratio * ratio - ratio * (tau + 3.0) + 3.0
     if abs(denom2) <= 1e-12:

@@ -22,11 +22,11 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, UnruhSteerError
 from .model import (
-    RANGE_SLACK,
     UnruhParams,
     equilibrium_free,
     kossakowski_boundary,
     kossakowski_free,
+    leaf_mask,
 )
 from .qmat import matrix_to_fano
 from .steering import (
@@ -171,12 +171,6 @@ def _pointwise(point, n_out, *axes):
     return columns, diagnostics
 
 
-def _outside(tau, ratio):
-    # the (tau, R) range checks of equilibrium_free and the functional
-    return ~((-3.0 - RANGE_SLACK <= tau) & (tau <= 1.0 + RANGE_SLACK)
-             & (-RANGE_SLACK <= ratio) & (ratio <= 1.0 + RANGE_SLACK))
-
-
 def eval_sic_free(omega: float, tau, accel):
     """Columns (R, sic) for the free-space equilibrium; closed-form SIC.
 
@@ -195,7 +189,7 @@ def eval_sic_free(omega: float, tau, accel):
     ratio = np.array(ratios)[where]
     columns = [ratio.tolist(), sic_closed_form_free(tau, ratio).tolist()]
     diagnostics = [""] * tau.size
-    _fill_rows(columns, diagnostics, np.flatnonzero(_outside(tau, ratio)),
+    _fill_rows(columns, diagnostics, np.flatnonzero(~leaf_mask(tau, ratio)),
                point, tau, accel)
     return columns, diagnostics
 
@@ -219,7 +213,7 @@ def eval_surface(tau, ratio):
     columns = [literal.tolist(), absolute.tolist(),
                (literal > SQRT6).tolist(), (absolute > SQRT6).tolist()]
     diagnostics = np.where(singular, "singular", "").tolist()
-    _fill_rows(columns, diagnostics, np.flatnonzero(_outside(tau, ratio)),
+    _fill_rows(columns, diagnostics, np.flatnonzero(~leaf_mask(tau, ratio)),
                lambda t, r: steerability_functional_free(t, r)[:4], tau, ratio)
     return columns, diagnostics
 

@@ -67,12 +67,12 @@ def test_evolve_properties(seed, accel):
     state = matrix_to_fano(random_density_matrix(np.random.default_rng(seed)))
     coeffs = kossakowski_free(UnruhParams(1.0, accel))
     traj = evolve(state, coeffs)
-    ys = np.array([s.to_vector() for s in traj.states])
+    ys, states = traj.vectors, traj.states
     y0, tau = state.to_vector(), state.trace_sum
     y_eq = equilibrium_free(tau, coeffs.ratio).to_vector()
 
-    assert max(abs(s.trace_sum - tau) for s in traj.states) < 1e-9
-    assert min(min_eigenvalue(s.to_matrix()) for s in traj.states) >= -1e-8
+    assert max(abs(s.trace_sum - tau) for s in states) < 1e-9
+    assert min(min_eigenvalue(s.to_matrix()) for s in states) >= -1e-8
     ref = _reference_rk4(y0, coeffs, tau, traj.times, traj.step)
     assert np.abs(ys - ref).max() <= 1e-12
     exact_dev = np.abs(ys - _exact(y0, coeffs, tau, traj.times)).max(axis=1)

@@ -201,7 +201,7 @@ def test_ode_explicit_tau_pull():
     with pytest.raises(TypeError):
         ode_rhs(st, k, 0.3)
     with pytest.raises(TypeError):
-        evolve(st, k, 1.0, [0.0, 1.0], 0.3)
+        evolve(st, k, tau=0.3)
 
 
 def test_evolve_singlet_is_stationary():
@@ -258,57 +258,92 @@ def test_evolve_rejects_unphysical_input():
         evolve(FanoState(np.zeros(3), np.zeros(3), np.eye(3)), k)
 
 
-@pytest.mark.parametrize("times", [[0.0, math.nan, 1.0], [math.nan],
-                                   [0.0, 1.0, math.nan], [0.0, math.inf]])
-def test_evolve_rejects_non_finite_sample_times(times):
-    # NaN passes every ordering comparison, so it needs its own check
+@pytest.mark.parametrize("samples", [0, -1, 2.5, True])
+def test_evolve_rejects_bad_sample_count(samples):
     k = kossakowski_free(REF)
-    with pytest.raises(DomainError, match="finite"):
+    with pytest.raises(DomainError, match="samples"):
         evolve(random_fano_state(np.random.default_rng(5)), k, t_end=2.0,
-               sample_times=times)
+               samples=samples)
 
 
-# unphysical at t = 0.7 and still at t = 1.9 under REF
-_OFF_AXIS = FanoState(np.array([0, 0, 5.0]), np.zeros(3), np.zeros((3, 3)))
+@pytest.mark.parametrize("A", [-0.2, 0.0, math.nan])
+def test_dynamics_reject_non_positive_rate(A):
+    # a negative A used to give a negative horizon and step, and a
+    # trajectory reported converged
+    k = dataclasses.replace(kossakowski_free(REF), A=A)
+    singlet = FanoState(np.zeros(3), np.zeros(3), -np.eye(3))
+    with pytest.raises(DomainError, match="positive finite A"):
+        relaxation_horizon(k)
+    with pytest.raises(DomainError, match="positive finite A"):
+        evolve(singlet, k, t_end=5.0)
+
+
+def _constant_rhs(state, coeffs, *, tau=None):
+    # d a_z / dt = 1: from the maximally mixed state the minimum eigenvalue
+    # is (1 - t) / 4, below DRIFT_TOL from t = 1 + 4e-6 on
+    return FanoState(np.array([0.0, 0.0, 1.0]), np.zeros(3), np.zeros((3, 3)))
+
+
+_MIXED = FanoState(np.zeros(3), np.zeros(3), np.zeros((3, 3)))
 
 
 def test_evolve_reports_earliest_drift(monkeypatch):
-    # the stacked check reports the first of the two samples below
+    # the stacked check reports the first of the samples t = 1.5, 2 below
     # DRIFT_TOL, with the eigenvalue a single-state check of it gives
+    monkeypatch.setattr(model, "ode_rhs", _constant_rhs)
     k = kossakowski_free(REF)
-    with pytest.raises(UnphysicalDrift, match=r"at t = 0\.7 ") as info:
-        evolve(_OFF_AXIS, k, sample_times=[0.7, 1.9])
+    with pytest.raises(UnphysicalDrift, match=r"at t = 1\.5 ") as info:
+        evolve(_MIXED, k, t_end=2.0, samples=5)
     monkeypatch.setattr(model, "DRIFT_TOL", -math.inf)
-    sample = evolve(_OFF_AXIS, k, sample_times=[0.7, 1.9]).states[0]
+    sample = evolve(_MIXED, k, t_end=2.0, samples=5).states[3]
     low = min_eigenvalue(fano_to_matrix(sample))
-    assert str(info.value) == f"min eigenvalue {low:.3e} at t = 0.7 (below -1e-06)"
+    assert low < -0.1
+    assert str(info.value) == f"min eigenvalue {low:.3e} at t = 1.5 (below -1e-06)"
 
 
 def test_evolve_drift_wins_over_later_overflow(monkeypatch):
     # a generator that grows every coefficient at rate 1000 leaves the
-    # t = 0.7 sample finite (~1e122) and overflows before t = 1.9
+    # t = 0.5 sample finite (~1e210) but unphysical, and overflows before
+    # t = 1
     def growth(state, coeffs, *, tau=None):
         return FanoState.from_vector(1000.0 * state.to_vector())
 
     monkeypatch.setattr(model, "ode_rhs", growth)
     k = kossakowski_free(REF)
+    polarized = FanoState(np.array([0.0, 0.0, 0.5]), np.zeros(3), np.zeros((3, 3)))
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(UnphysicalDrift, match=r"at t = 0\.7 "):
-            evolve(_OFF_AXIS, k, sample_times=[0.7, 1.9])
+        with pytest.raises(UnphysicalDrift, match=r"at t = 0\.5 "):
+            evolve(polarized, k, t_end=2.0, samples=5)
         # with no drift before it, the overflow itself is reported
         singlet = FanoState(np.zeros(3), np.zeros(3), -np.eye(3))
-        with pytest.raises(DomainError, match=r"overflowed at t = 1\.9"):
-            evolve(singlet, k, sample_times=[0.0, 1.9])
+        with pytest.raises(DomainError, match=r"overflowed at t = 2$"):
+            evolve(singlet, k, t_end=2.0, samples=2)
 
 
 def test_evolve_hits_requested_samples():
     k = kossakowski_free(REF)
     st = random_fano_state(np.random.default_rng(12))
-    wanted = np.array([0.0, 0.7, 1.9, 4.3])
-    traj = evolve(st, k, sample_times=wanted)
-    assert np.allclose(traj.times, wanted, atol=0.0)
-    assert len(traj.states) == len(wanted)
+    traj = evolve(st, k, t_end=4.3, samples=5)
+    assert np.array_equal(traj.times, np.linspace(0.0, 4.3, 5))
+    assert traj.times[-1] == 4.3
+    assert traj.vectors.shape == (5, 15)
     assert traj.states[0].isclose(st, atol=0.0)
+    # a single sample is the initial state at t = 0
+    one = evolve(st, k, t_end=4.3, samples=1)
+    assert np.array_equal(one.times, [0.0])
+    assert one.final_state.isclose(st, atol=0.0)
+    eq = equilibrium_free(st.trace_sum, k.ratio)
+    assert one.landing == np.abs(st.to_vector() - eq.to_vector()).max()
+
+
+def test_trajectory_vectors_are_the_read_only_samples():
+    k = kossakowski_free(REF)
+    traj = evolve(random_fano_state(np.random.default_rng(4)), k, samples=7)
+    assert np.array_equal(traj.vectors, [s.to_vector() for s in traj.states])
+    assert np.array_equal(traj.final_state.to_vector(), traj.vectors[-1])
+    for array in (traj.vectors, traj.times):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 def test_node_reference_value():

@@ -11,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from unruh_steer.coherence import l1_coherence_bloch
 from unruh_steer.errors import DegenerateLimit, DenominatorZero, DomainError
 from unruh_steer.model import (UnruhParams, equilibrium_free,
-                               kossakowski_boundary, kossakowski_free)
+                               kossakowski_boundary, kossakowski_free,
+                               steering_node_acceleration)
 from unruh_steer.qmat import (FanoState, dephase_b, fano_to_matrix,
                               random_fano_state, trace_norm)
 from unruh_steer.steering import (alpha_matrix, conditional_coherence,
@@ -309,6 +310,24 @@ def test_functional_domain():
         steerability_functional_free(0.0, -0.2)
     # slack just inside the gate
     steerability_functional_free(1.0 + 5e-13, 0.0)
+
+
+@pytest.mark.parametrize("kind", [float, np.float64])
+def test_domain_messages_read_alike(kind):
+    # one check spells the (tau, ratio) bounds for the equilibrium, the
+    # functional and the node, whether the number is a float or np.float64
+    calls = {"tau = 2.0 outside [-3, 1]": (
+                 lambda: equilibrium_free(kind(2.0), 0.5),
+                 lambda: steerability_functional_free(kind(2.0), 0.5),
+                 lambda: steering_node_acceleration(kind(2.0), 1.0)),
+             "ratio = -0.1 outside [0, 1]": (
+                 lambda: equilibrium_free(0.5, kind(-0.1)),
+                 lambda: steerability_functional_free(0.5, kind(-0.1)))}
+    for message, raisers in calls.items():
+        for raiser in raisers:
+            with pytest.raises(DomainError) as info:
+                raiser()
+            assert str(info.value) == message
 
 
 def test_functional_ordering_and_pairings():
