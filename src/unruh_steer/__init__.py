@@ -1,13 +1,12 @@
 """Steered coherence of uniformly accelerated atom pairs.
 
 Two-qubit Fano-form state algebra, the dissipative Unruh-bath model along
-n = z (free space and half-space geometries), the l1 coherence of a qubit,
-steering-induced coherence with its measurement-induced-disturbance twin,
+n = z (free space and half-space geometries), steering-induced coherence
+with its measurement-induced-disturbance twin (both in Fano coordinates),
 and the coherence-steerability criteria, plus a deterministic sweep engine
 and CLI.
 """
 
-from .coherence import l1_coherence, l1_coherence_bloch
 from .errors import (
     ConsistencyError,
     DegenerateLimit,
@@ -35,9 +34,7 @@ from .model import (
 )
 from .qmat import (
     FanoState,
-    basis_from_axis,
     concurrence,
-    dephase_b,
     fano_to_matrix,
     matrix_to_fano,
     min_eigenvalue,
@@ -47,19 +44,12 @@ from .qmat import (
 )
 from .steering import (
     BoundaryVerdict,
-    ConditionalCoherence,
-    CyclicPairings,
     SicSolution,
     SteerabilityFree,
-    SteeredEnsemble,
-    alpha_matrix,
-    conditional_coherence,
     one_sided_mid,
     sic_closed_form_free,
     sic_solution,
-    steer_bob,
     steerability_functional_free,
-    steerability_pairings_free,
     steerability_verdict_boundary,
     steering_induced_coherence,
     theorem1_residual,
@@ -71,9 +61,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryEquilibrium",
     "BoundaryVerdict",
-    "ConditionalCoherence",
     "ConsistencyError",
-    "CyclicPairings",
     "DegenerateLimit",
     "DenominatorZero",
     "DomainError",
@@ -85,25 +73,18 @@ __all__ = [
     "NotPositive",
     "SicSolution",
     "SteerabilityFree",
-    "SteeredEnsemble",
     "SweepResult",
     "Trajectory",
     "UnphysicalDrift",
     "UnruhParams",
     "UnruhSteerError",
-    "alpha_matrix",
-    "basis_from_axis",
     "concurrence",
-    "conditional_coherence",
-    "dephase_b",
     "equilibrium_boundary",
     "equilibrium_free",
     "evolve",
     "fano_to_matrix",
     "kossakowski_boundary",
     "kossakowski_free",
-    "l1_coherence",
-    "l1_coherence_bloch",
     "load_csv",
     "load_json",
     "matrix_to_fano",
@@ -116,9 +97,7 @@ __all__ = [
     "run_grid",
     "sic_closed_form_free",
     "sic_solution",
-    "steer_bob",
     "steerability_functional_free",
-    "steerability_pairings_free",
     "steerability_verdict_boundary",
     "steering_induced_coherence",
     "steering_node_acceleration",

@@ -25,7 +25,6 @@ from .model import (
     evolve,
     kossakowski_boundary,
     kossakowski_free,
-    relaxation_horizon,
     steering_node_acceleration,
 )
 from .qmat import FanoState, random_density_matrix
@@ -179,13 +178,12 @@ def cmd_evolve(args) -> int:
         raise _UsageError("--accel is required")
     state = _initial_state(args.init, args.tau)
     coeffs = kossakowski_free(UnruhParams(args.omega, args.accel))
-    t_end = args.t_end if args.t_end is not None else relaxation_horizon(coeffs)
-    traj = evolve(state, coeffs, t_end=t_end, samples=args.samples)
+    traj = evolve(state, coeffs, t_end=args.t_end, samples=args.samples)
     columns = ("t",) + STATE_COLUMNS + ("tau",)
     traces = np.trace(traj.vectors[:, 6:].reshape(-1, 3, 3), axis1=1, axis2=2)
     data = [traj.times.tolist()] + traj.vectors.T.tolist() + [traces.tolist()]
     meta = {"command": "evolve", "omega": args.omega, "accel": args.accel,
-            "init": args.init, "tau": traj.tau, "t_end": t_end,
+            "init": args.init, "tau": traj.tau, "t_end": float(traj.times[-1]),
             "samples": args.samples, "step": traj.step,
             "converged": traj.converged, "landing": traj.landing,
             "axes": ("t",)}

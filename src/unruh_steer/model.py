@@ -260,8 +260,11 @@ def equilibrium_boundary(coeffs: KossakowskiBoundary, *,
     (A1-A2) B1 (2B1+B2) n n / D, with D from :func:`boundary_denominator`.
     Where D underflows, the free-space equilibrium on the ``fallback_tau``
     leaf is returned flagged ``is_limit=True``, or DegenerateLimit raised
-    when no fallback is supplied.
+    when no fallback is supplied. A supplied ``fallback_tau`` outside
+    [-3, 1] raises DomainError whether or not D underflows.
     """
+    if fallback_tau is not None:
+        check_leaf(fallback_tau)
     try:
         d = boundary_denominator(coeffs)
     except DegenerateLimit as exc:

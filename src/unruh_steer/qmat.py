@@ -9,7 +9,9 @@ with qubit A the left tensor factor and the computational basis ordered
 |00>, |01>, |10>, |11>. ``a`` and ``b`` are the local Bloch vectors of A
 and B, ``T`` the 3x3 correlation block. Hermiticity is automatic for real
 coefficients; positivity is not, and is checked only where an operation
-requires it.
+requires it. Maps such as B-side dephasing along a unit axis e, which takes
+(a, b, T) to (a, (b.e) e, T e e^T), act on the coefficients directly
+(``steering.one_sided_mid``).
 """
 
 from __future__ import annotations
@@ -155,46 +157,6 @@ def min_eigenvalue(m: np.ndarray) -> float:
     m = np.asarray(m, dtype=complex)
     _require_hermitian(m)
     return float(np.linalg.eigvalsh(m)[0])
-
-
-# ----- dephasing of the B side -----
-
-def unit_axis(axis) -> np.ndarray:
-    """``axis`` scaled to unit length; DomainError unless it is a nonzero
-    finite 3-vector."""
-    axis = np.asarray(axis, dtype=float)
-    if axis.shape != (3,):
-        raise DomainError(f"basis axis must have shape (3,), not {axis.shape}")
-    norm = np.linalg.norm(axis)
-    if not np.isfinite(norm) or norm < 1e-12:
-        raise DomainError("basis axis must be a nonzero finite 3-vector")
-    return axis / norm
-
-
-def basis_from_axis(axis: np.ndarray) -> np.ndarray:
-    """Columns are the +/- eigenkets of axis . sigma for a unit axis."""
-    n = unit_axis(axis)
-    # explicit eigenvectors of n.sigma, stable also near the poles
-    if n[2] >= 0.0:
-        plus = np.array([1.0 + n[2], n[0] + 1.0j * n[1]], dtype=complex)
-    else:
-        plus = np.array([n[0] - 1.0j * n[1], 1.0 - n[2]], dtype=complex)
-    plus /= np.linalg.norm(plus)
-    minus = np.array([-plus[1].conj(), plus[0].conj()], dtype=complex)
-    return np.column_stack([plus, minus])
-
-
-def dephase_b(m: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    """Kill B-side coherences in the eigenbasis of a Bloch axis:
-    sum_k (I x P_k) m (I x P_k)."""
-    m = np.asarray(m, dtype=complex).reshape(4, 4)
-    u = basis_from_axis(axis)
-    out = np.zeros((4, 4), dtype=complex)
-    for k in range(2):
-        p = np.outer(u[:, k], u[:, k].conj())
-        pk = np.kron(SIGMA_0, p)
-        out += pk @ m @ pk
-    return out
 
 
 # ----- entanglement -----

@@ -7,8 +7,8 @@ coherence (SIC) is the ensemble-average l1 coherence of Bob's conditional
 states, measured in the eigenbasis of his unconditional reduced state,
 maximized over m. The one-sided measurement-induced disturbance (MID) is
 the trace-norm distance between the state and its B-side dephasing in that
-same eigenbasis. The two coincide for two qubits; ``theorem1_residual``
-checks the identity numerically.
+same eigenbasis, the dephasing taken in Fano coordinates. The two coincide
+for two qubits; ``theorem1_residual`` checks the identity numerically.
 
 One 3x3 SVD gives the optimum. With Bob's axis e = b/|b| and P_e = I - e e^T,
 P_e b = 0, so Alice's axis m yields average coherence |P_e T^T m| and SIC
@@ -20,21 +20,17 @@ Horodecki & Horodecki, PRA 54, 1838 (1996)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .coherence import l1_coherence_bloch
-from .errors import DenominatorZero, DomainError, NotPositive
-from .model import boundary_denominator, check_leaf, equilibrium_free
-from .qmat import FanoState, dephase_b, fano_to_matrix, min_eigenvalue, trace_norm
+from .errors import DenominatorZero, NotPositive
+from .model import boundary_denominator, check_leaf
+from .qmat import FanoState, fano_matrices, fano_to_matrix, min_eigenvalue, trace_norm
 
 SQRT6 = math.sqrt(6.0)
 DEGENERACY_GATE = 1e-9    # |b| below this: reduced state treated as maximally mixed
 PHYSICALITY_TOL = 1e-10   # min-eigenvalue gate on input states
-PROB_FLOOR = 1e-15        # outcome probability treated as zero
-MEAS_UNIT_TOL = 1e-12
 
 
 def _require_physical(state: FanoState) -> np.ndarray:
@@ -43,65 +39,6 @@ def _require_physical(state: FanoState) -> np.ndarray:
     if low < -PHYSICALITY_TOL:
         raise NotPositive(f"state has min eigenvalue {low:.3e}")
     return m
-
-
-def _axis_index(axis) -> int:
-    # match on type, not on hashing: True == 1 and 1.0 == 1 would pass a dict
-    if isinstance(axis, str) and axis in ("x", "y", "z"):
-        return "xyz".index(axis)
-    if (isinstance(axis, (int, np.integer)) and not isinstance(axis, bool)
-            and 0 <= axis <= 2):
-        return int(axis)
-    raise DomainError(f"axes must be 'x', 'y', 'z' or 0, 1, 2, not {axis!r}")
-
-
-def _require_meas_axis(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float).reshape(3)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > MEAS_UNIT_TOL:
-        raise DomainError("measurement axis must be a unit 3-vector")
-    return v / norm
-
-
-# ----- steered ensembles -----
-
-@dataclass(frozen=True)
-class SteeredEnsemble:
-    """Bob's conditional Bloch vectors for Alice outcomes (+1, -1).
-
-    A zero-probability outcome carries Bob's unconditional Bloch vector by
-    convention (it never contributes to averages).
-    """
-
-    probs: np.ndarray
-    blochs: np.ndarray
-
-    def __post_init__(self):
-        p = np.array(self.probs, dtype=float).reshape(2)
-        r = np.array(self.blochs, dtype=float).reshape(2, 3)
-        p.setflags(write=False)
-        r.setflags(write=False)
-        object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "blochs", r)
-
-
-def steer_bob(state: FanoState, m) -> SteeredEnsemble:
-    """Conditional ensemble on B after measuring axis m on A.
-
-    p_pm = (1 pm a.m)/2 and r_pm = (b pm T^T m) / (2 p_pm).
-    """
-    m = _require_meas_axis(m)
-    _require_physical(state)
-    along = float(state.a_vec @ m)
-    tm = state.t_mat.T @ m
-    probs = np.array([0.5 * (1.0 + along), 0.5 * (1.0 - along)])
-    blochs = np.empty((2, 3))
-    for k, sign in enumerate((1.0, -1.0)):
-        if probs[k] > PROB_FLOOR:
-            blochs[k] = (state.b_vec + sign * tm) / (2.0 * probs[k])
-        else:
-            blochs[k] = state.b_vec
-    return SteeredEnsemble(probs=probs, blochs=blochs)
 
 
 # ----- steering-induced coherence -----
@@ -158,11 +95,14 @@ def sic_closed_form_free(tau: float, ratio: float) -> float:
 def one_sided_mid(state: FanoState) -> float:
     """Trace-norm disturbance Tr|rho - D_B(rho)| under B-side dephasing.
 
-    First principles, in the eigenbasis ``sic_solution`` selects.
+    D_B dephases along the reference axis e that ``sic_solution`` selects;
+    in Fano coordinates it maps (a, b, T) to (a, (b.e) e, T e e^T).
     """
     m = _require_physical(state)
-    axis = _solve_sic(state.b_vec, state.t_mat).ref_axis
-    return trace_norm(m - dephase_b(m, axis))
+    e = _solve_sic(state.b_vec, state.t_mat).ref_axis
+    dephased = np.concatenate([state.a_vec, (state.b_vec @ e) * e,
+                               np.outer(state.t_mat @ e, e).ravel()])
+    return trace_norm(m - fano_matrices(dephased))
 
 
 def theorem1_residual(state: FanoState) -> float:
@@ -170,57 +110,7 @@ def theorem1_residual(state: FanoState) -> float:
     return abs(steering_induced_coherence(state) - one_sided_mid(state))
 
 
-# ----- conditional-coherence steering criteria -----
-
-def alpha_matrix(state: FanoState) -> np.ndarray:
-    """Matrix alpha_ij = b_i + T_ji of steered-coherence building blocks."""
-    return state.b_vec[:, None] + state.t_mat.T
-
-
-class ConditionalCoherence(NamedTuple):
-    """Closed-form (primary) and first-principles values of one term."""
-
-    closed_form: float
-    direct: float
-
-
-def conditional_coherence(state: FanoState, meas_axis, coh_axis,
-                          outcome: int = +1) -> ConditionalCoherence:
-    """l1 coherence of Bob's conditional state for one Alice outcome.
-
-    Measuring axis k with outcome s gives Bob the Bloch vector
-    (b_j + s T_kj) / (1 + s a_k); its coherence in the basis of axis w is
-    the root-sum-square of the other two components:
-
-        sqrt( sum_{j != w} (b_j + s T_kj)^2 ) / (1 + s a_k),
-
-    which for s = +1 reads sqrt(sum_{j != w} alpha_jk^2) / (1 + a_k). The
-    closed form is the primary value; ``direct`` recomputes it through the
-    steered ensemble. Raises DenominatorZero when |1 + s a_k| <= 1e-12 and
-    DomainError when the two axes coincide.
-    """
-    k = _axis_index(meas_axis)
-    w = _axis_index(coh_axis)
-    if k == w:
-        raise DomainError("measurement and coherence axes must differ")
-    if outcome not in (+1, -1):
-        raise DomainError("outcome must be +1 or -1")
-    denom = 1.0 + outcome * float(state.a_vec[k])
-    if abs(denom) <= 1e-12:
-        raise DenominatorZero(f"1 + outcome * a[{k}] = {denom:.3e}")
-    numer = state.b_vec + outcome * state.t_mat[k]
-    others = [j for j in range(3) if j != w]
-    closed = math.hypot(numer[others[0]], numer[others[1]]) / denom
-
-    axis_vec = np.zeros(3)
-    axis_vec[k] = 1.0
-    ensemble = steer_bob(state, axis_vec)
-    basis = np.zeros(3)
-    basis[w] = 1.0
-    direct = l1_coherence_bloch(ensemble.blochs[0 if outcome == +1 else 1],
-                                basis)
-    return ConditionalCoherence(closed_form=closed, direct=direct)
-
+# ----- coherence-sum steering criteria -----
 
 class SteerabilityFree(NamedTuple):
     """Both readings of the equilibrium-family coherence-sum criterion."""
@@ -240,7 +130,9 @@ def steerability_functional_free(tau: float, ratio: float) -> SteerabilityFree:
                 / [ratio^2 - ratio (tau+3) + 3]
 
     in the printed signed reading; ``absolute`` applies |.| to each of the
-    (by definition non-negative) coherence terms. Each total is compared
+    (by definition non-negative) coherence terms. Term k of the signed sum
+    is the k-component of Bob's Bloch vector after Alice measures axis k
+    and gets +1, (b_k + T_kk) / (1 + a_k). Each total is compared
     against the sqrt(6) threshold. At (tau, ratio) = (1, 1) numerator and
     denominator of the second term vanish together; that point comes back
     flagged singular with NaN values instead of raising.
@@ -258,32 +150,6 @@ def steerability_functional_free(tau: float, ratio: float) -> SteerabilityFree:
                             exceeds_literal=literal > SQRT6,
                             exceeds_absolute=absolute > SQRT6,
                             singular=False)
-
-
-class CyclicPairings(NamedTuple):
-    """The two cyclic measurement/coherence pairings of the criterion sum.
-
-    first  = C_x(B|y) + C_y(B|z) + C_z(B|x)
-    second = C_x(B|z) + C_y(B|x) + C_z(B|y)
-
-    Unlike the signed functional these keep the full root-sum-square
-    coherences, cross terms included.
-    """
-
-    first: float
-    second: float
-
-
-def steerability_pairings_free(tau: float, ratio: float) -> CyclicPairings:
-    """Evaluate both cyclic pairings on the equilibrium state (outcome +1)."""
-    state = equilibrium_free(tau, ratio)
-
-    def coh(meas, basis):
-        return conditional_coherence(state, meas, basis).closed_form
-
-    first = coh("y", "x") + coh("z", "y") + coh("x", "z")
-    second = coh("z", "x") + coh("x", "y") + coh("y", "z")
-    return CyclicPairings(first=first, second=second)
 
 
 class BoundaryVerdict(NamedTuple):

@@ -11,11 +11,11 @@ import re
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from unruh_steer.cli import EXIT_DOMAIN, EXIT_IO, EXIT_USAGE, main
-from unruh_steer.model import UnruhParams, equilibrium_free, kossakowski_free
+from unruh_steer.model import (UnruhParams, equilibrium_free, kossakowski_free,
+                               relaxation_horizon)
 from unruh_steer.steering import sic_closed_form_free
 from unruh_steer.sweeps import load_json
 
@@ -88,6 +88,15 @@ def test_equilibrium_boundary_csv(capsys):
     assert rows[0]["is_limit"] == "false"
 
 
+def test_equilibrium_boundary_rejects_out_of_range_tau(capsys):
+    # --tau is the fallback leaf; it is checked even where D does not underflow
+    assert main(["equilibrium", "--accel", "2", "--z", "1", "--sep", "1",
+                 "--tau", "7"]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tau = 7.0 outside [-3, 1]" in captured.err
+
+
 def test_equilibrium_usage_errors(capsys):
     assert main(["equilibrium", "--accel", "2"]) == EXIT_USAGE
     assert main(["equilibrium", "--tau", "0"]) == EXIT_USAGE
@@ -115,6 +124,17 @@ def test_evolve_json_reports_landing(capsys):
     assert "t_converged" not in meta
     assert meta["converged"] is True and 0.0 < meta["landing"] < 1e-6
     assert f"distance to equilibrium {meta['landing']:.3e}" in captured.err
+
+
+def test_evolve_meta_reports_integrated_span(capsys):
+    # t_end is the last sample time: the horizon by default, 0 for a single
+    # sample, where nothing is integrated
+    horizon = relaxation_horizon(kossakowski_free(UnruhParams(1.0, 2.0)))
+    for samples, t_end in (("1", 0.0), ("2", horizon), ("201", horizon)):
+        assert main(["evolve", "--accel", "2", "--samples", samples,
+                     "--format", "json"]) == 0
+        meta = json.loads(capsys.readouterr().out)["meta"]
+        assert meta["t_end"] == t_end and meta["samples"] == int(samples)
 
 
 @pytest.mark.parametrize("argv", [

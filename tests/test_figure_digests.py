@@ -4,7 +4,8 @@ The four CSV commands of ``bench/workloads.py``'s ``FIGURE_COMMANDS`` run
 through ``cli.main`` into a temporary directory; their digests must equal
 ``bench/digests.json``, which this test reads and never writes. The fig3
 JSON must match the digest pinned here and read back equal to the fig3 CSV,
-and two ``evolve`` outputs must match the digests pinned here.
+two ``evolve`` outputs must match the digests pinned here, and so must the
+``sic`` column of one ``theorem-check`` run.
 """
 
 import contextlib
@@ -51,6 +52,12 @@ EVOLVE_SHA256 = {
         "64d67aeb9562d88a98e8a07acb5e45589c0cb91ff4f78aca36867585f09235e3",
 }
 
+# the sic cells of theorem-check --seed 0 --count 200 (CSV, joined by
+# newlines), as written while MID still dephased with 4x4 projectors; the
+# mid and residual columns may move in the last ulp
+THEOREM_SIC_SHA256 = (
+    "3017cb4c5e2311b59a8eb6d43ce8c1a37aee6c055b586f21c314a9a0b05d7c75")
+
 
 def _run(argv):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -85,3 +92,14 @@ def test_evolve_matches_pinned_digest(tmp_path, monkeypatch, argv):
     path = tmp_path / "evolve.out"
     _run(["evolve", *argv, "--out", str(path)])
     assert hashlib.sha256(path.read_bytes()).hexdigest() == EVOLVE_SHA256[argv]
+
+
+def test_theorem_check_keeps_sic_bytes_and_residual(capsys):
+    assert main(["theorem-check", "--seed", "0", "--count", "200"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "state_index,sic,mid,residual"
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 200
+    sic = "\n".join(row[1] for row in rows).encode()
+    assert hashlib.sha256(sic).hexdigest() == THEOREM_SIC_SHA256
+    assert max(float(row[3]) for row in rows) <= 1e-15

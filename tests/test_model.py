@@ -425,6 +425,16 @@ def test_equilibrium_boundary_degenerate_limit():
         equilibrium_boundary(flat, 0.25)
 
 
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_equilibrium_boundary_checks_fallback_tau(degenerate):
+    # a fallback leaf outside [-3, 1] is an error whether or not D underflows
+    kb = kossakowski_boundary(REF, 1.0, 1.0)
+    if degenerate:
+        kb = dataclasses.replace(kb, A2=kb.A1, B2=kb.B1)
+    with pytest.raises(DomainError, match=r"^tau = 7.0 outside \[-3, 1\]$"):
+        equilibrium_boundary(kb, fallback_tau=7.0)
+
+
 def test_boundary_denominator_gate_is_relative():
     kb = kossakowski_boundary(REF, 1.0, 1.0)
     a1, a2, b1, b2 = kb.A1, kb.A2, kb.B1, kb.B2

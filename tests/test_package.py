@@ -23,5 +23,5 @@ def test_no_assert_statements_in_package():
              for path in sorted(root.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
-    assert len(list(root.glob("*.py"))) >= 8
+    assert len(list(root.glob("*.py"))) >= 7
     assert found == []

@@ -1,25 +1,22 @@
-"""Steered ensembles, closed-form SIC and MID with a brute-force oracle, and the
-steerability criteria."""
+"""Closed-form SIC and MID against the first-principles oracles of
+``oracles.py`` and brute-force axis scans, and the steerability criteria."""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from unruh_steer.coherence import l1_coherence_bloch
+from oracles import (alpha_matrix, conditional_coherence, dephase_b,
+                     l1_coherence_bloch, steer_bob, steerability_pairings_free)
 from unruh_steer.errors import DegenerateLimit, DenominatorZero, DomainError
 from unruh_steer.model import (UnruhParams, equilibrium_free,
-                               kossakowski_boundary, kossakowski_free,
-                               steering_node_acceleration)
-from unruh_steer.qmat import (FanoState, dephase_b, fano_to_matrix,
-                              random_fano_state, trace_norm)
-from unruh_steer.steering import (alpha_matrix, conditional_coherence,
-                                  one_sided_mid, sic_closed_form_free,
-                                  sic_solution, steer_bob,
-                                  steerability_functional_free,
-                                  steerability_pairings_free,
+                               kossakowski_boundary, steering_node_acceleration)
+from unruh_steer.qmat import (FanoState, fano_to_matrix, random_fano_state,
+                              trace_norm)
+from unruh_steer.steering import (one_sided_mid, sic_closed_form_free,
+                                  sic_solution, steerability_functional_free,
                                   steerability_verdict_boundary,
                                   steering_induced_coherence,
                                   theorem1_residual)
@@ -54,13 +51,14 @@ def _fibonacci_sphere(n=2000):
     return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
 
 
-# ----- steered ensembles -----
+# ----- steered ensembles (oracle) -----
 
 def test_steer_bob_reference_point():
-    ens = steer_bob(equilibrium_free(0.0, 1.0), np.array([0.0, 0.0, 1.0]))
-    assert np.allclose(ens.probs, [0.125, 0.875], atol=1e-15)
-    assert np.allclose(ens.blochs[0], [0.0, 0.0, -1.0], atol=1e-15)
-    assert np.allclose(ens.blochs[1], [0.0, 0.0, -5.0 / 7.0], atol=1e-15)
+    probs, blochs = steer_bob(equilibrium_free(0.0, 1.0),
+                              np.array([0.0, 0.0, 1.0]))
+    assert np.allclose(probs, [0.125, 0.875], atol=1e-15)
+    assert np.allclose(blochs[0], [0.0, 0.0, -1.0], atol=1e-15)
+    assert np.allclose(blochs[1], [0.0, 0.0, -5.0 / 7.0], atol=1e-15)
 
 
 def test_steer_bob_no_signalling():
@@ -69,10 +67,10 @@ def test_steer_bob_no_signalling():
         st = random_fano_state(rng)
         m = rng.normal(size=3)
         m /= np.linalg.norm(m)
-        ens = steer_bob(st, m)
-        assert ens.probs.sum() == pytest.approx(1.0, abs=1e-13)
-        assert ens.probs.min() >= -1e-13
-        avg = ens.probs[0] * ens.blochs[0] + ens.probs[1] * ens.blochs[1]
+        probs, blochs = steer_bob(st, m)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-13)
+        assert probs.min() >= -1e-13
+        avg = probs[0] * blochs[0] + probs[1] * blochs[1]
         assert np.allclose(avg, st.b_vec, atol=1e-12)
 
 
@@ -82,17 +80,9 @@ def test_steer_bob_zero_probability_convention():
     product = FanoState(a_vec=np.array([0, 0, 1.0]),
                         b_vec=np.array([0, 0, 1.0]),
                         t_mat=np.diag([0.0, 0.0, 1.0]))
-    ens = steer_bob(product, np.array([0.0, 0.0, 1.0]))
-    assert ens.probs[1] == 0.0
-    assert np.allclose(ens.blochs[1], product.b_vec, atol=0.0)
-
-
-def test_steer_bob_rejects_unnormalized_axis():
-    st = equilibrium_free(0.0, 1.0)
-    with pytest.raises(DomainError):
-        steer_bob(st, np.array([0.0, 0.0, 1.1]))
-    # within the unit-norm gate the axis is accepted and renormalized
-    steer_bob(st, np.array([0.0, 0.0, 1.0 + 5e-13]))
+    probs, blochs = steer_bob(product, np.array([0.0, 0.0, 1.0]))
+    assert probs[1] == 0.0
+    assert np.allclose(blochs[1], product.b_vec, atol=0.0)
 
 
 # ----- steering-induced coherence -----
@@ -130,9 +120,8 @@ def test_sic_solution_attains_value_on_steered_ensemble():
     states += [st for st, _ in _unital_states(rng, 10)]
     for st in states:
         sol = sic_solution(st)
-        ens = steer_bob(st, sol.meas_axis)
         avg = sum(p * l1_coherence_bloch(r, sol.ref_axis)
-                  for p, r in zip(ens.probs, ens.blochs))
+                  for p, r in zip(*steer_bob(st, sol.meas_axis)))
         assert avg == pytest.approx(sol.value, abs=1e-12)
         assert sol.value == steering_induced_coherence(st)
         assert not sol.meas_axis.flags.writeable
@@ -182,6 +171,8 @@ def test_sic_rejects_unphysical_state():
     bad = FanoState(a_vec=np.zeros(3), b_vec=np.zeros(3), t_mat=np.eye(3))
     with pytest.raises(NotPositive):
         steering_induced_coherence(bad)
+    with pytest.raises(NotPositive):
+        one_sided_mid(bad)
 
 
 # ----- one-sided disturbance and the SIC identity -----
@@ -199,6 +190,21 @@ def test_singlet_disturbance_is_basis_independent():
         ax = rng.normal(size=3)
         ax /= np.linalg.norm(ax)
         assert trace_norm(m - dephase_b(m, ax)) == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), unital=st.booleans())
+def test_mid_is_projector_dephasing_along_reference_axis(seed, unital):
+    # the Fano-coordinate dephasing inside one_sided_mid against the 4x4
+    # projector sum along the axis sic_solution picks; b = 0 states take
+    # the degenerate branch (worst seen over 6000 states: 7.8e-16, 6.7e-16)
+    rng = np.random.default_rng(seed)
+    state = next(_unital_states(rng, 1))[0] if unital else random_fano_state(rng)
+    m = fano_to_matrix(state)
+    sol = sic_solution(state)
+    mid = one_sided_mid(state)
+    assert abs(mid - trace_norm(m - dephase_b(m, sol.ref_axis))) <= 1e-14
+    assert abs(mid - sol.value) <= 1e-14
 
 
 @settings(max_examples=40, deadline=None)
@@ -241,47 +247,28 @@ def test_conditional_coherence_closed_form_is_first_principles():
         st = random_fano_state(rng)
         k, w = rng.choice(3, size=2, replace=False)
         for outcome in (+1, -1):
-            got = conditional_coherence(st, axes[k], axes[w], outcome)
-            assert got.closed_form == pytest.approx(got.direct, abs=1e-12)
+            closed, direct = conditional_coherence(st, axes[k], axes[w], outcome)
+            assert closed == pytest.approx(direct, abs=1e-12)
 
 
 def test_conditional_coherence_equilibrium_values():
     tau, r = 0.5, 0.3
     eq = equilibrium_free(tau, r)
-    al = alpha_matrix(eq)
-    # measuring x steers into (alpha_11, 0, alpha_31): basis z sees only
-    # alpha_11, basis y sees the alpha_31 cross term as well
-    xz = conditional_coherence(eq, "x", "z")
-    assert xz.closed_form == pytest.approx(abs(al[0, 0]), abs=1e-14)
-    assert xz.closed_form == pytest.approx(sic_closed_form_free(tau, r),
-                                           abs=1e-14)
-    xy = conditional_coherence(eq, "x", "y")
-    assert xy.closed_form == pytest.approx(math.hypot(al[0, 0], al[2, 0]),
-                                           abs=1e-14)
+    # Alice measures x and gets +1: Bob's Bloch vector (r_x, 0, r_z); basis
+    # z sees only r_x, basis y sees the r_z cross term as well
+    _, blochs = steer_bob(eq, np.array([1.0, 0.0, 0.0]))
+    rx, ry, rz = blochs[0]
+    assert abs(ry) < 1e-14
+    xz, _ = conditional_coherence(eq, "x", "z")
+    assert xz == pytest.approx(abs(rx), abs=1e-14)
+    assert xz == pytest.approx(sic_closed_form_free(tau, r), abs=1e-14)
+    xy, _ = conditional_coherence(eq, "x", "y")
+    assert xy == pytest.approx(math.hypot(rx, rz), abs=1e-14)
 
 
 def test_conditional_coherence_integer_axes():
     eq = equilibrium_free(0.5, 0.3)
-    assert conditional_coherence(eq, 0, 2).closed_form == pytest.approx(
-        conditional_coherence(eq, "x", "z").closed_form, abs=0.0)
-
-
-def test_conditional_coherence_errors():
-    eq = equilibrium_free(0.5, 0.3)
-    with pytest.raises(DomainError):
-        conditional_coherence(eq, "x", "x")
-    with pytest.raises(DomainError):
-        conditional_coherence(eq, "x", "y", outcome=0)
-    # True == 1 would read as axis y; a list is unhashable
-    with pytest.raises(DomainError):
-        conditional_coherence(eq, True, "x")
-    with pytest.raises(DomainError):
-        conditional_coherence(eq, "x", [0])
-    product = FanoState(a_vec=np.array([0, 0, 1.0]),
-                        b_vec=np.array([0, 0, 1.0]),
-                        t_mat=np.diag([0.0, 0.0, 1.0]))
-    with pytest.raises(DenominatorZero):
-        conditional_coherence(product, "z", "x", outcome=-1)
+    assert conditional_coherence(eq, 0, 2) == conditional_coherence(eq, "x", "z")
 
 
 # ----- free-geometry steerability functional -----
@@ -338,15 +325,35 @@ def test_functional_ordering_and_pairings():
             if tau == 1.0 and r == 1.0:
                 continue
             f = steerability_functional_free(float(tau), float(r))
-            p = steerability_pairings_free(float(tau), float(r))
-            assert p.first == pytest.approx(p.second, abs=1e-12)
+            first, second = steerability_pairings_free(float(tau), float(r))
+            assert first == pytest.approx(second, abs=1e-12)
             assert f.absolute >= abs(f.literal) - 1e-12
-            assert p.first >= f.absolute - 1e-12
+            assert first >= f.absolute - 1e-12
 
 
 def test_pairings_reference_value():
-    p = steerability_pairings_free(0.5, 0.3)
-    assert p.first == pytest.approx(0.6567923476510207, abs=1e-15)
+    first, _ = steerability_pairings_free(0.5, 0.3)
+    assert first == pytest.approx(0.6567923476510207, abs=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tau=st.floats(-3.0, 1.0), ratio=st.floats(0.0, 1.0))
+@example(tau=0.5, ratio=0.3)
+@example(tau=-3.0, ratio=0.4)
+@example(tau=1.0, ratio=1.0 - 1e-6)
+def test_functional_is_sum_of_steered_components(tau, ratio):
+    # Alice measures axis k and gets +1; the k-component of Bob's conditional
+    # Bloch vector is alpha_kk / (1 + a_k). The signed functional sums these
+    # over k, the absolute one sums their moduli. 1 + a_z falls from 1 to 0
+    # towards the singular point (1, 1), and the rounding of both sides grows
+    # as 1 / (1 + a_z), so the bound does too (worst seen: 0.5% of it).
+    f = steerability_functional_free(tau, ratio)
+    assume(not f.singular)
+    state = equilibrium_free(tau, ratio)
+    comps = [steer_bob(state, axis)[1][0][k] for k, axis in enumerate(np.eye(3))]
+    tol = 1e-13 / (1.0 + state.a_vec[2])
+    assert abs(f.literal - sum(comps)) <= tol
+    assert abs(f.absolute - sum(abs(c) for c in comps)) <= tol
 
 
 def test_functional_exceeds_flags():
