@@ -34,14 +34,13 @@ from .sweeps import (
     SIC_SWEEP_COLUMNS,
     SURFACE_COLUMNS,
     THEOREM_COLUMNS,
+    WRITERS,
     GridSpec,
     SweepResult,
     eval_boundary,
     eval_sic_free,
     eval_surface,
     eval_theorem,
-    result_to_csv,
-    result_to_json,
     run_grid,
     write_result,
 )
@@ -83,9 +82,10 @@ def _float_list(text: str):
     return values
 
 
-def _count_arg(text: str) -> int:
-    if not (text.isdigit() and int(text) >= 1):
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+def _int_arg(text: str, minimum: int = 1) -> int:
+    if not (text.isdecimal() and int(text) >= minimum):
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= {minimum}, got {text!r}")
     return int(text)
 
 
@@ -120,8 +120,7 @@ def _deliver(result: SweepResult, args, summary=()):
             raise _UsageError("--plot requires --out")
         for line in summary:
             print(line, file=sys.stderr)
-        sys.stdout.write(result_to_csv(result) if fmt == "csv"
-                         else result_to_json(result))
+        sys.stdout.write(WRITERS[fmt](result))
     return EXIT_OK
 
 
@@ -274,6 +273,9 @@ def cmd_boundary_scan(args) -> int:
 
 
 def cmd_node(args) -> int:
+    if not args.out and (args.plot or args.format):
+        flag = "--plot" if args.plot else "--format"
+        raise _UsageError(f"{flag} requires --out")
     a_star = steering_node_acceleration(args.tau, args.omega)
     if a_star is None:
         print(f"no steering node for tau = {args.tau:g} (tau <= 0)")
@@ -338,7 +340,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tau", type=float)
     p.add_argument("--init", choices=_INIT_STATES, default="ground")
     p.add_argument("--t-end", type=float, dest="t_end")
-    p.add_argument("--samples", type=_count_arg, default=201)
+    p.add_argument("--samples", type=_int_arg, default=201)
 
     p = command("sic-sweep", cmd_sic_sweep, "coherence vs acceleration")
     p.add_argument("--tau", type=_float_list)
@@ -364,13 +366,13 @@ def build_parser() -> _Parser:
 
     p = command("theorem-check", cmd_theorem_check,
                 "SIC = MID identity on random states", omega=False)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=_count_arg, default=100)
+    p.add_argument("--seed", type=partial(_int_arg, minimum=0), default=0)
+    p.add_argument("--count", type=_int_arg, default=100)
 
     for sub in subs.choices.values():
         sub.add_argument("--out",
                          help="output file; stdout (CSV/JSON text) if omitted")
-        sub.add_argument("--format", choices=("csv", "json"),
+        sub.add_argument("--format", choices=tuple(WRITERS),
                          help="default: by --out extension, else csv")
         sub.add_argument("--plot", action="store_true",
                          help="also write a gnuplot script next to --out")

@@ -362,13 +362,15 @@ def result_to_json(result: SweepResult) -> str:
     return text[:-len("[]\n}")] + "[\n" + rows + "\n  ]\n}\n"
 
 
+WRITERS = {"csv": result_to_csv, "json": result_to_json}
+
+
 def write_result(result: SweepResult, path: str, fmt: str,
                  plot: bool = False) -> list:
     """Write the table (and optionally a plot script); returns paths written."""
-    writers = {"csv": result_to_csv, "json": result_to_json}
-    if fmt not in writers:
+    if fmt not in WRITERS:
         raise DomainError(f"unknown format {fmt!r}")
-    files = [(path, writers[fmt](result))]
+    files = [(path, WRITERS[fmt](result))]
     if plot:
         files.append((path + ".gp",
                       plot_script(result, os.path.basename(path), fmt)))

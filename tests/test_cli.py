@@ -128,13 +128,16 @@ def test_evolve_json_reports_landing(capsys):
 
 def test_evolve_meta_reports_integrated_span(capsys):
     # t_end is the last sample time: the horizon by default, 0 for a single
-    # sample, where nothing is integrated
-    horizon = relaxation_horizon(kossakowski_free(UnruhParams(1.0, 2.0)))
-    for samples, t_end in (("1", 0.0), ("2", horizon), ("201", horizon)):
+    # sample, where nothing is integrated and the step is 0 as well
+    coeffs = kossakowski_free(UnruhParams(1.0, 2.0))
+    horizon, step = relaxation_horizon(coeffs), 0.05 / (12.0 * coeffs.A)
+    for samples, t_end, h in (("1", 0.0, 0.0), ("2", horizon, step),
+                              ("201", horizon, step)):
         assert main(["evolve", "--accel", "2", "--samples", samples,
                      "--format", "json"]) == 0
         meta = json.loads(capsys.readouterr().out)["meta"]
         assert meta["t_end"] == t_end and meta["samples"] == int(samples)
+        assert meta["step"] == pytest.approx(h, rel=1e-15)
 
 
 @pytest.mark.parametrize("argv", [
@@ -148,6 +151,14 @@ def test_nonpositive_counts_are_usage_errors(capsys, argv):
         main(argv)
     assert info.value.code == EXIT_USAGE
     assert "must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x", "\u00b2"])
+def test_bad_seed_is_usage_error(capsys, seed):
+    with pytest.raises(SystemExit) as info:
+        main(["theorem-check", "--seed", seed, "--count", "2"])
+    assert info.value.code == EXIT_USAGE
+    assert "must be an integer >= 0" in capsys.readouterr().err
 
 
 def test_evolve_requires_accel(capsys):
@@ -318,9 +329,33 @@ def test_jobs_do_not_change_bytes(tmp_path, monkeypatch, capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_plot_requires_out(capsys):
-    assert main(["steerability-surface", "--grid", "tau:linear:-3:1:3",
-                 "--grid", "R:linear:0:1:3", "--plot"]) == EXIT_USAGE
+_EVERY_COMMAND = {
+    "equilibrium": ["--accel", "2", "--tau", "0.5"],
+    "evolve": ["--accel", "2", "--samples", "2"],
+    "sic-sweep": ["--tau", "0.5", "--grid", "a:log:1:10:2"],
+    "tau-sweep": ["--accel", "2", "--grid", "tau:linear:-3:1:2"],
+    "steerability-surface": ["--grid", "tau:linear:-3:1:2",
+                             "--grid", "R:linear:0:1:2"],
+    "boundary-scan": ["--grid", "a:log:1:2:2", "--grid", "z:log:0.5:1:2",
+                      "--grid", "L:log:0.5:1:2"],
+    "node": ["--tau", "0.25"],
+    "theorem-check": ["--count", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_EVERY_COMMAND))
+def test_plot_requires_out(capsys, command):
+    assert main([command, *_EVERY_COMMAND[command], "--plot"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--plot requires --out" in captured.err
+
+
+def test_node_format_without_out_is_usage_error(capsys):
+    # without --out, node prints a sentence, not a table
+    assert main(["node", "--tau", "0.25", "--format", "json"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--format requires --out" in captured.err
 
 
 def test_plot_script_written(tmp_path, capsys):

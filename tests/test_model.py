@@ -9,6 +9,7 @@ not part of the coefficient equations).
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -384,6 +385,35 @@ def test_boundary_detailed_balance_identity():
         for sep in (0.05, 0.5, 3.0):
             kb = kossakowski_boundary(UnruhParams(1.0, 3.0), z, sep)
             assert kb.A1 * kb.B2 == pytest.approx(kb.A2 * kb.B1, rel=1e-12)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(omega=_log_uniform(1e-3, 1e3), accel=_log_uniform(1e-2, 1e4),
+       z=_log_uniform(1e-9, 1e4), sep=_log_uniform(1e-9, 1e4))
+@example(omega=1.0, accel=2.0, z=1e-9, sep=1e-9)      # sinc == 1: A1 = A2 = 0
+@example(omega=1.0, accel=2.0, z=4e-5, sep=1e-5)      # series branch, A != 0
+@example(omega=1.0, accel=2.0, z=1.0, sep=1.0)
+def test_boundary_c_is_minus_a_exactly(omega, accel, z, sep):
+    # C1 = -A1 and C2 = -A2 by construction. The reference forms below write
+    # C with the sinc differences reversed; they match -A exactly, because
+    # fl(s - 1) = -fl(1 - s) and fl(q - p) = -fl(p - q) under round to
+    # nearest and the common factor pref * th keeps the negation exact.
+    # == on floats is bitwise except for the sign of zero: where sinc rounds
+    # to 1 the reference gives +0.0 and -A gives -0.0.
+    params = UnruhParams(omega, accel)
+    kb = kossakowski_boundary(params, z, sep)
+    assert struct.pack("<2d", kb.C1, kb.C2) == struct.pack("<2d", -kb.A1, -kb.A2)
+    pref = omega / (4.0 * math.pi)
+    th = model._thermal_factor(params.beta * omega)
+    sinc = model.sinc
+    c1_ref = pref * th * (sinc(2.0 * z * omega) - 1.0)
+    c2_ref = pref * th * (-sinc(sep * omega)
+                          + sinc(math.sqrt(sep * sep + 4.0 * z * z) * omega))
+    assert c1_ref == -kb.A1 and c2_ref == -kb.A2
 
 
 @settings(max_examples=40, deadline=None)
