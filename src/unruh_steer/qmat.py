@@ -9,8 +9,8 @@ with qubit A the left tensor factor and the computational basis ordered
 |00>, |01>, |10>, |11>. ``a`` and ``b`` are the local Bloch vectors of A
 and B, ``T`` the 3x3 correlation block. Hermiticity is automatic for real
 coefficients; positivity is not, and is checked only where an operation
-requires it. Maps such as B-side dephasing along a unit axis e, which takes
-(a, b, T) to (a, (b.e) e, T e e^T), act on the coefficients directly
+requires it. Maps such as the B-side dephasing along Bob's Bloch axis e,
+which takes (a, b, T) to (a, b, T e e^T), act on the coefficients directly
 (``steering.one_sided_mid``).
 """
 

@@ -6,9 +6,9 @@ conditional states form the steered ensemble. The steering-induced
 coherence (SIC) is the ensemble-average l1 coherence of Bob's conditional
 states, measured in the eigenbasis of his unconditional reduced state,
 maximized over m. The one-sided measurement-induced disturbance (MID) is
-the trace-norm distance between the state and its B-side dephasing in that
-same eigenbasis, the dephasing taken in Fano coordinates. The two coincide
-for two qubits; ``theorem1_residual`` checks the identity numerically.
+the trace-norm distance between the state and its B-side dephasing along
+Bob's axis e, in Fano coordinates (a, b, T) -> (a, b, T e e^T). The two
+coincide for two qubits; ``theorem1_residual`` checks the identity numerically.
 
 One 3x3 SVD gives the optimum. With Bob's axis e = b/|b| and P_e = I - e e^T,
 P_e b = 0, so Alice's axis m yields average coherence |P_e T^T m| and SIC
@@ -96,11 +96,13 @@ def one_sided_mid(state: FanoState) -> float:
     """Trace-norm disturbance Tr|rho - D_B(rho)| under B-side dephasing.
 
     D_B dephases along the reference axis e that ``sic_solution`` selects;
-    in Fano coordinates it maps (a, b, T) to (a, (b.e) e, T e e^T).
+    in Fano coordinates it maps (a, b, T) to (a, b, T e e^T): above the
+    degeneracy gate e = b/|b| keeps b, and below it the SIC drops b, so MID
+    does too. rho - D_B(rho) is the correlation block T (I - e e^T) alone.
     """
     m = _require_physical(state)
     e = _solve_sic(state.b_vec, state.t_mat).ref_axis
-    dephased = np.concatenate([state.a_vec, (state.b_vec @ e) * e,
+    dephased = np.concatenate([state.a_vec, state.b_vec,
                                np.outer(state.t_mat @ e, e).ravel()])
     return trace_norm(m - fano_matrices(dephased))
 
@@ -122,6 +124,17 @@ class SteerabilityFree(NamedTuple):
     singular: bool
 
 
+def coherence_sum_terms(tau, ratio):
+    """term1, the second term's numerator and denominator, and the singular
+    gate |denominator| <= 1e-12 of :func:`steerability_functional_free`;
+    plain arithmetic, so Python floats and numpy arrays alike."""
+    square = ratio * ratio
+    denom2 = square - ratio * (tau + 3.0) + 3.0
+    term1 = 2.0 * (tau - square) / (3.0 + square)
+    num2 = square * (tau + 2.0) - ratio * (tau + 3.0) + tau
+    return term1, num2, denom2, abs(denom2) <= 1e-12
+
+
 def steerability_functional_free(tau: float, ratio: float) -> SteerabilityFree:
     """Coherence-sum steering functional of the equilibrium family.
 
@@ -138,12 +151,9 @@ def steerability_functional_free(tau: float, ratio: float) -> SteerabilityFree:
     flagged singular with NaN values instead of raising.
     """
     check_leaf(tau, ratio)
-    denom1 = 3.0 + ratio * ratio
-    denom2 = ratio * ratio - ratio * (tau + 3.0) + 3.0
-    if abs(denom2) <= 1e-12:
+    term1, num2, denom2, singular = coherence_sum_terms(tau, ratio)
+    if singular:
         return SteerabilityFree(math.nan, math.nan, False, False, True)
-    term1 = 2.0 * (tau - ratio * ratio) / denom1
-    num2 = ratio * ratio * (tau + 2.0) - ratio * (tau + 3.0) + tau
     literal = term1 + num2 / denom2
     absolute = abs(term1) + abs(num2) / denom2
     return SteerabilityFree(literal=literal, absolute=absolute,

@@ -1,13 +1,13 @@
 """Deterministic parameter-sweep engine with CSV/JSON emission.
 
 Evaluators take the whole grid at once, flattened in lexicographic order, one
-array per axis; domain errors at single points become row diagnostics instead
-of aborting the sweep. The result table is column-major, one list per
-column, and both writers work a column at a time.
-Serialization is reproducible: CSV floats at 17 significant digits, JSON
-floats as the shortest repr that round-trips, LF endings, and a timestamp
-derived from SOURCE_DATE_EPOCH (epoch zero when unset) rather than the wall
-clock.
+array per axis; the surface evaluator works on whole arrays, the others row
+by row. Domain errors at single points become row diagnostics instead of
+aborting the sweep. The result table is column-major, one list per column,
+and both writers work a column at a time. Serialization is reproducible: CSV
+floats at 17 significant digits, JSON floats as the shortest repr that
+round-trips, LF endings, and a timestamp derived from SOURCE_DATE_EPOCH
+(epoch zero when unset) rather than the wall clock.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConsistencyError, DomainError, UnruhSteerError
 from .model import (
     UnruhParams,
-    equilibrium_free,
+    check_leaf,
     kossakowski_boundary,
     kossakowski_free,
     leaf_mask,
@@ -31,6 +31,7 @@ from .model import (
 from .qmat import matrix_to_fano
 from .steering import (
     SQRT6,
+    coherence_sum_terms,
     one_sided_mid,
     sic_closed_form_free,
     steerability_functional_free,
@@ -172,41 +173,25 @@ def _pointwise(point, n_out, *axes):
 
 
 def eval_sic_free(omega: float, tau, accel):
-    """Columns (R, sic) for the free-space equilibrium; closed-form SIC.
-
-    R is computed once per acceleration, the SIC on whole arrays. The
-    equilibrium is positive wherever ``equilibrium_free`` accepts (tau, R),
-    so it is built only to flag the rows outside that range.
-    """
+    """Columns (R, sic) for the free-space equilibrium, row by row: R from
+    ``kossakowski_free``, the (tau, R) domain check of ``equilibrium_free``
+    (which accepts only positive states), then the closed-form SIC."""
     def point(t, a):
         ratio = kossakowski_free(UnruhParams(omega, a)).ratio
-        equilibrium_free(t, ratio)
+        check_leaf(t, ratio)
         return ratio, sic_closed_form_free(t, ratio)
 
-    values, where = np.unique(accel, return_inverse=True)
-    (ratios,), _ = _pointwise(
-        lambda a: (kossakowski_free(UnruhParams(omega, a)).ratio,), 1, values)
-    ratio = np.array(ratios)[where]
-    columns = [ratio.tolist(), sic_closed_form_free(tau, ratio).tolist()]
-    diagnostics = [""] * tau.size
-    _fill_rows(columns, diagnostics, np.flatnonzero(~leaf_mask(tau, ratio)),
-               point, tau, accel)
-    return columns, diagnostics
+    return _pointwise(point, len(SIC_SWEEP_COLUMNS), tau, accel)
 
 
 def eval_surface(tau, ratio):
     """Columns SURFACE_COLUMNS of ``steerability_functional_free``.
 
-    The same arithmetic in the same operation order, on whole arrays; the
-    singular point comes back NaN/False with the diagnostic "singular".
+    Its terms, from ``coherence_sum_terms``, on whole arrays; the singular
+    point comes back NaN/False with the diagnostic "singular".
     """
-    square = ratio * ratio
     with np.errstate(all="ignore"):
-        denom1 = 3.0 + square
-        denom2 = square - ratio * (tau + 3.0) + 3.0
-        singular = np.abs(denom2) <= 1e-12
-        term1 = 2.0 * (tau - square) / denom1
-        num2 = square * (tau + 2.0) - ratio * (tau + 3.0) + tau
+        term1, num2, denom2, singular = coherence_sum_terms(tau, ratio)
         literal = np.where(singular, math.nan, term1 + num2 / denom2)
         absolute = np.where(singular, math.nan,
                             np.abs(term1) + np.abs(num2) / denom2)

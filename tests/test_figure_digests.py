@@ -4,8 +4,9 @@ The four CSV commands of ``bench/workloads.py``'s ``FIGURE_COMMANDS`` run
 through ``cli.main`` into a temporary directory; their digests must equal
 ``bench/digests.json``, which this test reads and never writes. The fig3
 JSON must match the digest pinned here and read back equal to the fig3 CSV,
-two ``evolve`` outputs must match the digests pinned here, and so must the
-``sic`` column of one ``theorem-check`` run.
+two ``evolve`` outputs and three sweeps with flagged rows must match the
+digests pinned here, and so must the ``sic`` column of one ``theorem-check``
+run.
 """
 
 import contextlib
@@ -52,6 +53,20 @@ EVOLVE_SHA256 = {
         "64d67aeb9562d88a98e8a07acb5e45589c0cb91ff4f78aca36867585f09235e3",
 }
 
+# sweeps with flagged rows (out-of-range tau and accel, NaN tau) and with
+# accelerations at the ends of the float range, with SOURCE_DATE_EPOCH=
+# 1700000000, as the array evaluator with its flagged-row pass wrote them;
+# the bench digests hold no flagged row
+FLAGGED_SWEEP_SHA256 = {
+    ("sic-sweep", "--tau=-4,-1,0.5,2,nan", "--grid", "a:log:0.5:100:50"):
+        "f9dce0a94aa3304ceafc7f54303272e0523a65ea979e2f9c0468272f35c03480",
+    ("tau-sweep", "--accel=-1,0,1,inf", "--grid", "tau:linear:-4:2:61"):
+        "197d5f0d32af81eb5e32f99676b7b7d778b991712fbbd78da51c25657d0aa1a4",
+    ("sic-sweep", "--tau=-1,0.5", "--grid", "a:log:1e-300:1e300:40",
+     "--format", "json"):
+        "80be63dab03ea58efc659535c1971f174c25403319383a1517cc474fd704ddb3",
+}
+
 # the sic cells of theorem-check --seed 0 --count 200 (CSV, joined by
 # newlines), as written while MID still dephased with 4x4 projectors; the
 # mid and residual columns may move in the last ulp
@@ -92,6 +107,17 @@ def test_evolve_matches_pinned_digest(tmp_path, monkeypatch, argv):
     path = tmp_path / "evolve.out"
     _run(["evolve", *argv, "--out", str(path)])
     assert hashlib.sha256(path.read_bytes()).hexdigest() == EVOLVE_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", list(FLAGGED_SWEEP_SHA256),
+                         ids=["sic-flagged-tau", "tau-flagged-accel",
+                              "sic-extreme-accel-json"])
+def test_flagged_sweep_matches_pinned_digest(tmp_path, monkeypatch, argv):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    path = tmp_path / "sweep.out"
+    _run([*argv, "--out", str(path)])
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == FLAGGED_SWEEP_SHA256[argv])
 
 
 def test_theorem_check_keeps_sic_bytes_and_residual(capsys):

@@ -455,6 +455,20 @@ def test_equilibrium_boundary_degenerate_limit():
         equilibrium_boundary(flat, 0.25)
 
 
+def test_boundary_ratio_where_a1_underflows():
+    # 1 - sinc(2 z omega) rounds to 0 at z = 1e-9, so A1 = B1 = 0; the ratio
+    # is still the thermal B / A, and D underflows onto the free fallback
+    params = UnruhParams(1.0, 2.0)
+    kb = kossakowski_boundary(params, 1e-9, 1.0)
+    assert kb.A1 == 0.0
+    ratio = kossakowski_free(params).ratio
+    assert kb.ratio == ratio
+    eq = equilibrium_boundary(kb, fallback_tau=0.5)
+    assert eq.is_limit
+    assert np.array_equal(eq.state.to_vector(),
+                          equilibrium_free(0.5, ratio).to_vector())
+
+
 @pytest.mark.parametrize("degenerate", [False, True])
 def test_equilibrium_boundary_checks_fallback_tau(degenerate):
     # a fallback leaf outside [-3, 1] is an error whether or not D underflows

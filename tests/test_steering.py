@@ -212,11 +212,26 @@ def test_mid_is_projector_dephasing_along_reference_axis(seed, unital):
 @example(tau=-3.0, ratio=0.95)
 @example(tau=0.5, ratio=0.46211715726000974)
 @example(tau=1.0, ratio=0.0)
+@example(tau=-2.5865720988870864e-17, ratio=1e-12)   # |b| = 1e-12, below the gate
 def test_sic_equals_mid_on_equilibria(tau, ratio):
     state = equilibrium_free(tau, ratio)
     assert one_sided_mid(state) == pytest.approx(
         sic_closed_form_free(tau, ratio), abs=1e-12)
     assert theorem1_residual(state) < 1e-12
+
+
+def test_mid_ignores_b_below_the_degeneracy_gate():
+    # rotated Bell-diagonal states with rank-one T, so sigma_2(T) = 0, and
+    # |b| = 1e-12 below DEGENERACY_GATE: the SIC drops b, and so must MID.
+    # Dephasing b along T's top axis would add |b - (b.e) e| ~ 1e-12 here.
+    rng = np.random.default_rng(13)
+    for c1 in (-1.0, -0.5, 0.3, 0.9):
+        u, v, b = rng.normal(size=(3, 3))
+        state = FanoState(a_vec=np.zeros(3), b_vec=1e-12 * b / np.linalg.norm(b),
+                          t_mat=c1 * np.outer(u, v) / np.linalg.norm(u)
+                          / np.linalg.norm(v))
+        assert state.is_physical()
+        assert one_sided_mid(state) <= 1e-15
 
 
 def test_sic_equals_mid_on_random_states():
