@@ -20,6 +20,7 @@ from . import __version__
 from .errors import UnruhSteerError
 from .model import (
     UnruhParams,
+    check_omega,
     equilibrium_boundary,
     equilibrium_free,
     evolve,
@@ -55,8 +56,15 @@ STATE_COLUMNS = ("ax", "ay", "az", "bx", "by", "bz",
                  "txx", "txy", "txz", "tyx", "tyy", "tyz",
                  "tzx", "tzy", "tzz")
 
-FIG1_TAUS = (-3.0, -2.0, -1.0, -0.5, 0.5, 1.0)
-FIG2_ACCELS = (1.0, 2.0 * math.pi, 50.0)
+# the options each --preset stands for; giving one of them too is a usage error
+PRESETS = {
+    "fig1": {"tau": (-3.0, -2.0, -1.0, -0.5, 0.5, 1.0),
+             "grid": (GridSpec("a", "log", 0.5, 100.0, 200),)},
+    "fig2": {"accel": (1.0, 2.0 * math.pi, 50.0),
+             "grid": (GridSpec("tau", "linear", -3.0, 1.0, 201),)},
+    "fig3": {"grid": (GridSpec("tau", "linear", -3.0, 1.0, 500),
+                      GridSpec("R", "linear", 0.0, 1.0, 500))},
+}
 
 
 class _UsageError(Exception):
@@ -162,13 +170,13 @@ _INIT_STATES = ("ground", "excited", "singlet", "tau-mixed")
 
 
 def _initial_state(name: str, tau) -> FanoState:
+    if (name == "tau-mixed") != (tau is not None):
+        raise _UsageError("--init tau-mixed needs --tau, and no other --init takes it")
     if name in ("ground", "excited"):
         n = np.array([0.0, 0.0, 1.0 if name == "excited" else -1.0])
         return FanoState(n, n, np.outer(n, n))
     if name == "singlet":
         return FanoState(np.zeros(3), np.zeros(3), -np.eye(3))
-    if tau is None:
-        raise _UsageError("--init tau-mixed requires --tau")
     return FanoState(np.zeros(3), np.zeros(3), (tau / 3.0) * np.eye(3))
 
 
@@ -194,14 +202,11 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_sic_sweep(args) -> int:
-    if args.preset == "fig1":
-        taus, grid = list(FIG1_TAUS), GridSpec("a", "log", 0.5, 100.0, 200)
-    elif args.tau is None:
+    if args.tau is None:
         raise _UsageError("--tau list is required (or use --preset fig1)")
-    else:
-        taus, (grid,) = args.tau, _pick_grids(args.grid, ("a",))
-    axes = (("tau", np.asarray(taus, dtype=float)), ("a", grid.values()))
-    meta = {"command": "sic-sweep", "omega": args.omega, "tau": list(taus),
+    (grid,) = _pick_grids(args.grid, ("a",))
+    axes = (("tau", np.asarray(args.tau, dtype=float)), ("a", grid.values()))
+    meta = {"command": "sic-sweep", "omega": args.omega, "tau": list(args.tau),
             "grid": grid.spec_string(), "preset": args.preset or "",
             "axes": ("tau", "a")}
     result = run_grid(axes, partial(eval_sic_free, args.omega),
@@ -210,15 +215,12 @@ def cmd_sic_sweep(args) -> int:
 
 
 def cmd_tau_sweep(args) -> int:
-    if args.preset == "fig2":
-        accels, grid = list(FIG2_ACCELS), GridSpec("tau", "linear", -3.0, 1.0, 201)
-    elif args.accel is None:
+    if args.accel is None:
         raise _UsageError("--accel list is required (or use --preset fig2)")
-    else:
-        accels, (grid,) = args.accel, _pick_grids(args.grid, ("tau",))
-    axes = (("a", np.asarray(accels, dtype=float)), ("tau", grid.values()))
+    (grid,) = _pick_grids(args.grid, ("tau",))
+    axes = (("a", np.asarray(args.accel, dtype=float)), ("tau", grid.values()))
     meta = {"command": "tau-sweep", "omega": args.omega,
-            "accel": list(accels), "grid": grid.spec_string(),
+            "accel": list(args.accel), "grid": grid.spec_string(),
             "preset": args.preset or "", "axes": ("a", "tau")}
     result = run_grid(axes,
                       lambda accel, tau: eval_sic_free(args.omega, tau, accel),
@@ -244,11 +246,7 @@ def _surface_summary(result: SweepResult):
 
 
 def cmd_surface(args) -> int:
-    if args.preset == "fig3":
-        grids = [GridSpec("tau", "linear", -3.0, 1.0, 500),
-                 GridSpec("R", "linear", 0.0, 1.0, 500)]
-    else:
-        grids = _pick_grids(args.grid, ("tau", "R"))
+    grids = _pick_grids(args.grid, ("tau", "R"))
     axes = tuple((g.name, g.values()) for g in grids)
     meta = {"command": "steerability-surface",
             "grid": [g.spec_string() for g in grids],
@@ -383,6 +381,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        preset = getattr(args, "preset", None)
+        for name, value in PRESETS.get(preset, {}).items():
+            if getattr(args, name) is not None:
+                raise _UsageError(f"--preset {preset} sets --{name} itself")
+            setattr(args, name, value)
+        if hasattr(args, "omega"):
+            check_omega(args.omega)
         return args.handler(args)
     except (_UsageError, UnruhSteerError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)

@@ -70,7 +70,7 @@ def check_leaf(tau: float, ratio: float = 0.0) -> None:
         raise DomainError(f"ratio = {float(ratio)!r} outside [0, 1]")
 
 
-def _check_omega(omega: float) -> None:
+def check_omega(omega: float) -> None:
     if not (omega > 0.0 and math.isfinite(omega)):
         raise DomainError("omega must be positive and finite")
 
@@ -86,7 +86,7 @@ class UnruhParams:
     accel: float
 
     def __post_init__(self):
-        _check_omega(self.omega)
+        check_omega(self.omega)
         if not self.accel > 0.0:
             raise DomainError("accel must be positive (inf allowed)")
 
@@ -382,11 +382,11 @@ def evolve(state: FanoState, coeffs: KossakowskiFree, t_end: float | None = None
     y = np.append(state.to_vector(), 1.0)
     vectors = np.empty((samples, 15))
     filled = 0
-    for target, span in zip(times, np.diff(times, prepend=0.0)):
-        # skip intervals below the rounding floor: their sub-ulp steps only add
-        # rounding (from the ground state at a = 2, t_end = 1e-13 lands 4.0e-14
-        # from y0 + t f(y0) when integrated, 5.8e-15 when skipped)
-        if span > 1e-15 * max(1.0, target):
+    for span in np.diff(times, prepend=0.0):
+        # skip intervals whose change, span times the rate 12 A of h, is sub-ulp:
+        # their steps only add rounding (from the ground state at a = 2, t_end =
+        # 1e-13 lands 4.0e-14 from y0 + t f(y0) integrated, 5.8e-15 skipped)
+        if span * 12.0 * coeffs.A > 1e-15:
             nsub = max(1, int(math.ceil(span / h)))
             sg = (span / nsub) * gen   # RK4 step map: sum_{k<=4} (sG)^k / k!
             step = eye + sg @ (eye + sg @ (eye + sg @ (eye + sg / 4) / 3) / 2)
@@ -421,7 +421,7 @@ def steering_node_acceleration(tau: float, omega: float) -> float | None:
     tau <= 0 (no finite node) and 0.0 for tau = 1 as the a -> 0 boundary
     marker.
     """
-    _check_omega(omega)
+    check_omega(omega)
     check_leaf(tau)
     if tau <= 0.0:
         return None

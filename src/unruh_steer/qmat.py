@@ -11,7 +11,7 @@ and B, ``T`` the 3x3 correlation block. Hermiticity is automatic for real
 coefficients; positivity is not, and is checked only where an operation
 requires it. Maps such as the B-side dephasing along Bob's Bloch axis e,
 which takes (a, b, T) to (a, b, T e e^T), act on the coefficients directly
-(``steering.one_sided_mid``).
+(``steering.one_sided_mid`` builds only the block T (I - e e^T) it removes).
 """
 
 from __future__ import annotations

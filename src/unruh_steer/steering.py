@@ -7,8 +7,9 @@ coherence (SIC) is the ensemble-average l1 coherence of Bob's conditional
 states, measured in the eigenbasis of his unconditional reduced state,
 maximized over m. The one-sided measurement-induced disturbance (MID) is
 the trace-norm distance between the state and its B-side dephasing along
-Bob's axis e, in Fano coordinates (a, b, T) -> (a, b, T e e^T). The two
-coincide for two qubits; ``theorem1_residual`` checks the identity numerically.
+Bob's axis e, (a, b, T) -> (a, b, T e e^T) in Fano coordinates: the trace
+norm of the correlation block T (I - e e^T) that the dephasing removes. The
+two coincide for two qubits; ``theorem1_residual`` checks the identity.
 
 One 3x3 SVD gives the optimum. With Bob's axis e = b/|b| and P_e = I - e e^T,
 P_e b = 0, so Alice's axis m yields average coherence |P_e T^T m| and SIC
@@ -33,12 +34,10 @@ DEGENERACY_GATE = 1e-9    # |b| below this: reduced state treated as maximally m
 PHYSICALITY_TOL = 1e-10   # min-eigenvalue gate on input states
 
 
-def _require_physical(state: FanoState) -> np.ndarray:
-    m = fano_to_matrix(state)
-    low = min_eigenvalue(m)
+def _require_physical(state: FanoState) -> None:
+    low = min_eigenvalue(fano_to_matrix(state))
     if low < -PHYSICALITY_TOL:
         raise NotPositive(f"state has min eigenvalue {low:.3e}")
-    return m
 
 
 # ----- steering-induced coherence -----
@@ -57,17 +56,6 @@ def _frozen(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _solve_sic(b: np.ndarray, t_mat: np.ndarray) -> SicSolution:
-    # unvalidated core, so one_sided_mid reuses its own physicality check
-    blen = float(np.linalg.norm(b))
-    if blen < DEGENERACY_GATE:
-        u, s, vt = np.linalg.svd(t_mat)
-        return SicSolution(float(s[1]), _frozen(u[:, 1]), _frozen(vt[0]))
-    e_hat = b / blen
-    _, s, vt = np.linalg.svd((np.eye(3) - np.outer(e_hat, e_hat)) @ t_mat.T)
-    return SicSolution(float(s[0]), _frozen(vt[0]), _frozen(e_hat))
-
-
 def sic_solution(state: FanoState) -> SicSolution:
     """Optimal SIC value and axes from one 3x3 SVD.
 
@@ -77,7 +65,13 @@ def sic_solution(state: FanoState) -> SicSolution:
     T's top right singular vector and the value sigma_2(T).
     """
     _require_physical(state)
-    return _solve_sic(state.b_vec, state.t_mat)
+    blen = float(np.linalg.norm(state.b_vec))
+    if blen < DEGENERACY_GATE:
+        u, s, vt = np.linalg.svd(state.t_mat)
+        return SicSolution(float(s[1]), _frozen(u[:, 1]), _frozen(vt[0]))
+    e_hat = state.b_vec / blen
+    _, s, vt = np.linalg.svd((np.eye(3) - np.outer(e_hat, e_hat)) @ state.t_mat.T)
+    return SicSolution(float(s[0]), _frozen(vt[0]), _frozen(e_hat))
 
 
 def steering_induced_coherence(state: FanoState) -> float:
@@ -98,13 +92,13 @@ def one_sided_mid(state: FanoState) -> float:
     D_B dephases along the reference axis e that ``sic_solution`` selects;
     in Fano coordinates it maps (a, b, T) to (a, b, T e e^T): above the
     degeneracy gate e = b/|b| keeps b, and below it the SIC drops b, so MID
-    does too. rho - D_B(rho) is the correlation block T (I - e e^T) alone.
+    does too. rho - D_B(rho) is the correlation block T (I - e e^T) alone,
+    1/4 sum_ij [T (I - e e^T)]_ij s_i x s_j, built here without rho.
     """
-    m = _require_physical(state)
-    e = _solve_sic(state.b_vec, state.t_mat).ref_axis
-    dephased = np.concatenate([state.a_vec, state.b_vec,
-                               np.outer(state.t_mat @ e, e).ravel()])
-    return trace_norm(m - fano_matrices(dephased))
+    e = sic_solution(state).ref_axis
+    removed = state.t_mat - np.outer(state.t_mat @ e, e)
+    block = np.concatenate([np.zeros(6), removed.ravel()])
+    return trace_norm(fano_matrices(block) - 0.25 * np.eye(4))
 
 
 def theorem1_residual(state: FanoState) -> float:

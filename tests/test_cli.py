@@ -8,8 +8,10 @@ real interpreter entry point. argparse-level usage errors raise SystemExit
 import json
 import math
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +171,15 @@ def test_evolve_tau_mixed_requires_tau(capsys):
     assert main(["evolve", "--accel", "2", "--init", "tau-mixed"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("init", ["ground", "excited", "singlet"])
+def test_evolve_tau_needs_tau_mixed(capsys, init):
+    # only the tau-mixed initial state reads --tau
+    assert main(["evolve", "--accel", "2", "--init", init,
+                 "--tau", "0.7"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--init tau-mixed" in captured.err
+
+
 def test_sic_sweep_values(capsys):
     assert main(["sic-sweep", "--tau", "0.5", "--grid", "a:log:1:100:5"]) == 0
     header, rows = _csv_rows(capsys.readouterr().out)
@@ -219,6 +230,38 @@ def test_tau_sweep_values(capsys):
     for row in rows:
         assert float(row["sic"]) == pytest.approx(
             sic_closed_form_free(float(row["tau"]), r), abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sic-sweep", "--omega", "0", "--tau", "0.5", "--grid", "a:log:1:10:3"],
+    ["tau-sweep", "--omega", "nan", "--accel", "2",
+     "--grid", "tau:linear:-3:1:3"],
+    ["boundary-scan", "--omega", "-1", "--grid", "a:log:1:2:2",
+     "--grid", "z:log:0.5:1:2", "--grid", "L:log:0.5:1:2"],
+    ["sic-sweep", "--omega", "inf", "--preset", "fig1"],
+])
+def test_sweep_rejects_bad_omega(capsys, argv):
+    # omega is one value for the whole grid: a domain error, not flagged rows
+    assert main(argv) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "omega must be positive and finite" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sic-sweep", "--preset", "fig1", "--tau", "0.5"],
+    ["sic-sweep", "--preset", "fig1", "--grid", "a:log:1:2:3"],
+    ["tau-sweep", "--preset", "fig2", "--accel", "2"],
+    ["steerability-surface", "--preset", "fig3",
+     "--grid", "tau:linear:-3:1:5", "--grid", "R:linear:0:1:5"],
+])
+def test_preset_conflicts_with_its_options(capsys, argv):
+    # a preset sets --tau/--accel/--grid itself; giving one too is a usage
+    # error rather than an option silently overridden
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--preset {argv[2]} sets" in captured.err
 
 
 def test_surface_summary(capsys):
@@ -378,3 +421,19 @@ def test_interpreter_entry_point():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "5.71920173" in proc.stdout
+
+
+def _readme_cli_examples():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("unruh-steer ")]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_examples(),
+                         ids=lambda argv: argv[0])
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0

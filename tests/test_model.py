@@ -250,6 +250,28 @@ def test_default_horizon_lands_random_states():
     assert traj.converged, traj.landing
 
 
+@pytest.mark.parametrize("accel", [1e15, 1e100, 1e200])
+def test_evolve_relaxes_at_large_acceleration(accel):
+    # the default horizon is ~1e-13 or shorter here; every interval is far
+    # above the rounding floor in units of the rate 12 A and is integrated
+    k = kossakowski_free(UnruhParams(1.0, accel))
+    n = np.array([0.0, 0.0, 1.0])
+    traj = evolve(FanoState(-n, -n, np.outer(n, n)), k)
+    assert traj.times[-1] == relaxation_horizon(k)
+    assert traj.converged, traj.landing
+
+
+def test_evolve_skips_sub_ulp_intervals():
+    # from the ground state at a = 2, 200 intervals of 5e-16 change y by
+    # less than an ulp; skipping them leaves y0 + t f(y0) to rounding
+    k = kossakowski_free(UnruhParams(1.0, 2.0))
+    n = np.array([0.0, 0.0, 1.0])
+    ground = FanoState(-n, -n, np.outer(n, n))
+    traj = evolve(ground, k, t_end=1e-13)
+    euler = ground.to_vector() + 1e-13 * ode_rhs(ground, k).to_vector()
+    assert np.abs(traj.vectors[-1] - euler).max() < 1e-14
+
+
 def test_evolve_rejects_unphysical_input():
     k = kossakowski_free(REF)
     with pytest.raises(UnphysicalDrift):
