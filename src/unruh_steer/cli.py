@@ -128,7 +128,7 @@ def _deliver(result: SweepResult, args, summary=()):
             raise _UsageError("--plot requires --out")
         for line in summary:
             print(line, file=sys.stderr)
-        sys.stdout.write(WRITERS[fmt](result))
+        sys.stdout.writelines(WRITERS[fmt](result))
     return EXIT_OK
 
 

@@ -95,7 +95,12 @@ def one_sided_mid(state: FanoState) -> float:
     does too. rho - D_B(rho) is the correlation block T (I - e e^T) alone,
     1/4 sum_ij [T (I - e e^T)]_ij s_i x s_j, built here without rho.
     """
-    e = sic_solution(state).ref_axis
+    return _mid_of_solution(state, sic_solution(state))
+
+
+def _mid_of_solution(state: FanoState, solution: SicSolution) -> float:
+    """MID of ``state`` along the reference axis of its ``sic_solution``."""
+    e = solution.ref_axis
     removed = state.t_mat - np.outer(state.t_mat @ e, e)
     block = np.concatenate([np.zeros(6), removed.ravel()])
     return trace_norm(fano_matrices(block) - 0.25 * np.eye(4))
@@ -103,7 +108,8 @@ def one_sided_mid(state: FanoState) -> float:
 
 def theorem1_residual(state: FanoState) -> float:
     """|SIC - MID|: SVD value against 4x4 trace norm, zero up to rounding."""
-    return abs(steering_induced_coherence(state) - one_sided_mid(state))
+    solution = sic_solution(state)
+    return abs(solution.value - _mid_of_solution(state, solution))
 
 
 # ----- coherence-sum steering criteria -----

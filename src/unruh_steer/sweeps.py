@@ -4,10 +4,11 @@ Evaluators take the whole grid at once, flattened in lexicographic order, one
 array per axis; the surface evaluator works on whole arrays, the others row
 by row. Domain errors at single points become row diagnostics instead of
 aborting the sweep. The result table is column-major, one list per column,
-and both writers work a column at a time. Serialization is reproducible: CSV
-floats at 17 significant digits, JSON floats as the shortest repr that
-round-trips, LF endings, and a timestamp derived from SOURCE_DATE_EPOCH
-(epoch zero when unset) rather than the wall clock.
+and both writers emit it in blocks of ``BLOCK_ROWS`` rows, a column at a
+time within a block, so no writer holds a whole file's text. Serialization
+is reproducible: CSV floats at 17 significant digits, JSON floats as the
+shortest repr that round-trips, LF endings, and a timestamp derived from
+SOURCE_DATE_EPOCH (epoch zero when unset) rather than the wall clock.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain
 
 import numpy as np
 
@@ -31,16 +33,17 @@ from .model import (
 from .qmat import matrix_to_fano
 from .steering import (
     SQRT6,
+    _mid_of_solution,
     coherence_sum_terms,
-    one_sided_mid,
     sic_closed_form_free,
+    sic_solution,
     steerability_functional_free,
     steerability_verdict_boundary,
-    steering_induced_coherence,
 )
 
 GRID_NAMES = ("a", "tau", "R", "z", "L")
 DIAGNOSTICS_COLUMN = "diagnostics"
+BLOCK_ROWS = 4096   # rows per writer chunk: the text of one block is in memory
 
 
 # ----- sweep grid axes -----
@@ -216,10 +219,12 @@ def eval_boundary(omega: float, accel, z, sep):
 
 
 def eval_theorem(states: np.ndarray, index):
-    """Columns (sic, mid, residual) of ``states[index]``, state by state."""
+    """Columns (sic, mid, residual) of ``states[index]``, state by state,
+    from one ``sic_solution`` per state."""
     def point(i):
         state = matrix_to_fano(states[int(i)])
-        sic, mid = steering_induced_coherence(state), one_sided_mid(state)
+        solution = sic_solution(state)
+        sic, mid = solution.value, _mid_of_solution(state, solution)
         return sic, mid, abs(sic - mid)
 
     return _pointwise(point, len(THEOREM_COLUMNS), index)
@@ -251,7 +256,7 @@ def _parse_cell(text: str):
 
 
 def _column_text(values, float_text, other_text) -> list:
-    """Text of each cell of one column, a whole column per pass.
+    """Text of each cell of one column (of one block), in one pass.
 
     Bools read true/false, floats go through ``float_text`` and any other
     cell through ``other_text``. Each distinct float is spelled once, keyed
@@ -275,19 +280,38 @@ def _csv_cell(value) -> str:
     return value if isinstance(value, str) else f"{float(value):.17g}"
 
 
-def result_to_csv(result: SweepResult) -> str:
-    """CSV text: header, 17-significant-digit floats, LF endings.
+def _row_blocks(result: SweepResult):
+    """Slices of at most ``BLOCK_ROWS`` rows that cover the table in order."""
+    return [slice(lo, lo + BLOCK_ROWS)
+            for lo in range(0, len(result.diagnostics), BLOCK_ROWS)]
 
-    The diagnostics column appears only when some row has a diagnostic.
+
+def csv_chunks(result: SweepResult):
+    """CSV text in chunks: header, 17-significant-digit floats, LF endings.
+
+    The diagnostics column appears only when some row, in any block, has a
+    diagnostic. The header comes in the first chunk, with the first block.
     """
-    cells = [_column_text(col, "{:.17g}".format, _csv_cell)
-             for col in result.data]
     header = list(result.columns)
-    if result.has_diagnostics:
+    with_diagnostics = result.has_diagnostics
+    if with_diagnostics:
         header.append(DIAGNOSTICS_COLUMN)
-        cells.append([diag.replace(",", ";") for diag in result.diagnostics])
-    lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
-    return "\n".join(lines) + "\n"
+    head = ",".join(header) + "\n"
+    for rows in _row_blocks(result):
+        cells = [_column_text(col[rows], "{:.17g}".format, _csv_cell)
+                 for col in result.data]
+        if with_diagnostics:
+            cells.append([diag.replace(",", ";")
+                          for diag in result.diagnostics[rows]])
+        yield head + "\n".join(map(",".join, zip(*cells))) + "\n"
+        head = ""
+    if head:
+        yield head
+
+
+def result_to_csv(result: SweepResult) -> str:
+    """The whole CSV text of ``csv_chunks``."""
+    return "".join(csv_chunks(result))
 
 
 _JSON_INF = {"inf": math.inf, "-inf": -math.inf}
@@ -319,12 +343,14 @@ def _json_float(value: float) -> str:
     return repr(value) if math.isfinite(value) else json.dumps(_to_json(value))
 
 
-def result_to_json(result: SweepResult) -> str:
-    """Strict JSON text: NaN as null, +-inf as the strings "inf"/"-inf".
+def json_chunks(result: SweepResult):
+    """Strict JSON text in chunks: NaN as null, +-inf as "inf"/"-inf".
 
     The mapping covers rows and meta alike; load_json reverses it. The text
     is what ``json.dumps({"meta": ..., "rows": [...]}, indent=2)`` gives for
-    the table as one dict per row, with the cells spelled a column at a time.
+    the table as one dict per row, with the cells spelled in blocks of
+    ``BLOCK_ROWS`` rows, a column at a time within a block. The first chunk
+    holds the meta block and the first rows.
     """
     from . import __version__
 
@@ -332,37 +358,52 @@ def result_to_json(result: SweepResult) -> str:
     text = json.dumps({"meta": _to_json(meta), "rows": []}, indent=2,
                       allow_nan=False)
     if not result.diagnostics:
-        return text + "\n"
-    cells = [_column_text(col, _json_float,
-                          lambda x: json.dumps(x, allow_nan=False))
-             for col in result.data]
+        yield text + "\n"
+        return
     diag_key = json.dumps(DIAGNOSTICS_COLUMN)
-    cells.append([diag and f",\n      {diag_key}: {json.dumps(diag)}"
-                  for diag in result.diagnostics])
     keys = [json.dumps(name).replace("%", "%%") for name in result.columns]
     template = ("    {\n" + ",\n".join(f"      {key}: %s" for key in keys)
                 + "%s\n    }")
-    rows = ",\n".join([template % row for row in zip(*cells)])
     # the rows replace the empty list that closes the text
-    return text[:-len("[]\n}")] + "[\n" + rows + "\n  ]\n}\n"
+    head = text[:-len("[]\n}")] + "[\n"
+    for rows in _row_blocks(result):
+        cells = [_column_text(col[rows], _json_float,
+                              lambda x: json.dumps(x, allow_nan=False))
+                 for col in result.data]
+        cells.append([diag and f",\n      {diag_key}: {json.dumps(diag)}"
+                      for diag in result.diagnostics[rows]])
+        yield head + ",\n".join([template % row for row in zip(*cells)])
+        head = ",\n"
+    yield "\n  ]\n}\n"
 
 
-WRITERS = {"csv": result_to_csv, "json": result_to_json}
+def result_to_json(result: SweepResult) -> str:
+    """The whole JSON text of ``json_chunks``."""
+    return "".join(json_chunks(result))
+
+
+WRITERS = {"csv": csv_chunks, "json": json_chunks}
 
 
 def write_result(result: SweepResult, path: str, fmt: str,
                  plot: bool = False) -> list:
-    """Write the table (and optionally a plot script); returns paths written."""
+    """Write the table chunk by chunk (and optionally a plot script);
+    returns the paths written.
+
+    The first chunk, which holds the header and can raise DomainError, is
+    made before the file is opened, so a failed header leaves no file.
+    """
     if fmt not in WRITERS:
         raise DomainError(f"unknown format {fmt!r}")
-    files = [(path, WRITERS[fmt](result))]
+    chunks = WRITERS[fmt](result)
+    files = [(path, chain([next(chunks)], chunks))]
     if plot:
         files.append((path + ".gp",
-                      plot_script(result, os.path.basename(path), fmt)))
+                      [plot_script(result, os.path.basename(path), fmt)]))
     try:
-        for name, text in files:
+        for name, texts in files:
             with open(name, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
+                handle.writelines(texts)
     except OSError as exc:
         raise OSError(f"{path}: {exc.strerror or exc}") from exc
     return [name for name, _ in files]

@@ -324,6 +324,18 @@ def test_malformed_source_date_epoch(epoch, capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("out", [True, False])
+def test_failed_header_writes_nothing(tmp_path, capsys, monkeypatch, out):
+    # the JSON header holds the timestamp, made before the file is opened
+    # and before the first byte reaches stdout
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+    path = tmp_path / "e.json"
+    argv = ["--out", str(path)] if out else ["--format", "json"]
+    assert main(["sic-sweep", "--preset", "fig1", *argv]) == EXIT_DOMAIN
+    assert not path.exists()
+    assert capsys.readouterr().out == ""
+
+
 def _strict_json(text):
     def reject(token):
         raise ValueError(f"non-standard JSON token {token}")

@@ -3,19 +3,23 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from unruh_steer import steering, sweeps
 from unruh_steer.errors import ConsistencyError, DomainError
 from unruh_steer.model import UnruhParams, kossakowski_free
-from unruh_steer.steering import sic_closed_form_free
+from unruh_steer.qmat import matrix_to_fano, random_density_matrix
+from unruh_steer.steering import (one_sided_mid, sic_closed_form_free,
+                                  steering_induced_coherence, theorem1_residual)
 from unruh_steer.sweeps import (BOUNDARY_COLUMNS, DIAGNOSTICS_COLUMN,
                                 SURFACE_COLUMNS, GridSpec, SweepResult,
                                 _pointwise, eval_boundary, eval_sic_free,
-                                eval_surface, load_csv, load_json,
-                                plot_script, result_to_csv, result_to_json,
-                                run_grid, write_result)
+                                eval_surface, eval_theorem, load_csv,
+                                load_json, plot_script, result_to_csv,
+                                result_to_json, run_grid, write_result)
 
 
 def test_gridspec_parse_round_trip():
@@ -273,3 +277,45 @@ def test_boundary_eval_columns():
                                  np.array([1.0]), np.array([1.0]))
     assert len(values) == len(BOUNDARY_COLUMNS)
     assert values[-1][0] is False and diag == [""]
+
+
+def test_theorem_rows_solve_each_sic_once(monkeypatch):
+    # one sic_solution per state serves both the SIC and the MID, with the
+    # values the two public functions give separately
+    rng = np.random.default_rng(3)
+    states = np.stack([random_density_matrix(rng) for _ in range(5)])
+    calls = []
+
+    def counted(state, solve=steering.sic_solution):
+        calls.append(state)
+        return solve(state)
+
+    monkeypatch.setattr(sweeps, "sic_solution", counted)
+    monkeypatch.setattr(steering, "sic_solution", counted)
+    (sic, mid, residual), diag = eval_theorem(states, np.arange(5.0))
+    assert len(calls) == 5 and diag == [""] * 5
+    calls.clear()
+    assert theorem1_residual(matrix_to_fano(states[0])) == residual[0]
+    assert len(calls) == 1
+    monkeypatch.undo()
+    for k, matrix in enumerate(states):
+        state = matrix_to_fano(matrix)
+        assert sic[k] == steering_induced_coherence(state)
+        assert mid[k] == one_sided_mid(state)
+        assert residual[k] == abs(sic[k] - mid[k])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_holds_one_block_of_text(tmp_path, fmt):
+    # a 300x300 surface is 8.3 MB of CSV and 19.5 MB of JSON; the writer
+    # may hold the text of one block, never the whole file's (45-75 MB)
+    axis = np.linspace(-3.0, 1.0, 300), np.linspace(0.0, 1.0, 300)
+    res = run_grid((("tau", axis[0]), ("R", axis[1])), eval_surface,
+                   SURFACE_COLUMNS)
+    tracemalloc.start()
+    try:
+        write_result(res, str(tmp_path / f"surface.{fmt}"), fmt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000, f"{fmt} writer peaked at {peak / 1e6:.1f} MB"

@@ -10,8 +10,12 @@ bytes as the row-at-a-time encoders they replaced (kept below as
 ``_oracle_json`` and ``_oracle_csv``), on tables with signed zeros,
 subnormals, NaN and +-inf, bool columns holding NaN, int cells, awkward
 column names and diagnostics, zero rows, and meta with tuples, None and inf.
+The writers emit the table in blocks of ``BLOCK_ROWS`` rows: the drawn
+tables are written with blocks of 1, 2 and 3 rows as well, and fixed tables
+sit on either side of one and two block boundaries.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -23,10 +27,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from unruh_steer import __version__  # noqa: E402
-from unruh_steer.sweeps import (DIAGNOSTICS_COLUMN, SweepResult,  # noqa: E402
-                                _timestamp, _to_json, load_csv, load_json,
-                                result_to_csv, result_to_json, write_result)
+from unruh_steer import __version__, sweeps  # noqa: E402
+from unruh_steer.sweeps import (BLOCK_ROWS, DIAGNOSTICS_COLUMN,  # noqa: E402
+                                SweepResult, _timestamp, _to_json, load_csv,
+                                load_json, result_to_csv, result_to_json,
+                                write_result)
 
 CELLS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.booleans())
 # printable ASCII: CSV is line based, so a diagnostic holds no line break
@@ -58,10 +63,22 @@ def _assert_same_rows(back, res):
         assert all(_same_cell(g, w) for g, w in zip(got, want)), (got, want)
 
 
+# block sizes the drawn tables are written with; the tables hold 0-6 rows
+BLOCKS = st.sampled_from([1, 2, 3, BLOCK_ROWS])
+
+
+@contextlib.contextmanager
+def _blocks_of(rows):
+    """Context in which the writers emit blocks of ``rows`` rows."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweeps, "BLOCK_ROWS", rows)
+        yield
+
+
 @settings(max_examples=60, deadline=None)
-@given(sweep_results())
-def test_csv_and_json_round_trip(res):
-    with tempfile.TemporaryDirectory() as tmp:
+@given(sweep_results(), BLOCKS)
+def test_csv_and_json_round_trip(res, block_rows):
+    with tempfile.TemporaryDirectory() as tmp, _blocks_of(block_rows):
         csv_path = os.path.join(tmp, "out.csv")
         json_path = os.path.join(tmp, "out.json")
         write_result(res, csv_path, "csv")
@@ -148,12 +165,41 @@ def oracle_tables(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(oracle_tables())
-def test_json_bytes_equal_row_encoder(res):
-    assert result_to_json(res) == _oracle_json(res)
+@given(oracle_tables(), BLOCKS)
+def test_json_bytes_equal_row_encoder(res, block_rows):
+    with _blocks_of(block_rows):
+        assert result_to_json(res) == _oracle_json(res)
 
 
 @settings(max_examples=200, deadline=None)
-@given(oracle_tables())
-def test_csv_bytes_equal_row_encoder(res):
-    assert result_to_csv(res) == _oracle_csv(res)
+@given(oracle_tables(), BLOCKS)
+def test_csv_bytes_equal_row_encoder(res, block_rows):
+    with _blocks_of(block_rows):
+        assert result_to_csv(res) == _oracle_csv(res)
+
+
+def _boundary_table(n_rows):
+    """Floats with signed zeros, +-inf and NaN, a column of repeated values
+    (one spelling per block), a flag column with NaN rows, and a diagnostic
+    in the last row only."""
+    rng = np.random.default_rng(n_rows)
+    floats = rng.normal(size=n_rows).tolist()
+    floats[::5] = [SPECIAL[k % len(SPECIAL)] for k in range(0, n_rows, 5)]
+    flags = [math.nan if k % 3 == 0 else bool(k % 2) for k in range(n_rows)]
+    repeated = [float(k % 7) - 3.0 for k in range(n_rows)]
+    diagnostics = [""] * n_rows
+    if n_rows:
+        diagnostics[-1] = "DomainError: last row, last block"
+    return SweepResult(columns=("x", "flag", "r"),
+                       data=[floats, flags, repeated], diagnostics=diagnostics,
+                       meta={"bound": math.inf})
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS,
+                                    BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+def test_bytes_equal_row_encoder_at_block_boundaries(n_rows, tmp_path):
+    res = _boundary_table(n_rows)
+    for fmt, oracle in (("csv", _oracle_csv), ("json", _oracle_json)):
+        path = tmp_path / f"table.{fmt}"
+        write_result(res, str(path), fmt)
+        assert path.read_bytes() == oracle(res).encode("utf-8"), fmt
