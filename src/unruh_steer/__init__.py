@@ -54,7 +54,7 @@ from .steering import (
     steering_induced_coherence,
     theorem1_residual,
 )
-from .sweeps import GridSpec, SweepResult, load_csv, load_json, run_grid
+from .sweeps import GridSpec, SweepResult, run_grid
 
 __version__ = "0.1.0"
 
@@ -85,8 +85,6 @@ __all__ = [
     "fano_to_matrix",
     "kossakowski_boundary",
     "kossakowski_free",
-    "load_csv",
-    "load_json",
     "matrix_to_fano",
     "min_eigenvalue",
     "ode_rhs",

@@ -28,7 +28,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ConsistencyError, DegenerateLimit, DomainError, UnphysicalDrift
+from .errors import DegenerateLimit, DomainError, UnphysicalDrift
 from .qmat import FanoState, fano_matrices
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -91,11 +91,6 @@ class UnruhParams:
             raise DomainError("accel must be positive (inf allowed)")
 
     @property
-    def temperature(self) -> float:
-        """Unruh temperature accel / (2 pi)."""
-        return self.accel / (2.0 * math.pi)
-
-    @property
     def beta(self) -> float:
         return 2.0 * math.pi / self.accel
 
@@ -134,7 +129,7 @@ def kossakowski_free(params: UnruhParams) -> KossakowskiFree:
 
     A = (omega/4pi) (1 + e^-x)/(1 - e^-x) with x = 2 pi omega / accel,
     B = omega/4pi, C = (omega/4pi) (2/x - (1+e^-x)/(1-e^-x)). The ratio
-    B/A is cross-checked against tanh(x/2) to 1e-12.
+    B/A equals tanh(x/2); the tests hold it to 1e-12.
     """
     pref = params.omega / (4.0 * math.pi)
     if math.isinf(params.accel):
@@ -147,10 +142,7 @@ def kossakowski_free(params: UnruhParams) -> KossakowskiFree:
         c_coef = pref * (-(x / 6.0) + x ** 3 / 360.0)
     else:
         c_coef = pref * (2.0 / x - th)
-    ratio = pref / a_coef
-    if not abs(ratio - math.tanh(x / 2.0)) <= 1e-12:
-        raise ConsistencyError(f"B/A = {ratio!r} != tanh(x/2) at x = {x!r}")
-    return KossakowskiFree(A=a_coef, B=pref, C=c_coef, ratio=ratio)
+    return KossakowskiFree(A=a_coef, B=pref, C=c_coef, ratio=pref / a_coef)
 
 
 def kossakowski_boundary(params: UnruhParams, z: float, sep: float) -> KossakowskiBoundary:

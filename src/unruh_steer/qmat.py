@@ -50,8 +50,8 @@ class FanoState:
     """Pauli coefficients of a two-qubit operator with unit trace.
 
     Fields are copied and frozen read-only on construction. Any finite real
-    coefficients are accepted; use :meth:`is_physical` before operations
-    that need an actual density matrix.
+    coefficients are accepted; operations that need an actual density matrix
+    check positivity themselves.
     """
 
     a_vec: np.ndarray
@@ -75,9 +75,6 @@ class FanoState:
         """sum_i T_ii, the conserved quantity of the free dissipator."""
         return float(np.trace(self.t_mat))
 
-    def to_matrix(self) -> np.ndarray:
-        return fano_to_matrix(self)
-
     def to_vector(self) -> np.ndarray:
         """Flatten to the 15-vector (a, b, T rows) used by the integrator."""
         return np.concatenate([self.a_vec, self.b_vec, self.t_mat.ravel()])
@@ -87,14 +84,6 @@ class FanoState:
         y = np.asarray(y, dtype=float).reshape(15)
         return FanoState(y[0:3], y[3:6], y[6:15].reshape(3, 3))
 
-    def is_physical(self, tol: float = 1e-10) -> bool:
-        return min_eigenvalue(self.to_matrix()) >= -tol
-
-    def isclose(self, other: "FanoState", atol: float = 1e-12) -> bool:
-        return (np.allclose(self.a_vec, other.a_vec, rtol=0.0, atol=atol)
-                and np.allclose(self.b_vec, other.b_vec, rtol=0.0, atol=atol)
-                and np.allclose(self.t_mat, other.t_mat, rtol=0.0, atol=atol))
-
 
 def fano_to_matrix(state: FanoState) -> np.ndarray:
     """Assemble the 4x4 matrix of a :class:`FanoState`.
@@ -102,9 +91,10 @@ def fano_to_matrix(state: FanoState) -> np.ndarray:
     The result is Hermitian by construction and has unit trace; positivity
     depends on the coefficients.
     """
-    # Becomes ``return fano_matrices(state.to_vector())`` once the benchmark's
-    # peak_rss_mb stops growing with items per run: the ~40x faster build
-    # makes ``theorem`` run 4x more items and read 48.9 -> 71.6 MB.
+    # Becomes ``return fano_matrices(state.to_vector())`` with ROADMAP item 1,
+    # which stops the benchmark's peak_rss_mb growing with items per run: with
+    # the ~40x faster build ``theorem`` ran 3.7x more items and read
+    # 48.6 -> 68.6 MB.
     m = np.eye(4, dtype=complex)
     for i in range(3):
         m += state.a_vec[i] * np.kron(PAULI[i + 1], SIGMA_0)

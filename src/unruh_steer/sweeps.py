@@ -16,9 +16,9 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import suppress
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import chain
 
 import numpy as np
 
@@ -248,13 +248,6 @@ def _timestamp() -> str:
     return stamp.isoformat().replace("+00:00", "Z")
 
 
-_BOOL_CELLS = {"true": True, "false": False}
-
-
-def _parse_cell(text: str):
-    return _BOOL_CELLS[text] if text in _BOOL_CELLS else float(text)
-
-
 def _column_text(values, float_text, other_text) -> list:
     """Text of each cell of one column (of one block), in one pass.
 
@@ -309,14 +302,6 @@ def csv_chunks(result: SweepResult):
         yield head
 
 
-def result_to_csv(result: SweepResult) -> str:
-    """The whole CSV text of ``csv_chunks``."""
-    return "".join(csv_chunks(result))
-
-
-_JSON_INF = {"inf": math.inf, "-inf": -math.inf}
-
-
 def _to_json(value):
     # strict JSON has no NaN or infinity: NaN -> null, +-inf -> "inf"/"-inf"
     if isinstance(value, float) and not math.isfinite(value):
@@ -328,17 +313,6 @@ def _to_json(value):
     return value
 
 
-def _from_json(value, null=None):
-    # inverse of _to_json; null reads as NaN in rows and stays None in meta
-    if isinstance(value, dict):
-        return {key: _from_json(item, null) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_from_json(item, null) for item in value]
-    if isinstance(value, str):
-        return _JSON_INF.get(value, value)
-    return null if value is None else value
-
-
 def _json_float(value: float) -> str:
     return repr(value) if math.isfinite(value) else json.dumps(_to_json(value))
 
@@ -346,9 +320,9 @@ def _json_float(value: float) -> str:
 def json_chunks(result: SweepResult):
     """Strict JSON text in chunks: NaN as null, +-inf as "inf"/"-inf".
 
-    The mapping covers rows and meta alike; load_json reverses it. The text
-    is what ``json.dumps({"meta": ..., "rows": [...]}, indent=2)`` gives for
-    the table as one dict per row, with the cells spelled in blocks of
+    The mapping covers rows and meta alike. The text is what
+    ``json.dumps({"meta": ..., "rows": [...]}, indent=2)`` gives for the
+    table as one dict per row, with the cells spelled in blocks of
     ``BLOCK_ROWS`` rows, a column at a time within a block. The first chunk
     holds the meta block and the first rows.
     """
@@ -377,11 +351,6 @@ def json_chunks(result: SweepResult):
     yield "\n  ]\n}\n"
 
 
-def result_to_json(result: SweepResult) -> str:
-    """The whole JSON text of ``json_chunks``."""
-    return "".join(json_chunks(result))
-
-
 WRITERS = {"csv": csv_chunks, "json": json_chunks}
 
 
@@ -390,53 +359,41 @@ def write_result(result: SweepResult, path: str, fmt: str,
     """Write the table chunk by chunk (and optionally a plot script);
     returns the paths written.
 
-    The first chunk, which holds the header and can raise DomainError, is
-    made before the file is opened, so a failed header leaves no file.
+    All or nothing: each file is streamed to a new temporary file in the
+    directory it resolves to (mode "x" gives it the mode "w" would; a
+    symlink stays a symlink), and the temporary files replace their targets
+    only once all are complete. A failure removes them, leaves any file
+    already at a path as it was, and an OSError names ``path``. A target
+    that exists and is not a regular file, such as a FIFO or /dev/null, is
+    written in place.
     """
     if fmt not in WRITERS:
         raise DomainError(f"unknown format {fmt!r}")
-    chunks = WRITERS[fmt](result)
-    files = [(path, chain([next(chunks)], chunks))]
+    files = [(path, WRITERS[fmt](result))]
     if plot:
         files.append((path + ".gp",
                       [plot_script(result, os.path.basename(path), fmt)]))
+    staged = []    # (temporary file, target) pairs not yet moved
     try:
         for name, texts in files:
-            with open(name, "w", encoding="utf-8", newline="") as handle:
+            target = os.path.realpath(name)
+            special = os.path.exists(target) and not os.path.isfile(target)
+            temp = target if special else f"{target}.{os.urandom(4).hex()}.tmp"
+            with open(temp, "w" if special else "x", encoding="utf-8",
+                      newline="") as handle:
+                if not special:
+                    staged.append((temp, target))
                 handle.writelines(texts)
+        while staged:
+            os.replace(*staged[0])
+            staged.pop(0)
     except OSError as exc:
         raise OSError(f"{path}: {exc.strerror or exc}") from exc
+    finally:
+        for temp, _ in staged:
+            with suppress(OSError):
+                os.remove(temp)
     return [name for name, _ in files]
-
-
-def load_csv(path: str) -> SweepResult:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        raise DomainError(f"{path}: empty CSV")
-    header = lines[0].split(",")
-    with_diag = header and header[-1] == DIAGNOSTICS_COLUMN
-    columns = tuple(header[:-1] if with_diag else header)
-    body = [line.split(",") for line in lines[1:]]
-    diagnostics = [cells.pop() if with_diag else "" for cells in body]
-    if any(len(cells) != len(columns) for cells in body):
-        raise DomainError(f"{path}: a row does not have one cell per column")
-    data = [[_parse_cell(cells[k]) for cells in body]
-            for k in range(len(columns))]
-    return SweepResult(columns=columns, data=data, diagnostics=diagnostics)
-
-
-def load_json(path: str) -> SweepResult:
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    meta = _from_json(payload.get("meta", {}))
-    entries = payload.get("rows", [])
-    diagnostics = [entry.pop(DIAGNOSTICS_COLUMN, "") for entry in entries]
-    columns = tuple(entries[0]) if entries else ()
-    data = [[_from_json(entry[name], math.nan) for entry in entries]
-            for name in columns]
-    return SweepResult(columns=columns, data=data, diagnostics=diagnostics,
-                       meta=meta)
 
 
 def plot_script(result: SweepResult, data_file: str, fmt: str) -> str:

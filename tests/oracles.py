@@ -5,13 +5,20 @@ form. These oracles rebuild the pieces from their definitions instead:
 Bob's steered ensemble, l1 coherences of qubit states in the eigenbasis of
 a Bloch axis, and B-side dephasing as a 4x4 projector sum. They do no
 argument checking: callers pass unit or nonzero axes and physical states.
+
+The package writes sweep tables and does not read them; ``read_csv`` and
+``read_json`` read them back for the round-trip tests, the JSON one with a
+parser that rejects every non-standard token.
 """
 
+import json
 import math
 
 import numpy as np
 
 from unruh_steer.model import equilibrium_free
+from unruh_steer.qmat import fano_to_matrix, min_eigenvalue
+from unruh_steer.sweeps import DIAGNOSTICS_COLUMN, SweepResult
 
 PAULI_XYZ = (np.array([[0, 1], [1, 0]], dtype=complex),
              np.array([[0, -1j], [1j, 0]]),
@@ -101,3 +108,60 @@ def steerability_pairings_free(tau, ratio):
 
     return (coh("y", "x") + coh("z", "y") + coh("x", "z"),
             coh("z", "x") + coh("x", "y") + coh("y", "z"))
+
+
+def is_physical(state, tol=1e-10):
+    """True when the 4x4 matrix of a FanoState has no eigenvalue below -tol."""
+    return min_eigenvalue(fano_to_matrix(state)) >= -tol
+
+
+# ----- sweep table readers -----
+
+_BOOL_CELLS = {"true": True, "false": False}
+_JSON_INF = {"inf": math.inf, "-inf": -math.inf}
+
+
+def _csv_cell(text):
+    return _BOOL_CELLS[text] if text in _BOOL_CELLS else float(text)
+
+
+def read_csv(path):
+    """The table of a CSV file: true/false cells as bools, others as floats."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        header, *body = [line.split(",") for line in handle.read().splitlines()]
+    with_diagnostics = header[-1] == DIAGNOSTICS_COLUMN
+    if with_diagnostics:
+        header.pop()
+    diagnostics = [cells.pop() if with_diagnostics else "" for cells in body]
+    data = [[_csv_cell(cells[k]) for cells in body] for k in range(len(header))]
+    return SweepResult(columns=tuple(header), data=data, diagnostics=diagnostics)
+
+
+def _reject(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def _from_json(value, null):
+    # undoes the writers' mapping: "inf"/"-inf" read as floats, JSON null
+    # as ``null`` (NaN in rows, None in meta)
+    if isinstance(value, dict):
+        return {key: _from_json(item, null) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_from_json(item, null) for item in value]
+    if isinstance(value, str):
+        return _JSON_INF.get(value, value)
+    return null if value is None else value
+
+
+def read_json(path):
+    """The table of a strict JSON file: null cells as NaN (None in meta),
+    "inf"/"-inf" as floats; NaN or Infinity tokens raise ValueError."""
+    with open(path, encoding="utf-8") as handle:
+        payload = json.load(handle, parse_constant=_reject)
+    entries = payload["rows"]
+    diagnostics = [entry.pop(DIAGNOSTICS_COLUMN, "") for entry in entries]
+    columns = tuple(entries[0]) if entries else ()
+    data = [[_from_json(entry[name], math.nan) for entry in entries]
+            for name in columns]
+    return SweepResult(columns=columns, data=data, diagnostics=diagnostics,
+                       meta=_from_json(payload["meta"], None))

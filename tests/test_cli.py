@@ -15,11 +15,11 @@ from pathlib import Path
 
 import pytest
 
+from oracles import read_json
 from unruh_steer.cli import EXIT_DOMAIN, EXIT_IO, EXIT_USAGE, main
 from unruh_steer.model import (UnruhParams, equilibrium_free, kossakowski_free,
                                relaxation_horizon)
 from unruh_steer.steering import sic_closed_form_free
-from unruh_steer.sweeps import load_json
 
 
 def _csv_rows(text):
@@ -359,7 +359,7 @@ def test_tau_sweep_json_at_infinite_acceleration(tmp_path, capsys):
     payload = _strict_json(open(out).read())
     assert payload["meta"]["accel"] == [1.0, "inf"]
     assert [row["a"] for row in payload["rows"]] == [1.0] * 11 + ["inf"] * 11
-    back = load_json(out)
+    back = read_json(out)
     assert back.meta["accel"] == [1.0, math.inf]
     assert back.column("a") == [1.0] * 11 + [math.inf] * 11
 

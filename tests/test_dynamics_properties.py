@@ -25,7 +25,8 @@ from scipy.linalg import expm  # noqa: E402
 
 from unruh_steer.model import (UnruhParams, equilibrium_free, evolve,  # noqa: E402
                                kossakowski_free, ode_rhs)
-from unruh_steer.qmat import (FanoState, matrix_to_fano, min_eigenvalue,  # noqa: E402
+from unruh_steer.qmat import (FanoState, fano_to_matrix,  # noqa: E402
+                              matrix_to_fano, min_eigenvalue,
                               random_density_matrix)
 
 
@@ -72,7 +73,7 @@ def test_evolve_properties(seed, accel):
     y_eq = equilibrium_free(tau, coeffs.ratio).to_vector()
 
     assert max(abs(s.trace_sum - tau) for s in states) < 1e-9
-    assert min(min_eigenvalue(s.to_matrix()) for s in states) >= -1e-8
+    assert min(min_eigenvalue(fano_to_matrix(s)) for s in states) >= -1e-8
     ref = _reference_rk4(y0, coeffs, tau, traj.times, traj.step)
     assert np.abs(ys - ref).max() <= 1e-12
     exact_dev = np.abs(ys - _exact(y0, coeffs, tau, traj.times)).max(axis=1)

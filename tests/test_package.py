@@ -1,10 +1,32 @@
-"""The package's public surface: ``__all__`` matches what is importable,
-and no module relies on ``assert`` for a runtime check."""
+"""The package's public surface: ``__all__`` is an explicit list and matches
+what is importable, and no module relies on ``assert`` for a runtime check."""
 
 import ast
 from pathlib import Path
 
 import unruh_steer
+
+
+PUBLIC_NAMES = [
+    "BoundaryEquilibrium", "BoundaryVerdict", "ConsistencyError",
+    "DegenerateLimit", "DenominatorZero", "DomainError", "FanoState",
+    "GridSpec", "KossakowskiBoundary", "KossakowskiFree", "NonHermitian",
+    "NotPositive", "SicSolution", "SteerabilityFree", "SweepResult",
+    "Trajectory", "UnphysicalDrift", "UnruhParams", "UnruhSteerError",
+    "__version__", "concurrence", "equilibrium_boundary", "equilibrium_free",
+    "evolve", "fano_to_matrix", "kossakowski_boundary", "kossakowski_free",
+    "matrix_to_fano", "min_eigenvalue", "ode_rhs", "one_sided_mid",
+    "random_density_matrix", "random_fano_state", "relaxation_horizon",
+    "run_grid", "sic_closed_form_free", "sic_solution",
+    "steerability_functional_free", "steerability_verdict_boundary",
+    "steering_induced_coherence", "steering_node_acceleration",
+    "theorem1_residual", "trace_norm",
+]
+
+
+def test_public_surface_is_pinned():
+    # adding or dropping a public name is a deliberate edit of this list
+    assert sorted(unruh_steer.__all__) == PUBLIC_NAMES
 
 
 def test_all_names_resolve():

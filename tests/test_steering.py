@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (alpha_matrix, conditional_coherence, dephase_b,
-                     l1_coherence_bloch, steer_bob, steerability_pairings_free)
+                     is_physical, l1_coherence_bloch, steer_bob,
+                     steerability_pairings_free)
 from unruh_steer.errors import DegenerateLimit, DenominatorZero, DomainError
 from unruh_steer.model import (UnruhParams, equilibrium_free,
                                kossakowski_boundary, steering_node_acceleration)
@@ -39,7 +40,7 @@ def _unital_states(rng, count):
         q2, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         st = FanoState(a_vec=np.zeros(3), b_vec=np.zeros(3),
                        t_mat=q1 @ np.diag(c) @ q2.T)
-        assert st.is_physical()
+        assert is_physical(st)
         yield st, float(np.sort(np.abs(c))[1])
 
 
@@ -230,7 +231,7 @@ def test_mid_ignores_b_below_the_degeneracy_gate():
         state = FanoState(a_vec=np.zeros(3), b_vec=1e-12 * b / np.linalg.norm(b),
                           t_mat=c1 * np.outer(u, v) / np.linalg.norm(u)
                           / np.linalg.norm(v))
-        assert state.is_physical()
+        assert is_physical(state)
         assert one_sided_mid(state) <= 1e-15
 
 
@@ -369,6 +370,26 @@ def test_functional_is_sum_of_steered_components(tau, ratio):
     tol = 1e-13 / (1.0 + state.a_vec[2])
     assert abs(f.literal - sum(comps)) <= tol
     assert abs(f.absolute - sum(abs(c) for c in comps)) <= tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(tau=st.floats(-3.0, 1.0), ratio=st.floats(0.0, 1.0))
+@example(tau=1.0, ratio=0.0)
+@example(tau=1.0, ratio=5e-324)
+@example(tau=1.0 - 1e-16, ratio=0.0)
+@example(tau=1.0, ratio=1.0 - 1e-9)
+@example(tau=-3.0, ratio=1.0)
+def test_literal_functional_is_at_most_one(tau, ratio):
+    # 1 - literal = N / ((3 + R^2)(R^2 - R(tau+3) + 3)). With s = 1 - tau >= 0,
+    # N = 8R(1 - R^2) + s(R^4 + 2R^3 + 6R^2 - 10R + 9) + 2R s^2 >= 0, since
+    # 6R^2 - 10R + 9 > 0, and the second factor is (1 - R)(3 - R) + R s >= 0.
+    # Both vanish only at the singular point (1, 1); N alone at (1, 0), where
+    # literal = 1 is the maximum (a 4001^2 grid reads exactly 1.0 there).
+    f = steerability_functional_free(tau, ratio)
+    assume(not f.singular)
+    assert f.literal <= 1.0
+    if (tau, ratio) == (1.0, 0.0):
+        assert f.literal == 1.0
 
 
 def test_functional_exceeds_flags():

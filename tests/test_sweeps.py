@@ -3,11 +3,13 @@
 import json
 import math
 import os
+import stat
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import read_csv, read_json
 from unruh_steer import steering, sweeps
 from unruh_steer.errors import ConsistencyError, DomainError
 from unruh_steer.model import UnruhParams, kossakowski_free
@@ -16,10 +18,10 @@ from unruh_steer.steering import (one_sided_mid, sic_closed_form_free,
                                   steering_induced_coherence, theorem1_residual)
 from unruh_steer.sweeps import (BOUNDARY_COLUMNS, DIAGNOSTICS_COLUMN,
                                 SURFACE_COLUMNS, GridSpec, SweepResult,
-                                _pointwise, eval_boundary, eval_sic_free,
-                                eval_surface, eval_theorem, load_csv,
-                                load_json, plot_script, result_to_csv,
-                                result_to_json, run_grid, write_result)
+                                _pointwise, csv_chunks, eval_boundary,
+                                eval_sic_free, eval_surface, eval_theorem,
+                                json_chunks, plot_script, run_grid,
+                                write_result)
 
 
 def test_gridspec_parse_round_trip():
@@ -133,7 +135,7 @@ def test_eval_surface_flags_singularity():
 def test_csv_format(tmp_path):
     res = run_grid([("x", [1.0 / 3.0, 2.0])], lambda x: ((x,), [""] * x.size),
                    ("y",))
-    text = result_to_csv(res)
+    text = "".join(csv_chunks(res))
     lines = text.split("\n")
     assert lines[0] == "x,y"
     assert "0.33333333333333331" in lines[1]  # 17 significant digits
@@ -146,26 +148,19 @@ def test_signed_zero_keeps_its_text(monkeypatch):
     monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
     res = SweepResult(columns=("x",), data=[[-0.0, 0.0, -0.0]],
                       diagnostics=[""] * 3)
-    assert result_to_csv(res).split("\n")[1:4] == ["-0", "0", "-0"]
-    rows = json.loads(result_to_json(res))["rows"]
+    assert "".join(csv_chunks(res)).split("\n")[1:4] == ["-0", "0", "-0"]
+    rows = json.loads("".join(json_chunks(res)))["rows"]
     assert [math.copysign(1.0, row["x"]) for row in rows] == [-1.0, 1.0, -1.0]
-
-
-def test_load_csv_rejects_ragged_row(tmp_path):
-    path = tmp_path / "ragged.csv"
-    path.write_text("x,y\n1,2\n3\n", encoding="utf-8")
-    with pytest.raises(DomainError, match="one cell per column"):
-        load_csv(str(path))
 
 
 def test_csv_diagnostics_column_and_booleans():
     res = run_grid([("x", [1.0, 2.0]), ("y", [10.0, 20.0])], _flaky, ("s",))
-    text = result_to_csv(res)
+    text = "".join(csv_chunks(res))
     assert text.split("\n")[0] == f"x,y,s,{DIAGNOSTICS_COLUMN}"
     assert "DomainError: bad; point" in text  # commas sanitized
     bres = run_grid([("a", [2.0, 4.0])],
                     lambda a: ((a > 3.0,), [""] * a.size), ("big",))
-    btext = result_to_csv(bres)
+    btext = "".join(csv_chunks(bres))
     assert "false" in btext and "true" in btext
 
 
@@ -173,7 +168,7 @@ def test_csv_round_trip(tmp_path):
     res = run_grid([("x", [1.0, 2.0]), ("y", [10.0, 20.0])], _flaky, ("s",))
     path = str(tmp_path / "out.csv")
     write_result(res, path, "csv")
-    back = load_csv(path)
+    back = read_csv(path)
     assert back.columns == res.columns
     # commas inside diagnostics are sanitized on the way out
     assert back.diagnostics == [d.replace(",", ";") for d in res.diagnostics]
@@ -193,7 +188,7 @@ def test_json_round_trip_and_meta(tmp_path, monkeypatch):
     assert payload["meta"]["timestamp"] == "1970-01-01T00:00:00Z"
     assert payload["meta"]["version"]
     assert payload["rows"][1] == {"x": 2.0, "d": 4.0, "flag": True}
-    back = load_json(path)
+    back = read_json(path)
     assert back.columns == res.columns
     assert back.rows == [tuple(r) for r in res.rows]
 
@@ -213,7 +208,7 @@ def test_json_is_strict_on_flagged_rows(tmp_path):
         payload = json.loads(handle.read(), parse_constant=reject)
     assert payload["rows"][3]["literal"] is None
     assert payload["rows"][3]["absolute"] is None
-    back = load_json(path)
+    back = read_json(path)
     assert math.isnan(back.rows[3][2]) and math.isnan(back.rows[3][3])
     assert back.rows[:3] == res.rows[:3]
 
@@ -223,7 +218,7 @@ def test_json_maps_every_non_finite_float(tmp_path):
                       data=[[math.inf, math.nan], [-math.inf, 1.0]],
                       diagnostics=["", ""],
                       meta={"bounds": [-math.inf, math.inf], "gap": math.nan})
-    text = result_to_json(res)
+    text = "".join(json_chunks(res))
     assert "Infinity" not in text and "NaN" not in text
     payload = json.loads(text)
     assert payload["rows"] == [{"x": "inf", "y": "-inf"}, {"x": None, "y": 1.0}]
@@ -231,7 +226,7 @@ def test_json_maps_every_non_finite_float(tmp_path):
     assert payload["meta"]["gap"] is None
     path = str(tmp_path / "out.json")
     write_result(res, path, "json")
-    back = load_json(path)
+    back = read_json(path)
     assert back.rows[0] == (math.inf, -math.inf)
     assert math.isnan(back.rows[1][0]) and back.rows[1][1] == 1.0
     assert back.meta["bounds"] == [-math.inf, math.inf]
@@ -240,7 +235,7 @@ def test_json_maps_every_non_finite_float(tmp_path):
 def test_json_timestamp_honors_source_date_epoch(monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     res = SweepResult(columns=("x",), data=[[1.0]], diagnostics=[""])
-    assert '"timestamp": "2023-11-14T22:13:20Z"' in result_to_json(res)
+    assert '"timestamp": "2023-11-14T22:13:20Z"' in "".join(json_chunks(res))
 
 
 def test_write_result_reports_path_on_failure(tmp_path):
@@ -248,8 +243,65 @@ def test_write_result_reports_path_on_failure(tmp_path):
     missing = str(tmp_path / "nope" / "out.csv")
     with pytest.raises(OSError, match="nope"):
         write_result(res, missing, "csv")
+    (tmp_path / "folder").mkdir()
+    with pytest.raises(OSError, match="folder: Is a directory"):
+        write_result(res, str(tmp_path / "folder"), "csv", plot=True)
+    assert sorted(os.listdir(tmp_path)) == ["folder"]
     with pytest.raises(DomainError):
         write_result(res, str(tmp_path / "x.bin"), "parquet")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_result_is_all_or_nothing(tmp_path, fmt):
+    # the last cell of the second block has no text: nothing may change
+    n = sweeps.BLOCK_ROWS + 904
+    bad = SweepResult(columns=("x",), data=[[0.5] * (n - 1) + [object()]],
+                      diagnostics=[""] * n, meta={"axes": ["x"]})
+    path = tmp_path / f"table.{fmt}"
+    path.write_text("old table\n")
+    (tmp_path / f"table.{fmt}.gp").write_text("old script\n")
+    with pytest.raises(TypeError):
+        write_result(bad, str(path), fmt, plot=True)
+    assert path.read_text() == "old table\n"
+    assert (tmp_path / f"table.{fmt}.gp").read_text() == "old script\n"
+    assert sorted(os.listdir(tmp_path)) == [f"table.{fmt}", f"table.{fmt}.gp"]
+    # a good table replaces both files, with the mode a plain open gives
+    good = SweepResult(columns=("x",), data=[[0.5] * n], diagnostics=[""] * n,
+                       meta={"axes": ["x"]})
+    fresh = tmp_path / "fresh"
+    assert write_result(good, str(fresh), fmt, plot=True) == [
+        str(fresh), str(fresh) + ".gp"]
+    assert write_result(good, str(path), fmt, plot=True) == [
+        str(path), str(path) + ".gp"]
+    assert path.read_bytes() == fresh.read_bytes()
+    assert (tmp_path / f"table.{fmt}.gp").read_text() != "old script\n"
+    plain = tmp_path / "plain"
+    with open(plain, "w"):
+        pass
+    assert os.stat(fresh).st_mode == os.stat(plain).st_mode
+    # through a symlink, as through open(path, "w"), the target is written
+    link = tmp_path / "link"
+    link.symlink_to(plain)
+    write_result(good, str(link), fmt)
+    assert link.is_symlink() and plain.read_bytes() == fresh.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == [
+        "fresh", "fresh.gp", "link", "plain", f"table.{fmt}", f"table.{fmt}.gp"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_write_result_writes_a_fifo_in_place(tmp_path):
+    # a FIFO (like a device) is written through, not replaced by a file
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        res = SweepResult(columns=("x",), data=[[1.0]], diagnostics=[""])
+        assert write_result(res, str(fifo), "csv") == [str(fifo)]
+        assert os.read(reader, 1024) == b"x\n1\n"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
 
 
 def test_plot_script_shapes(tmp_path):

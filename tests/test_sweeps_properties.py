@@ -2,10 +2,11 @@
 
 Round trip: tables are drawn with float cells (NaN and +-inf included), bool
 cells and free-text diagnostics, written with ``write_result`` and read back
-with ``load_csv`` and ``load_json``. Every cell must come back with its type
-and value (NaN as NaN); CSV diagnostics come back with commas as semicolons.
+with ``read_csv`` and ``read_json`` of ``oracles.py``, the JSON reader
+rejecting non-standard tokens. Every cell must come back with its type and
+value (NaN as NaN); CSV diagnostics come back with commas as semicolons.
 
-Byte oracle: ``result_to_json`` and ``result_to_csv`` must give the same
+Byte oracle: ``json_chunks`` and ``csv_chunks`` must give the same
 bytes as the row-at-a-time encoders they replaced (kept below as
 ``_oracle_json`` and ``_oracle_csv``), on tables with signed zeros,
 subnormals, NaN and +-inf, bool columns holding NaN, int cells, awkward
@@ -27,11 +28,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from oracles import read_csv, read_json  # noqa: E402
 from unruh_steer import __version__, sweeps  # noqa: E402
 from unruh_steer.sweeps import (BLOCK_ROWS, DIAGNOSTICS_COLUMN,  # noqa: E402
-                                SweepResult, _timestamp, _to_json, load_csv,
-                                load_json, result_to_csv, result_to_json,
-                                write_result)
+                                SweepResult, _timestamp, _to_json, csv_chunks,
+                                json_chunks, write_result)
 
 CELLS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.booleans())
 # printable ASCII: CSV is line based, so a diagnostic holds no line break
@@ -83,8 +84,8 @@ def test_csv_and_json_round_trip(res, block_rows):
         json_path = os.path.join(tmp, "out.json")
         write_result(res, csv_path, "csv")
         write_result(res, json_path, "json")
-        from_csv = load_csv(csv_path)
-        from_json = load_json(json_path)
+        from_csv = read_csv(csv_path)
+        from_json = read_json(json_path)
     _assert_same_rows(from_csv, res)
     assert from_csv.diagnostics == [d.replace(",", ";") for d in res.diagnostics]
     _assert_same_rows(from_json, res)
@@ -168,14 +169,14 @@ def oracle_tables(draw):
 @given(oracle_tables(), BLOCKS)
 def test_json_bytes_equal_row_encoder(res, block_rows):
     with _blocks_of(block_rows):
-        assert result_to_json(res) == _oracle_json(res)
+        assert "".join(json_chunks(res)) == _oracle_json(res)
 
 
 @settings(max_examples=200, deadline=None)
 @given(oracle_tables(), BLOCKS)
 def test_csv_bytes_equal_row_encoder(res, block_rows):
     with _blocks_of(block_rows):
-        assert result_to_csv(res) == _oracle_csv(res)
+        assert "".join(csv_chunks(res)) == _oracle_csv(res)
 
 
 def _boundary_table(n_rows):
