@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from numbers import Integral
 
 import numpy as np
@@ -52,7 +53,27 @@ def sinc(x: float) -> float:
 
 def _thermal_factor(x: float) -> float:
     # (1 + e^-x) / (1 - e^-x); expm1 keeps full precision for small x
+    if x == 0.0:
+        raise DomainError("the thermal argument 2 pi omega / accel underflows to 0")
     return (1.0 + math.exp(-x)) / (-math.expm1(-x))
+
+
+def _each(f, x):
+    """f(x) of a float; of an array, f of each element, called once per
+    distinct bit pattern. Either way an element gets the bits the scalar
+    path gives it, which numpy's own power and exp loops do not (they round
+    some arguments differently), nor promise for sin."""
+    if not isinstance(x, np.ndarray):
+        return f(float(x))
+    bits, where = np.unique(x.view(np.int64), return_inverse=True)
+    return np.array([f(v) for v in bits.view(np.float64).tolist()],
+                    dtype=float)[where]
+
+
+def _power(x, k):
+    """x ** k as Python floats take it (C ``pow``), element by element on
+    arrays."""
+    return _each(lambda v: v ** k, x)
 
 
 def leaf_mask(tau, ratio):
@@ -145,6 +166,26 @@ def kossakowski_free(params: UnruhParams) -> KossakowskiFree:
     return KossakowskiFree(A=a_coef, B=pref, C=c_coef, ratio=pref / a_coef)
 
 
+def boundary_arguments(omega, accel, z, sep):
+    """The thermal argument x = 2 pi omega / accel and the image-point
+    arguments (2 z omega, sep omega, sqrt(sep^2 + 4 z^2) omega) of
+    :func:`kossakowski_boundary`; Python floats or numpy arrays alike."""
+    image = _each(math.sqrt, sep * sep + 4.0 * z * z)
+    return (2.0 * math.pi / accel) * omega, (2.0 * z * omega, sep * omega,
+                                             image * omega)
+
+
+def boundary_pairs(omega, x, args):
+    """(A1, A2, B1, B2) from :func:`boundary_arguments`; Python floats or
+    numpy arrays alike, with sinc and the thermal factor through ``_each``.
+    DomainError where x underflows to 0."""
+    pref = omega / (4.0 * math.pi)
+    th = _each(_thermal_factor, x)
+    same = 1.0 - _each(sinc, args[0])
+    cross = _each(sinc, args[1]) - _each(sinc, args[2])
+    return pref * th * same, pref * th * cross, pref * same, pref * cross
+
+
 def kossakowski_boundary(params: UnruhParams, z: float, sep: float) -> KossakowskiBoundary:
     """Coefficient pairs for atoms at distance z from a reflecting boundary.
 
@@ -155,7 +196,8 @@ def kossakowski_boundary(params: UnruhParams, z: float, sep: float) -> Kossakows
         A2, B2 ~ sinc(sep omega) - sinc(sqrt(sep^2 + 4 z^2) omega)
 
     with the thermal factor multiplying the A pair, and C1 = -A1,
-    C2 = -A2 by construction.
+    C2 = -A2 by construction. DomainError where an image-point argument
+    overflows or 2 pi omega / accel underflows to 0.
     """
     if not (z > 0.0 and math.isfinite(z)):
         raise DomainError("z must be positive and finite")
@@ -163,16 +205,11 @@ def kossakowski_boundary(params: UnruhParams, z: float, sep: float) -> Kossakows
         raise DomainError("sep must be positive and finite")
     if math.isinf(params.accel):
         raise DomainError("boundary coefficients need a finite acceleration")
-    omega = params.omega
-    pref = omega / (4.0 * math.pi)
-    th = _thermal_factor(params.beta * omega)
-    same = 1.0 - sinc(2.0 * z * omega)
-    cross = sinc(sep * omega) - sinc(math.sqrt(sep * sep + 4.0 * z * z) * omega)
-    a1 = pref * th * same
-    a2 = pref * th * cross
-    b1 = pref * same
-    b2 = pref * cross
-    ratio = b1 / a1 if a1 != 0.0 else pref / (pref * th)
+    x, args = boundary_arguments(params.omega, params.accel, z, sep)
+    if not all(map(math.isfinite, args)):
+        raise DomainError("an image-point distance times omega overflows")
+    a1, a2, b1, b2 = boundary_pairs(params.omega, x, args)
+    ratio = b1 / a1 if a1 != 0.0 else kossakowski_free(params).ratio
     return KossakowskiBoundary(A1=a1, A2=a2, B1=b1, B2=b2, C1=-a1, C2=-a2,
                                z=z, sep=sep, ratio=ratio)
 
@@ -215,17 +252,37 @@ class BoundaryEquilibrium:
     is_limit: bool
 
 
-def boundary_denominator(coeffs: KossakowskiBoundary) -> float:
-    """D = 2 A1^3 - A1^2 A2 - A2 B1 B2 + A1 (B2^2 - A2^2) of the boundary case.
+def boundary_d(a1, a2, b1, b2):
+    """D = 2 A1^3 - A1^2 A2 - A2 B1 B2 + A1 (B2^2 - A2^2) of the boundary
+    case, and whether |D| underflows to 1e-14 of the coefficient-scale cube.
+    Python floats or numpy arrays alike, powers through ``_power``."""
+    d = (2.0 * _power(a1, 3) - _power(a1, 2) * a2 - a2 * b1 * b2
+         + a1 * (_power(b2, 2) - _power(a2, 2)))
+    # a NaN coefficient makes D NaN, which never underflows: any max will do
+    scale = _power(reduce(np.maximum, (abs(a1), abs(a2), abs(b1), abs(b2),
+                                       1e-300)), 3)
+    return d, abs(d) <= DEGENERATE_D_REL * scale
 
-    Raises DegenerateLimit when |D| underflows to 1e-14 of the
-    coefficient-scale cube (z -> 0 and/or sep -> 0 regimes).
-    """
-    a1, a2, b1, b2 = coeffs.A1, coeffs.A2, coeffs.B1, coeffs.B2
-    d = 2.0 * a1 ** 3 - a1 ** 2 * a2 - a2 * b1 * b2 + a1 * (b2 ** 2 - a2 ** 2)
-    scale = max(abs(a1), abs(a2), abs(b1), abs(b2), 1e-300) ** 3
-    if abs(d) <= DEGENERATE_D_REL * scale:
-        raise DegenerateLimit(f"|D| = {abs(d):.3e} underflows")
+
+def boundary_x(a1, a2, b1, b2, d):
+    """x1 = -(A1-A2) B1 (2A1+A2) / D, the equilibrium's Bloch coefficient
+    along n, and x3 = (A1-A2) B1 (2B1+B2-2A1-A2) / D of the boundary
+    steering criterion; Python floats or numpy arrays alike."""
+    return (-(a1 - a2) * b1 * (2.0 * a1 + a2) / d,
+            (a1 - a2) * b1 * (2.0 * b1 + b2 - 2.0 * a1 - a2) / d)
+
+
+def d_underflow(d) -> DegenerateLimit:
+    """The error of a D that underflows, as both boundary paths word it."""
+    return DegenerateLimit(f"|D| = {abs(d):.3e} underflows")
+
+
+def boundary_denominator(coeffs: KossakowskiBoundary) -> float:
+    """D of :func:`boundary_d`; DegenerateLimit where it underflows
+    (z -> 0 and/or sep -> 0 regimes)."""
+    d, underflows = boundary_d(coeffs.A1, coeffs.A2, coeffs.B1, coeffs.B2)
+    if underflows:
+        raise d_underflow(d)
     return d
 
 
@@ -253,7 +310,7 @@ def equilibrium_boundary(coeffs: KossakowskiBoundary, *,
         return BoundaryEquilibrium(state=state, tau_eq=float(fallback_tau),
                                    trace_mismatch=math.nan, is_limit=True)
     a1, a2, b1, b2 = coeffs.A1, coeffs.A2, coeffs.B1, coeffs.B2
-    c = -(a1 - a2) * b1 * (2.0 * a1 + a2) / d
+    c, _ = boundary_x(a1, a2, b1, b2, d)
     s = (a1 - a2) * b1 * (2.0 * b1 + b2) / d
     tau_eq = (2.0 * a1 + a2) * b1 * (b1 - b2) / d
     state = FanoState(c * Z_AXIS, c * Z_AXIS, s * np.outer(Z_AXIS, Z_AXIS))

@@ -26,12 +26,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DenominatorZero, NotPositive
-from .model import boundary_denominator, check_leaf
+from .model import boundary_denominator, boundary_x, check_leaf
 from .qmat import FanoState, fano_matrices, fano_to_matrix, min_eigenvalue, trace_norm
 
 SQRT6 = math.sqrt(6.0)
 DEGENERACY_GATE = 1e-9    # |b| below this: reduced state treated as maximally mixed
 PHYSICALITY_TOL = 1e-10   # min-eigenvalue gate on input states
+# analytically 1 + x1 = 1 - ratio > 0; rounding noise in x1 is ~5e-12, so
+# anything at or below this is saturation, not signal (the quotient's sign
+# can even flip there)
+DENOMINATOR_GATE = 1e-9
 
 
 def _require_physical(state: FanoState) -> None:
@@ -171,6 +175,11 @@ class BoundaryVerdict(NamedTuple):
     satisfied: bool
 
 
+def zero_denominator(denom) -> DenominatorZero:
+    """The error of a gated 1 + x1, as both boundary paths word it."""
+    return DenominatorZero(f"1 + x1 = {denom:.3e}")
+
+
 def steerability_verdict_boundary(coeffs) -> BoundaryVerdict:
     """Coherence-sum steering criterion for the boundary equilibrium.
 
@@ -183,14 +192,9 @@ def steerability_verdict_boundary(coeffs) -> BoundaryVerdict:
     dominates the denominator).
     """
     d = boundary_denominator(coeffs)
-    a1, a2, b1, b2 = coeffs.A1, coeffs.A2, coeffs.B1, coeffs.B2
-    x1 = -(a1 - a2) * b1 * (2.0 * a1 + a2) / d
-    x3 = (a1 - a2) * b1 * (2.0 * b1 + b2 - 2.0 * a1 - a2) / d
-    # analytically 1 + x1 = 1 - ratio > 0; rounding noise in x1 is ~5e-12,
-    # so anything at or below 1e-9 is saturation, not signal (the quotient's
-    # sign can even flip there)
+    x1, x3 = boundary_x(coeffs.A1, coeffs.A2, coeffs.B1, coeffs.B2, d)
     denom = 1.0 + x1
-    if denom <= 1e-9:
-        raise DenominatorZero(f"1 + x1 = {denom:.3e}")
+    if denom <= DENOMINATOR_GATE:
+        raise zero_denominator(denom)
     value = x3 / denom
     return BoundaryVerdict(x1=x1, x3=x3, value=value, satisfied=value > SQRT6)

@@ -1,9 +1,9 @@
 """Deterministic parameter-sweep engine with CSV/JSON emission.
 
 Evaluators take the whole grid at once, flattened in lexicographic order, one
-array per axis; the surface evaluator works on whole arrays, the others row
-by row. Domain errors at single points become row diagnostics instead of
-aborting the sweep. The result table is column-major, one list per column,
+array per axis; the surface and boundary evaluators work on whole arrays,
+the others row by row. Domain errors at single points become row
+diagnostics instead of aborting the sweep. The result table is column-major, one list per column,
 and both writers emit it in blocks of ``BLOCK_ROWS`` rows, a column at a
 time within a block, so no writer holds a whole file's text. Serialization
 is reproducible: CSV floats at 17 significant digits, JSON floats as the
@@ -25,13 +25,19 @@ import numpy as np
 from .errors import ConsistencyError, DomainError, UnruhSteerError
 from .model import (
     UnruhParams,
+    boundary_arguments,
+    boundary_d,
+    boundary_pairs,
+    boundary_x,
     check_leaf,
+    d_underflow,
     kossakowski_boundary,
     kossakowski_free,
     leaf_mask,
 )
 from .qmat import matrix_to_fano
 from .steering import (
+    DENOMINATOR_GATE,
     SQRT6,
     _mid_of_solution,
     coherence_sum_terms,
@@ -39,6 +45,7 @@ from .steering import (
     sic_solution,
     steerability_functional_free,
     steerability_verdict_boundary,
+    zero_denominator,
 )
 
 GRID_NAMES = ("a", "tau", "R", "z", "L")
@@ -151,6 +158,10 @@ def run_grid(axes, evaluator, out_columns, meta=None) -> SweepResult:
 
 # ----- whole-axis evaluators -----
 
+def _diagnostic(exc: UnruhSteerError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _fill_rows(columns, diagnostics, rows, point, *axes):
     """Store the scalar ``point`` at each of ``rows`` into the columns.
 
@@ -162,7 +173,7 @@ def _fill_rows(columns, diagnostics, rows, point, *axes):
             values = point(*(float(axis[i]) for axis in axes))
         except UnruhSteerError as exc:
             values = (math.nan,) * len(columns)
-            diagnostics[i] = f"{type(exc).__name__}: {exc}"
+            diagnostics[i] = _diagnostic(exc)
         for column, value in zip(columns, values):
             column[i] = value
 
@@ -207,15 +218,50 @@ def eval_surface(tau, ratio):
 
 
 def eval_boundary(omega: float, accel, z, sep):
-    """Columns BOUNDARY_COLUMNS, row by row: with numpy's array ``**``, D
-    would round differently at 448 of the 8000 points of the 20^3 scan.
+    """Columns BOUNDARY_COLUMNS on whole arrays, bit for bit the scalar
+    path's: ``+ - * /`` on the arrays, which round as Python floats do, and
+    powers, sqrt, sin and exp through the scalar functions per distinct
+    argument (``model._each``).
+
+    A row goes through the arrays when its thermal and image-point
+    arguments are all positive and finite. That implies valid inputs:
+    sqrt(L^2 + 4 z^2) omega > 0 needs omega > 0, and then 2 z omega, L omega
+    and 2 pi omega / a in (0, inf) need z, L and a there. Its
+    DegenerateLimit and DenominatorZero flags come from the arrays. Every
+    other row (bad input, or an argument at inf or 0) goes through
+    ``kossakowski_boundary`` and ``steerability_verdict_boundary``.
     """
+    n = accel.size
+    columns = [np.full(n, math.nan) for _ in BOUNDARY_COLUMNS[:-1]]
+    columns.append(np.full(n, math.nan, dtype=object))
+    diagnostics = [""] * n
+    with np.errstate(all="ignore"):
+        x, args = boundary_arguments(omega, accel, z, sep)
+        fast = (0.0 < x) & (x < math.inf)
+        for arg in args:
+            fast &= (0.0 < arg) & (arg < math.inf)
+        rows = np.flatnonzero(fast)
+        pairs = boundary_pairs(omega, x[rows], [arg[rows] for arg in args])
+        d, underflows = boundary_d(*pairs)
+        x1, x3 = boundary_x(*pairs, d)
+        denom = 1.0 + x1
+        value = x3 / denom
+    zero = ~underflows & (denom <= DENOMINATOR_GATE)
+    kept = ~(underflows | zero)
+    for column, cells in zip(columns, (*pairs, x1, x3, value, value > SQRT6)):
+        column[rows[kept]] = cells[kept]
+    for i, di in zip(rows[underflows].tolist(), d[underflows].tolist()):
+        diagnostics[i] = _diagnostic(d_underflow(di))
+    for i, denom_i in zip(rows[zero].tolist(), denom[zero].tolist()):
+        diagnostics[i] = _diagnostic(zero_denominator(denom_i))
+
     def point(a, height, distance):
         coeffs = kossakowski_boundary(UnruhParams(omega, a), height, distance)
         return ((coeffs.A1, coeffs.A2, coeffs.B1, coeffs.B2)
                 + tuple(steerability_verdict_boundary(coeffs)))
 
-    return _pointwise(point, len(BOUNDARY_COLUMNS), accel, z, sep)
+    _fill_rows(columns, diagnostics, np.flatnonzero(~fast), point, accel, z, sep)
+    return columns, diagnostics
 
 
 def eval_theorem(states: np.ndarray, index):

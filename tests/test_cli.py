@@ -291,6 +291,41 @@ def test_boundary_scan(capsys):
     assert all(row["satisfied"] == "false" for row in rows)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["equilibrium", "--z", "1e200", "--sep", "1", "--accel", "1"],
+     "an image-point distance times omega overflows"),
+    (["equilibrium", "--omega", "1e-300", "--accel", "1e300", "--tau", "0.5"],
+     "the thermal argument 2 pi omega / accel underflows to 0"),
+])
+def test_argument_overflow_and_underflow_are_domain_errors(capsys, argv,
+                                                            message):
+    # sin(inf) and the 2 / 0 of the thermal factor used to escape as a
+    # traceback
+    assert main(argv) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"unruh-steer: error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, flagged, message", [
+    (["boundary-scan", "--grid", "a:log:1:2:2",
+      "--grid", "z:log:1e200:1e201:2", "--grid", "L:log:1:2:2"], 8,
+     "an image-point distance times omega overflows"),
+    (["boundary-scan", "--grid", "a:log:1:2:2", "--grid", "z:log:1:1e308:2",
+      "--grid", "L:log:1:2:2"], 4,
+     "an image-point distance times omega overflows"),
+    (["sic-sweep", "--omega", "1e-300", "--tau", "0.5",
+      "--grid", "a:log:1e299:1e300:2"], 2,
+     "the thermal argument 2 pi omega / accel underflows to 0"),
+])
+def test_sweeps_flag_argument_overflow_and_underflow(capsys, argv, flagged,
+                                                     message):
+    assert main(argv) == 0
+    _, rows = _csv_rows(capsys.readouterr().out)
+    diagnostics = [row["diagnostics"] for row in rows if row["diagnostics"]]
+    assert diagnostics == [f"DomainError: {message}"] * flagged
+
+
 def test_theorem_check_deterministic(capsys):
     assert main(["theorem-check", "--seed", "5", "--count", "3"]) == 0
     first = capsys.readouterr()

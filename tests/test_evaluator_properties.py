@@ -1,25 +1,28 @@
 """Property tests for the whole-axis sweep evaluators.
 
 On random small grids each evaluator, run through ``run_grid``, must give
-cell for cell what its scalar functions give (``==``, or both NaN), and
-a row where the scalar functions raise must carry their exact error text.
+cell for cell what its scalar functions give (the same bits, or both NaN),
+and a row where the scalar functions raise must carry their exact error
+text.
 The boundary scan is checked against its closed form: on unflagged rows
 x1 = -R, x3 = -R (1 - R) and the criterion value x3 / (1 + x1) = -R.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from unruh_steer.errors import UnruhSteerError  # noqa: E402
 from unruh_steer.model import (UnruhParams, equilibrium_free,  # noqa: E402
-                               kossakowski_free)
+                               kossakowski_boundary, kossakowski_free)
 from unruh_steer.steering import (sic_closed_form_free,  # noqa: E402
-                                  steerability_functional_free)
+                                  steerability_functional_free,
+                                  steerability_verdict_boundary)
 from unruh_steer.sweeps import (BOUNDARY_COLUMNS,  # noqa: E402
                                 SIC_SWEEP_COLUMNS, SURFACE_COLUMNS,
                                 eval_boundary, eval_sic_free, eval_surface,
@@ -40,7 +43,10 @@ ACCELS = st.one_of(st.sampled_from([math.inf, 0.0, -1.0, 2.0 * math.pi]),
 def _same(got, want):
     if type(got) is not type(want):
         return False
-    return got == want or (math.isnan(got) and math.isnan(want))
+    if isinstance(got, float):
+        return (struct.pack("<d", got) == struct.pack("<d", want)
+                or (math.isnan(got) and math.isnan(want)))
+    return got == want
 
 
 def _expect(scalar, *args):
@@ -110,6 +116,50 @@ def test_out_of_range_tau_rows_carry_the_equilibrium_error_text():
     assert res.diagnostics[:2] == [f"DomainError: {info.value}"] * 2
     assert res.diagnostics[0] == "DomainError: tau = 1.5 outside [-3, 1]"
     assert res.diagnostics[2:] == ["", ""]
+
+
+def _boundary_scalar(omega):
+    def scalar(accel, z, sep):
+        coeffs = kossakowski_boundary(UnruhParams(omega, accel), z, sep)
+        return ((coeffs.A1, coeffs.A2, coeffs.B1, coeffs.B2)
+                + tuple(steerability_verdict_boundary(coeffs))), ""
+    return scalar
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+# bad inputs; a <= 0.3 for DenominatorZero and 1e20 for an infinite thermal
+# factor at omega = 1e-300, 1e25 where 2 pi omega / a underflows there, and
+# 1e-320 for an infinite thermal argument
+BOUNDARY_ACCELS = st.one_of(
+    st.sampled_from([-1.0, 0.0, math.nan, math.inf, 1e-320, 0.05, 0.2, 0.3,
+                     1e20, 1e25]),
+    _log_uniform(0.01, 100.0))
+# bad inputs; tiny lengths for DegenerateLimit, and 1e200, 1e300 (L^2 + 4 z^2)
+# and 1e308 (2 z omega) for image-point arguments that overflow
+BOUNDARY_LENGTHS = st.one_of(
+    st.sampled_from([-1.0, 0.0, math.nan, math.inf, 5e-324, 1e-12, 1e-9,
+                     1e200, 1e300, 1e308]),
+    _log_uniform(1e-3, 10.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1.0, 2.5, 1e-300]),
+       st.lists(BOUNDARY_ACCELS, min_size=1, max_size=5),
+       st.lists(BOUNDARY_LENGTHS, min_size=1, max_size=5),
+       st.lists(BOUNDARY_LENGTHS, min_size=1, max_size=5))
+@example(1.0, [-1.0, math.inf, 1e-320, 0.05, 0.3, 1.0, 1e25],
+         [-1.0, math.nan, 1e-12, 1e-9, 0.5, 1e200, 1e308],
+         [0.0, math.inf, 1e-12, 1.0, 1e200, 1e308])
+@example(1e-300, [0.0, 1e-300, 1e-299, 0.3, 1e20, 1e25],
+         [1e-9, 1.0, 1e300, 1e308], [1e-12, 1e300, 1e308])
+def test_eval_boundary_equals_scalar_path(omega, accels, heights, seps):
+    axes = (("a", accels), ("z", heights), ("L", seps))
+    res = run_grid(axes, lambda a, z, sep: eval_boundary(omega, a, z, sep),
+                   BOUNDARY_COLUMNS)
+    _assert_rows_match(res, 3, _boundary_scalar(omega))
 
 
 # log-uniform over the README's 20^3 scan box
