@@ -8,8 +8,10 @@ matrix is
     a_ij = A delta_ij - i B eps_ijk n_k + C n_i n_j
 
 built from the field correlations at the Unruh temperature accel / (2 pi).
-This module computes the coefficients (free space and with a reflecting
-boundary at distance ``z``, atom separation ``sep``), the asymptotic
+Along n the C term drops out of the coefficient equations and of every
+asymptotic quantity, so C is not computed. This module computes A and B
+(free space, and pairs of them with a reflecting boundary at distance
+``z``, atom separation ``sep``), the asymptotic
 equilibrium states, the coefficient-space equation of motion, and its
 fixed-step RK4 solution: one 16x16 step map of the affine generator,
 sampled on a uniform grid into one (S, 15) array that one stacked
@@ -36,7 +38,6 @@ Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 RANGE_SLACK = 1e-12        # slack on closed parameter ranges
 SINC_SERIES_CUTOFF = 1e-4  # |x| below which sin(x)/x uses its series
-CSERIES_CUTOFF = 1e-2      # x below which the C coefficient uses its series
 DEGENERATE_D_REL = 1e-14   # |D| underflow gate, relative to coefficient scale
 DRIFT_TOL = -1e-6          # sampled min eigenvalue below this aborts evolve
 LANDING_TOL = 1e-6         # final sample this close to the equilibrium: converged
@@ -118,28 +119,26 @@ class UnruhParams:
 
 @dataclass(frozen=True)
 class KossakowskiFree:
-    """Free-space Kossakowski coefficients and derived quantities."""
+    """Free-space Kossakowski coefficients A and B (C is not computed)."""
 
     A: float
     B: float
-    C: float
     ratio: float        # B / A, equals tanh(pi omega / accel)
 
 
 @dataclass(frozen=True)
 class KossakowskiBoundary:
-    """Coefficient pairs with a reflecting boundary.
+    """A and B coefficient pairs with a reflecting boundary.
 
-    The 1-pair multiplies delta_ij / eps / n n for each atom with itself,
-    the 2-pair the cross-atom blocks. C1 = -A1 and C2 = -A2 by construction.
+    The 1-pair multiplies delta_ij / eps for each atom with itself, the
+    2-pair the cross-atom blocks; the n n pairs (C1 = -A1, C2 = -A2) are
+    not computed. ``z`` and ``sep`` are the geometry they were built for.
     """
 
     A1: float
     A2: float
     B1: float
     B2: float
-    C1: float
-    C2: float
     z: float
     sep: float
     ratio: float        # B1 / A1, or the free-space B / A where A1 rounds to 0
@@ -148,22 +147,15 @@ class KossakowskiBoundary:
 def kossakowski_free(params: UnruhParams) -> KossakowskiFree:
     """Free-space coefficients at the Unruh temperature.
 
-    A = (omega/4pi) (1 + e^-x)/(1 - e^-x) with x = 2 pi omega / accel,
-    B = omega/4pi, C = (omega/4pi) (2/x - (1+e^-x)/(1-e^-x)). The ratio
-    B/A equals tanh(x/2); the tests hold it to 1e-12.
+    A = (omega/4pi) (1 + e^-x)/(1 - e^-x) with x = 2 pi omega / accel and
+    B = omega/4pi. The ratio B/A equals tanh(x/2); the tests hold it to
+    1e-12. At accel = inf, A = inf and the ratio is 0.
     """
     pref = params.omega / (4.0 * math.pi)
     if math.isinf(params.accel):
-        return KossakowskiFree(A=math.inf, B=pref, C=0.0, ratio=0.0)
-    x = params.beta * params.omega
-    th = _thermal_factor(x)
-    a_coef = pref * th
-    if x < CSERIES_CUTOFF:
-        # 2/x - coth(x/2) = -(x/6 - x^3/360 + ...), avoids the cancellation
-        c_coef = pref * (-(x / 6.0) + x ** 3 / 360.0)
-    else:
-        c_coef = pref * (2.0 / x - th)
-    return KossakowskiFree(A=a_coef, B=pref, C=c_coef, ratio=pref / a_coef)
+        return KossakowskiFree(A=math.inf, B=pref, ratio=0.0)
+    a_coef = pref * _thermal_factor(params.beta * params.omega)
+    return KossakowskiFree(A=a_coef, B=pref, ratio=pref / a_coef)
 
 
 def boundary_arguments(omega, accel, z, sep):
@@ -195,9 +187,8 @@ def kossakowski_boundary(params: UnruhParams, z: float, sep: float) -> Kossakows
         A1, B1 ~ 1 - sinc(2 z omega)
         A2, B2 ~ sinc(sep omega) - sinc(sqrt(sep^2 + 4 z^2) omega)
 
-    with the thermal factor multiplying the A pair, and C1 = -A1,
-    C2 = -A2 by construction. DomainError where an image-point argument
-    overflows or 2 pi omega / accel underflows to 0.
+    with the thermal factor multiplying the A pair. DomainError where an
+    image-point argument overflows or 2 pi omega / accel underflows to 0.
     """
     if not (z > 0.0 and math.isfinite(z)):
         raise DomainError("z must be positive and finite")
@@ -210,8 +201,8 @@ def kossakowski_boundary(params: UnruhParams, z: float, sep: float) -> Kossakows
         raise DomainError("an image-point distance times omega overflows")
     a1, a2, b1, b2 = boundary_pairs(params.omega, x, args)
     ratio = b1 / a1 if a1 != 0.0 else kossakowski_free(params).ratio
-    return KossakowskiBoundary(A1=a1, A2=a2, B1=b1, B2=b2, C1=-a1, C2=-a2,
-                               z=z, sep=sep, ratio=ratio)
+    return KossakowskiBoundary(A1=a1, A2=a2, B1=b1, B2=b2, z=z, sep=sep,
+                               ratio=ratio)
 
 
 # ----- equilibrium states -----

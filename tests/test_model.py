@@ -9,7 +9,6 @@ not part of the coefficient equations).
 
 import dataclasses
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -39,7 +38,6 @@ def test_kossakowski_reference_point():
     k = kossakowski_free(REF)
     assert k.A == pytest.approx(0.17220194120854398, abs=1e-16)
     assert k.B == pytest.approx(0.07957747154594767, abs=1e-16)
-    assert k.C == pytest.approx(-0.013046998116648638, abs=1e-16)
     assert k.ratio == pytest.approx(math.tanh(0.5), abs=1e-15)
     assert k.B == pytest.approx(1.0 / (4.0 * math.pi), abs=1e-16)
 
@@ -56,7 +54,7 @@ def test_ratio_identity_over_decades():
        accel=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e))
 @example(omega=1e-6, accel=1e300)     # x = 6e-306, the smallest argument
 @example(omega=1e6, accel=1e-300)     # x = 6e306, B/A rounds to 1
-@example(omega=1.0, accel=2.0 * math.pi / 1e-2)   # the C-series crossover
+@example(omega=1.0, accel=2.0 * math.pi / 1e-2)   # x = 1e-2
 def test_ratio_is_tanh_over_the_whole_range(omega, accel):
     # B/A = 1 / ((1 + e^-x) / (1 - e^-x)) = tanh(x/2) with x = 2 pi omega / a;
     # the largest deviation measured on 90,000 points of this range is 3.3e-16
@@ -69,19 +67,8 @@ def test_infinite_acceleration_limit():
     k = kossakowski_free(UnruhParams(1.0, math.inf))
     assert math.isinf(k.A)
     assert k.B == pytest.approx(1.0 / (4.0 * math.pi), abs=1e-16)
-    assert k.C == 0.0
     assert k.ratio == 0.0
     assert UnruhParams(1.0, math.inf).beta == 0.0
-
-
-def test_c_series_crossover():
-    # the small-argument branch must agree with the direct difference form
-    # where both are trustworthy (x ~ 1e-2 keeps the cancellation mild)
-    for a in (2.0 * math.pi / 0.02, 2.0 * math.pi / 0.009, 2.0 * math.pi / 0.005):
-        k = kossakowski_free(UnruhParams(1.0, a))
-        x = 2.0 * math.pi / a
-        direct = (1.0 / (4.0 * math.pi)) * (2.0 / x - 1.0 / math.tanh(x / 2.0))
-        assert k.C == pytest.approx(direct, rel=5e-10)
 
 
 def test_kossakowski_scales_linearly_in_omega():
@@ -89,7 +76,6 @@ def test_kossakowski_scales_linearly_in_omega():
     k2 = kossakowski_free(UnruhParams(2.0, 8.0))
     assert k2.A == pytest.approx(2.0 * k1.A, rel=1e-15)
     assert k2.B == pytest.approx(2.0 * k1.B, rel=1e-15)
-    assert k2.C == pytest.approx(2.0 * k1.C, rel=1e-15)
     assert k2.ratio == pytest.approx(k1.ratio, rel=1e-15)
 
 
@@ -397,7 +383,6 @@ def test_boundary_reference_point():
     assert kb.A2 == pytest.approx(0.08431456091404832, abs=1e-15)
     assert kb.B1 == pytest.approx(0.043397676490935615, abs=1e-15)
     assert kb.B2 == pytest.approx(0.03896320520522594, abs=1e-15)
-    assert kb.C1 == -kb.A1 and kb.C2 == -kb.A2
     assert kb.ratio == pytest.approx(kossakowski_free(REF).ratio, rel=1e-14)
 
 
@@ -407,35 +392,6 @@ def test_boundary_detailed_balance_identity():
         for sep in (0.05, 0.5, 3.0):
             kb = kossakowski_boundary(UnruhParams(1.0, 3.0), z, sep)
             assert kb.A1 * kb.B2 == pytest.approx(kb.A2 * kb.B1, rel=1e-12)
-
-
-def _log_uniform(lo, hi):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
-
-
-@settings(max_examples=300, deadline=None)
-@given(omega=_log_uniform(1e-3, 1e3), accel=_log_uniform(1e-2, 1e4),
-       z=_log_uniform(1e-9, 1e4), sep=_log_uniform(1e-9, 1e4))
-@example(omega=1.0, accel=2.0, z=1e-9, sep=1e-9)      # sinc == 1: A1 = A2 = 0
-@example(omega=1.0, accel=2.0, z=4e-5, sep=1e-5)      # series branch, A != 0
-@example(omega=1.0, accel=2.0, z=1.0, sep=1.0)
-def test_boundary_c_is_minus_a_exactly(omega, accel, z, sep):
-    # C1 = -A1 and C2 = -A2 by construction. The reference forms below write
-    # C with the sinc differences reversed; they match -A exactly, because
-    # fl(s - 1) = -fl(1 - s) and fl(q - p) = -fl(p - q) under round to
-    # nearest and the common factor pref * th keeps the negation exact.
-    # == on floats is bitwise except for the sign of zero: where sinc rounds
-    # to 1 the reference gives +0.0 and -A gives -0.0.
-    params = UnruhParams(omega, accel)
-    kb = kossakowski_boundary(params, z, sep)
-    assert struct.pack("<2d", kb.C1, kb.C2) == struct.pack("<2d", -kb.A1, -kb.A2)
-    pref = omega / (4.0 * math.pi)
-    th = model._thermal_factor(params.beta * omega)
-    sinc = model.sinc
-    c1_ref = pref * th * (sinc(2.0 * z * omega) - 1.0)
-    c2_ref = pref * th * (-sinc(sep * omega)
-                          + sinc(math.sqrt(sep * sep + 4.0 * z * z) * omega))
-    assert c1_ref == -kb.A1 and c2_ref == -kb.A2
 
 
 @settings(max_examples=40, deadline=None)
