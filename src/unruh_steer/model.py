@@ -25,6 +25,7 @@ B / A = tanh(pi omega / accel) in [0, 1].
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from numbers import Integral
@@ -39,6 +40,7 @@ Z_AXIS = np.array([0.0, 0.0, 1.0])
 RANGE_SLACK = 1e-12        # slack on closed parameter ranges
 SINC_SERIES_CUTOFF = 1e-4  # |x| below which sin(x)/x uses its series
 DEGENERATE_D_REL = 1e-14   # |D| underflow gate, relative to coefficient scale
+COEFFICIENT_LIMIT = 1e102  # boundary |coefficients| below it keep D, x1, x3 finite
 DRIFT_TOL = -1e-6          # sampled min eigenvalue below this aborts evolve
 LANDING_TOL = 1e-6         # final sample this close to the equilibrium: converged
 
@@ -90,6 +92,23 @@ def check_leaf(tau: float, ratio: float = 0.0) -> None:
         raise DomainError(f"tau = {float(tau)!r} outside [-3, 1]")
     if not leaf_mask(0.0, ratio):
         raise DomainError(f"ratio = {float(ratio)!r} outside [0, 1]")
+
+
+def coefficient_mask(*coeffs):
+    """True where every coefficient is finite and below COEFFICIENT_LIMIT in
+    magnitude, so that D, x1 and x3 of the boundary case stay finite;
+    scalars or arrays, False at NaN."""
+    return reduce(operator.and_, (abs(c) < COEFFICIENT_LIMIT for c in coeffs))
+
+
+def check_coefficients(a1: float, a2: float, b1: float, b2: float) -> None:
+    """DomainError naming the first of A1, A2, B1, B2 where
+    :func:`coefficient_mask` fails."""
+    for name, value in zip(("A1", "A2", "B1", "B2"), (a1, a2, b1, b2)):
+        if not coefficient_mask(value):
+            raise DomainError(f"boundary coefficient {name} = {float(value)!r}:"
+                              " D needs each finite and below"
+                              f" {COEFFICIENT_LIMIT:g} in magnitude")
 
 
 def check_omega(omega: float) -> None:
@@ -188,7 +207,9 @@ def kossakowski_boundary(params: UnruhParams, z: float, sep: float) -> Kossakows
         A2, B2 ~ sinc(sep omega) - sinc(sqrt(sep^2 + 4 z^2) omega)
 
     with the thermal factor multiplying the A pair. DomainError where an
-    image-point argument overflows or 2 pi omega / accel underflows to 0.
+    image-point argument overflows, 2 pi omega / accel underflows to 0, or a
+    coefficient fails :func:`check_coefficients` (an infinite thermal factor
+    makes it inf or NaN, a large one too large for D).
     """
     if not (z > 0.0 and math.isfinite(z)):
         raise DomainError("z must be positive and finite")
@@ -200,6 +221,7 @@ def kossakowski_boundary(params: UnruhParams, z: float, sep: float) -> Kossakows
     if not all(map(math.isfinite, args)):
         raise DomainError("an image-point distance times omega overflows")
     a1, a2, b1, b2 = boundary_pairs(params.omega, x, args)
+    check_coefficients(a1, a2, b1, b2)
     ratio = b1 / a1 if a1 != 0.0 else kossakowski_free(params).ratio
     return KossakowskiBoundary(A1=a1, A2=a2, B1=b1, B2=b2, z=z, sep=sep,
                                ratio=ratio)
@@ -246,10 +268,11 @@ class BoundaryEquilibrium:
 def boundary_d(a1, a2, b1, b2):
     """D = 2 A1^3 - A1^2 A2 - A2 B1 B2 + A1 (B2^2 - A2^2) of the boundary
     case, and whether |D| underflows to 1e-14 of the coefficient-scale cube.
-    Python floats or numpy arrays alike, powers through ``_power``."""
+    Python floats or numpy arrays alike, powers through ``_power``, which
+    raises OverflowError unless the coefficients pass
+    :func:`coefficient_mask`."""
     d = (2.0 * _power(a1, 3) - _power(a1, 2) * a2 - a2 * b1 * b2
          + a1 * (_power(b2, 2) - _power(a2, 2)))
-    # a NaN coefficient makes D NaN, which never underflows: any max will do
     scale = _power(reduce(np.maximum, (abs(a1), abs(a2), abs(b1), abs(b2),
                                        1e-300)), 3)
     return d, abs(d) <= DEGENERATE_D_REL * scale
@@ -269,8 +292,10 @@ def d_underflow(d) -> DegenerateLimit:
 
 
 def boundary_denominator(coeffs: KossakowskiBoundary) -> float:
-    """D of :func:`boundary_d`; DegenerateLimit where it underflows
+    """D of :func:`boundary_d`; DomainError where a coefficient fails
+    :func:`check_coefficients`, DegenerateLimit where D underflows
     (z -> 0 and/or sep -> 0 regimes)."""
+    check_coefficients(coeffs.A1, coeffs.A2, coeffs.B1, coeffs.B2)
     d, underflows = boundary_d(coeffs.A1, coeffs.A2, coeffs.B1, coeffs.B2)
     if underflows:
         raise d_underflow(d)

@@ -30,6 +30,7 @@ from .model import (
     boundary_pairs,
     boundary_x,
     check_leaf,
+    coefficient_mask,
     d_underflow,
     kossakowski_boundary,
     kossakowski_free,
@@ -165,8 +166,10 @@ def _diagnostic(exc: UnruhSteerError) -> str:
 def _fill_rows(columns, diagnostics, rows, point, *axes):
     """Store the scalar ``point`` at each of ``rows`` into the columns.
 
-    This is where every evaluator flags rows: an UnruhSteerError makes the
-    row NaN, with the diagnostic "{Class}: {message}".
+    An UnruhSteerError makes the row NaN, with the diagnostic
+    "{Class}: {message}". The row-by-row evaluators flag every row here;
+    ``eval_surface`` and ``eval_boundary`` flag their gated rows themselves
+    and send only the rest here.
     """
     for i in rows:
         try:
@@ -224,12 +227,15 @@ def eval_boundary(omega: float, accel, z, sep):
     argument (``model._each``).
 
     A row goes through the arrays when its thermal and image-point
-    arguments are all positive and finite. That implies valid inputs:
-    sqrt(L^2 + 4 z^2) omega > 0 needs omega > 0, and then 2 z omega, L omega
-    and 2 pi omega / a in (0, inf) need z, L and a there. Its
-    DegenerateLimit and DenominatorZero flags come from the arrays. Every
-    other row (bad input, or an argument at inf or 0) goes through
-    ``kossakowski_boundary`` and ``steerability_verdict_boundary``.
+    arguments are all positive and finite, and its coefficients pass
+    ``model.coefficient_mask`` (finite, and small enough that D, x1 and x3
+    cannot overflow). The arguments imply valid inputs: sqrt(L^2 + 4 z^2)
+    omega > 0 needs omega > 0, and then 2 z omega, L omega and
+    2 pi omega / a in (0, inf) need z, L and a there. Its DegenerateLimit
+    and DenominatorZero flags come from the arrays. Every other row (bad
+    input, an argument at inf or 0, or an infinite, NaN or huge
+    coefficient) goes through ``kossakowski_boundary`` and
+    ``steerability_verdict_boundary``, which flag it.
     """
     n = accel.size
     columns = [np.full(n, math.nan) for _ in BOUNDARY_COLUMNS[:-1]]
@@ -242,6 +248,9 @@ def eval_boundary(omega: float, accel, z, sep):
             fast &= (0.0 < arg) & (arg < math.inf)
         rows = np.flatnonzero(fast)
         pairs = boundary_pairs(omega, x[rows], [arg[rows] for arg in args])
+        finite = coefficient_mask(*pairs)
+        fast[rows[~finite]] = False
+        rows, pairs = rows[finite], [cells[finite] for cells in pairs]
         d, underflows = boundary_d(*pairs)
         x1, x3 = boundary_x(*pairs, d)
         denom = 1.0 + x1

@@ -326,6 +326,54 @@ def test_sweeps_flag_argument_overflow_and_underflow(capsys, argv, flagged,
     assert diagnostics == [f"DomainError: {message}"] * flagged
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["equilibrium", "--accel", "1e300", "--z", "1", "--sep", "1"],
+     "boundary coefficient A1 = 1.3813909464470685e+298"),
+    (["equilibrium", "--omega", "1e200", "--accel", "1", "--z", "1",
+      "--sep", "1"], "boundary coefficient A1 = 7.957747154594767e+198"),
+    (["equilibrium", "--omega", "1e-300", "--accel", "1e20", "--z", "1",
+      "--sep", "1"], "boundary coefficient A1 = nan"),
+])
+def test_boundary_coefficients_that_overflow_d_are_domain_errors(
+        capsys, argv, message):
+    # a coefficient whose cube overflows used to end in an OverflowError
+    # traceback, and an infinite thermal factor in a NaN coefficient
+    assert main(argv) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"unruh-steer: error: {message}: D needs each"
+                            " finite and below 1e+102 in magnitude\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["boundary-scan", "--grid", "a:log:1e290:1e300:2",
+     "--grid", "z:log:1:2:2", "--grid", "L:log:1:2:2"],
+    ["boundary-scan", "--omega", "1e-300", "--grid", "a:log:1e20:2e20:2",
+     "--grid", "z:log:1:2:2", "--grid", "L:log:1:2:2"],
+])
+def test_boundary_scan_flags_coefficients_that_overflow_d(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert "satisfied at 0 of 8 points (8 rows flagged)" in captured.err
+    _, rows = _csv_rows(captured.out)
+    assert len(rows) == 8
+    for row in rows:
+        assert re.fullmatch(r"DomainError: boundary coefficient A1 = \S+: D"
+                            r" needs each finite and below 1e\+102 in"
+                            r" magnitude", row["diagnostics"]), row
+        assert row["value"] == "nan" and row["satisfied"] == "nan"
+
+
+def test_free_space_takes_infinite_thermal_factor_as_zero_ratio(capsys):
+    # 2 pi omega / a = 6e-320 makes the thermal factor infinite: R = 0, the
+    # infinite-temperature limit, is a valid row there
+    assert main(["sic-sweep", "--omega", "1e-300", "--tau", "0.5",
+                 "--grid", "a:log:1e20:2e20:2"]) == 0
+    _, rows = _csv_rows(capsys.readouterr().out)
+    assert [(row["R"], row["sic"]) for row in rows] == [
+        ("0", "0.16666666666666666")] * 2
+
+
 def test_theorem_check_deterministic(capsys):
     assert main(["theorem-check", "--seed", "5", "--count", "3"]) == 0
     first = capsys.readouterr()

@@ -184,3 +184,32 @@ def test_boundary_criterion_is_minus_ratio(points):
         assert abs(x3[i] + ratio * (1.0 - ratio)) <= IDENTITY_TOL
         # value = x3 / (1 + x1) divides by 1 + x1 ~ 1 - R
         assert abs(value[i] + ratio) <= IDENTITY_TOL / (1.0 - ratio)
+
+
+# omega = 1e-300 with a above ~6e8 makes the thermal factor infinite (A1, A2
+# inf or NaN); omega = 1e200, or a large enough to make the thermal factor
+# huge, gives coefficients too large for D
+EXTREME_ACCELS = st.one_of(BOUNDARY_ACCELS,
+                           st.sampled_from([1e100, 1e290, 1e300]),
+                           _log_uniform(0.01, 1e300))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1e-300, 1.0, 1e200]),
+       st.lists(EXTREME_ACCELS, min_size=1, max_size=5),
+       st.lists(BOUNDARY_LENGTHS, min_size=1, max_size=5),
+       st.lists(BOUNDARY_LENGTHS, min_size=1, max_size=5))
+@example(1e-300, [1e20, 2e20], [1.0, 2.0], [1.0, 2.0])
+@example(1.0, [1e290, 1e300], [1.0, 2.0], [1.0, 2.0])
+@example(1e200, [1.0], [1.0], [1.0])
+def test_eval_boundary_unflagged_rows_are_finite(omega, accels, heights,
+                                                  seps):
+    # no input raises, and a row that carries no diagnostic has a finite
+    # number in every float column and a bool in "satisfied"
+    axes = (("a", accels), ("z", heights), ("L", seps))
+    res = run_grid(axes, lambda a, z, sep: eval_boundary(omega, a, z, sep),
+                   BOUNDARY_COLUMNS)
+    for row, diag in zip(res.rows, res.diagnostics):
+        if not diag:
+            assert all(math.isfinite(v) for v in row[3:-1]), row
+            assert type(row[-1]) is bool, row

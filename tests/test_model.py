@@ -9,6 +9,7 @@ not part of the coefficient equations).
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -468,3 +469,31 @@ def test_boundary_denominator_gate_is_relative():
     assert model.boundary_denominator(tiny) == pytest.approx(want * 1e-270, rel=1e-12)
     with pytest.raises(DegenerateLimit):
         model.boundary_denominator(dataclasses.replace(kb, A2=a1, B2=b1))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("A1", math.nan), ("A2", math.inf), ("B1", -1e102), ("B2", 6e102)])
+def test_boundary_denominator_rejects_coefficients_that_overflow_d(field,
+                                                                   value):
+    # a NaN or infinite coefficient, or one whose cube overflows, used to
+    # give a NaN D or an OverflowError from the power; a record built by
+    # hand gets the same DomainError as kossakowski_boundary raises
+    kb = dataclasses.replace(kossakowski_boundary(REF, 1.0, 1.0),
+                             **{field: value})
+    message = re.escape(f"boundary coefficient {field} = {value!r}: D needs"
+                        " each finite and below 1e+102 in magnitude")
+    with pytest.raises(DomainError, match=message):
+        model.boundary_denominator(kb)
+    with pytest.raises(DomainError, match=message):
+        equilibrium_boundary(kb, fallback_tau=0.0)
+
+
+@pytest.mark.parametrize("omega, accel", [
+    (1e-300, 1e20),   # 2 pi omega / a = 6e-320: infinite thermal factor
+    (1.0, 1e300),     # thermal factor 3e299: A1 ~ 1e298
+    (1e200, 1.0),     # omega / 4 pi ~ 8e198
+])
+def test_kossakowski_boundary_rejects_coefficients_that_overflow_d(omega,
+                                                                   accel):
+    with pytest.raises(DomainError, match="^boundary coefficient A1 = "):
+        kossakowski_boundary(UnruhParams(omega, accel), 1.0, 1.0)

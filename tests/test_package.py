@@ -1,8 +1,13 @@
 """The package's public surface: ``__all__`` is an explicit list and matches
-what is importable, and no module relies on ``assert`` for a runtime check."""
+what is importable, no module relies on ``assert`` for a runtime check, and
+the README's Library example runs against the current API."""
 
 import ast
+import contextlib
+import io
 from pathlib import Path
+
+import pytest
 
 import unruh_steer
 
@@ -47,3 +52,18 @@ def test_no_assert_statements_in_package():
              if isinstance(node, ast.Assert)]
     assert len(list(root.glob("*.py"))) >= 7
     assert found == []
+
+
+def test_readme_library_example_runs():
+    # the ```python block under "## Library" is executed as written
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = text.split("\n## Library\n", 1)[1].split("```python\n", 1)[1]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
+    sic, closed_form, axis, mid = out.getvalue().splitlines()
+    # the SVD, the closed form and MID agree, as the comments say
+    assert float(closed_form) == pytest.approx(float(sic), abs=1e-12)
+    assert float(mid) == pytest.approx(float(sic), abs=1e-12)
+    assert axis.startswith("[")
