@@ -162,8 +162,8 @@ def cmd_equilibrium(args) -> int:
         meta = {"command": "equilibrium", "geometry": "free",
                 "omega": args.omega, "accel": args.accel,
                 "tau": args.tau, "axes": ()}
-    return _deliver(SweepResult(columns, [[cell] for cell in row], [""], meta),
-                    args)
+    return _deliver(SweepResult(columns, [np.array([cell]) for cell in row],
+                                [""], meta), args)
 
 
 _INIT_STATES = ("ground", "excited", "singlet", "tau-mixed")
@@ -188,7 +188,7 @@ def cmd_evolve(args) -> int:
     traj = evolve(state, coeffs, t_end=args.t_end, samples=args.samples)
     columns = ("t",) + STATE_COLUMNS + ("tau",)
     traces = np.trace(traj.vectors[:, 6:].reshape(-1, 3, 3), axis1=1, axis2=2)
-    data = [traj.times.tolist()] + traj.vectors.T.tolist() + [traces.tolist()]
+    data = [traj.times, *traj.vectors.T, traces]
     meta = {"command": "evolve", "omega": args.omega, "accel": args.accel,
             "init": args.init, "tau": traj.tau, "t_end": float(traj.times[-1]),
             "samples": args.samples, "step": traj.step,
@@ -235,7 +235,7 @@ def _surface_summary(result: SweepResult):
         if kept.size == 0:
             lines.append(f"max {form} f: no unflagged grid points")
             continue
-        values = np.asarray(result.column(form))[kept]
+        values = result.column(form)[kept]
         row = kept[np.argmax(values)]
         tau, ratio = result.column("tau")[row], result.column("R")[row]
         best = values.max()
@@ -292,8 +292,8 @@ def cmd_node(args) -> int:
         meta = {"command": "node", "omega": args.omega, "tau": args.tau,
                 "axes": ()}
         return _deliver(SweepResult(("tau", "a_star", "sic"),
-                                    [[cell] for cell in row], [diag], meta),
-                        args)
+                                    [np.array([cell]) for cell in row], [diag],
+                                    meta), args)
     return EXIT_OK
 
 

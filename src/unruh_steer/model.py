@@ -43,6 +43,7 @@ DEGENERATE_D_REL = 1e-14   # |D| underflow gate, relative to coefficient scale
 COEFFICIENT_LIMIT = 1e102  # boundary |coefficients| below it keep D, x1, x3 finite
 DRIFT_TOL = -1e-6          # sampled min eigenvalue below this aborts evolve
 LANDING_TOL = 1e-6         # final sample this close to the equilibrium: converged
+MAX_RK4_STEPS = 10**7      # evolve refuses a horizon that needs more substeps
 
 
 def sinc(x: float) -> float:
@@ -61,16 +62,16 @@ def _thermal_factor(x: float) -> float:
     return (1.0 + math.exp(-x)) / (-math.expm1(-x))
 
 
-def _each(f, x):
-    """f(x) of a float; of an array, f of each element, called once per
-    distinct bit pattern. Either way an element gets the bits the scalar
-    path gives it, which numpy's own power and exp loops do not (they round
-    some arguments differently), nor promise for sin."""
+def _each(f, x, dtype=float):
+    """f(x) of a float; of a float array, the ``dtype`` array (object for
+    text) of f of each element, called once per distinct bit pattern. An
+    element gets the bits the scalar path gives it, which numpy's power and
+    exp loops do not (they round some differently), nor promise for sin."""
     if not isinstance(x, np.ndarray):
         return f(float(x))
     bits, where = np.unique(x.view(np.int64), return_inverse=True)
     return np.array([f(v) for v in bits.view(np.float64).tolist()],
-                    dtype=float)[where]
+                    dtype=dtype)[where]
 
 
 def _power(x, k):
@@ -420,8 +421,9 @@ def evolve(state: FanoState, coeffs: KossakowskiFree, t_end: float | None = None
 
     After the step loop all samples are checked in one stacked ``eigvalsh``;
     UnphysicalDrift names the earliest one whose minimum eigenvalue is below
-    -1e-6. DomainError for A, t_end, samples or tau out of range, and for a
-    sample that overflows (unless an earlier one drifted).
+    -1e-6. DomainError for A, t_end, samples or tau out of range, for more
+    than ``MAX_RK4_STEPS`` substeps (t_end / h plus one per sample), and
+    for a sample that overflows (unless an earlier one drifted).
     """
     horizon = relaxation_horizon(coeffs)   # checks A
     t_end = horizon if t_end is None else t_end
@@ -429,12 +431,17 @@ def evolve(state: FanoState, coeffs: KossakowskiFree, t_end: float | None = None
         raise DomainError("t_end must be positive and finite")
     if isinstance(samples, bool) or not isinstance(samples, Integral) or samples < 1:
         raise DomainError(f"samples must be an integer >= 1, got {samples!r}")
+    h = min(0.05 / (12.0 * coeffs.A), t_end / 1000.0)
+    steps = t_end / h + samples   # each sample interval takes one substep or more
+    if steps > MAX_RK4_STEPS:
+        raise DomainError(f"t_end = {t_end:g} with {samples} samples needs"
+                          f" {steps:.3g} RK4 steps of h = {h:.3g}; the limit"
+                          f" is {MAX_RK4_STEPS:.0e}")
     times = np.linspace(0.0, t_end, samples)
     times.setflags(write=False)
 
     tau = state.trace_sum
     equilibrium = equilibrium_free(tau, coeffs.ratio)
-    h = min(0.05 / (12.0 * coeffs.A), t_end / 1000.0)
 
     def rhs(y):
         return ode_rhs(FanoState.from_vector(y), coeffs, tau=tau).to_vector()
@@ -484,7 +491,7 @@ def steering_node_acceleration(tau: float, omega: float) -> float | None:
     The equilibrium coherence vanishes where ratio^2 = tau, i.e. at
     a* = pi omega / artanh(sqrt(tau)) for tau in (0, 1). Returns None for
     tau <= 0 (no finite node) and 0.0 for tau = 1 as the a -> 0 boundary
-    marker.
+    marker; DomainError where a* overflows.
     """
     check_omega(omega)
     check_leaf(tau)
@@ -492,4 +499,8 @@ def steering_node_acceleration(tau: float, omega: float) -> float | None:
         return None
     if tau >= 1.0:
         return 0.0
-    return math.pi * omega / math.atanh(math.sqrt(tau))
+    a_star = math.pi * omega / math.atanh(math.sqrt(tau))
+    if not math.isfinite(a_star):
+        raise DomainError("the steering node a* = pi omega / artanh(sqrt(tau))"
+                          f" overflows at tau = {tau!r}, omega = {omega!r}")
+    return a_star

@@ -126,12 +126,13 @@ def matrix_to_fano(m: np.ndarray) -> FanoState:
     return FanoState(coef[1:, 0], coef[0, 1:], coef[1:, 1:])
 
 
-def _require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
+def _require_hermitian(m: np.ndarray) -> None:
     if not np.isfinite(m).all():
         raise DomainError("matrix has non-finite entries")
     dev = np.abs(m - m.conj().T).max()
-    if dev > tol:
-        raise NonHermitian(f"max |m - m^dag| = {dev:.3e} exceeds {tol}")
+    if dev > HERMITICITY_TOL:
+        raise NonHermitian(f"max |m - m^dag| = {dev:.3e}"
+                           f" exceeds {HERMITICITY_TOL}")
 
 
 # ----- basic functionals -----

@@ -3,12 +3,13 @@
 Evaluators take the whole grid at once, flattened in lexicographic order, one
 array per axis; the surface and boundary evaluators work on whole arrays,
 the others row by row. Domain errors at single points become row
-diagnostics instead of aborting the sweep. The result table is column-major, one list per column,
-and both writers emit it in blocks of ``BLOCK_ROWS`` rows, a column at a
-time within a block, so no writer holds a whole file's text. Serialization
-is reproducible: CSV floats at 17 significant digits, JSON floats as the
-shortest repr that round-trips, LF endings, and a timestamp derived from
-SOURCE_DATE_EPOCH (epoch zero when unset) rather than the wall clock.
+diagnostics instead of aborting the sweep. The result table is
+column-major, one 1-D numpy array per column, and both writers emit it in
+blocks of ``BLOCK_ROWS`` rows, a column at a time within a block, so no
+writer holds a whole file's text. Serialization is reproducible: CSV
+floats at 17 significant digits, JSON floats as the shortest repr that
+round-trips, LF endings, and a timestamp derived from SOURCE_DATE_EPOCH
+(epoch zero when unset) rather than the wall clock.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 from .errors import ConsistencyError, DomainError, UnruhSteerError
 from .model import (
     UnruhParams,
+    _each,
     boundary_arguments,
     boundary_d,
     boundary_pairs,
@@ -108,8 +110,9 @@ class GridSpec:
 
 @dataclass
 class SweepResult:
-    """Column-major sweep output: column names, one list of cells per column,
-    per-row diagnostics and metadata."""
+    """Column-major sweep output: column names, one 1-D array of cells per
+    column, per-row diagnostics and metadata. A column is float64 for
+    numbers, bool for flags, or object for a flag column with NaN rows."""
 
     columns: tuple
     data: list
@@ -117,21 +120,24 @@ class SweepResult:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if (len(self.data) != len(self.columns) or any(
-                len(cells) != len(self.diagnostics) for cells in self.data)):
-            raise ConsistencyError("table needs one column per name and one"
-                                   " cell per row in each column")
+        shape = (len(self.diagnostics),)
+        if len(self.data) != len(self.columns) or not all(
+                isinstance(cells, np.ndarray) and cells.shape == shape
+                and cells.dtype in (float, bool, object)
+                for cells in self.data):
+            raise ConsistencyError("table needs one float64, bool or object"
+                                   " array per column name, one cell per row")
 
     @property
     def rows(self) -> list:
-        """The cells row by row, built on each access."""
-        return list(zip(*self.data))
+        """The cells row by row as Python values, built on each access."""
+        return list(zip(*(cells.tolist() for cells in self.data)))
 
     @property
     def has_diagnostics(self) -> bool:
         return any(self.diagnostics)
 
-    def column(self, name: str) -> list:
+    def column(self, name: str) -> np.ndarray:
         return self.data[self.columns.index(name)]
 
 
@@ -141,19 +147,16 @@ def run_grid(axes, evaluator, out_columns, meta=None) -> SweepResult:
     ``axes`` is a sequence of (name, values) pairs; rows appear in
     lexicographic order of the axes as given (first axis outermost). The
     evaluator receives that grid flattened, one 1-D float array per axis,
-    and returns (columns, diagnostics): one array or list per output
-    column and one diagnostic string per row. A column count or length
-    that does not match the grid raises ConsistencyError.
+    and returns (columns, diagnostics): one array per output column and
+    one diagnostic string per row. A column count, length or dtype that
+    does not fit the table raises ConsistencyError.
     """
     grid = np.meshgrid(*(np.asarray(vals, dtype=float) for _, vals in axes),
                        indexing="ij")
     flat = [mesh.ravel() for mesh in grid]
     columns, diagnostics = evaluator(*flat)
-    # tolist gives the Python floats and bools the writers expect
-    data = [col.tolist() if isinstance(col, np.ndarray) else col
-            for col in flat + list(columns)]
     names = tuple(name for name, _ in axes) + tuple(out_columns)
-    return SweepResult(columns=names, data=data,
+    return SweepResult(columns=names, data=flat + list(columns),
                        diagnostics=list(diagnostics), meta=dict(meta or {}))
 
 
@@ -182,9 +185,9 @@ def _fill_rows(columns, diagnostics, rows, point, *axes):
 
 
 def _pointwise(point, n_out, *axes):
-    """Columns and diagnostics of the scalar ``point``, row by row."""
+    """Float columns and diagnostics of the scalar ``point``, row by row."""
     n = axes[0].size
-    columns, diagnostics = [[None] * n for _ in range(n_out)], [""] * n
+    columns, diagnostics = [np.empty(n) for _ in range(n_out)], [""] * n
     _fill_rows(columns, diagnostics, range(n), point, *axes)
     return columns, diagnostics
 
@@ -212,10 +215,12 @@ def eval_surface(tau, ratio):
         literal = np.where(singular, math.nan, term1 + num2 / denom2)
         absolute = np.where(singular, math.nan,
                             np.abs(term1) + np.abs(num2) / denom2)
-    columns = [literal.tolist(), absolute.tolist(),
-               (literal > SQRT6).tolist(), (absolute > SQRT6).tolist()]
+    bad = np.flatnonzero(~leaf_mask(tau, ratio))
+    flag = object if bad.size else bool   # NaN in a bool array reads True
+    columns = [literal, absolute, (literal > SQRT6).astype(flag),
+               (absolute > SQRT6).astype(flag)]
     diagnostics = np.where(singular, "singular", "").tolist()
-    _fill_rows(columns, diagnostics, np.flatnonzero(~leaf_mask(tau, ratio)),
+    _fill_rows(columns, diagnostics, bad,
                lambda t, r: steerability_functional_free(t, r)[:4], tau, ratio)
     return columns, diagnostics
 
@@ -303,29 +308,21 @@ def _timestamp() -> str:
     return stamp.isoformat().replace("+00:00", "Z")
 
 
-def _column_text(values, float_text, other_text) -> list:
-    """Text of each cell of one column (of one block), in one pass.
+def _column_text(values, float_text) -> list:
+    """Text of each cell of one column array (of one block), by its dtype.
 
-    Bools read true/false, floats go through ``float_text`` and any other
-    cell through ``other_text``. Each distinct float is spelled once, keyed
-    by its bit pattern so that -0.0 and 0.0 keep their own text. A mixed
-    column (NaN in a flag column) goes cell by cell.
+    Bools read true/false and floats go through ``float_text``, each
+    distinct float spelled once (``model._each``, keyed by its bit pattern
+    so that -0.0 and 0.0 keep their own text). An object column (NaN in a
+    flag column) goes cell by cell; a cell there that is neither a bool nor
+    a number raises TypeError.
     """
-    kinds = set(map(type, values))
-    if kinds <= {bool, np.bool_}:
-        return ["true" if x else "false" for x in values]
-    if all(issubclass(kind, float) for kind in kinds):
-        bits, where = np.unique(np.asarray(values, dtype=float).view(np.int64),
-                                return_inverse=True)
-        texts = [float_text(x) for x in bits.view(np.float64).tolist()]
-        return np.array(texts, dtype=object)[where].tolist()
+    if values.dtype == float:
+        return _each(float_text, values, object).tolist()
+    if values.dtype == bool:
+        return ["true" if x else "false" for x in values.tolist()]
     return [("true" if x else "false") if isinstance(x, (bool, np.bool_))
-            else float_text(float(x)) if isinstance(x, float)
-            else other_text(x) for x in values]
-
-
-def _csv_cell(value) -> str:
-    return value if isinstance(value, str) else f"{float(value):.17g}"
+            else float_text(float(x)) for x in values]
 
 
 def _row_blocks(result: SweepResult):
@@ -346,7 +343,7 @@ def csv_chunks(result: SweepResult):
         header.append(DIAGNOSTICS_COLUMN)
     head = ",".join(header) + "\n"
     for rows in _row_blocks(result):
-        cells = [_column_text(col[rows], "{:.17g}".format, _csv_cell)
+        cells = [_column_text(col[rows], "{:.17g}".format)
                  for col in result.data]
         if with_diagnostics:
             cells.append([diag.replace(",", ";")
@@ -396,9 +393,7 @@ def json_chunks(result: SweepResult):
     # the rows replace the empty list that closes the text
     head = text[:-len("[]\n}")] + "[\n"
     for rows in _row_blocks(result):
-        cells = [_column_text(col[rows], _json_float,
-                              lambda x: json.dumps(x, allow_nan=False))
-                 for col in result.data]
+        cells = [_column_text(col[rows], _json_float) for col in result.data]
         cells.append([diag and f",\n      {diag_key}: {json.dumps(diag)}"
                       for diag in result.diagnostics[rows]])
         yield head + ",\n".join([template % row for row in zip(*cells)])

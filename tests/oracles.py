@@ -8,7 +8,8 @@ argument checking: callers pass unit or nonzero axes and physical states.
 
 The package writes sweep tables and does not read them; ``read_csv`` and
 ``read_json`` read them back for the round-trip tests, the JSON one with a
-parser that rejects every non-standard token.
+parser that rejects every non-standard token. ``column`` builds a table
+column from Python cells, as both readers do.
 """
 
 import json
@@ -125,6 +126,15 @@ def _csv_cell(text):
     return _BOOL_CELLS[text] if text in _BOOL_CELLS else float(text)
 
 
+def column(cells):
+    """The array of a table column: bool when every cell is a bool, float64
+    when none is, object when bools and numbers mix."""
+    n_flags = sum(type(cell) is bool for cell in cells)
+    dtype = (float if n_flags == 0 else bool if n_flags == len(cells)
+             else object)
+    return np.array(cells, dtype=dtype)
+
+
 def read_csv(path):
     """The table of a CSV file: true/false cells as bools, others as floats."""
     with open(path, encoding="utf-8", newline="") as handle:
@@ -133,7 +143,8 @@ def read_csv(path):
     if with_diagnostics:
         header.pop()
     diagnostics = [cells.pop() if with_diagnostics else "" for cells in body]
-    data = [[_csv_cell(cells[k]) for cells in body] for k in range(len(header))]
+    data = [column([_csv_cell(cells[k]) for cells in body])
+            for k in range(len(header))]
     return SweepResult(columns=tuple(header), data=data, diagnostics=diagnostics)
 
 
@@ -161,7 +172,7 @@ def read_json(path):
     entries = payload["rows"]
     diagnostics = [entry.pop(DIAGNOSTICS_COLUMN, "") for entry in entries]
     columns = tuple(entries[0]) if entries else ()
-    data = [[_from_json(entry[name], math.nan) for entry in entries]
+    data = [column([_from_json(entry[name], math.nan) for entry in entries])
             for name in columns]
     return SweepResult(columns=columns, data=data, diagnostics=diagnostics,
                        meta=_from_json(payload["meta"], None))

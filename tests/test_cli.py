@@ -407,6 +407,23 @@ def test_malformed_source_date_epoch(epoch, capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["node", "--tau", "0.5", "--omega", "1e308"],
+    ["node", "--tau", "1e-300", "--omega", "1e200"],
+    ["evolve", "--accel", "1", "--t-end", "1e9"],
+    ["evolve", "--accel", "1", "--t-end", "1e300"],
+], ids=["node-omega", "node-tau", "evolve-1e9", "evolve-1e300"])
+def test_unbounded_results_are_domain_errors(tmp_path, capsys, deadline, argv):
+    # a node at infinite acceleration, or a horizon of more RK4 steps than
+    # can run: exit 2 with one error line, nothing on stdout, no file
+    path = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(path)]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == "" and not path.exists()
+    assert captured.err.startswith("unruh-steer: error:")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("out", [True, False])
 def test_failed_header_writes_nothing(tmp_path, capsys, monkeypatch, out):
     # the JSON header holds the timestamp, made before the file is opened
@@ -444,7 +461,7 @@ def test_tau_sweep_json_at_infinite_acceleration(tmp_path, capsys):
     assert [row["a"] for row in payload["rows"]] == [1.0] * 11 + ["inf"] * 11
     back = read_json(out)
     assert back.meta["accel"] == [1.0, math.inf]
-    assert back.column("a") == [1.0] * 11 + [math.inf] * 11
+    assert back.column("a").tolist() == [1.0] * 11 + [math.inf] * 11
 
 
 def test_jobs_do_not_change_bytes(tmp_path, monkeypatch, capsys):

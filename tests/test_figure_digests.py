@@ -4,9 +4,9 @@ The four CSV commands of ``bench/workloads.py``'s ``FIGURE_COMMANDS`` run
 through ``cli.main`` into a temporary directory; their digests must equal
 ``bench/digests.json``, which this test reads and never writes. The fig3
 JSON must match the digest pinned here and read back equal to the fig3 CSV,
-two ``evolve`` outputs and three sweeps with flagged rows must match the
+two ``evolve`` outputs and seven sweeps with flagged rows must match the
 digests pinned here, and so must the ``sic`` column of one ``theorem-check``
-run.
+run. Four of the flagged sweeps pin flag columns that carry NaN.
 """
 
 import contextlib
@@ -56,7 +56,14 @@ EVOLVE_SHA256 = {
 # sweeps with flagged rows (out-of-range tau and accel, NaN tau) and with
 # accelerations at the ends of the float range, with SOURCE_DATE_EPOCH=
 # 1700000000, as the array evaluator with its flagged-row pass wrote them;
-# the bench digests hold no flagged row
+# the bench digests hold no flagged row. The boundary scan and the surface
+# below have flag columns with NaN on their flagged rows (out-of-range
+# inputs, DegenerateLimit and DenominatorZero; the singular point), as the
+# evaluators wrote them into lists of Python cells
+BOUNDARY_FLAGGED = ("boundary-scan", "--grid", "a:linear:-0.05:0.15:5",
+                    "--grid", "z:linear:0:1:3", "--grid", "L:log:1e-9:2:3")
+SURFACE_FLAGGED = ("steerability-surface", "--grid", "tau:linear:-4:2:7",
+                   "--grid", "R:linear:-1:2:4")
 FLAGGED_SWEEP_SHA256 = {
     ("sic-sweep", "--tau=-4,-1,0.5,2,nan", "--grid", "a:log:0.5:100:50"):
         "f9dce0a94aa3304ceafc7f54303272e0523a65ea979e2f9c0468272f35c03480",
@@ -65,6 +72,14 @@ FLAGGED_SWEEP_SHA256 = {
     ("sic-sweep", "--tau=-1,0.5", "--grid", "a:log:1e-300:1e300:40",
      "--format", "json"):
         "80be63dab03ea58efc659535c1971f174c25403319383a1517cc474fd704ddb3",
+    BOUNDARY_FLAGGED:
+        "b5a91ca359a6a23cc20b9447bc8db51b06d6ccadbf24c48d2b6177ddf36896c5",
+    (*BOUNDARY_FLAGGED, "--format", "json"):
+        "1080ecb50d19fe391a97784fcb92e467d7713ab4cd571422dcde6d82c44ba105",
+    SURFACE_FLAGGED:
+        "66bfd9ed59bf467f955f6cb1c5c18fac643554dbe49635f41ee58ea039e83aa0",
+    (*SURFACE_FLAGGED, "--format", "json"):
+        "f0451b5a80aca9f2edec9190da64442688f6a96be65993d82edf50882b81ec3d",
 }
 
 # the sic cells of theorem-check --seed 0 --count 200 (CSV, joined by
@@ -111,7 +126,9 @@ def test_evolve_matches_pinned_digest(tmp_path, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv", list(FLAGGED_SWEEP_SHA256),
                          ids=["sic-flagged-tau", "tau-flagged-accel",
-                              "sic-extreme-accel-json"])
+                              "sic-extreme-accel-json", "boundary-flagged",
+                              "boundary-flagged-json", "surface-flagged",
+                              "surface-flagged-json"])
 def test_flagged_sweep_matches_pinned_digest(tmp_path, monkeypatch, argv):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     path = tmp_path / "sweep.out"

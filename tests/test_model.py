@@ -276,6 +276,24 @@ def test_evolve_rejects_bad_sample_count(samples):
                samples=samples)
 
 
+@pytest.mark.parametrize("t_end", [1e9, 1e300])
+def test_evolve_refuses_a_horizon_of_too_many_steps(deadline, t_end):
+    # at ~2 us per RK4 substep, t_end = 1e9 would run for hours at this A
+    singlet = FanoState(np.zeros(3), np.zeros(3), -np.eye(3))
+    with pytest.raises(DomainError, match="RK4 steps"):
+        evolve(singlet, kossakowski_free(REF), t_end=t_end)
+
+
+def test_evolve_step_count_includes_one_step_per_sample(monkeypatch):
+    # the default horizon takes at most 2400 steps of h, plus the samples
+    monkeypatch.setattr(model, "MAX_RK4_STEPS", 3000)
+    k = kossakowski_free(REF)
+    singlet = FanoState(np.zeros(3), np.zeros(3), -np.eye(3))
+    assert len(evolve(singlet, k, samples=600).times) == 600
+    with pytest.raises(DomainError, match="RK4 steps"):
+        evolve(singlet, k, t_end=1e-3, samples=2001)   # 1000 + 2001 steps
+
+
 @pytest.mark.parametrize("A", [-0.2, 0.0, math.nan])
 def test_dynamics_reject_non_positive_rate(A):
     # a negative A used to give a negative horizon and step, and a
@@ -376,6 +394,14 @@ def test_node_branches():
 def test_node_scales_with_omega():
     assert steering_node_acceleration(0.25, 2.0) == pytest.approx(
         2.0 * 5.719201734760255, rel=1e-14)
+
+
+@pytest.mark.parametrize("tau, omega", [(0.5, 1e308), (1e-300, 1e200)])
+def test_node_that_overflows_is_a_domain_error(tau, omega):
+    # pi omega / artanh(sqrt(tau)) overflows to inf: no node at a = inf
+    with pytest.raises(DomainError, match="overflows"):
+        steering_node_acceleration(tau, omega)
+    assert math.isfinite(steering_node_acceleration(tau, 1.0))
 
 
 def test_boundary_reference_point():

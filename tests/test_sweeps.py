@@ -106,22 +106,42 @@ def test_run_grid_rejects_mismatched_columns():
 
 
 def test_table_is_column_major():
-    res = SweepResult(columns=("x", "y"), data=[[1.0, 2.0], [True, False]],
+    res = SweepResult(columns=("x", "y"),
+                      data=[np.array([1.0, 2.0]), np.array([True, False])],
                       diagnostics=["", "bad"])
     assert res.column("y") is res.data[1]
     assert res.rows == [(1.0, True), (2.0, False)]
     with pytest.raises(ConsistencyError):
-        SweepResult(columns=("x", "y"), data=[[1.0]], diagnostics=[""])
+        SweepResult(columns=("x", "y"), data=[np.array([1.0])],
+                    diagnostics=[""])
     with pytest.raises(ConsistencyError):
-        SweepResult(columns=("x",), data=[[1.0, 2.0]], diagnostics=[""])
+        SweepResult(columns=("x",), data=[np.array([1.0, 2.0])],
+                    diagnostics=[""])
+
+
+@pytest.mark.parametrize("cells", [
+    [1.0, 2.0],                                # a list, not an array
+    np.array([1, 2]),                          # int64
+    np.array([1.0, 2.0], dtype=np.float32),    # not float64
+    np.array(["1", "2"]),                      # text
+    np.array([[1.0, 2.0]]),                    # 2-D
+], ids=["list", "int64", "float32", "str", "2-D"])
+def test_table_columns_are_float_bool_or_object_arrays(cells):
+    with pytest.raises(ConsistencyError):
+        SweepResult(columns=("x",), data=[cells], diagnostics=["", ""])
+    with pytest.raises(ConsistencyError):
+        run_grid([("x", [1.0, 2.0])], lambda x: ((cells,), [""] * 2), ("y",))
+    for dtype in (float, bool, object):
+        SweepResult(columns=("x",), data=[np.zeros(2, dtype=dtype)],
+                    diagnostics=["", ""])
 
 
 def test_eval_sic_free_row():
     (ratio, sic), diag = eval_sic_free(1.0, np.array([0.5]),
                                        np.array([2.0 * math.pi]))
     k = kossakowski_free(UnruhParams(1.0, 2.0 * math.pi))
-    assert ratio == [k.ratio]
-    assert sic == [sic_closed_form_free(0.5, k.ratio)]
+    assert ratio.tolist() == [k.ratio]
+    assert sic.tolist() == [sic_closed_form_free(0.5, k.ratio)]
     assert diag == [""]
 
 
@@ -129,7 +149,7 @@ def test_eval_surface_flags_singularity():
     values, diag = eval_surface(np.array([1.0]), np.array([1.0]))
     assert diag == ["singular"]
     assert math.isnan(values[0][0]) and math.isnan(values[1][0])
-    assert values[2][0] is False and values[3][0] is False
+    assert values[2][0].item() is False and values[3][0].item() is False
 
 
 def test_csv_format(tmp_path):
@@ -146,7 +166,7 @@ def test_csv_format(tmp_path):
 def test_signed_zero_keeps_its_text(monkeypatch):
     # the writers spell each distinct float once; -0.0 == 0.0 must not merge
     monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
-    res = SweepResult(columns=("x",), data=[[-0.0, 0.0, -0.0]],
+    res = SweepResult(columns=("x",), data=[np.array([-0.0, 0.0, -0.0])],
                       diagnostics=[""] * 3)
     assert "".join(csv_chunks(res)).split("\n")[1:4] == ["-0", "0", "-0"]
     rows = json.loads("".join(json_chunks(res)))["rows"]
@@ -215,7 +235,8 @@ def test_json_is_strict_on_flagged_rows(tmp_path):
 
 def test_json_maps_every_non_finite_float(tmp_path):
     res = SweepResult(columns=("x", "y"),
-                      data=[[math.inf, math.nan], [-math.inf, 1.0]],
+                      data=[np.array([math.inf, math.nan]),
+                            np.array([-math.inf, 1.0])],
                       diagnostics=["", ""],
                       meta={"bounds": [-math.inf, math.inf], "gap": math.nan})
     text = "".join(json_chunks(res))
@@ -234,12 +255,12 @@ def test_json_maps_every_non_finite_float(tmp_path):
 
 def test_json_timestamp_honors_source_date_epoch(monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
-    res = SweepResult(columns=("x",), data=[[1.0]], diagnostics=[""])
+    res = SweepResult(columns=("x",), data=[np.array([1.0])], diagnostics=[""])
     assert '"timestamp": "2023-11-14T22:13:20Z"' in "".join(json_chunks(res))
 
 
 def test_write_result_reports_path_on_failure(tmp_path):
-    res = SweepResult(columns=("x",), data=[[1.0]], diagnostics=[""])
+    res = SweepResult(columns=("x",), data=[np.array([1.0])], diagnostics=[""])
     missing = str(tmp_path / "nope" / "out.csv")
     with pytest.raises(OSError, match="nope"):
         write_result(res, missing, "csv")
@@ -255,7 +276,9 @@ def test_write_result_reports_path_on_failure(tmp_path):
 def test_write_result_is_all_or_nothing(tmp_path, fmt):
     # the last cell of the second block has no text: nothing may change
     n = sweeps.BLOCK_ROWS + 904
-    bad = SweepResult(columns=("x",), data=[[0.5] * (n - 1) + [object()]],
+    bad = SweepResult(columns=("x",),
+                      data=[np.array([0.5] * (n - 1) + [object()],
+                                     dtype=object)],
                       diagnostics=[""] * n, meta={"axes": ["x"]})
     path = tmp_path / f"table.{fmt}"
     path.write_text("old table\n")
@@ -266,8 +289,8 @@ def test_write_result_is_all_or_nothing(tmp_path, fmt):
     assert (tmp_path / f"table.{fmt}.gp").read_text() == "old script\n"
     assert sorted(os.listdir(tmp_path)) == [f"table.{fmt}", f"table.{fmt}.gp"]
     # a good table replaces both files, with the mode a plain open gives
-    good = SweepResult(columns=("x",), data=[[0.5] * n], diagnostics=[""] * n,
-                       meta={"axes": ["x"]})
+    good = SweepResult(columns=("x",), data=[np.full(n, 0.5)],
+                       diagnostics=[""] * n, meta={"axes": ["x"]})
     fresh = tmp_path / "fresh"
     assert write_result(good, str(fresh), fmt, plot=True) == [
         str(fresh), str(fresh) + ".gp"]
@@ -295,7 +318,8 @@ def test_write_result_writes_a_fifo_in_place(tmp_path):
     os.mkfifo(fifo)
     reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
     try:
-        res = SweepResult(columns=("x",), data=[[1.0]], diagnostics=[""])
+        res = SweepResult(columns=("x",), data=[np.array([1.0])],
+                          diagnostics=[""])
         assert write_result(res, str(fifo), "csv") == [str(fifo)]
         assert os.read(reader, 1024) == b"x\n1\n"
     finally:
@@ -305,18 +329,20 @@ def test_write_result_writes_a_fifo_in_place(tmp_path):
 
 
 def test_plot_script_shapes(tmp_path):
-    line = SweepResult(columns=("a", "sic"), data=[[1.0], [2.0]],
+    line = SweepResult(columns=("a", "sic"),
+                       data=[np.array([1.0]), np.array([2.0])],
                        diagnostics=[""], meta={"axes": ["a"]})
     text = plot_script(line, "data.csv", "csv")
     assert "plot 'data.csv'" in text and "splot" not in text
     surf = SweepResult(columns=("tau", "R", "literal"),
-                       data=[[0.0], [0.0], [0.0]],
+                       data=[np.zeros(1), np.zeros(1), np.zeros(1)],
                        diagnostics=[""], meta={"axes": ["tau", "R"]})
     assert "splot 'data.csv'" in plot_script(surf, "data.csv", "csv")
 
 
 def test_write_result_with_plot(tmp_path):
-    res = SweepResult(columns=("a", "sic"), data=[[1.0, 2.0], [2.0, 1.0]],
+    res = SweepResult(columns=("a", "sic"),
+                      data=[np.array([1.0, 2.0]), np.array([2.0, 1.0])],
                       diagnostics=["", ""], meta={"axes": ["a"]})
     path = str(tmp_path / "sweep.csv")
     written = write_result(res, path, "csv", plot=True)
@@ -371,3 +397,19 @@ def test_writer_holds_one_block_of_text(tmp_path, fmt):
     finally:
         tracemalloc.stop()
     assert peak < 8_000_000, f"{fmt} writer peaked at {peak / 1e6:.1f} MB"
+
+
+def test_table_holds_one_array_per_column():
+    # a 300x300 surface table, six columns of 90000 cells and a list of
+    # diagnostics, is 3.8 MB as arrays and 13.7 MB as lists of Python cells
+    axis = np.linspace(-3.0, 1.0, 300), np.linspace(0.0, 1.0, 300)
+    tracemalloc.start()
+    try:
+        res = run_grid((("tau", axis[0]), ("R", axis[1])), eval_surface,
+                       SURFACE_COLUMNS)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 6_000_000, f"the table holds {held / 1e6:.1f} MB"
+    assert [cells.dtype for cells in res.data] == [np.dtype(float)] * 4 + [
+        np.dtype(bool)] * 2

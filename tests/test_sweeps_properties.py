@@ -1,15 +1,17 @@
 """Property tests for the sweep writers.
 
 Round trip: tables are drawn with float cells (NaN and +-inf included), bool
-cells and free-text diagnostics, written with ``write_result`` and read back
-with ``read_csv`` and ``read_json`` of ``oracles.py``, the JSON reader
-rejecting non-standard tokens. Every cell must come back with its type and
+cells (a column of both is an object array) and free-text diagnostics,
+written with ``write_result`` and read back with ``read_csv`` and
+``read_json`` of ``oracles.py``, the JSON reader rejecting non-standard
+tokens. Every cell must come back with its type and
 value (NaN as NaN); CSV diagnostics come back with commas as semicolons.
 
 Byte oracle: ``json_chunks`` and ``csv_chunks`` must give the same
 bytes as the row-at-a-time encoders they replaced (kept below as
 ``_oracle_json`` and ``_oracle_csv``), on tables with signed zeros,
-subnormals, NaN and +-inf, bool columns holding NaN, int cells, awkward
+subnormals, NaN and +-inf, bool columns holding NaN, ints drawn into float
+columns, awkward
 column names and diagnostics, zero rows, and meta with tuples, None and inf.
 The writers emit the table in blocks of ``BLOCK_ROWS`` rows: the drawn
 tables are written with blocks of 1, 2 and 3 rows as well, and fixed tables
@@ -28,7 +30,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from oracles import read_csv, read_json  # noqa: E402
+from oracles import column, read_csv, read_json  # noqa: E402
 from unruh_steer import __version__, sweeps  # noqa: E402
 from unruh_steer.sweeps import (BLOCK_ROWS, DIAGNOSTICS_COLUMN,  # noqa: E402
                                 SweepResult, _timestamp, _to_json, csv_chunks,
@@ -44,7 +46,8 @@ DIAGNOSTICS = st.one_of(st.just(""), st.text(
 def sweep_results(draw):
     n_cols = draw(st.integers(1, 4))
     n_rows = draw(st.integers(1, 6))
-    data = [[draw(CELLS) for _ in range(n_rows)] for _ in range(n_cols)]
+    data = [column([draw(CELLS) for _ in range(n_rows)])
+            for _ in range(n_cols)]
     diagnostics = [draw(DIAGNOSTICS) for _ in range(n_rows)]
     meta = {"bound": draw(st.floats(allow_nan=False, allow_infinity=True))}
     return SweepResult(columns=tuple(f"c{i}" for i in range(n_cols)),
@@ -158,7 +161,7 @@ def oracle_tables(draw):
     data = []
     for _ in names:
         cells = draw(COLUMN_CELLS)
-        data.append([draw(cells) for _ in range(n_rows)])
+        data.append(column([draw(cells) for _ in range(n_rows)]))
     diagnostics = [draw(ORACLE_DIAGNOSTICS) for _ in range(n_rows)]
     meta = draw(st.dictionaries(st.text(max_size=4), META_VALUES, max_size=3))
     return SweepResult(columns=tuple(names), data=data,
@@ -192,7 +195,8 @@ def _boundary_table(n_rows):
     if n_rows:
         diagnostics[-1] = "DomainError: last row, last block"
     return SweepResult(columns=("x", "flag", "r"),
-                       data=[floats, flags, repeated], diagnostics=diagnostics,
+                       data=[column(floats), column(flags), column(repeated)],
+                       diagnostics=diagnostics,
                        meta={"bound": math.inf})
 
 
