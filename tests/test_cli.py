@@ -412,10 +412,13 @@ def test_malformed_source_date_epoch(epoch, capsys, monkeypatch):
     ["node", "--tau", "1e-300", "--omega", "1e200"],
     ["evolve", "--accel", "1", "--t-end", "1e9"],
     ["evolve", "--accel", "1", "--t-end", "1e300"],
-], ids=["node-omega", "node-tau", "evolve-1e9", "evolve-1e300"])
+    ["evolve", "--accel", "1", "--t-end", "1", "--samples", "1000001"],
+], ids=["node-omega", "node-tau", "evolve-1e9", "evolve-1e300",
+        "evolve-samples"])
 def test_unbounded_results_are_domain_errors(tmp_path, capsys, deadline, argv):
-    # a node at infinite acceleration, or a horizon of more RK4 steps than
-    # can run: exit 2 with one error line, nothing on stdout, no file
+    # a node at infinite acceleration, a horizon of more RK4 steps than can
+    # run, or more samples than fit: exit 2 with one error line, nothing on
+    # stdout, no file
     path = tmp_path / "out.csv"
     assert main([*argv, "--out", str(path)]) == EXIT_DOMAIN
     captured = capsys.readouterr()

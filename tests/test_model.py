@@ -329,14 +329,16 @@ def test_evolve_reports_earliest_drift(monkeypatch):
     assert str(info.value) == f"min eigenvalue {low:.3e} at t = 1.5 (below -1e-06)"
 
 
-def test_evolve_drift_wins_over_later_overflow(monkeypatch):
-    # a generator that grows every coefficient at rate 1000 leaves the
-    # t = 0.5 sample finite (~1e210) but unphysical, and overflows before
-    # t = 1
-    def growth(state, coeffs, *, tau=None):
-        return FanoState.from_vector(1000.0 * state.to_vector())
+def _growth(state, coeffs, *, tau=None):
+    # every coefficient grows at rate 1000: from order 1, the t = 0.5
+    # sample is finite (~1e210) and the t = 0.75 one overflows
+    return FanoState.from_vector(1000.0 * state.to_vector())
 
-    monkeypatch.setattr(model, "ode_rhs", growth)
+
+def test_evolve_drift_wins_over_later_overflow(monkeypatch):
+    # the t = 0.5 sample is finite but unphysical, and drifts before the
+    # overflow
+    monkeypatch.setattr(model, "ode_rhs", _growth)
     k = kossakowski_free(REF)
     polarized = FanoState(np.array([0.0, 0.0, 0.5]), np.zeros(3), np.zeros((3, 3)))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -346,6 +348,32 @@ def test_evolve_drift_wins_over_later_overflow(monkeypatch):
         singlet = FanoState(np.zeros(3), np.zeros(3), -np.eye(3))
         with pytest.raises(DomainError, match=r"overflowed at t = 2$"):
             evolve(singlet, k, t_end=2.0, samples=2)
+
+
+def test_evolve_reports_first_overflowed_sample(monkeypatch):
+    # with no drift reported, the first non-finite of the 9 samples names
+    # the overflow, though the later ones are integrated too
+    monkeypatch.setattr(model, "ode_rhs", _growth)
+    monkeypatch.setattr(model, "DRIFT_TOL", -math.inf)
+    k = kossakowski_free(REF)
+    polarized = FanoState(np.array([0.0, 0.0, 0.5]), np.zeros(3), np.zeros((3, 3)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError) as info:
+            evolve(polarized, k, t_end=2.0, samples=9)
+    assert str(info.value) == "state coefficients overflowed at t = 0.75"
+
+
+def test_evolve_refuses_too_many_samples(deadline, monkeypatch):
+    # ~640 B per sample at peak: 9e6 samples at t_end = 1 passed the step
+    # count and needed ~5.8 GB
+    k = kossakowski_free(REF)
+    singlet = FanoState(np.zeros(3), np.zeros(3), -np.eye(3))
+    with pytest.raises(DomainError, match="1000001 samples exceed"):
+        evolve(singlet, k, t_end=1.0, samples=10**6 + 1)
+    monkeypatch.setattr(model, "MAX_SAMPLES", 600)
+    assert len(evolve(singlet, k, samples=600).times) == 600
+    with pytest.raises(DomainError, match="601 samples exceed"):
+        evolve(singlet, k, samples=601)
 
 
 def test_evolve_hits_requested_samples():
