@@ -13,9 +13,9 @@ asymptotic quantity, so C is not computed. This module computes A and B
 (free space, and pairs of them with a reflecting boundary at distance
 ``z``, atom separation ``sep``), the asymptotic
 equilibrium states, the coefficient-space equation of motion, and its
-fixed-step RK4 solution: one 16x16 step map of the affine generator,
-sampled on a uniform grid into one (S, 15) array that one stacked
-eigensolve checks for positivity.
+exact solution, exp(t M) of the generator's linear part applied to the
+deviation from equilibrium, sampled on a uniform grid into one (S, 15)
+array that one stacked eigensolve checks for positivity.
 
 Conventions: natural units, the dissipator direction is n = (0, 0, 1),
 and ``ratio`` denotes the dissipative asymmetry
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from numbers import Integral
 
 import numpy as np
@@ -43,8 +43,8 @@ DEGENERATE_D_REL = 1e-14   # |D| underflow gate, relative to coefficient scale
 COEFFICIENT_LIMIT = 1e102  # boundary |coefficients| below it keep D, x1, x3 finite
 DRIFT_TOL = -1e-6          # sampled min eigenvalue below this aborts evolve
 LANDING_TOL = 1e-6         # final sample this close to the equilibrium: converged
-MAX_RK4_STEPS = 10**7      # evolve refuses a horizon that needs more substeps
 MAX_SAMPLES = 10**6        # evolve refuses more samples (~640 B each at peak)
+TAYLOR_DEGREE = 14         # exp(X) for |X|_1 <= 1/2 to ~4e-17 relative
 
 
 def sinc(x: float) -> float:
@@ -116,6 +116,8 @@ def check_coefficients(a1: float, a2: float, b1: float, b2: float) -> None:
 def check_omega(omega: float) -> None:
     if not (omega > 0.0 and math.isfinite(omega)):
         raise DomainError("omega must be positive and finite")
+    if omega / (4.0 * math.pi) == 0.0:
+        raise DomainError(f"omega = {omega!r}: omega / (4 pi) underflows to 0")
 
 
 @dataclass(frozen=True)
@@ -379,13 +381,26 @@ def relaxation_horizon(coeffs: KossakowskiFree) -> float:
     return 20.0 / (4.0 * coeffs.A - 2.0 * coeffs.B)
 
 
+@cache
+def _rate_matrices() -> tuple:
+    """(M_A, M_B): the linear part of :func:`ode_rhs` per unit A and per
+    unit B, probed once per process; tau enters only its constant part."""
+    parts = []
+    for a_coef, b_coef in ((1.0, 0.0), (0.0, 1.0)):
+        coeffs = KossakowskiFree(A=a_coef, B=b_coef, ratio=math.nan)
+        probe = [ode_rhs(FanoState.from_vector(y), coeffs, tau=0.0).to_vector()
+                 for y in np.eye(16, 15)]   # e_1, ..., e_15, then 0
+        parts.append(np.column_stack(probe[:15]) - probe[15][:, None])
+    return tuple(parts)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled solution of :func:`evolve`: read-only ``times`` and (S, 15)
     ``vectors`` of :meth:`FanoState.to_vector` rows; ``landing`` is the
     max-norm distance of the last row from :func:`equilibrium_free` on the
-    tau leaf, and ``converged`` means it is below 1e-6. ``step`` is the base
-    RK4 step h, or 0.0 for a single sample, where nothing is integrated."""
+    tau leaf, and ``converged`` means it is below 1e-6. ``step`` is the
+    sample interval t_end / (S - 1), or 0.0 for a single sample."""
 
     times: np.ndarray
     vectors: np.ndarray
@@ -409,24 +424,17 @@ class Trajectory:
 
 def evolve(state: FanoState, coeffs: KossakowskiFree, t_end: float | None = None,
            samples: int = 201) -> Trajectory:
-    """Integrate the coefficient equations with classic fixed-step RK4 on
-    the state's own tau leaf, sampled at ``samples`` uniform times on
-    [0, t_end] (default: the horizon 20 / (4 A - 2 B)). The base step is
-    h = min(0.05 / (12 A), t_end / 1000); each interval between samples is
-    split into equal substeps no larger than h, so samples are hit exactly.
+    """Solve the coefficient equations exactly on the state's own tau leaf
+    at ``samples`` uniform times on [0, t_end] (default: the horizon):
+    y(t) = y_eq + exp(t M) (y0 - y_eq), y_eq from :func:`equilibrium_free`,
+    M = A M_A + B M_B. Rows [m, 2m) of the deviations are P^m times rows
+    [0, m), P = exp(step M), step = t_end / (S - 1); sample 0 is y0.
 
-    The equation is affine at fixed tau, dy/dt = M y + c, so a substep of
-    length s applies the RK4 step map sum_{k<=4} (s G)^k / k! of
-    G = [[M, c], [0, 0]] to (y, 1); G is probed from :func:`ode_rhs` once
-    per call, and the step map is built once per distinct substep length
-    (9 to 20 of them for 201 to 200,001 samples at a = 1 to 1e15).
-
-    After the step loop all samples are checked for finiteness at once and
-    in one stacked ``eigvalsh``; UnphysicalDrift names the earliest one
-    whose minimum eigenvalue is below -1e-6. DomainError for A, t_end,
-    samples or tau out of range, for more than ``MAX_SAMPLES`` samples or
-    ``MAX_RK4_STEPS`` substeps (t_end / h plus one per sample), and for a
-    sample that overflows (unless an earlier one drifted).
+    One finiteness check and one stacked ``eigvalsh`` follow; UnphysicalDrift
+    names the earliest sample with a minimum eigenvalue below -1e-6.
+    DomainError for A, t_end, samples or tau out of range, above
+    ``MAX_SAMPLES`` samples, where step |M|_1 overflows, and for a sample
+    that overflows (unless an earlier one drifted).
     """
     horizon = relaxation_horizon(coeffs)   # checks A
     t_end = horizon if t_end is None else t_end
@@ -437,46 +445,37 @@ def evolve(state: FanoState, coeffs: KossakowskiFree, t_end: float | None = None
     if samples > MAX_SAMPLES:
         raise DomainError(f"{samples} samples exceed the limit of"
                           f" {MAX_SAMPLES:.0e}")
-    h = min(0.05 / (12.0 * coeffs.A), t_end / 1000.0)
-    steps = t_end / h + samples   # each sample interval takes one substep or more
-    if steps > MAX_RK4_STEPS:
-        raise DomainError(f"t_end = {t_end:g} with {samples} samples needs"
-                          f" {steps:.3g} RK4 steps of h = {h:.3g}; the limit"
-                          f" is {MAX_RK4_STEPS:.0e}")
     times = np.linspace(0.0, t_end, samples)
     times.setflags(write=False)
+    tau, y0 = state.trace_sum, state.to_vector()
+    y_eq = equilibrium_free(tau, coeffs.ratio).to_vector()
+    step = t_end / (samples - 1) if samples > 1 else 0.0
+    m_a, m_b = _rate_matrices()
+    rates = coeffs.A * m_a + coeffs.B * m_b
+    norm = step * float(np.abs(rates).sum(axis=0).max())
+    if not math.isfinite(norm):
+        raise DomainError(f"the sample interval {step:g} times |M|_1 overflows")
 
-    tau = state.trace_sum
-    equilibrium = equilibrium_free(tau, coeffs.ratio)
-
-    def rhs(y):
-        return ode_rhs(FanoState.from_vector(y), coeffs, tau=tau).to_vector()
-
-    gen = np.zeros((16, 16))
-    gen[:15, 15] = rhs(np.zeros(15))
-    gen[:15, :15] = np.column_stack([rhs(e) - gen[:15, 15] for e in np.eye(15)])
-    eye = np.eye(16)
-
-    y = np.append(state.to_vector(), 1.0)
+    # power = exp(x) - I (exact for short steps) from the Taylor polynomial of
+    # x = step M / 2^squarings, |x|_1 <= 1/2, then squared (Moler & Van Loan,
+    # SIAM Rev. 45, 3 (2003)); einsum runs numpy's loops, so no BLAS moves a bit
+    squarings = max(0, math.frexp(norm)[1] + 1)
+    x = math.ldexp(step, -squarings) * rates
+    power = x / TAYLOR_DEGREE
+    for k in range(TAYLOR_DEGREE - 1, 0, -1):
+        power = (x + np.einsum("ij,jk->ik", x, power)) / k
     vectors = np.empty((samples, 15))
-    maps = {}   # RK4 step map per distinct substep length
-    for i, span in enumerate(np.diff(times, prepend=0.0).tolist()):
-        # skip intervals whose change, span times the rate 12 A of h, is sub-ulp:
-        # their steps only add rounding (from the ground state at a = 2, t_end =
-        # 1e-13 lands 4.0e-14 from y0 + t f(y0) integrated, 5.8e-15 skipped)
-        if span * 12.0 * coeffs.A > 1e-15:
-            nsub = max(1, int(math.ceil(span / h)))
-            s = span / nsub
-            step = maps.get(s)
-            if step is None:   # RK4 step map: sum_{k<=4} (sG)^k / k!
-                sg = s * gen
-                step = maps[s] = (eye + sg @ (eye + sg @ (
-                    eye + sg @ (eye + sg / 4) / 3) / 2)).dot
-            for _ in range(nsub):
-                y = step(y)
-        vectors[i] = y[:15]
-    # a non-finite state stays so (the map's last row is (0, ..., 0, 1)): the
-    # first non-finite sample ends the reached ones; reported after the drift check
+    vectors[0] = y0 - y_eq
+    m = 1
+    for j in range(squarings + (samples - 1).bit_length()):
+        if j >= squarings:   # power = P^m - I: rows [m, 2m) = P^m rows [0, m)
+            n = min(m, samples - m)
+            vectors[m:m + n] = vectors[:n] + np.einsum("ij,kj->ki", power, vectors[:n])
+            m += n
+        if m < samples:   # double the step: (I + E)^2 - I = 2 E + E^2, E = power
+            power = 2.0 * power + np.einsum("ij,jk->ik", power, power)
+    vectors += y_eq
+    vectors[0] = y0
     finite = np.isfinite(vectors).all(axis=1)
     filled = samples if finite.all() else int(finite.argmin())
 
@@ -491,9 +490,9 @@ def evolve(state: FanoState, coeffs: KossakowskiFree, t_end: float | None = None
         raise DomainError(f"state coefficients overflowed at t = {times[filled]:.6g}")
     vectors.setflags(write=False)
 
-    landing = float(np.abs(y[:15] - equilibrium.to_vector()).max())
+    landing = float(np.abs(vectors[-1] - y_eq).max())
     return Trajectory(times=times, vectors=vectors, tau=tau, landing=landing,
-                      step=h if samples > 1 else 0.0)
+                      step=step)
 
 
 def steering_node_acceleration(tau: float, omega: float) -> float | None:

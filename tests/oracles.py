@@ -5,8 +5,6 @@ form. These oracles rebuild the pieces from their definitions instead:
 Bob's steered ensemble, l1 coherences of qubit states in the eigenbasis of
 a Bloch axis, and B-side dephasing as a 4x4 projector sum. They do no
 argument checking: callers pass unit or nonzero axes and physical states.
-``evolve_per_interval`` is ``evolve``'s RK4 loop with one step map built
-per sample interval, which sharing the step maps must match bit for bit.
 
 The package writes sweep tables and does not read them; ``read_csv`` and
 ``read_json`` read them back for the round-trip tests, the JSON one with a
@@ -19,8 +17,8 @@ import math
 
 import numpy as np
 
-from unruh_steer.model import equilibrium_free, ode_rhs, relaxation_horizon
-from unruh_steer.qmat import FanoState, fano_to_matrix, min_eigenvalue
+from unruh_steer.model import equilibrium_free
+from unruh_steer.qmat import fano_to_matrix, min_eigenvalue
 from unruh_steer.sweeps import DIAGNOSTICS_COLUMN, SweepResult
 
 PAULI_XYZ = (np.array([[0, 1], [1, 0]], dtype=complex),
@@ -116,40 +114,6 @@ def steerability_pairings_free(tau, ratio):
 def is_physical(state, tol=1e-10):
     """True when the 4x4 matrix of a FanoState has no eigenvalue below -tol."""
     return min_eigenvalue(fano_to_matrix(state)) >= -tol
-
-
-def evolve_per_interval(state, coeffs, t_end=None, samples=201):
-    """(times, vectors, landing) of ``evolve``'s RK4 loop with the step map
-    rebuilt for every sample interval and applied with ``@``; ``vectors``
-    ends before the first non-finite sample, ``landing`` is that of the
-    last state reached. No drift check."""
-    t_end = relaxation_horizon(coeffs) if t_end is None else t_end
-    h = min(0.05 / (12.0 * coeffs.A), t_end / 1000.0)
-    times = np.linspace(0.0, t_end, samples)
-    tau = state.trace_sum
-
-    def rhs(y):
-        return ode_rhs(FanoState.from_vector(y), coeffs, tau=tau).to_vector()
-
-    gen = np.zeros((16, 16))
-    gen[:15, 15] = rhs(np.zeros(15))
-    gen[:15, :15] = np.column_stack([rhs(e) - gen[:15, 15] for e in np.eye(15)])
-    eye = np.eye(16)
-    y = np.append(state.to_vector(), 1.0)
-    vectors = []
-    for span in np.diff(times, prepend=0.0):
-        if span * 12.0 * coeffs.A > 1e-15:
-            nsub = max(1, int(math.ceil(span / h)))
-            sg = (span / nsub) * gen
-            step = eye + sg @ (eye + sg @ (eye + sg @ (eye + sg / 4) / 3) / 2)
-            for _ in range(nsub):
-                y = step @ y
-        if not np.isfinite(y).all():
-            break
-        vectors.append(y[:15])
-    equilibrium = equilibrium_free(tau, coeffs.ratio).to_vector()
-    landing = float(np.abs(y[:15] - equilibrium).max())
-    return times, np.array(vectors).reshape(-1, 15), landing
 
 
 # ----- sweep table readers -----

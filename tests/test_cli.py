@@ -130,16 +130,15 @@ def test_evolve_json_reports_landing(capsys):
 
 def test_evolve_meta_reports_integrated_span(capsys):
     # t_end is the last sample time: the horizon by default, 0 for a single
-    # sample, where nothing is integrated and the step is 0 as well
-    coeffs = kossakowski_free(UnruhParams(1.0, 2.0))
-    horizon, step = relaxation_horizon(coeffs), 0.05 / (12.0 * coeffs.A)
-    for samples, t_end, h in (("1", 0.0, 0.0), ("2", horizon, step),
-                              ("201", horizon, step)):
+    # sample; step is the sample interval, 0 for a single sample as well
+    horizon = relaxation_horizon(kossakowski_free(UnruhParams(1.0, 2.0)))
+    for samples, t_end, step in (("1", 0.0, 0.0), ("2", horizon, horizon),
+                                 ("201", horizon, horizon / 200)):
         assert main(["evolve", "--accel", "2", "--samples", samples,
                      "--format", "json"]) == 0
         meta = json.loads(capsys.readouterr().out)["meta"]
         assert meta["t_end"] == t_end and meta["samples"] == int(samples)
-        assert meta["step"] == pytest.approx(h, rel=1e-15)
+        assert meta["step"] == step
 
 
 @pytest.mark.parametrize("argv", [
@@ -410,20 +409,45 @@ def test_malformed_source_date_epoch(epoch, capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["node", "--tau", "0.5", "--omega", "1e308"],
     ["node", "--tau", "1e-300", "--omega", "1e200"],
-    ["evolve", "--accel", "1", "--t-end", "1e9"],
-    ["evolve", "--accel", "1", "--t-end", "1e300"],
     ["evolve", "--accel", "1", "--t-end", "1", "--samples", "1000001"],
-], ids=["node-omega", "node-tau", "evolve-1e9", "evolve-1e300",
-        "evolve-samples"])
+    ["evolve", "--accel", "1e200", "--t-end", "1e308"],
+], ids=["node-omega", "node-tau", "evolve-samples", "evolve-overflow"])
 def test_unbounded_results_are_domain_errors(tmp_path, capsys, deadline, argv):
-    # a node at infinite acceleration, a horizon of more RK4 steps than can
-    # run, or more samples than fit: exit 2 with one error line, nothing on
-    # stdout, no file
+    # a node at infinite acceleration, more samples than fit, or a sample
+    # interval whose product with the generator's norm overflows: exit 2
+    # with one error line, nothing on stdout, no file
     path = tmp_path / "out.csv"
     assert main([*argv, "--out", str(path)]) == EXIT_DOMAIN
     captured = capsys.readouterr()
     assert captured.out == "" and not path.exists()
     assert captured.err.startswith("unruh-steer: error:")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("t_end", ["1e9", "1e300"],
+                         ids=["evolve-1e9", "evolve-1e300"])
+def test_long_evolve_horizons_converge(capsys, deadline, t_end):
+    # the exact propagator costs ~log2(t_end |M|) matrix products, so a long
+    # horizon runs at once and lands on the equilibrium
+    assert main(["evolve", "--accel", "1", "--t-end", t_end]) == 0
+    captured = capsys.readouterr()
+    assert "converged = True" in captured.err
+    assert "nan" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--omega", "5e-324", "--accel", "5e-324", "--samples", "2"],
+    ["tau-sweep", "--omega", "5e-324", "--accel", "1e-300",
+     "--grid=tau:linear:-1:0:2"],
+    ["evolve", "--omega", "5e-324", "--accel", "1"],
+], ids=["evolve-tiny-accel", "tau-sweep", "evolve"])
+def test_omega_whose_coefficient_scale_underflows(capsys, argv):
+    # omega / (4 pi), the scale of A and B, underflows to 0: the error names
+    # omega, not a division by zero or a non-finite A it leads to
+    assert main(argv) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("unruh-steer: error: omega = 5e-324")
     assert captured.err.count("\n") == 1
 
 

@@ -6,7 +6,9 @@ through ``cli.main`` into a temporary directory; their digests must equal
 JSON must match the digest pinned here and read back equal to the fig3 CSV,
 two ``evolve`` outputs and seven sweeps with flagged rows must match the
 digests pinned here, and so must the ``sic`` column of one ``theorem-check``
-run. Four of the flagged sweeps pin flag columns that carry NaN.
+run. Four of the flagged sweeps pin flag columns that carry NaN. The
+``evolve`` pins must also hold in a child process run with another
+OpenBLAS kernel or without numpy's AVX-512 loops.
 """
 
 import contextlib
@@ -14,14 +16,18 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from unruh_steer.cli import main
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 def _load_workloads():
@@ -44,13 +50,13 @@ FIG3 = ["steerability-surface", "--preset", "fig3"]
 FIG3_JSON_SHA256 = (
     "fa5bf8f9af2ac4374091e88be74255f6ff19119aff6a8d346959548180919c13")
 
-# evolve outputs with SOURCE_DATE_EPOCH=1700000000, as the per-sample
-# positivity check wrote them
+# evolve outputs with SOURCE_DATE_EPOCH=1700000000, as the exact propagator
+# (einsum products, numpy's own loops) writes them
 EVOLVE_SHA256 = {
     ("--init", "excited", "--accel", "1", "--format", "csv"):
-        "c4aedfbff62dab5228be68f77dec42757d2897387b8077d9204177c03b3a2de4",
+        "ac7e9143ecf43b1586e98d81d1a1f07d644824139d96de16f7418ac99165a9f5",
     ("--init", "tau-mixed", "--tau", "0.5", "--accel", "2", "--format", "json"):
-        "64d67aeb9562d88a98e8a07acb5e45589c0cb91ff4f78aca36867585f09235e3",
+        "f882025bdb01b4b1ea3b59ba6f766befe539e85b859cf83cc87f76a4111fe07f",
 }
 
 # sweeps with flagged rows (out-of-range tau and accel, NaN tau) and with
@@ -122,6 +128,37 @@ def test_evolve_matches_pinned_digest(tmp_path, monkeypatch, argv):
     path = tmp_path / "evolve.out"
     _run(["evolve", *argv, "--out", str(path)])
     assert hashlib.sha256(path.read_bytes()).hexdigest() == EVOLVE_SHA256[argv]
+
+
+def _avx512_targets():
+    umath = getattr(np, "_core", None) or np.core
+    return " ".join(name for name in umath._multiarray_umath.__cpu_dispatch__
+                    if name == "X86_V4" or name.startswith("AVX512"))
+
+
+KERNEL_SETTINGS = {
+    "openblas-haswell": ("OPENBLAS_CORETYPE", "Haswell"),
+    "openblas-prescott": ("OPENBLAS_CORETYPE", "Prescott"),
+    "numpy-without-avx512": ("NPY_DISABLE_CPU_FEATURES", _avx512_targets()),
+}
+
+
+@pytest.mark.parametrize("setting", list(KERNEL_SETTINGS))
+def test_evolve_pins_hold_on_other_kernels(setting):
+    # the evolve pins rerun in a child process with another OpenBLAS kernel,
+    # or without numpy's AVX-512 loops, and must give the same bytes
+    name, value = KERNEL_SETTINGS[setting]
+    if not value:
+        pytest.skip("numpy has no AVX-512 dispatch targets here")
+    env = dict(os.environ, **{name: value})
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{Path(__file__).resolve()}::test_evolve_matches_pinned_digest"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert "2 passed" in proc.stdout
 
 
 @pytest.mark.parametrize("argv", list(FLAGGED_SWEEP_SHA256),

@@ -18,10 +18,10 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import is_physical
 from unruh_steer import model
 from unruh_steer.errors import DegenerateLimit, DomainError, UnphysicalDrift
-from unruh_steer.model import (UnruhParams, equilibrium_boundary,
-                               equilibrium_free, evolve, kossakowski_boundary,
-                               kossakowski_free, ode_rhs, relaxation_horizon,
-                               steering_node_acceleration)
+from unruh_steer.model import (KossakowskiFree, UnruhParams,
+                               equilibrium_boundary, equilibrium_free, evolve,
+                               kossakowski_boundary, kossakowski_free, ode_rhs,
+                               relaxation_horizon, steering_node_acceleration)
 from unruh_steer.qmat import (FanoState, fano_to_matrix, min_eigenvalue,
                               random_fano_state)
 
@@ -208,7 +208,7 @@ def test_evolve_ground_state_relaxes():
                        t_mat=np.diag([0.0, 0.0, 1.0]))
     traj = evolve(ground, k)
     assert traj.times[-1] == pytest.approx(relaxation_horizon(k), rel=1e-12)
-    assert traj.step == pytest.approx(0.05 / (12.0 * k.A), rel=1e-12)
+    assert traj.step == relaxation_horizon(k) / 200
     eq = equilibrium_free(1.0, k.ratio)
     assert np.abs(traj.final_state.to_vector() - eq.to_vector()).max() < 1e-8
     assert abs(traj.tau - 1.0) < 1e-12
@@ -239,8 +239,7 @@ def test_default_horizon_lands_random_states():
 
 @pytest.mark.parametrize("accel", [1e15, 1e100, 1e200])
 def test_evolve_relaxes_at_large_acceleration(accel):
-    # the default horizon is ~1e-13 or shorter here; every interval is far
-    # above the rounding floor in units of the rate 12 A and is integrated
+    # the default horizon is ~1e-13 or shorter here, and A up to ~1e198
     k = kossakowski_free(UnruhParams(1.0, accel))
     n = np.array([0.0, 0.0, 1.0])
     traj = evolve(FanoState(-n, -n, np.outer(n, n)), k)
@@ -249,14 +248,15 @@ def test_evolve_relaxes_at_large_acceleration(accel):
 
 
 def test_evolve_skips_sub_ulp_intervals():
-    # from the ground state at a = 2, 200 intervals of 5e-16 change y by
-    # less than an ulp; skipping them leaves y0 + t f(y0) to rounding
+    # from the ground state at a = 2, 200 intervals of 5e-16 each change y
+    # by less than an ulp; the interval map, kept as exp(step M) - I, adds
+    # them up to y0 + t f(y0) within rounding
     k = kossakowski_free(UnruhParams(1.0, 2.0))
     n = np.array([0.0, 0.0, 1.0])
     ground = FanoState(-n, -n, np.outer(n, n))
     traj = evolve(ground, k, t_end=1e-13)
     euler = ground.to_vector() + 1e-13 * ode_rhs(ground, k).to_vector()
-    assert np.abs(traj.vectors[-1] - euler).max() < 1e-14
+    assert np.abs(traj.vectors[-1] - euler).max() < 1e-15
 
 
 def test_evolve_rejects_unphysical_input():
@@ -277,21 +277,23 @@ def test_evolve_rejects_bad_sample_count(samples):
 
 
 @pytest.mark.parametrize("t_end", [1e9, 1e300])
-def test_evolve_refuses_a_horizon_of_too_many_steps(deadline, t_end):
-    # at ~2 us per RK4 substep, t_end = 1e9 would run for hours at this A
-    singlet = FanoState(np.zeros(3), np.zeros(3), -np.eye(3))
-    with pytest.raises(DomainError, match="RK4 steps"):
-        evolve(singlet, kossakowski_free(REF), t_end=t_end)
-
-
-def test_evolve_step_count_includes_one_step_per_sample(monkeypatch):
-    # the default horizon takes at most 2400 steps of h, plus the samples
-    monkeypatch.setattr(model, "MAX_RK4_STEPS", 3000)
+def test_evolve_runs_long_horizons(deadline, t_end):
+    # the cost grows with log2(t_end |M|), not with t_end: the excited state
+    # lands on its equilibrium, with no overflow or NaN on the way
+    n = np.array([0.0, 0.0, 1.0])
     k = kossakowski_free(REF)
-    singlet = FanoState(np.zeros(3), np.zeros(3), -np.eye(3))
-    assert len(evolve(singlet, k, samples=600).times) == 600
-    with pytest.raises(DomainError, match="RK4 steps"):
-        evolve(singlet, k, t_end=1e-3, samples=2001)   # 1000 + 2001 steps
+    traj = evolve(FanoState(n, n, np.outer(n, n)), k, t_end=t_end)
+    assert np.isfinite(traj.vectors).all()
+    assert traj.converged and traj.landing < 1e-15
+    assert traj.step == t_end / 200
+
+
+def test_evolve_refuses_an_interval_map_that_overflows(deadline):
+    # at a = 1e200, A ~ 2.5e198: a step of 5e305 times |M|_1 is not finite
+    k = kossakowski_free(UnruhParams(1.0, 1e200))
+    n = np.array([0.0, 0.0, 1.0])
+    with pytest.raises(DomainError, match=r"5e\+305 times \|M\|_1 overflows"):
+        evolve(FanoState(n, n, np.outer(n, n)), k, t_end=1e308)
 
 
 @pytest.mark.parametrize("A", [-0.2, 0.0, math.nan])
@@ -306,66 +308,61 @@ def test_dynamics_reject_non_positive_rate(A):
         evolve(singlet, k, t_end=5.0)
 
 
-def _constant_rhs(state, coeffs, *, tau=None):
-    # d a_z / dt = 1: from the maximally mixed state the minimum eigenvalue
-    # is (1 - t) / 4, below DRIFT_TOL from t = 1 + 4e-6 on
-    return FanoState(np.array([0.0, 0.0, 1.0]), np.zeros(3), np.zeros((3, 3)))
+# at ratio 0 the equilibrium of a tau = 0 state is the maximally mixed
+# state, so with rates M injected a state's coefficients are exp(t M) y0
+_UNIT = KossakowskiFree(A=1.0, B=0.0, ratio=0.0)
 
 
-_MIXED = FanoState(np.zeros(3), np.zeros(3), np.zeros((3, 3)))
+def _growth(rate):
+    # rate matrices that make every coefficient grow at ``rate``: M = rate I
+    return lambda: (rate * np.eye(15), np.zeros((15, 15)))
+
+
+def _polarized(a_z):
+    return FanoState(np.array([0.0, 0.0, a_z]), np.zeros(3), np.zeros((3, 3)))
 
 
 def test_evolve_reports_earliest_drift(monkeypatch):
-    # the stacked check reports the first of the samples t = 1.5, 2 below
-    # DRIFT_TOL, with the eigenvalue a single-state check of it gives
-    monkeypatch.setattr(model, "ode_rhs", _constant_rhs)
-    k = kossakowski_free(REF)
+    # a_z = 0.1 e^(2 t) makes the minimum eigenvalue (1 - a_z) / 4: positive
+    # at t = 1, below DRIFT_TOL at t = 1.5 and 2; the stacked check reports
+    # the first of them, with the eigenvalue a single-state check gives
+    monkeypatch.setattr(model, "_rate_matrices", _growth(2.0))
     with pytest.raises(UnphysicalDrift, match=r"at t = 1\.5 ") as info:
-        evolve(_MIXED, k, t_end=2.0, samples=5)
+        evolve(_polarized(0.1), _UNIT, t_end=2.0, samples=5)
     monkeypatch.setattr(model, "DRIFT_TOL", -math.inf)
-    sample = evolve(_MIXED, k, t_end=2.0, samples=5).states[3]
+    sample = evolve(_polarized(0.1), _UNIT, t_end=2.0, samples=5).states[3]
     low = min_eigenvalue(fano_to_matrix(sample))
     assert low < -0.1
     assert str(info.value) == f"min eigenvalue {low:.3e} at t = 1.5 (below -1e-06)"
 
 
-def _growth(state, coeffs, *, tau=None):
-    # every coefficient grows at rate 1000: from order 1, the t = 0.5
-    # sample is finite (~1e210) and the t = 0.75 one overflows
-    return FanoState.from_vector(1000.0 * state.to_vector())
-
-
 def test_evolve_drift_wins_over_later_overflow(monkeypatch):
-    # the t = 0.5 sample is finite but unphysical, and drifts before the
-    # overflow
-    monkeypatch.setattr(model, "ode_rhs", _growth)
-    k = kossakowski_free(REF)
-    polarized = FanoState(np.array([0.0, 0.0, 0.5]), np.zeros(3), np.zeros((3, 3)))
+    # a_z = 0.5 e^(1000 t): the t = 0.5 sample is finite (~7e216) but
+    # unphysical, and drifts before the t = 1 one overflows
+    monkeypatch.setattr(model, "_rate_matrices", _growth(1000.0))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(UnphysicalDrift, match=r"at t = 0\.5 "):
-            evolve(polarized, k, t_end=2.0, samples=5)
-        # with no drift before it, the overflow itself is reported
-        singlet = FanoState(np.zeros(3), np.zeros(3), -np.eye(3))
+            evolve(_polarized(0.5), _UNIT, t_end=2.0, samples=5)
+        # with no drift before it, the overflow itself is reported; the
+        # state is off its equilibrium, as a singlet's deviation is 0
         with pytest.raises(DomainError, match=r"overflowed at t = 2$"):
-            evolve(singlet, k, t_end=2.0, samples=2)
+            evolve(_polarized(0.5), _UNIT, t_end=2.0, samples=2)
 
 
 def test_evolve_reports_first_overflowed_sample(monkeypatch):
     # with no drift reported, the first non-finite of the 9 samples names
-    # the overflow, though the later ones are integrated too
-    monkeypatch.setattr(model, "ode_rhs", _growth)
+    # the overflow (t = 0.5 is ~7e216, t = 0.75 overflows), though the
+    # later ones are filled too
+    monkeypatch.setattr(model, "_rate_matrices", _growth(1000.0))
     monkeypatch.setattr(model, "DRIFT_TOL", -math.inf)
-    k = kossakowski_free(REF)
-    polarized = FanoState(np.array([0.0, 0.0, 0.5]), np.zeros(3), np.zeros((3, 3)))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DomainError) as info:
-            evolve(polarized, k, t_end=2.0, samples=9)
+            evolve(_polarized(0.5), _UNIT, t_end=2.0, samples=9)
     assert str(info.value) == "state coefficients overflowed at t = 0.75"
 
 
 def test_evolve_refuses_too_many_samples(deadline, monkeypatch):
-    # ~640 B per sample at peak: 9e6 samples at t_end = 1 passed the step
-    # count and needed ~5.8 GB
+    # ~640 B per sample at peak: 9e6 samples would need ~5.8 GB
     k = kossakowski_free(REF)
     singlet = FanoState(np.zeros(3), np.zeros(3), -np.eye(3))
     with pytest.raises(DomainError, match="1000001 samples exceed"):
