@@ -124,8 +124,6 @@ def _deliver(result: SweepResult, args, summary=()):
         for path in write_result(result, args.out, fmt, plot=args.plot):
             print(f"wrote {path}")
     else:
-        if args.plot:
-            raise _UsageError("--plot requires --out")
         for line in summary:
             print(line, file=sys.stderr)
         sys.stdout.writelines(WRITERS[fmt](result))
@@ -177,7 +175,8 @@ def _initial_state(name: str, tau) -> FanoState:
         return FanoState(n, n, np.outer(n, n))
     if name == "singlet":
         return FanoState(np.zeros(3), np.zeros(3), -np.eye(3))
-    return FanoState(np.zeros(3), np.zeros(3), (tau / 3.0) * np.eye(3))
+    with np.errstate(invalid="ignore"):   # tau = +-inf: FanoState refuses the NaN
+        return FanoState(np.zeros(3), np.zeros(3), (tau / 3.0) * np.eye(3))
 
 
 def cmd_evolve(args) -> int:
@@ -271,9 +270,8 @@ def cmd_boundary_scan(args) -> int:
 
 
 def cmd_node(args) -> int:
-    if not args.out and (args.plot or args.format):
-        flag = "--plot" if args.plot else "--format"
-        raise _UsageError(f"{flag} requires --out")
+    if args.format and not args.out:
+        raise _UsageError("--format requires --out")
     a_star = steering_node_acceleration(args.tau, args.omega)
     if a_star is None:
         print(f"no steering node for tau = {args.tau:g} (tau <= 0)")
@@ -388,6 +386,8 @@ def main(argv=None) -> int:
             setattr(args, name, value)
         if hasattr(args, "omega"):
             check_omega(args.omega)
+        if args.plot and not args.out:
+            raise _UsageError("--plot requires --out")
         return args.handler(args)
     except (_UsageError, UnruhSteerError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)

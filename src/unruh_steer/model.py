@@ -103,16 +103,6 @@ def coefficient_mask(*coeffs):
     return reduce(operator.and_, (abs(c) < COEFFICIENT_LIMIT for c in coeffs))
 
 
-def check_coefficients(a1: float, a2: float, b1: float, b2: float) -> None:
-    """DomainError naming the first of A1, A2, B1, B2 where
-    :func:`coefficient_mask` fails."""
-    for name, value in zip(("A1", "A2", "B1", "B2"), (a1, a2, b1, b2)):
-        if not coefficient_mask(value):
-            raise DomainError(f"boundary coefficient {name} = {float(value)!r}:"
-                              " D needs each finite and below"
-                              f" {COEFFICIENT_LIMIT:g} in magnitude")
-
-
 def check_omega(omega: float) -> None:
     if not (omega > 0.0 and math.isfinite(omega)):
         raise DomainError("omega must be positive and finite")
@@ -156,6 +146,10 @@ class KossakowskiBoundary:
     The 1-pair multiplies delta_ij / eps for each atom with itself, the
     2-pair the cross-atom blocks; the n n pairs (C1 = -A1, C2 = -A2) are
     not computed. ``z`` and ``sep`` are the geometry they were built for.
+    Every record, by hand or by :func:`kossakowski_boundary`, holds
+    :func:`coefficient_mask`'s bound, so D, x1 and x3 stay finite:
+    DomainError naming the first of A1, A2, B1, B2 that is not finite or
+    reaches COEFFICIENT_LIMIT in magnitude.
     """
 
     A1: float
@@ -165,6 +159,14 @@ class KossakowskiBoundary:
     z: float
     sep: float
     ratio: float        # B1 / A1, or the free-space B / A where A1 rounds to 0
+
+    def __post_init__(self):
+        for name in ("A1", "A2", "B1", "B2"):
+            value = getattr(self, name)
+            if not coefficient_mask(value):
+                raise DomainError(f"boundary coefficient {name} = {float(value)!r}:"
+                                  " D needs each finite and below"
+                                  f" {COEFFICIENT_LIMIT:g} in magnitude")
 
 
 def kossakowski_free(params: UnruhParams) -> KossakowskiFree:
@@ -212,8 +214,8 @@ def kossakowski_boundary(params: UnruhParams, z: float, sep: float) -> Kossakows
 
     with the thermal factor multiplying the A pair. DomainError where an
     image-point argument overflows, 2 pi omega / accel underflows to 0, or a
-    coefficient fails :func:`check_coefficients` (an infinite thermal factor
-    makes it inf or NaN, a large one too large for D).
+    coefficient fails the record's bound (an infinite thermal factor makes
+    it inf or NaN, a large one too large for D).
     """
     if not (z > 0.0 and math.isfinite(z)):
         raise DomainError("z must be positive and finite")
@@ -225,7 +227,6 @@ def kossakowski_boundary(params: UnruhParams, z: float, sep: float) -> Kossakows
     if not all(map(math.isfinite, args)):
         raise DomainError("an image-point distance times omega overflows")
     a1, a2, b1, b2 = boundary_pairs(params.omega, x, args)
-    check_coefficients(a1, a2, b1, b2)
     ratio = b1 / a1 if a1 != 0.0 else kossakowski_free(params).ratio
     return KossakowskiBoundary(A1=a1, A2=a2, B1=b1, B2=b2, z=z, sep=sep,
                                ratio=ratio)
@@ -274,7 +275,7 @@ def boundary_d(a1, a2, b1, b2):
     case, and whether |D| underflows to 1e-14 of the coefficient-scale cube.
     Python floats or numpy arrays alike, powers through ``_power``, which
     raises OverflowError unless the coefficients pass
-    :func:`coefficient_mask`."""
+    :func:`coefficient_mask`, as every :class:`KossakowskiBoundary` does."""
     d = (2.0 * _power(a1, 3) - _power(a1, 2) * a2 - a2 * b1 * b2
          + a1 * (_power(b2, 2) - _power(a2, 2)))
     scale = _power(reduce(np.maximum, (abs(a1), abs(a2), abs(b1), abs(b2),
@@ -295,41 +296,28 @@ def d_underflow(d) -> DegenerateLimit:
     return DegenerateLimit(f"|D| = {abs(d):.3e} underflows")
 
 
-def boundary_denominator(coeffs: KossakowskiBoundary) -> float:
-    """D of :func:`boundary_d`; DomainError where a coefficient fails
-    :func:`check_coefficients`, DegenerateLimit where D underflows
-    (z -> 0 and/or sep -> 0 regimes)."""
-    check_coefficients(coeffs.A1, coeffs.A2, coeffs.B1, coeffs.B2)
-    d, underflows = boundary_d(coeffs.A1, coeffs.A2, coeffs.B1, coeffs.B2)
-    if underflows:
-        raise d_underflow(d)
-    return d
-
-
 def equilibrium_boundary(coeffs: KossakowskiBoundary, *,
                          fallback_tau: float | None = None) -> BoundaryEquilibrium:
     """Asymptotic state in the boundary case.
 
     Bloch coefficient -(A1-A2) B1 (2A1+A2) n / D and correlation block
-    (A1-A2) B1 (2B1+B2) n n / D, with D from :func:`boundary_denominator`.
-    Where D underflows, the free-space equilibrium on the ``fallback_tau``
-    leaf is returned flagged ``is_limit=True``, or DegenerateLimit raised
-    when no fallback is supplied. A supplied ``fallback_tau`` outside
-    [-3, 1] raises DomainError whether or not D underflows.
+    (A1-A2) B1 (2B1+B2) n n / D, with D from :func:`boundary_d`. Where D
+    underflows, the free-space equilibrium on the ``fallback_tau`` leaf is
+    returned flagged ``is_limit=True``, or DegenerateLimit raised when no
+    fallback is supplied. A supplied ``fallback_tau`` outside [-3, 1]
+    raises DomainError whether or not D underflows.
     """
     if fallback_tau is not None:
         check_leaf(fallback_tau)
-    try:
-        d = boundary_denominator(coeffs)
-    except DegenerateLimit as exc:
+    a1, a2, b1, b2 = coeffs.A1, coeffs.A2, coeffs.B1, coeffs.B2
+    d, underflows = boundary_d(a1, a2, b1, b2)
+    if underflows:
         if fallback_tau is None:
-            raise DegenerateLimit(
-                f"{exc} at z={coeffs.z}, sep={coeffs.sep}; "
-                "supply fallback_tau for the free-space limit") from None
+            raise DegenerateLimit(f"{d_underflow(d)} at z={coeffs.z}, sep={coeffs.sep};"
+                                  " supply fallback_tau for the free-space limit")
         state = equilibrium_free(fallback_tau, coeffs.ratio)
         return BoundaryEquilibrium(state=state, tau_eq=float(fallback_tau),
                                    trace_mismatch=math.nan, is_limit=True)
-    a1, a2, b1, b2 = coeffs.A1, coeffs.A2, coeffs.B1, coeffs.B2
     c, _ = boundary_x(a1, a2, b1, b2, d)
     s = (a1 - a2) * b1 * (2.0 * b1 + b2) / d
     tau_eq = (2.0 * a1 + a2) * b1 * (b1 - b2) / d
@@ -375,7 +363,13 @@ def ode_rhs(state: FanoState, coeffs: KossakowskiFree, *,
 
 def relaxation_horizon(coeffs: KossakowskiFree) -> float:
     """Hard equilibration horizon 20 / (4 A - 2 B), twenty e-folds of the
-    slowest decay rate; DomainError unless A is positive and finite."""
+    slowest decay rate; DomainError unless A is positive and finite, with
+    its own message where A = inf, the infinite-temperature limit."""
+    if coeffs.A == math.inf:
+        raise DomainError("the Unruh temperature is infinite, so A = inf"
+                          " (accel = inf, or 2 pi omega / accel so small that"
+                          " the thermal factor overflows); the dynamics need"
+                          " a finite A")
     if not (coeffs.A > 0.0 and math.isfinite(coeffs.A)):
         raise DomainError(f"the dynamics need a positive finite A, not {coeffs.A!r}")
     return 20.0 / (4.0 * coeffs.A - 2.0 * coeffs.B)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DenominatorZero, NotPositive
-from .model import boundary_denominator, boundary_x, check_leaf
+from .model import boundary_d, boundary_x, check_leaf, d_underflow
 from .qmat import FanoState, fano_matrices, fano_to_matrix, min_eigenvalue, trace_norm
 
 SQRT6 = math.sqrt(6.0)
@@ -185,13 +185,15 @@ def steerability_verdict_boundary(coeffs) -> BoundaryVerdict:
 
     x1 = -(A1-A2) B1 (2A1+A2) / D and x3 = (A1-A2) B1 (2B1+B2-2A1-A2) / D
     share the denominator D of the boundary equilibrium
-    (:func:`~unruh_steer.model.boundary_denominator`); the criterion
-    compares x3 / (1 + x1) against sqrt(6). Raises DegenerateLimit when D
-    underflows and DenominatorZero when 1 + x1 <= 1e-9 (the ratio
-    saturation regime near zero acceleration, where cancellation noise
-    dominates the denominator).
+    (:func:`~unruh_steer.model.boundary_d`, finite for every record); the
+    criterion compares x3 / (1 + x1) against sqrt(6). Raises
+    DegenerateLimit when D underflows (z -> 0 and/or sep -> 0) and
+    DenominatorZero when 1 + x1 <= 1e-9 (the ratio saturation regime near
+    zero acceleration, where cancellation noise dominates the denominator).
     """
-    d = boundary_denominator(coeffs)
+    d, underflows = boundary_d(coeffs.A1, coeffs.A2, coeffs.B1, coeffs.B2)
+    if underflows:
+        raise d_underflow(d)
     x1, x3 = boundary_x(coeffs.A1, coeffs.A2, coeffs.B1, coeffs.B2, d)
     denom = 1.0 + x1
     if denom <= DENOMINATOR_GATE:

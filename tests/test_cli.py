@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from oracles import read_json
+from unruh_steer import cli
 from unruh_steer.cli import EXIT_DOMAIN, EXIT_IO, EXIT_USAGE, main
 from unruh_steer.model import (UnruhParams, equilibrium_free, kossakowski_free,
                                relaxation_horizon)
@@ -238,9 +239,11 @@ def test_tau_sweep_values(capsys):
     ["boundary-scan", "--omega", "-1", "--grid", "a:log:1:2:2",
      "--grid", "z:log:0.5:1:2", "--grid", "L:log:0.5:1:2"],
     ["sic-sweep", "--omega", "inf", "--preset", "fig1"],
+    ["sic-sweep", "--omega", "0", "--preset", "fig1", "--plot"],
 ])
 def test_sweep_rejects_bad_omega(capsys, argv):
-    # omega is one value for the whole grid: a domain error, not flagged rows
+    # omega is one value for the whole grid: a domain error, not flagged
+    # rows; it is checked before --plot without --out
     assert main(argv) == EXIT_DOMAIN
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -451,6 +454,35 @@ def test_omega_whose_coefficient_scale_underflows(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--omega", "1e-310", "--accel", "1", "--samples", "2"],
+    ["evolve", "--omega", "1e-322", "--accel", "1", "--samples", "2"],
+    ["evolve", "--accel", "inf", "--samples", "2"],
+], ids=["omega-1e-310", "omega-1e-322", "accel-inf"])
+def test_evolve_names_the_infinite_unruh_temperature(capsys, argv):
+    # A = inf where accel = inf, or where 2 pi omega / accel is subnormal
+    # and the thermal factor overflows: the error names that limit, not a
+    # positive finite A
+    assert main(argv) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("unruh-steer: error: the Unruh temperature"
+                                   " is infinite, so A = inf")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tau", ["inf", "-inf"])
+def test_evolve_tau_mixed_at_infinite_tau(capsys, tau):
+    # inf * 0 off the diagonal of the initial state used to print a numpy
+    # RuntimeWarning above the error line
+    assert main(["evolve", "--accel", "1", "--init", "tau-mixed",
+                 f"--tau={tau}"]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("unruh-steer: error: FanoState coefficients must"
+                            " be finite\n")
+
+
 @pytest.mark.parametrize("out", [True, False])
 def test_failed_header_writes_nothing(tmp_path, capsys, monkeypatch, out):
     # the JSON header holds the timestamp, made before the file is opened
@@ -531,6 +563,28 @@ def test_plot_requires_out(capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--plot requires --out" in captured.err
+
+
+@pytest.mark.parametrize("argv, evaluator", [
+    (["steerability-surface", "--preset", "fig3"], "eval_surface"),
+    (["sic-sweep", "--preset", "fig1"], "eval_sic_free"),
+    (["boundary-scan", "--grid", "a:log:1:2:2", "--grid", "z:log:0.5:1:2",
+      "--grid", "L:log:0.5:1:2"], "eval_boundary"),
+], ids=["steerability-surface", "sic-sweep", "boundary-scan"])
+def test_plot_is_refused_before_any_work(capsys, monkeypatch, argv, evaluator):
+    # fig3 alone is 250,000 points: --plot without --out is a usage error
+    # before the evaluator runs, not after
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise AssertionError(f"{evaluator} ran")
+
+    monkeypatch.setattr(cli, evaluator, refuse)
+    assert main([*argv, "--plot"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and not calls
+    assert captured.err == "unruh-steer: error: --plot requires --out\n"
 
 
 def test_node_format_without_out_is_usage_error(capsys):

@@ -24,6 +24,7 @@ from unruh_steer.model import (KossakowskiFree, UnruhParams,
                                relaxation_horizon, steering_node_acceleration)
 from unruh_steer.qmat import (FanoState, fano_to_matrix, min_eigenvalue,
                               random_fano_state)
+from unruh_steer.steering import steerability_verdict_boundary
 
 REF = UnruhParams(1.0, 2.0 * math.pi)  # beta * omega = 1
 
@@ -513,13 +514,25 @@ def test_boundary_denominator_gate_is_relative():
     kb = kossakowski_boundary(REF, 1.0, 1.0)
     a1, a2, b1, b2 = kb.A1, kb.A2, kb.B1, kb.B2
     want = 2 * a1 ** 3 - a1 ** 2 * a2 - a2 * b1 * b2 + a1 * (b2 ** 2 - a2 ** 2)
-    assert model.boundary_denominator(kb) == pytest.approx(want, rel=1e-15)
+    d, underflows = model.boundary_d(a1, a2, b1, b2)
+    assert d == pytest.approx(want, rel=1e-15) and not underflows
     # the gate scales with the coefficients: a uniformly tiny set still passes
     tiny = dataclasses.replace(kb, A1=a1 * 1e-90, A2=a2 * 1e-90,
                                B1=b1 * 1e-90, B2=b2 * 1e-90)
-    assert model.boundary_denominator(tiny) == pytest.approx(want * 1e-270, rel=1e-12)
-    with pytest.raises(DegenerateLimit):
-        model.boundary_denominator(dataclasses.replace(kb, A2=a1, B2=b1))
+    d, underflows = model.boundary_d(tiny.A1, tiny.A2, tiny.B1, tiny.B2)
+    assert d == pytest.approx(want * 1e-270, rel=1e-12) and not underflows
+    steerability_verdict_boundary(tiny)
+    assert not equilibrium_boundary(tiny).is_limit
+    # A2 = A1, B2 = B1 makes D vanish: both boundary paths raise on the flag
+    flat = dataclasses.replace(kb, A2=a1, B2=b1)
+    d, underflows = model.boundary_d(flat.A1, flat.A2, flat.B1, flat.B2)
+    assert underflows
+    message = re.escape(f"|D| = {abs(d):.3e} underflows")
+    with pytest.raises(DegenerateLimit, match=f"^{message}$"):
+        steerability_verdict_boundary(flat)
+    with pytest.raises(DegenerateLimit, match=f"^{message} at z=1.0, sep=1.0;"
+                       " supply fallback_tau for the free-space limit$"):
+        equilibrium_boundary(flat)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -527,16 +540,27 @@ def test_boundary_denominator_gate_is_relative():
 def test_boundary_denominator_rejects_coefficients_that_overflow_d(field,
                                                                    value):
     # a NaN or infinite coefficient, or one whose cube overflows, used to
-    # give a NaN D or an OverflowError from the power; a record built by
-    # hand gets the same DomainError as kossakowski_boundary raises
-    kb = dataclasses.replace(kossakowski_boundary(REF, 1.0, 1.0),
-                             **{field: value})
+    # give a NaN D or an OverflowError from the power; no record holds one,
+    # so a record built by hand fails as kossakowski_boundary does
+    base = kossakowski_boundary(REF, 1.0, 1.0)
     message = re.escape(f"boundary coefficient {field} = {value!r}: D needs"
                         " each finite and below 1e+102 in magnitude")
-    with pytest.raises(DomainError, match=message):
-        model.boundary_denominator(kb)
-    with pytest.raises(DomainError, match=message):
-        equilibrium_boundary(kb, fallback_tau=0.0)
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        dataclasses.replace(base, **{field: value})
+
+
+@pytest.mark.parametrize("omega, accel", [(1e-300, 1e20), (1.0, 1e300),
+                                          (1e200, 1.0)])
+def test_boundary_record_by_hand_fails_with_the_same_text(omega, accel):
+    # the coefficients kossakowski_boundary refuses, put in a record by hand
+    with pytest.raises(DomainError) as built:
+        kossakowski_boundary(UnruhParams(omega, accel), 1.0, 1.0)
+    x, args = model.boundary_arguments(omega, accel, 1.0, 1.0)
+    a1, a2, b1, b2 = model.boundary_pairs(omega, x, args)
+    with pytest.raises(DomainError) as by_hand:
+        model.KossakowskiBoundary(A1=a1, A2=a2, B1=b1, B2=b2, z=1.0, sep=1.0,
+                                  ratio=0.0)
+    assert str(by_hand.value) == str(built.value)
 
 
 @pytest.mark.parametrize("omega, accel", [
