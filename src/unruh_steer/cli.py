@@ -38,6 +38,7 @@ from .sweeps import (
     WRITERS,
     GridSpec,
     SweepResult,
+    check_rows,
     eval_boundary,
     eval_sic_free,
     eval_surface,
@@ -56,14 +57,15 @@ STATE_COLUMNS = ("ax", "ay", "az", "bx", "by", "bz",
                  "txx", "txy", "txz", "tyx", "tyy", "tyz",
                  "tzx", "tzy", "tzz")
 
-# the options each --preset stands for; giving one of them too is a usage error
+# command -> preset -> the options it sets; giving one of them too is a usage error
 PRESETS = {
-    "fig1": {"tau": (-3.0, -2.0, -1.0, -0.5, 0.5, 1.0),
-             "grid": (GridSpec("a", "log", 0.5, 100.0, 200),)},
-    "fig2": {"accel": (1.0, 2.0 * math.pi, 50.0),
-             "grid": (GridSpec("tau", "linear", -3.0, 1.0, 201),)},
-    "fig3": {"grid": (GridSpec("tau", "linear", -3.0, 1.0, 500),
-                      GridSpec("R", "linear", 0.0, 1.0, 500))},
+    "sic-sweep": {"fig1": {"tau": (-3.0, -2.0, -1.0, -0.5, 0.5, 1.0),
+                           "grid": (GridSpec("a", "log", 0.5, 100.0, 200),)}},
+    "tau-sweep": {"fig2": {"accel": (1.0, 2.0 * math.pi, 50.0),
+                           "grid": (GridSpec("tau", "linear", -3.0, 1.0, 201),)}},
+    "steerability-surface": {"fig3": {
+        "grid": (GridSpec("tau", "linear", -3.0, 1.0, 500),
+                 GridSpec("R", "linear", 0.0, 1.0, 500))}},
 }
 
 
@@ -296,6 +298,7 @@ def cmd_node(args) -> int:
 
 
 def cmd_theorem_check(args) -> int:
+    check_rows(args.count)
     rng = np.random.default_rng(args.seed)
     states = np.stack([random_density_matrix(rng) for _ in range(args.count)])
     axes = (("state_index", np.arange(args.count, dtype=float)),)
@@ -318,11 +321,15 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True,
                                  parser_class=_Parser)
 
-    def command(name, handler, about, omega=True):
+    def command(name, handler, about, omega=True, grid=False):
         sub = subs.add_parser(name, help=about)
         sub.set_defaults(handler=handler)
         if omega:
             sub.add_argument("--omega", type=float, default=1.0)
+        if grid:
+            sub.add_argument("--grid", type=_grid_arg, action="append")
+        if name in PRESETS:
+            sub.add_argument("--preset", choices=tuple(PRESETS[name]))
         return sub
 
     p = command("equilibrium", cmd_equilibrium, "asymptotic state coefficients")
@@ -338,24 +345,17 @@ def build_parser() -> _Parser:
     p.add_argument("--t-end", type=float, dest="t_end")
     p.add_argument("--samples", type=_int_arg, default=201)
 
-    p = command("sic-sweep", cmd_sic_sweep, "coherence vs acceleration")
+    p = command("sic-sweep", cmd_sic_sweep, "coherence vs acceleration", grid=True)
     p.add_argument("--tau", type=_float_list)
-    p.add_argument("--grid", type=_grid_arg, action="append")
-    p.add_argument("--preset", choices=("fig1",))
 
-    p = command("tau-sweep", cmd_tau_sweep, "coherence vs initial correlation")
+    p = command("tau-sweep", cmd_tau_sweep, "coherence vs initial correlation", grid=True)
     p.add_argument("--accel", type=_float_list)
-    p.add_argument("--grid", type=_grid_arg, action="append")
-    p.add_argument("--preset", choices=("fig2",))
 
-    p = command("steerability-surface", cmd_surface,
-                "criterion functional over (tau, R)", omega=False)
-    p.add_argument("--grid", type=_grid_arg, action="append")
-    p.add_argument("--preset", choices=("fig3",))
+    command("steerability-surface", cmd_surface,
+            "criterion functional over (tau, R)", omega=False, grid=True)
 
-    p = command("boundary-scan", cmd_boundary_scan,
-                "criterion verdict over (a, z, L)")
-    p.add_argument("--grid", type=_grid_arg, action="append")
+    command("boundary-scan", cmd_boundary_scan,
+            "criterion verdict over (a, z, L)", grid=True)
 
     p = command("node", cmd_node, "acceleration where coherence vanishes")
     p.add_argument("--tau", type=float, required=True)
@@ -380,7 +380,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         preset = getattr(args, "preset", None)
-        for name, value in PRESETS.get(preset, {}).items():
+        for name, value in PRESETS.get(args.command, {}).get(preset, {}).items():
             if getattr(args, name) is not None:
                 raise _UsageError(f"--preset {preset} sets --{name} itself")
             setattr(args, name, value)

@@ -25,18 +25,14 @@ from .errors import DomainError, NonHermitian, NotPositive
 HERMITICITY_TOL = 1e-9
 POSITIVITY_TOL = 1e-8   # concurrence input gate
 
-SIGMA_0 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULI = (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z)
-
-# sigma_y x sigma_y, used by the spin flip in the concurrence
-_YY = np.kron(SIGMA_Y, SIGMA_Y)
+# sigma_0, sigma_x, sigma_y, sigma_z
+PAULI = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]],
+                  [[0.0, -1.0j], [1.0j, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
 
 # _PAULI_PAIRS[i, j] = kron(sigma_i, sigma_j): Tr(m _PAULI_PAIRS[i, j]) is
 # the Fano coefficient of m at (i, j)
 _PAULI_PAIRS = np.einsum("iab,jcd->ijacbd", PAULI, PAULI).reshape(4, 4, 4, 4)
+_YY = _PAULI_PAIRS[2, 2]   # sigma_y x sigma_y, the spin flip in the concurrence
 
 # _FANO_BASIS[k] = _PAULI_PAIRS[i, j] / 4 for entry k of FanoState.to_vector:
 # (i, 0) for a, (0, j) for b, then (i, j) for the rows of T
@@ -97,8 +93,8 @@ def fano_to_matrix(state: FanoState) -> np.ndarray:
     # 48.6 -> 68.6 MB.
     m = np.eye(4, dtype=complex)
     for i in range(3):
-        m += state.a_vec[i] * np.kron(PAULI[i + 1], SIGMA_0)
-        m += state.b_vec[i] * np.kron(SIGMA_0, PAULI[i + 1])
+        m += state.a_vec[i] * np.kron(PAULI[i + 1], PAULI[0])
+        m += state.b_vec[i] * np.kron(PAULI[0], PAULI[i + 1])
         for j in range(3):
             m += state.t_mat[i, j] * np.kron(PAULI[i + 1], PAULI[j + 1])
     return 0.25 * m

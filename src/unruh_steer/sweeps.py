@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, UnruhSteerError
 from .model import (
+    MAX_SAMPLES,
     UnruhParams,
     _each,
     boundary_arguments,
@@ -58,6 +59,15 @@ BLOCK_ROWS = 4096   # rows per writer chunk: the text of one block is in memory
 
 # ----- sweep grid axes -----
 
+def check_rows(rows: int) -> None:
+    """DomainError for a table of more than ``MAX_SAMPLES`` rows, the limit
+    of an ``evolve`` run too. A row holds at most ~1.2 kB at peak (a
+    ``theorem-check`` state), so a table stays below ~1.2 GB."""
+    if rows > MAX_SAMPLES:
+        raise DomainError(f"{rows} rows exceed the limit of {MAX_SAMPLES:.0e}"
+                          " per table")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """One sweep axis: name, scale, bounds, point count."""
@@ -77,8 +87,9 @@ class GridSpec:
                               f" got {self.scale!r}")
         if self.count < 2:
             raise DomainError("grid count must be at least 2")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise DomainError("grid bounds must be finite")
+        check_rows(self.count)
+        if not math.isfinite(self.hi - self.lo):   # the span linspace divides
+            raise DomainError("grid span max - min must be finite")
         if not self.lo < self.hi:
             raise DomainError("grid needs min < max")
         if self.scale == "log" and self.lo <= 0.0:
@@ -151,8 +162,9 @@ def run_grid(axes, evaluator, out_columns, meta=None) -> SweepResult:
     one diagnostic string per row. A column count, length or dtype that
     does not fit the table raises ConsistencyError.
     """
-    grid = np.meshgrid(*(np.asarray(vals, dtype=float) for _, vals in axes),
-                       indexing="ij")
+    values = [np.asarray(vals, dtype=float) for _, vals in axes]
+    check_rows(math.prod(vals.size for vals in values))
+    grid = np.meshgrid(*values, indexing="ij")
     flat = [mesh.ravel() for mesh in grid]
     columns, diagnostics = evaluator(*flat)
     names = tuple(name for name, _ in axes) + tuple(out_columns)

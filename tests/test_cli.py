@@ -13,10 +13,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oracles import read_json
-from unruh_steer import cli
+from unruh_steer import cli, sweeps
 from unruh_steer.cli import EXIT_DOMAIN, EXIT_IO, EXIT_USAGE, main
 from unruh_steer.model import (UnruhParams, equilibrium_free, kossakowski_free,
                                relaxation_horizon)
@@ -264,6 +265,84 @@ def test_preset_conflicts_with_its_options(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"--preset {argv[2]} sets" in captured.err
+
+
+def _refusal(argv, capsys):
+    """Exit code and error line of a run that prints one error line on
+    stderr and nothing on stdout."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:   # argparse's usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if ": error: " in line]
+    assert captured.out == "" and len(errors) == 1, captured
+    assert captured.err.endswith(errors[0] + "\n")
+    return code, errors[0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sic-sweep", "--tau=,", "--grid", "a:log:1:2:3"],
+     "argument --tau: empty number list"),
+    (["sic-sweep", "--tau=abc", "--grid", "a:log:1:2:3"],
+     "argument --tau: bad number list 'abc'"),
+    (["sic-sweep", "--grid", "a:log:1:2:3"],
+     "--tau list is required (or use --preset fig1)"),
+    (["tau-sweep", "--grid", "tau:linear:-1:0:2"],
+     "--accel list is required (or use --preset fig2)"),
+])
+def test_sweep_value_lists_are_usage_errors(capsys, argv, message):
+    code, line = _refusal(argv, capsys)
+    assert code == EXIT_USAGE and line.endswith(f": error: {message}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["steerability-surface", "--grid", "tau:linear:-1e308:1e308:3",
+     "--grid", "R:linear:0:1:2"],
+    ["tau-sweep", "--accel", "1", "--grid", "tau:linear:-1e308:1e308:3"],
+], ids=["steerability-surface", "tau-sweep"])
+def test_grid_span_must_be_finite(capsys, argv):
+    # both bounds are finite, but linspace divides max - min, which
+    # overflows: the axis would read nan, inf and 1e+308
+    code, line = _refusal(argv, capsys)
+    assert code == EXIT_USAGE
+    assert line.endswith(": error: argument --grid: grid span max - min"
+                         " must be finite")
+
+
+@pytest.mark.parametrize("argv, limit, code, rows", [
+    (["steerability-surface", "--grid", "tau:linear:-3:1:601",
+      "--grid", "R:linear:0:1:2"], 600, EXIT_USAGE, 601),
+    (["sic-sweep", "--tau=0.5,0.25", "--grid", "a:log:1:2:301"],
+     600, EXIT_DOMAIN, 602),
+    (["boundary-scan", "--grid", "a:log:1:2:30", "--grid", "z:log:0.5:1:20",
+      "--grid", "L:log:0.5:1:2"], 600, EXIT_DOMAIN, 1200),
+    (["theorem-check", "--count", "601"], 600, EXIT_DOMAIN, 601),
+    (["theorem-check", "--count", "1000001"], None, EXIT_DOMAIN, 1000001),
+], ids=["grid-count", "sic-sweep", "boundary-scan", "theorem-check",
+        "theorem-check-1e6"])
+def test_tables_refuse_rows_above_the_limit(capsys, monkeypatch, argv, limit,
+                                            code, rows):
+    # evolve's MAX_SAMPLES bounds every table, before the grid is spread or
+    # a state drawn; shrunk by patching, as test_model does for evolve
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran past the row limit")
+
+    if limit is not None:
+        monkeypatch.setattr(sweeps, "MAX_SAMPLES", limit)
+    monkeypatch.setattr(np, "meshgrid", refuse)
+    monkeypatch.setattr(cli, "random_density_matrix", refuse)
+    got, line = _refusal(argv, capsys)
+    assert got == code
+    assert line.endswith(f"{rows} rows exceed the limit of"
+                         f" {limit or 10**6:.0e} per table")
+
+
+def test_table_at_the_row_limit(capsys, monkeypatch):
+    monkeypatch.setattr(sweeps, "MAX_SAMPLES", 600)
+    assert main(["steerability-surface", "--grid", "tau:linear:-3:1:300",
+                 "--grid", "R:linear:0:1:2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 601   # header + 600
 
 
 def test_surface_summary(capsys):

@@ -23,13 +23,15 @@ import math
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+from hypothesis import (HealthCheck, example, given, settings,  # noqa: E402
+                        strategies as st)
 
 from unruh_steer.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main  # noqa: E402
 from unruh_steer.sweeps import DIAGNOSTICS_COLUMN  # noqa: E402
 
 EDGES = (0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e-12, 1.0 - 1e-12, 1.0,
-         1.0 + 1e-10, 1e12, 1e200, 1e308, math.inf, -math.inf, math.nan, -1.0)
+         1.0 + 1e-10, 1e12, 1e200, 1e308, math.inf, -math.inf, math.nan, -1.0,
+         -1e308)
 LEAVES = (-3.0, -1.0, 0.0, 0.25, 1.0)   # tau values inside [-3, 1]
 
 edge = st.sampled_from(EDGES)
@@ -127,6 +129,15 @@ COMMANDS = {
     "theorem-check": _theorem_check(),
 }
 
+# grids whose bounds are finite but whose span max - min overflows
+SPAN_EXAMPLES = {
+    "tau-sweep": ["tau-sweep", "--omega=1.0", "--accel=1.0",
+                  "--grid=tau:linear:-1e308:1e308:3"],
+    "steerability-surface": ["steerability-surface",
+                             "--grid=tau:linear:-1e308:1e308:3",
+                             "--grid=R:linear:0.0:1.0:2"],
+}
+
 
 def _reject(token):
     raise ValueError(f"non-standard JSON token {token}")
@@ -176,6 +187,8 @@ def test_cli_grammar(command, tmp_path, capsys, deadline):
             assert stderr.startswith("unruh-steer: error: "), stderr
             assert stderr.count("\n") == 1, stderr
 
+    if command in SPAN_EXAMPLES:
+        run = example(SPAN_EXAMPLES[command])(run)
     run()
 
 

@@ -193,6 +193,13 @@ def test_ode_explicit_tau_pull():
         evolve(st, k, tau=0.3)
 
 
+def test_ode_rhs_needs_finite_coefficients():
+    k = dataclasses.replace(kossakowski_free(REF), A=math.inf)
+    st = random_fano_state(np.random.default_rng(8))
+    with pytest.raises(DomainError, match="^ode_rhs needs finite coefficients$"):
+        ode_rhs(st, k)
+
+
 def test_evolve_singlet_is_stationary():
     k = kossakowski_free(REF)
     singlet = FanoState(a_vec=np.zeros(3), b_vec=np.zeros(3), t_mat=-np.eye(3))

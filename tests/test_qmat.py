@@ -183,3 +183,7 @@ def test_matrix_to_fano_validation():
         matrix_to_fano(np.triu(np.ones((4, 4))) / 2.5)
     with pytest.raises(DomainError):
         matrix_to_fano(np.eye(4) / 2.0)  # trace 2
+    nan_entry = np.eye(4) / 4.0
+    nan_entry[0, 3] = np.nan
+    with pytest.raises(DomainError, match="^matrix has non-finite entries$"):
+        matrix_to_fano(nan_entry)

@@ -46,6 +46,8 @@ def test_gridspec_parse_round_trip():
     "a:linear:0:1",         # wrong arity
     "a:linear:x:1:5",       # non-numeric
     "a:log:0.5:inf:5",      # non-finite bound
+    "tau:linear:-1e308:1e308:3",   # finite bounds, span overflows
+    "a:linear:0:1:1000001",         # more rows than a table may hold
 ])
 def test_gridspec_rejects(bad):
     with pytest.raises(DomainError):
