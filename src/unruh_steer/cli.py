@@ -21,6 +21,7 @@ from .errors import UnruhSteerError
 from .model import (
     UnruhParams,
     check_omega,
+    check_rows,
     equilibrium_boundary,
     equilibrium_free,
     evolve,
@@ -38,7 +39,6 @@ from .sweeps import (
     WRITERS,
     GridSpec,
     SweepResult,
-    check_rows,
     eval_boundary,
     eval_sic_free,
     eval_surface,
@@ -118,12 +118,14 @@ def _pick_grids(grids, names):
 
 
 def _deliver(result: SweepResult, args, summary=()):
+    result.meta = {"command": args.command, **result.meta}
     fmt = args.format or ("json" if (args.out or "").endswith(".json")
                           else "csv")
     if args.out:
         for line in summary:
             print(line)
-        for path in write_result(result, args.out, fmt, plot=args.plot):
+        for path in write_result(result, args.out, fmt,
+                                 plot=args.plot and args.drawn):
             print(f"wrote {path}")
     else:
         for line in summary:
@@ -148,9 +150,8 @@ def cmd_equilibrium(args) -> int:
         row = ((args.omega, args.accel, args.z, args.sep, coeffs.ratio,
                 eq.tau_eq, eq.trace_mismatch, eq.is_limit)
                + tuple(eq.state.to_vector()))
-        meta = {"command": "equilibrium", "geometry": "boundary",
-                "omega": args.omega, "accel": args.accel,
-                "z": args.z, "sep": args.sep, "axes": ()}
+        meta = {"geometry": "boundary", "omega": args.omega,
+                "accel": args.accel, "z": args.z, "sep": args.sep, "axes": ()}
     else:
         if args.tau is None:
             raise _UsageError("--tau is required for the free geometry")
@@ -159,9 +160,8 @@ def cmd_equilibrium(args) -> int:
         columns = ("omega", "a", "tau", "R") + STATE_COLUMNS
         row = ((args.omega, args.accel, args.tau, coeffs.ratio)
                + tuple(state.to_vector()))
-        meta = {"command": "equilibrium", "geometry": "free",
-                "omega": args.omega, "accel": args.accel,
-                "tau": args.tau, "axes": ()}
+        meta = {"geometry": "free", "omega": args.omega,
+                "accel": args.accel, "tau": args.tau, "axes": ()}
     return _deliver(SweepResult(columns, [np.array([cell]) for cell in row],
                                 [""], meta), args)
 
@@ -190,8 +190,8 @@ def cmd_evolve(args) -> int:
     columns = ("t",) + STATE_COLUMNS + ("tau",)
     traces = np.trace(traj.vectors[:, 6:].reshape(-1, 3, 3), axis1=1, axis2=2)
     data = [traj.times, *traj.vectors.T, traces]
-    meta = {"command": "evolve", "omega": args.omega, "accel": args.accel,
-            "init": args.init, "tau": traj.tau, "t_end": float(traj.times[-1]),
+    meta = {"omega": args.omega, "accel": args.accel, "init": args.init,
+            "tau": traj.tau, "t_end": float(traj.times[-1]),
             "samples": args.samples, "step": traj.step,
             "converged": traj.converged, "landing": traj.landing,
             "axes": ("t",)}
@@ -207,9 +207,8 @@ def cmd_sic_sweep(args) -> int:
         raise _UsageError("--tau list is required (or use --preset fig1)")
     (grid,) = _pick_grids(args.grid, ("a",))
     axes = (("tau", np.asarray(args.tau, dtype=float)), ("a", grid.values()))
-    meta = {"command": "sic-sweep", "omega": args.omega, "tau": list(args.tau),
-            "grid": grid.spec_string(), "preset": args.preset or "",
-            "axes": ("tau", "a")}
+    meta = {"omega": args.omega, "tau": list(args.tau),
+            "grid": grid.spec_string(), "preset": args.preset or ""}
     result = run_grid(axes, partial(eval_sic_free, args.omega),
                       SIC_SWEEP_COLUMNS, meta=meta)
     return _deliver(result, args)
@@ -220,9 +219,8 @@ def cmd_tau_sweep(args) -> int:
         raise _UsageError("--accel list is required (or use --preset fig2)")
     (grid,) = _pick_grids(args.grid, ("tau",))
     axes = (("a", np.asarray(args.accel, dtype=float)), ("tau", grid.values()))
-    meta = {"command": "tau-sweep", "omega": args.omega,
-            "accel": list(args.accel), "grid": grid.spec_string(),
-            "preset": args.preset or "", "axes": ("a", "tau")}
+    meta = {"omega": args.omega, "accel": list(args.accel),
+            "grid": grid.spec_string(), "preset": args.preset or ""}
     result = run_grid(axes,
                       lambda accel, tau: eval_sic_free(args.omega, tau, accel),
                       SIC_SWEEP_COLUMNS, meta=meta)
@@ -249,9 +247,8 @@ def _surface_summary(result: SweepResult):
 def cmd_surface(args) -> int:
     grids = _pick_grids(args.grid, ("tau", "R"))
     axes = tuple((g.name, g.values()) for g in grids)
-    meta = {"command": "steerability-surface",
-            "grid": [g.spec_string() for g in grids],
-            "preset": args.preset or "", "axes": ("tau", "R")}
+    meta = {"grid": [g.spec_string() for g in grids],
+            "preset": args.preset or ""}
     result = run_grid(axes, eval_surface, SURFACE_COLUMNS, meta=meta)
     return _deliver(result, args, _surface_summary(result))
 
@@ -259,9 +256,7 @@ def cmd_surface(args) -> int:
 def cmd_boundary_scan(args) -> int:
     grids = _pick_grids(args.grid, ("a", "z", "L"))
     axes = tuple((g.name, g.values()) for g in grids)
-    meta = {"command": "boundary-scan", "omega": args.omega,
-            "grid": [g.spec_string() for g in grids],
-            "axes": ("a", "z", "L")}
+    meta = {"omega": args.omega, "grid": [g.spec_string() for g in grids]}
     result = run_grid(axes, partial(eval_boundary, args.omega),
                       BOUNDARY_COLUMNS, meta=meta)
     n_sat = sum(1 for flag in result.column("satisfied") if flag is True)
@@ -289,8 +284,7 @@ def cmd_node(args) -> int:
               f" sic(a*) = {sic:.3e}")
         row, diag = (args.tau, a_star, sic), ""
     if args.out:
-        meta = {"command": "node", "omega": args.omega, "tau": args.tau,
-                "axes": ()}
+        meta = {"omega": args.omega, "tau": args.tau, "axes": ()}
         return _deliver(SweepResult(("tau", "a_star", "sic"),
                                     [np.array([cell]) for cell in row], [diag],
                                     meta), args)
@@ -302,8 +296,7 @@ def cmd_theorem_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     states = np.stack([random_density_matrix(rng) for _ in range(args.count)])
     axes = (("state_index", np.arange(args.count, dtype=float)),)
-    meta = {"command": "theorem-check", "seed": args.seed,
-            "count": args.count, "axes": ("state_index",)}
+    meta = {"seed": args.seed, "count": args.count}
     result = run_grid(axes, partial(eval_theorem, states), THEOREM_COLUMNS,
                       meta=meta)
     residual = max(result.column("residual"))
@@ -321,9 +314,10 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True,
                                  parser_class=_Parser)
 
-    def command(name, handler, about, omega=True, grid=False):
+    def command(name, handler, about, drawn, omega=True, grid=False):
+        # drawn: the column that the --plot script draws
         sub = subs.add_parser(name, help=about)
-        sub.set_defaults(handler=handler)
+        sub.set_defaults(handler=handler, drawn=drawn)
         if omega:
             sub.add_argument("--omega", type=float, default=1.0)
         if grid:
@@ -332,36 +326,41 @@ def build_parser() -> _Parser:
             sub.add_argument("--preset", choices=tuple(PRESETS[name]))
         return sub
 
-    p = command("equilibrium", cmd_equilibrium, "asymptotic state coefficients")
+    p = command("equilibrium", cmd_equilibrium, "asymptotic state coefficients",
+                "a")
     p.add_argument("--accel", type=float)
     p.add_argument("--tau", type=float)
     p.add_argument("--z", type=float)
     p.add_argument("--sep", type=float)
 
-    p = command("evolve", cmd_evolve, "integrate toward equilibrium")
+    p = command("evolve", cmd_evolve, "integrate toward equilibrium", "ax")
     p.add_argument("--accel", type=float)
     p.add_argument("--tau", type=float)
     p.add_argument("--init", choices=_INIT_STATES, default="ground")
     p.add_argument("--t-end", type=float, dest="t_end")
     p.add_argument("--samples", type=_int_arg, default=201)
 
-    p = command("sic-sweep", cmd_sic_sweep, "coherence vs acceleration", grid=True)
+    p = command("sic-sweep", cmd_sic_sweep, "coherence vs acceleration", "sic",
+                grid=True)
     p.add_argument("--tau", type=_float_list)
 
-    p = command("tau-sweep", cmd_tau_sweep, "coherence vs initial correlation", grid=True)
+    p = command("tau-sweep", cmd_tau_sweep, "coherence vs initial correlation",
+                "sic", grid=True)
     p.add_argument("--accel", type=_float_list)
 
     command("steerability-surface", cmd_surface,
-            "criterion functional over (tau, R)", omega=False, grid=True)
+            "criterion functional over (tau, R)", "literal", omega=False,
+            grid=True)
 
     command("boundary-scan", cmd_boundary_scan,
-            "criterion verdict over (a, z, L)", grid=True)
+            "criterion verdict over (a, z, L)", "value", grid=True)
 
-    p = command("node", cmd_node, "acceleration where coherence vanishes")
+    p = command("node", cmd_node, "acceleration where coherence vanishes",
+                "a_star")
     p.add_argument("--tau", type=float, required=True)
 
     p = command("theorem-check", cmd_theorem_check,
-                "SIC = MID identity on random states", omega=False)
+                "SIC = MID identity on random states", "sic", omega=False)
     p.add_argument("--seed", type=partial(_int_arg, minimum=0), default=0)
     p.add_argument("--count", type=_int_arg, default=100)
 

@@ -43,8 +43,17 @@ DEGENERATE_D_REL = 1e-14   # |D| underflow gate, relative to coefficient scale
 COEFFICIENT_LIMIT = 1e102  # boundary |coefficients| below it keep D, x1, x3 finite
 DRIFT_TOL = -1e-6          # sampled min eigenvalue below this aborts evolve
 LANDING_TOL = 1e-6         # final sample this close to the equilibrium: converged
-MAX_SAMPLES = 10**6        # evolve refuses more samples (~640 B each at peak)
+MAX_SAMPLES = 10**6        # row limit of every table and evolve run
 TAYLOR_DEGREE = 14         # exp(X) for |X|_1 <= 1/2 to ~4e-17 relative
+
+
+def check_rows(rows: int) -> None:
+    """DomainError for a table, or an ``evolve`` run, of more than
+    ``MAX_SAMPLES`` rows. A row holds at most ~1.2 kB at peak (a
+    ``theorem-check`` state), so a table stays below ~1.2 GB."""
+    if rows > MAX_SAMPLES:
+        raise DomainError(f"{rows} rows exceed the limit of {MAX_SAMPLES:.0e}"
+                          " per table")
 
 
 def sinc(x: float) -> float:
@@ -436,9 +445,7 @@ def evolve(state: FanoState, coeffs: KossakowskiFree, t_end: float | None = None
         raise DomainError("t_end must be positive and finite")
     if isinstance(samples, bool) or not isinstance(samples, Integral) or samples < 1:
         raise DomainError(f"samples must be an integer >= 1, got {samples!r}")
-    if samples > MAX_SAMPLES:
-        raise DomainError(f"{samples} samples exceed the limit of"
-                          f" {MAX_SAMPLES:.0e}")
+    check_rows(samples)
     times = np.linspace(0.0, t_end, samples)
     times.setflags(write=False)
     tau, y0 = state.trace_sum, state.to_vector()

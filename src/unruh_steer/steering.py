@@ -11,11 +11,13 @@ Bob's axis e, (a, b, T) -> (a, b, T e e^T) in Fano coordinates: the trace
 norm of the correlation block T (I - e e^T) that the dephasing removes. The
 two coincide for two qubits; ``theorem1_residual`` checks the identity.
 
-One 3x3 SVD gives the optimum. With Bob's axis e = b/|b| and P_e = I - e e^T,
-P_e b = 0, so Alice's axis m yields average coherence |P_e T^T m| and SIC
-= sigma_max(P_e T^T). For |b| = 0 the value is the infimum over e, which
-by singular-value interlacing is sigma_2(T) (Luo, PRA 77, 022301 (2008);
-Horodecki & Horodecki, PRA 54, 1838 (1996)).
+One formula gives the optimum: SIC = sigma_max(P_e T^T), P_e = I - e e^T,
+with Alice's axis the top right singular vector of P_e T^T. Only Bob's
+axis e depends on the state's branch. With e = b/|b|, P_e b = 0, so
+Alice's axis m yields average coherence |P_e T^T m|. For |b| = 0 the
+value is the infimum over e, attained at T's top right singular vector
+v_1, where by singular-value interlacing sigma_max(P_e T^T) = sigma_2(T)
+(Luo, PRA 77, 022301 (2008); Horodecki & Horodecki, PRA 54, 1838 (1996)).
 """
 
 from __future__ import annotations
@@ -61,19 +63,19 @@ def _frozen(v: np.ndarray) -> np.ndarray:
 
 
 def sic_solution(state: FanoState) -> SicSolution:
-    """Optimal SIC value and axes from one 3x3 SVD.
+    """Optimal SIC value and axes from the SVD of (I - e e^T) T^T.
 
-    Nondegenerate: e = b/|b|; the value and Alice's axis are the top
-    singular value and right singular vector of (I - e e^T) T^T. Below the
-    degeneracy gate |b| < 1e-9, b is dropped (error bounded by |b|): e is
-    T's top right singular vector and the value sigma_2(T).
+    The value and Alice's axis are its top singular value and right
+    singular vector. Bob's axis e is b/|b|; below the degeneracy gate
+    |b| < 1e-9, b is dropped (error bounded by |b|) and e is T's top right
+    singular vector, which makes the value sigma_2(T).
     """
     _require_physical(state)
     blen = float(np.linalg.norm(state.b_vec))
     if blen < DEGENERACY_GATE:
-        u, s, vt = np.linalg.svd(state.t_mat)
-        return SicSolution(float(s[1]), _frozen(u[:, 1]), _frozen(vt[0]))
-    e_hat = state.b_vec / blen
+        e_hat = np.linalg.svd(state.t_mat)[2][0]
+    else:
+        e_hat = state.b_vec / blen
     _, s, vt = np.linalg.svd((np.eye(3) - np.outer(e_hat, e_hat)) @ state.t_mat.T)
     return SicSolution(float(s[0]), _frozen(vt[0]), _frozen(e_hat))
 
@@ -99,21 +101,22 @@ def one_sided_mid(state: FanoState) -> float:
     does too. rho - D_B(rho) is the correlation block T (I - e e^T) alone,
     1/4 sum_ij [T (I - e e^T)]_ij s_i x s_j, built here without rho.
     """
-    return _mid_of_solution(state, sic_solution(state))
+    return sic_mid_row(state)[1]
 
 
-def _mid_of_solution(state: FanoState, solution: SicSolution) -> float:
-    """MID of ``state`` along the reference axis of its ``sic_solution``."""
+def sic_mid_row(state: FanoState) -> tuple:
+    """(SIC, MID, |SIC - MID|) of ``state`` from one ``sic_solution``."""
+    solution = sic_solution(state)
     e = solution.ref_axis
     removed = state.t_mat - np.outer(state.t_mat @ e, e)
     block = np.concatenate([np.zeros(6), removed.ravel()])
-    return trace_norm(fano_matrices(block) - 0.25 * np.eye(4))
+    mid = trace_norm(fano_matrices(block) - 0.25 * np.eye(4))
+    return solution.value, mid, abs(solution.value - mid)
 
 
 def theorem1_residual(state: FanoState) -> float:
     """|SIC - MID|: SVD value against 4x4 trace norm, zero up to rounding."""
-    solution = sic_solution(state)
-    return abs(solution.value - _mid_of_solution(state, solution))
+    return sic_mid_row(state)[2]
 
 
 # ----- coherence-sum steering criteria -----

@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, UnruhSteerError
 from .model import (
-    MAX_SAMPLES,
     UnruhParams,
     _each,
     boundary_arguments,
@@ -33,6 +32,7 @@ from .model import (
     boundary_pairs,
     boundary_x,
     check_leaf,
+    check_rows,
     coefficient_mask,
     d_underflow,
     kossakowski_boundary,
@@ -43,10 +43,9 @@ from .qmat import matrix_to_fano
 from .steering import (
     DENOMINATOR_GATE,
     SQRT6,
-    _mid_of_solution,
     coherence_sum_terms,
     sic_closed_form_free,
-    sic_solution,
+    sic_mid_row,
     steerability_functional_free,
     steerability_verdict_boundary,
     zero_denominator,
@@ -58,15 +57,6 @@ BLOCK_ROWS = 4096   # rows per writer chunk: the text of one block is in memory
 
 
 # ----- sweep grid axes -----
-
-def check_rows(rows: int) -> None:
-    """DomainError for a table of more than ``MAX_SAMPLES`` rows, the limit
-    of an ``evolve`` run too. A row holds at most ~1.2 kB at peak (a
-    ``theorem-check`` state), so a table stays below ~1.2 GB."""
-    if rows > MAX_SAMPLES:
-        raise DomainError(f"{rows} rows exceed the limit of {MAX_SAMPLES:.0e}"
-                          " per table")
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -155,21 +145,23 @@ class SweepResult:
 def run_grid(axes, evaluator, out_columns, meta=None) -> SweepResult:
     """Evaluate ``evaluator`` on the cartesian product of the axes at once.
 
-    ``axes`` is a sequence of (name, values) pairs; rows appear in
-    lexicographic order of the axes as given (first axis outermost). The
-    evaluator receives that grid flattened, one 1-D float array per axis,
-    and returns (columns, diagnostics): one array per output column and
-    one diagnostic string per row. A column count, length or dtype that
-    does not fit the table raises ConsistencyError.
+    ``axes`` is a sequence of (name, values) pairs, whose names the table's
+    ``meta["axes"]`` records; rows appear in lexicographic order of the
+    axes as given (first axis outermost). The evaluator receives that grid
+    flattened, one 1-D float array per axis, and returns (columns,
+    diagnostics): one array per output column and one diagnostic string
+    per row. A column count, length or dtype that does not fit the table
+    raises ConsistencyError.
     """
     values = [np.asarray(vals, dtype=float) for _, vals in axes]
     check_rows(math.prod(vals.size for vals in values))
     grid = np.meshgrid(*values, indexing="ij")
     flat = [mesh.ravel() for mesh in grid]
     columns, diagnostics = evaluator(*flat)
-    names = tuple(name for name, _ in axes) + tuple(out_columns)
-    return SweepResult(columns=names, data=flat + list(columns),
-                       diagnostics=list(diagnostics), meta=dict(meta or {}))
+    names = tuple(name for name, _ in axes)
+    return SweepResult(columns=names + tuple(out_columns),
+                       data=flat + list(columns), diagnostics=list(diagnostics),
+                       meta=dict(meta or {}, axes=names))
 
 
 # ----- whole-axis evaluators -----
@@ -292,14 +284,9 @@ def eval_boundary(omega: float, accel, z, sep):
 
 def eval_theorem(states: np.ndarray, index):
     """Columns (sic, mid, residual) of ``states[index]``, state by state,
-    from one ``sic_solution`` per state."""
-    def point(i):
-        state = matrix_to_fano(states[int(i)])
-        solution = sic_solution(state)
-        sic, mid = solution.value, _mid_of_solution(state, solution)
-        return sic, mid, abs(sic - mid)
-
-    return _pointwise(point, len(THEOREM_COLUMNS), index)
+    each row from ``sic_mid_row``."""
+    return _pointwise(lambda i: sic_mid_row(matrix_to_fano(states[int(i)])),
+                      len(THEOREM_COLUMNS), index)
 
 
 SIC_SWEEP_COLUMNS = ("R", "sic")
@@ -417,9 +404,10 @@ WRITERS = {"csv": csv_chunks, "json": json_chunks}
 
 
 def write_result(result: SweepResult, path: str, fmt: str,
-                 plot: bool = False) -> list:
-    """Write the table chunk by chunk (and optionally a plot script);
-    returns the paths written.
+                 plot: bool | str = False) -> list:
+    """Write the table chunk by chunk (and, when ``plot`` is set, a plot
+    script that draws ``plot``'s column, see :func:`plot_script`); returns
+    the paths written.
 
     All or nothing: each file is streamed to a new temporary file in the
     directory it resolves to (mode "x" gives it the mode "w" would; a
@@ -434,7 +422,7 @@ def write_result(result: SweepResult, path: str, fmt: str,
     files = [(path, WRITERS[fmt](result))]
     if plot:
         files.append((path + ".gp",
-                      [plot_script(result, os.path.basename(path), fmt)]))
+                      [plot_script(result, os.path.basename(path), fmt, plot)]))
     staged = []    # (temporary file, target) pairs not yet moved
     try:
         for name, texts in files:
@@ -458,10 +446,14 @@ def write_result(result: SweepResult, path: str, fmt: str,
     return [name for name, _ in files]
 
 
-def plot_script(result: SweepResult, data_file: str, fmt: str) -> str:
-    """Minimal gnuplot companion for a CSV table (best effort for JSON)."""
+def plot_script(result: SweepResult, data_file: str, fmt: str,
+                column: bool | str | None = None) -> str:
+    """Minimal gnuplot companion for a CSV table (best effort for JSON)
+    that draws the named ``column``; any other value draws the column after
+    the axes."""
     n_inputs = len(result.meta.get("axes", ())) or 1
-    y_col = n_inputs + 1
+    y_col = (result.columns.index(column) + 1 if isinstance(column, str)
+             else n_inputs + 1)
     lines = [f"# gnuplot script for {data_file}", "set datafile separator ','",
              "set key autotitle columnhead", "set grid"]
     if fmt != "csv":

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from oracles import read_json
-from unruh_steer import cli, sweeps
+from unruh_steer import cli, model
 from unruh_steer.cli import EXIT_DOMAIN, EXIT_IO, EXIT_USAGE, main
 from unruh_steer.model import (UnruhParams, equilibrium_free, kossakowski_free,
                                relaxation_horizon)
@@ -329,7 +329,7 @@ def test_tables_refuse_rows_above_the_limit(capsys, monkeypatch, argv, limit,
         raise AssertionError("work ran past the row limit")
 
     if limit is not None:
-        monkeypatch.setattr(sweeps, "MAX_SAMPLES", limit)
+        monkeypatch.setattr(model, "MAX_SAMPLES", limit)
     monkeypatch.setattr(np, "meshgrid", refuse)
     monkeypatch.setattr(cli, "random_density_matrix", refuse)
     got, line = _refusal(argv, capsys)
@@ -339,7 +339,7 @@ def test_tables_refuse_rows_above_the_limit(capsys, monkeypatch, argv, limit,
 
 
 def test_table_at_the_row_limit(capsys, monkeypatch):
-    monkeypatch.setattr(sweeps, "MAX_SAMPLES", 600)
+    monkeypatch.setattr(model, "MAX_SAMPLES", 600)
     assert main(["steerability-surface", "--grid", "tau:linear:-3:1:300",
                  "--grid", "R:linear:0:1:2"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 601   # header + 600
@@ -678,6 +678,38 @@ def test_plot_script_written(tmp_path, capsys):
     assert main(["sic-sweep", "--tau", "0.5", "--grid", "a:log:1:10:4",
                  "--out", out, "--plot"]) == 0
     assert open(out + ".gp").read().startswith("# gnuplot script")
+
+
+@pytest.mark.parametrize("command, drawn, using", [
+    ("sic-sweep", "sic", "1:2:4"),
+    ("tau-sweep", "sic", "1:2:4"),
+    ("boundary-scan", "value", "2:3:10"),
+])
+def test_plot_script_draws_the_command_column(tmp_path, capsys, command,
+                                              drawn, using):
+    # the script draws the column the command names, not the first output
+    # column (R of the SIC sweeps, A1 of the boundary scan)
+    out = tmp_path / "table.csv"
+    assert main([command, *_EVERY_COMMAND[command], "--out", str(out),
+                 "--plot"]) == 0
+    last = (tmp_path / "table.csv.gp").read_text().splitlines()[-1]
+    assert last == f"splot 'table.csv' using {using}"
+    header = out.read_text().splitlines()[0].split(",")
+    assert header[int(using.split(":")[-1]) - 1] == drawn
+
+
+@pytest.mark.parametrize("command", sorted(_EVERY_COMMAND))
+def test_json_meta_layout(tmp_path, capsys, command):
+    # meta opens with the command; axes names the leading columns and is
+    # the last key before the version and the timestamp
+    out = tmp_path / "table.json"
+    assert main([command, *_EVERY_COMMAND[command], "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    keys = list(payload["meta"])
+    assert keys[0] == "command" and payload["meta"]["command"] == command
+    assert keys[-3:] == ["axes", "version", "timestamp"]
+    axes = payload["meta"]["axes"]
+    assert axes == list(payload["rows"][0])[:len(axes)]
 
 
 def test_out_io_error(tmp_path, capsys):

@@ -373,11 +373,13 @@ def test_evolve_refuses_too_many_samples(deadline, monkeypatch):
     # ~640 B per sample at peak: 9e6 samples would need ~5.8 GB
     k = kossakowski_free(REF)
     singlet = FanoState(np.zeros(3), np.zeros(3), -np.eye(3))
-    with pytest.raises(DomainError, match="1000001 samples exceed"):
+    with pytest.raises(DomainError,
+                       match=r"^1000001 rows exceed the limit of 1e\+06 per table$"):
         evolve(singlet, k, t_end=1.0, samples=10**6 + 1)
     monkeypatch.setattr(model, "MAX_SAMPLES", 600)
     assert len(evolve(singlet, k, samples=600).times) == 600
-    with pytest.raises(DomainError, match="601 samples exceed"):
+    with pytest.raises(DomainError,
+                       match=r"^601 rows exceed the limit of 6e\+02 per table$"):
         evolve(singlet, k, samples=601)
 
 

@@ -129,6 +129,27 @@ def test_sic_solution_attains_value_on_steered_ensemble():
         assert not sol.ref_axis.flags.writeable
 
 
+def test_one_sic_formula_below_the_degeneracy_gate():
+    # b = 0 and |b| = 1e-12 (below the gate), on unital blocks and on a
+    # rotated diag(-0.45, -0.45, 0.1), whose top two singular values tie:
+    # with e = T's top right singular vector, sigma_max((I - e e^T) T^T) is
+    # sigma_2(T), the MID agrees, and the axes attain it by the definition
+    rng = np.random.default_rng(17)
+    q1, q2 = (np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(2))
+    blocks = [st.t_mat for st, _ in _unital_states(rng, 10)]
+    blocks.append(q1 @ np.diag([-0.45, -0.45, 0.1]) @ q2.T)
+    for t in blocks:
+        b = rng.normal(size=3)
+        for blen in (0.0, 1e-12):
+            st = FanoState(np.zeros(3), blen * b / np.linalg.norm(b), t)
+            sol = sic_solution(st)
+            assert abs(sol.value - np.linalg.svd(t)[1][1]) <= 1e-15
+            assert abs(one_sided_mid(st) - sol.value) <= 1e-15
+            avg = sum(p * l1_coherence_bloch(r, sol.ref_axis)
+                      for p, r in zip(*steer_bob(st, sol.meas_axis)))
+            assert abs(avg - sol.value) <= 1e-15
+
+
 def test_sic_is_maximum_over_dense_axis_scan():
     # brute-force oracle: no scanned measurement axis beats the closed form
     axes = _fibonacci_sphere()

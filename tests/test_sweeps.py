@@ -370,7 +370,6 @@ def test_theorem_rows_solve_each_sic_once(monkeypatch):
         calls.append(state)
         return solve(state)
 
-    monkeypatch.setattr(sweeps, "sic_solution", counted)
     monkeypatch.setattr(steering, "sic_solution", counted)
     (sic, mid, residual), diag = eval_theorem(states, np.arange(5.0))
     assert len(calls) == 5 and diag == [""] * 5
