@@ -68,6 +68,11 @@ PRESETS = {
                  GridSpec("R", "linear", 0.0, 1.0, 500))}},
 }
 
+# command -> the column its --plot script draws; the one-row tables take no --plot
+DRAWN = {"evolve": "az", "sic-sweep": "sic", "tau-sweep": "sic",
+         "steerability-surface": "literal", "boundary-scan": "value",
+         "theorem-check": "sic"}
+
 
 class _UsageError(Exception):
     pass
@@ -124,8 +129,7 @@ def _deliver(result: SweepResult, args, summary=()):
     if args.out:
         for line in summary:
             print(line)
-        for path in write_result(result, args.out, fmt,
-                                 plot=args.plot and args.drawn):
+        for path in write_result(result, args.out, fmt, plot=args.plot):
             print(f"wrote {path}")
     else:
         for line in summary:
@@ -314,10 +318,9 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True,
                                  parser_class=_Parser)
 
-    def command(name, handler, about, drawn, omega=True, grid=False):
-        # drawn: the column that the --plot script draws
+    def command(name, handler, about, omega=True, grid=False):
         sub = subs.add_parser(name, help=about)
-        sub.set_defaults(handler=handler, drawn=drawn)
+        sub.set_defaults(handler=handler, plot=None)
         if omega:
             sub.add_argument("--omega", type=float, default=1.0)
         if grid:
@@ -326,51 +329,49 @@ def build_parser() -> _Parser:
             sub.add_argument("--preset", choices=tuple(PRESETS[name]))
         return sub
 
-    p = command("equilibrium", cmd_equilibrium, "asymptotic state coefficients",
-                "a")
+    p = command("equilibrium", cmd_equilibrium, "asymptotic state coefficients")
     p.add_argument("--accel", type=float)
     p.add_argument("--tau", type=float)
     p.add_argument("--z", type=float)
     p.add_argument("--sep", type=float)
 
-    p = command("evolve", cmd_evolve, "integrate toward equilibrium", "ax")
+    p = command("evolve", cmd_evolve, "integrate toward equilibrium")
     p.add_argument("--accel", type=float)
     p.add_argument("--tau", type=float)
     p.add_argument("--init", choices=_INIT_STATES, default="ground")
     p.add_argument("--t-end", type=float, dest="t_end")
     p.add_argument("--samples", type=_int_arg, default=201)
 
-    p = command("sic-sweep", cmd_sic_sweep, "coherence vs acceleration", "sic",
+    p = command("sic-sweep", cmd_sic_sweep, "coherence vs acceleration",
                 grid=True)
     p.add_argument("--tau", type=_float_list)
 
     p = command("tau-sweep", cmd_tau_sweep, "coherence vs initial correlation",
-                "sic", grid=True)
+                grid=True)
     p.add_argument("--accel", type=_float_list)
 
     command("steerability-surface", cmd_surface,
-            "criterion functional over (tau, R)", "literal", omega=False,
-            grid=True)
+            "criterion functional over (tau, R)", omega=False, grid=True)
 
     command("boundary-scan", cmd_boundary_scan,
-            "criterion verdict over (a, z, L)", "value", grid=True)
+            "criterion verdict over (a, z, L)", grid=True)
 
-    p = command("node", cmd_node, "acceleration where coherence vanishes",
-                "a_star")
+    p = command("node", cmd_node, "acceleration where coherence vanishes")
     p.add_argument("--tau", type=float, required=True)
 
     p = command("theorem-check", cmd_theorem_check,
-                "SIC = MID identity on random states", "sic", omega=False)
+                "SIC = MID identity on random states", omega=False)
     p.add_argument("--seed", type=partial(_int_arg, minimum=0), default=0)
     p.add_argument("--count", type=_int_arg, default=100)
 
-    for sub in subs.choices.values():
+    for name, sub in subs.choices.items():
         sub.add_argument("--out",
                          help="output file; stdout (CSV/JSON text) if omitted")
         sub.add_argument("--format", choices=tuple(WRITERS),
                          help="default: by --out extension, else csv")
-        sub.add_argument("--plot", action="store_true",
-                         help="also write a gnuplot script next to --out")
+        if name in DRAWN:
+            sub.add_argument("--plot", action="store_const", const=DRAWN[name],
+                             help="also write a gnuplot script next to --out")
     return parser
 
 

@@ -66,10 +66,10 @@ def sinc(x: float) -> float:
 
 
 def _thermal_factor(x: float) -> float:
-    # (1 + e^-x) / (1 - e^-x); expm1 keeps full precision for small x
-    if x == 0.0:
-        raise DomainError("the thermal argument 2 pi omega / accel underflows to 0")
-    return (1.0 + math.exp(-x)) / (-math.expm1(-x))
+    # (1 + e^-x) / (1 - e^-x); expm1 keeps full precision for small x. At
+    # x = 0 (accel = inf, or 2 pi omega / accel underflowing) it is its limit,
+    # inf, the infinite Unruh temperature, as a subnormal x gives by overflow
+    return (1.0 + math.exp(-x)) / (-math.expm1(-x)) if x else math.inf
 
 
 def _each(f, x, dtype=float):
@@ -123,7 +123,7 @@ def check_omega(omega: float) -> None:
 class UnruhParams:
     """Atom frequency and proper acceleration.
 
-    ``accel = inf`` is accepted as the inertial limit flag (ratio -> 0).
+    ``accel = inf`` is accepted: the infinite-temperature limit, ratio 0.
     """
 
     omega: float
@@ -183,11 +183,10 @@ def kossakowski_free(params: UnruhParams) -> KossakowskiFree:
 
     A = (omega/4pi) (1 + e^-x)/(1 - e^-x) with x = 2 pi omega / accel and
     B = omega/4pi. The ratio B/A equals tanh(x/2); the tests hold it to
-    1e-12. At accel = inf, A = inf and the ratio is 0.
+    1e-12. Where x is 0 (accel = inf) or so small that the thermal factor
+    overflows, A = inf and the ratio is 0.
     """
     pref = params.omega / (4.0 * math.pi)
-    if math.isinf(params.accel):
-        return KossakowskiFree(A=math.inf, B=pref, ratio=0.0)
     a_coef = pref * _thermal_factor(params.beta * params.omega)
     return KossakowskiFree(A=a_coef, B=pref, ratio=pref / a_coef)
 
@@ -204,7 +203,7 @@ def boundary_arguments(omega, accel, z, sep):
 def boundary_pairs(omega, x, args):
     """(A1, A2, B1, B2) from :func:`boundary_arguments`; Python floats or
     numpy arrays alike, with sinc and the thermal factor through ``_each``.
-    DomainError where x underflows to 0."""
+    An x of 0 or tiny makes the thermal factor inf, and A1, A2 +-inf or NaN."""
     pref = omega / (4.0 * math.pi)
     th = _each(_thermal_factor, x)
     same = 1.0 - _each(sinc, args[0])
@@ -222,16 +221,14 @@ def kossakowski_boundary(params: UnruhParams, z: float, sep: float) -> Kossakows
         A2, B2 ~ sinc(sep omega) - sinc(sqrt(sep^2 + 4 z^2) omega)
 
     with the thermal factor multiplying the A pair. DomainError where an
-    image-point argument overflows, 2 pi omega / accel underflows to 0, or a
-    coefficient fails the record's bound (an infinite thermal factor makes
-    it inf or NaN, a large one too large for D).
+    image-point argument overflows, or a coefficient fails the record's
+    bound: an infinite thermal factor (2 pi omega / accel 0 or tiny) makes
+    an A coefficient inf or NaN, a large one too large for D.
     """
     if not (z > 0.0 and math.isfinite(z)):
         raise DomainError("z must be positive and finite")
     if not (sep > 0.0 and math.isfinite(sep)):
         raise DomainError("sep must be positive and finite")
-    if math.isinf(params.accel):
-        raise DomainError("boundary coefficients need a finite acceleration")
     x, args = boundary_arguments(params.omega, params.accel, z, sep)
     if not all(map(math.isfinite, args)):
         raise DomainError("an image-point distance times omega overflows")

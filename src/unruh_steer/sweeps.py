@@ -404,10 +404,10 @@ WRITERS = {"csv": csv_chunks, "json": json_chunks}
 
 
 def write_result(result: SweepResult, path: str, fmt: str,
-                 plot: bool | str = False) -> list:
-    """Write the table chunk by chunk (and, when ``plot`` is set, a plot
-    script that draws ``plot``'s column, see :func:`plot_script`); returns
-    the paths written.
+                 plot: str | None = None) -> list:
+    """Write the table chunk by chunk (and, when ``plot`` names a column, a
+    plot script that draws it, see :func:`plot_script`); returns the paths
+    written.
 
     All or nothing: each file is streamed to a new temporary file in the
     directory it resolves to (mode "x" gives it the mode "w" would; a
@@ -420,7 +420,7 @@ def write_result(result: SweepResult, path: str, fmt: str,
     if fmt not in WRITERS:
         raise DomainError(f"unknown format {fmt!r}")
     files = [(path, WRITERS[fmt](result))]
-    if plot:
+    if plot is not None:
         files.append((path + ".gp",
                       [plot_script(result, os.path.basename(path), fmt, plot)]))
     staged = []    # (temporary file, target) pairs not yet moved
@@ -447,18 +447,17 @@ def write_result(result: SweepResult, path: str, fmt: str,
 
 
 def plot_script(result: SweepResult, data_file: str, fmt: str,
-                column: bool | str | None = None) -> str:
+                column: str) -> str:
     """Minimal gnuplot companion for a CSV table (best effort for JSON)
-    that draws the named ``column``; any other value draws the column after
-    the axes."""
-    n_inputs = len(result.meta.get("axes", ())) or 1
-    y_col = (result.columns.index(column) + 1 if isinstance(column, str)
-             else n_inputs + 1)
+    that draws ``column`` against the axes, or against the row index
+    (gnuplot's column 0) for a table without axes."""
+    n_inputs = len(result.meta.get("axes", ()))
+    y_col = result.columns.index(column) + 1
     lines = [f"# gnuplot script for {data_file}", "set datafile separator ','",
              "set key autotitle columnhead", "set grid"]
     if fmt != "csv":
         lines.append(f"# data is JSON; convert {data_file} to CSV to plot")
-    if n_inputs >= 2 and len(result.columns) > 2:
+    if n_inputs >= 2:
         lines += ["set pm3d map",
                   f"splot '{data_file}' using {n_inputs - 1}:{n_inputs}:{y_col}"]
     else:

@@ -375,13 +375,11 @@ def test_boundary_scan(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["equilibrium", "--z", "1e200", "--sep", "1", "--accel", "1"],
      "an image-point distance times omega overflows"),
-    (["equilibrium", "--omega", "1e-300", "--accel", "1e300", "--tau", "0.5"],
-     "the thermal argument 2 pi omega / accel underflows to 0"),
 ])
 def test_argument_overflow_and_underflow_are_domain_errors(capsys, argv,
                                                             message):
-    # sin(inf) and the 2 / 0 of the thermal factor used to escape as a
-    # traceback
+    # sin(inf) used to escape as a traceback; an underflowing thermal
+    # argument is the infinite-temperature limit (see below)
     assert main(argv) == EXIT_DOMAIN
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -395,9 +393,6 @@ def test_argument_overflow_and_underflow_are_domain_errors(capsys, argv,
     (["boundary-scan", "--grid", "a:log:1:2:2", "--grid", "z:log:1:1e308:2",
       "--grid", "L:log:1:2:2"], 4,
      "an image-point distance times omega overflows"),
-    (["sic-sweep", "--omega", "1e-300", "--tau", "0.5",
-      "--grid", "a:log:1e299:1e300:2"], 2,
-     "the thermal argument 2 pi omega / accel underflows to 0"),
 ])
 def test_sweeps_flag_argument_overflow_and_underflow(capsys, argv, flagged,
                                                      message):
@@ -405,6 +400,29 @@ def test_sweeps_flag_argument_overflow_and_underflow(capsys, argv, flagged,
     _, rows = _csv_rows(capsys.readouterr().out)
     diagnostics = [row["diagnostics"] for row in rows if row["diagnostics"]]
     assert diagnostics == [f"DomainError: {message}"] * flagged
+
+
+@pytest.mark.parametrize("argv", [
+    ["equilibrium", "--omega", "1e-300", "--accel", "1e300", "--tau", "0.5"],
+    ["sic-sweep", "--omega", "1e-300", "--tau", "0.5",
+     "--grid", "a:log:1e299:1e300:2"],
+    ["sic-sweep", "--omega", "1e-300", "--tau", "0.5",
+     "--grid", "a:log:1e20:2e20:2"],
+    ["tau-sweep", "--omega", "1e-300", "--accel", "inf,1e300,1e20",
+     "--grid", "tau:linear:-3:1:3"],
+], ids=["equilibrium", "sic-sweep-underflow", "sic-sweep-subnormal",
+        "tau-sweep"])
+def test_infinite_temperature_limit_rows(capsys, argv):
+    # 2 pi omega / a at 0 (a = inf, or by underflow) or subnormal: the
+    # limit R = 0, sic = |tau| / 3, in rows without a diagnostic
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    header, rows = _csv_rows(captured.out)
+    assert captured.err == "" and "diagnostics" not in header and rows
+    for row in rows:
+        assert row["R"] == "0"
+        if "sic" in row:
+            assert float(row["sic"]) == abs(float(row["tau"])) / 3.0
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -635,8 +653,13 @@ _EVERY_COMMAND = {
     "theorem-check": ["--count", "2"],
 }
 
+# command -> the column its --plot script draws
+_PLOTTED = {"evolve": "az", "sic-sweep": "sic", "tau-sweep": "sic",
+            "steerability-surface": "literal", "boundary-scan": "value",
+            "theorem-check": "sic"}
 
-@pytest.mark.parametrize("command", sorted(_EVERY_COMMAND))
+
+@pytest.mark.parametrize("command", sorted(_PLOTTED))
 def test_plot_requires_out(capsys, command):
     assert main([command, *_EVERY_COMMAND[command], "--plot"]) == EXIT_USAGE
     captured = capsys.readouterr()
@@ -696,6 +719,31 @@ def test_plot_script_draws_the_command_column(tmp_path, capsys, command,
     assert last == f"splot 'table.csv' using {using}"
     header = out.read_text().splitlines()[0].split(",")
     assert header[int(using.split(":")[-1]) - 1] == drawn
+
+
+@pytest.mark.parametrize("command", sorted(_PLOTTED))
+def test_plot_script_draws_a_column_that_varies(tmp_path, capsys, command):
+    # the last index of the script's "using" is the command's column, and
+    # that column is not constant on the table (evolve's ax is 0 throughout)
+    out = tmp_path / "table.csv"
+    assert main([command, *_EVERY_COMMAND[command], "--out", str(out),
+                 "--plot"]) == 0
+    last = (tmp_path / "table.csv.gp").read_text().splitlines()[-1]
+    using = last.split(" using ")[1].split()[0]
+    header, rows = _csv_rows(out.read_text())
+    assert header[int(using.split(":")[-1]) - 1] == _PLOTTED[command]
+    assert len({row[_PLOTTED[command]] for row in rows}) > 1
+
+
+@pytest.mark.parametrize("command", ["equilibrium", "node"])
+def test_one_row_tables_take_no_plot(tmp_path, capsys, command):
+    # a one-row table has nothing to draw
+    out = tmp_path / "table.csv"
+    code, line = _refusal([command, *_EVERY_COMMAND[command], "--out",
+                           str(out), "--plot"], capsys)
+    assert code == EXIT_USAGE
+    assert line.endswith(": error: unrecognized arguments: --plot")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", sorted(_EVERY_COMMAND))

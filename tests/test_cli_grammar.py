@@ -12,6 +12,11 @@ fixture. Every run must end in one of two ways:
   a row without a diagnostic;
 - exit 2 or 64, with one error line on stderr and nothing on stdout.
 
+The commands that take ``--plot`` also run, on some draws, with ``--out``
+to a CSV file and ``--plot``: on exit 0, every column index in the
+script's ``using`` names a column of the CSV header; on any other exit,
+neither file exists.
+
 One null is documented behaviour: ``trace_mismatch`` of an ``is_limit`` row
 of ``equilibrium --z``, where the free-space fallback has no boundary trace
 to compare with.
@@ -26,7 +31,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import (HealthCheck, example, given, settings,  # noqa: E402
                         strategies as st)
 
-from unruh_steer.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main  # noqa: E402
+from unruh_steer.cli import (DRAWN, EXIT_DOMAIN, EXIT_OK,  # noqa: E402
+                             EXIT_USAGE, main)
 from unruh_steer.sweeps import DIAGNOSTICS_COLUMN  # noqa: E402
 
 EDGES = (0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e-12, 1.0 - 1e-12, 1.0,
@@ -154,6 +160,13 @@ def _check_table(text):
         assert not nulls, f"null {nulls} in an unflagged row {row}"
 
 
+def _check_plot(table, script):
+    header = table.read_text().split("\n", 1)[0].split(",")
+    using = script.read_text().splitlines()[-1].split(" using ")[1].split()[0]
+    for index in using.split(":"):
+        assert 1 <= int(index) <= len(header), (using, header)
+
+
 def _run(argv, capsys):
     """Exit code, stdout and stderr of one in-process run."""
     try:
@@ -166,21 +179,30 @@ def _run(argv, capsys):
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_cli_grammar(command, tmp_path, capsys, deadline):
-    out = tmp_path / "table.json"
+    out, table = tmp_path / "table.json", tmp_path / "t.csv"
+    script = tmp_path / "t.csv.gp"
 
     @settings(max_examples=80, deadline=None, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(COMMANDS[command])
-    def run(argv):
-        out.unlink(missing_ok=True)
+    @given(COMMANDS[command], st.booleans())
+    def run(argv, plot):
+        for path in (out, table, script):
+            path.unlink(missing_ok=True)
+        plot = plot and command in DRAWN
         # node prints a sentence without --out, so its table goes to a file
-        tail = ["--out", str(out)] if command == "node" else ["--format=json"]
+        tail = (["--out", str(table), "--plot"] if plot
+                else ["--out", str(out)] if command == "node"
+                else ["--format=json"])
         code, stdout, stderr = _run([*argv, *tail], capsys)
         assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_USAGE), (argv, code, stderr)
         if code == EXIT_OK:
-            _check_table(out.read_text() if command == "node" else stdout)
+            if plot:
+                _check_plot(table, script)
+            else:
+                _check_table(out.read_text() if command == "node" else stdout)
             return
         assert stdout == "" and not out.exists(), argv
+        assert not (table.exists() or script.exists()), argv
         errors = [line for line in stderr.splitlines() if ": error: " in line]
         assert len(errors) == 1 and stderr.endswith(errors[0] + "\n"), stderr
         if not stderr.startswith("usage:"):
@@ -188,7 +210,7 @@ def test_cli_grammar(command, tmp_path, capsys, deadline):
             assert stderr.count("\n") == 1, stderr
 
     if command in SPAN_EXAMPLES:
-        run = example(SPAN_EXAMPLES[command])(run)
+        run = example(SPAN_EXAMPLES[command], False)(run)
     run()
 
 

@@ -73,6 +73,18 @@ def test_infinite_acceleration_limit():
     assert UnruhParams(1.0, math.inf).beta == 0.0
 
 
+@pytest.mark.parametrize("accel", [1e300, 1e20])
+def test_zero_thermal_argument_gives_the_infinite_acceleration_record(accel):
+    # at omega = 1e-300, x = 2 pi omega / a underflows to 0 at a = 1e300 and
+    # is subnormal at a = 1e20, where the thermal factor overflows: the
+    # record of a = inf, field by field and bit for bit
+    limit = kossakowski_free(UnruhParams(1e-300, math.inf))
+    record = kossakowski_free(UnruhParams(1e-300, accel))
+    assert ([repr(v) for v in dataclasses.astuple(record)]
+            == [repr(v) for v in dataclasses.astuple(limit)])
+    assert (limit.A, repr(limit.ratio)) == (math.inf, "0.0")
+
+
 def test_kossakowski_scales_linearly_in_omega():
     k1 = kossakowski_free(UnruhParams(1.0, 4.0))
     k2 = kossakowski_free(UnruhParams(2.0, 8.0))

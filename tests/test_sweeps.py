@@ -12,7 +12,7 @@ import pytest
 from oracles import read_csv, read_json
 from unruh_steer import steering, sweeps
 from unruh_steer.errors import ConsistencyError, DomainError
-from unruh_steer.model import UnruhParams, kossakowski_free
+from unruh_steer.model import UnruhParams, kossakowski_boundary, kossakowski_free
 from unruh_steer.qmat import matrix_to_fano, random_density_matrix
 from unruh_steer.steering import (one_sided_mid, sic_closed_form_free,
                                   steering_induced_coherence, theorem1_residual)
@@ -268,7 +268,7 @@ def test_write_result_reports_path_on_failure(tmp_path):
         write_result(res, missing, "csv")
     (tmp_path / "folder").mkdir()
     with pytest.raises(OSError, match="folder: Is a directory"):
-        write_result(res, str(tmp_path / "folder"), "csv", plot=True)
+        write_result(res, str(tmp_path / "folder"), "csv", plot="x")
     assert sorted(os.listdir(tmp_path)) == ["folder"]
     with pytest.raises(DomainError):
         write_result(res, str(tmp_path / "x.bin"), "parquet")
@@ -286,7 +286,7 @@ def test_write_result_is_all_or_nothing(tmp_path, fmt):
     path.write_text("old table\n")
     (tmp_path / f"table.{fmt}.gp").write_text("old script\n")
     with pytest.raises(TypeError):
-        write_result(bad, str(path), fmt, plot=True)
+        write_result(bad, str(path), fmt, plot="x")
     assert path.read_text() == "old table\n"
     assert (tmp_path / f"table.{fmt}.gp").read_text() == "old script\n"
     assert sorted(os.listdir(tmp_path)) == [f"table.{fmt}", f"table.{fmt}.gp"]
@@ -294,9 +294,9 @@ def test_write_result_is_all_or_nothing(tmp_path, fmt):
     good = SweepResult(columns=("x",), data=[np.full(n, 0.5)],
                        diagnostics=[""] * n, meta={"axes": ["x"]})
     fresh = tmp_path / "fresh"
-    assert write_result(good, str(fresh), fmt, plot=True) == [
+    assert write_result(good, str(fresh), fmt, plot="x") == [
         str(fresh), str(fresh) + ".gp"]
-    assert write_result(good, str(path), fmt, plot=True) == [
+    assert write_result(good, str(path), fmt, plot="x") == [
         str(path), str(path) + ".gp"]
     assert path.read_bytes() == fresh.read_bytes()
     assert (tmp_path / f"table.{fmt}.gp").read_text() != "old script\n"
@@ -334,12 +334,12 @@ def test_plot_script_shapes(tmp_path):
     line = SweepResult(columns=("a", "sic"),
                        data=[np.array([1.0]), np.array([2.0])],
                        diagnostics=[""], meta={"axes": ["a"]})
-    text = plot_script(line, "data.csv", "csv")
+    text = plot_script(line, "data.csv", "csv", "sic")
     assert "plot 'data.csv'" in text and "splot" not in text
     surf = SweepResult(columns=("tau", "R", "literal"),
                        data=[np.zeros(1), np.zeros(1), np.zeros(1)],
                        diagnostics=[""], meta={"axes": ["tau", "R"]})
-    assert "splot 'data.csv'" in plot_script(surf, "data.csv", "csv")
+    assert "splot 'data.csv'" in plot_script(surf, "data.csv", "csv", "literal")
 
 
 def test_write_result_with_plot(tmp_path):
@@ -347,9 +347,34 @@ def test_write_result_with_plot(tmp_path):
                       data=[np.array([1.0, 2.0]), np.array([2.0, 1.0])],
                       diagnostics=["", ""], meta={"axes": ["a"]})
     path = str(tmp_path / "sweep.csv")
-    written = write_result(res, path, "csv", plot=True)
+    written = write_result(res, path, "csv", plot="sic")
     assert written == [path, path + ".gp"]
     assert os.path.exists(path + ".gp")
+
+
+def test_sic_rows_in_the_infinite_temperature_limit():
+    # omega = 1e-300: x = 2 pi omega / a is 0 at a = inf and by underflow at
+    # a = 1e300, and subnormal at a = 1e20; each row reads R = 0, sic = |tau|/3
+    taus = np.repeat([-3.0, -1.0, 0.0, 0.5, 1.0], 3)
+    accels = np.tile([math.inf, 1e300, 1e20], 5)
+    (ratio, sic), diagnostics = eval_sic_free(1e-300, taus, accels)
+    assert diagnostics == [""] * 15 and ratio.tolist() == [0.0] * 15
+    assert sic.tolist() == (np.abs(taus) / 3.0).tolist()
+
+
+@pytest.mark.parametrize("omega, accel, coefficient", [
+    (1.0, math.inf, "A1 = inf"), (1e-300, math.inf, "A1 = nan"),
+    (1e-300, 1e300, "A1 = nan")])
+def test_boundary_limit_point_fails_the_coefficient_bound(omega, accel,
+                                                          coefficient):
+    # a = inf, or 2 pi omega / a underflowing to 0, makes the thermal factor
+    # inf; the record's bound refuses A1, in one text on both paths
+    with pytest.raises(DomainError,
+                       match=f"^boundary coefficient {coefficient}: ") as info:
+        kossakowski_boundary(UnruhParams(omega, accel), 1.0, 1.0)
+    _, diagnostics = eval_boundary(omega, np.array([accel]), np.array([1.0]),
+                                   np.array([1.0]))
+    assert diagnostics == [f"DomainError: {info.value}"]
 
 
 def test_boundary_eval_columns():
