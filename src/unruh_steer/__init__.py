@@ -18,7 +18,6 @@ from .errors import (
     UnruhSteerError,
 )
 from .model import (
-    BoundaryEquilibrium,
     KossakowskiBoundary,
     KossakowskiFree,
     Trajectory,
@@ -59,7 +58,6 @@ from .sweeps import GridSpec, SweepResult, run_grid
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryEquilibrium",
     "BoundaryVerdict",
     "ConsistencyError",
     "DegenerateLimit",

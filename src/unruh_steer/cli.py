@@ -147,13 +147,14 @@ def cmd_equilibrium(args) -> int:
         raise _UsageError("--accel is required")
     params = UnruhParams(args.omega, args.accel)
     if args.z is not None:
+        if args.tau is not None:
+            raise _UsageError("--tau is not taken with --z and --sep: the"
+                              " mirror equilibrium sits on tau = R^2")
         coeffs = kossakowski_boundary(params, args.z, args.sep)
-        eq = equilibrium_boundary(coeffs, fallback_tau=args.tau)
-        columns = (("omega", "a", "z", "L", "R", "tau_eq", "trace_mismatch",
-                    "is_limit") + STATE_COLUMNS)
-        row = ((args.omega, args.accel, args.z, args.sep, coeffs.ratio,
-                eq.tau_eq, eq.trace_mismatch, eq.is_limit)
-               + tuple(eq.state.to_vector()))
+        ratio = coeffs.ratio
+        columns = ("omega", "a", "z", "L", "R", "tau") + STATE_COLUMNS
+        row = ((args.omega, args.accel, args.z, args.sep, ratio, ratio * ratio)
+               + tuple(equilibrium_boundary(coeffs).to_vector()))
         meta = {"geometry": "boundary", "omega": args.omega,
                 "accel": args.accel, "z": args.z, "sep": args.sep, "axes": ()}
     else:
@@ -320,7 +321,7 @@ def build_parser() -> _Parser:
 
     def command(name, handler, about, omega=True, grid=False):
         sub = subs.add_parser(name, help=about)
-        sub.set_defaults(handler=handler, plot=None)
+        sub.set_defaults(handler=handler, plot=None, parser=sub)
         if omega:
             sub.add_argument("--omega", type=float, default=1.0)
         if grid:
@@ -376,8 +377,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:   # argparse would report them with the top-level usage line
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         preset = getattr(args, "preset", None)
         for name, value in PRESETS.get(args.command, {}).get(preset, {}).items():

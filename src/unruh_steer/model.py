@@ -8,14 +8,16 @@ matrix is
     a_ij = A delta_ij - i B eps_ijk n_k + C n_i n_j
 
 built from the field correlations at the Unruh temperature accel / (2 pi).
-Along n the C term drops out of the coefficient equations and of every
-asymptotic quantity, so C is not computed. This module computes A and B
-(free space, and pairs of them with a reflecting boundary at distance
-``z``, atom separation ``sep``), the asymptotic
-equilibrium states, the coefficient-space equation of motion, and its
-exact solution, exp(t M) of the generator's linear part applied to the
-deviation from equilibrium, sampled on a uniform grid into one (S, 15)
-array that one stacked eigensolve checks for positivity.
+The model takes C = 0. The C term vanishes on states symmetric about n,
+such as every equilibrium, but damps the transverse coefficients of other
+states. This module computes A and B (free space, and pairs of them with a
+reflecting boundary at distance ``z``, atom separation ``sep``), the
+asymptotic equilibrium states, the equation of motion, built once in GKSL
+form (Gorini, Kossakowski & Sudarshan, J. Math. Phys. 17, 821 (1976);
+Lindblad, Commun. Math. Phys. 48, 119 (1976)) and projected onto the Pauli
+coefficients, and its exact solution, exp(t M) of the generator's linear
+part applied to the deviation from equilibrium, sampled on a uniform grid
+into one (S, 15) array that one stacked eigensolve checks for positivity.
 
 Conventions: natural units, the dissipator direction is n = (0, 0, 1),
 and ``ratio`` denotes the dissipative asymmetry
@@ -33,7 +35,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import DegenerateLimit, DomainError, UnphysicalDrift
-from .qmat import FanoState, fano_matrices
+from .qmat import _FANO_BASIS, _PAULI_PAIRS, FanoState, fano_matrices
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -259,23 +261,6 @@ def equilibrium_free(tau: float, ratio: float) -> FanoState:
     return FanoState(c * Z_AXIS, c * Z_AXIS, t_mat)
 
 
-@dataclass(frozen=True)
-class BoundaryEquilibrium:
-    """Boundary-case asymptotic state plus its printed-formula diagnostics.
-
-    tau_eq is the closed-form equilibrium trace; trace_mismatch records
-    |tau_eq - sum_i T_ii| of the returned state (a pure rounding residual:
-    the two expressions agree identically whenever A1 B2 = A2 B1, which the
-    coefficient construction guarantees). is_limit marks a degenerate-D
-    fallback to the free-space family.
-    """
-
-    state: FanoState
-    tau_eq: float
-    trace_mismatch: float
-    is_limit: bool
-
-
 def boundary_d(a1, a2, b1, b2):
     """D = 2 A1^3 - A1^2 A2 - A2 B1 B2 + A1 (B2^2 - A2^2) of the boundary
     case, and whether |D| underflows to 1e-14 of the coefficient-scale cube.
@@ -302,75 +287,74 @@ def d_underflow(d) -> DegenerateLimit:
     return DegenerateLimit(f"|D| = {abs(d):.3e} underflows")
 
 
-def equilibrium_boundary(coeffs: KossakowskiBoundary, *,
-                         fallback_tau: float | None = None) -> BoundaryEquilibrium:
-    """Asymptotic state in the boundary case.
+def equilibrium_boundary(coeffs: KossakowskiBoundary) -> FanoState:
+    """Asymptotic state in the boundary case: ``equilibrium_free(R^2, R)``
+    with R = ``coeffs.ratio``.
 
-    Bloch coefficient -(A1-A2) B1 (2A1+A2) n / D and correlation block
-    (A1-A2) B1 (2B1+B2) n n / D, with D from :func:`boundary_d`. Where D
-    underflows, the free-space equilibrium on the ``fallback_tau`` leaf is
-    returned flagged ``is_limit=True``, or DegenerateLimit raised when no
-    fallback is supplied. A supplied ``fallback_tau`` outside [-3, 1]
-    raises DomainError whether or not D underflows.
+    Both A pairs carry the thermal factor and the B pairs do not, so
+    B1 / A1 = B2 / A2 = R. The generator with same-atom blocks (A1, B1) and
+    cross-atom blocks (A2, B2) then has, for every z, sep > 0, one
+    stationary state: a = b = -R n, T = R^2 n n, the free-space family on
+    the leaf tau = R^2. That leaf is the steering node, so the state's
+    steering-induced coherence is zero.
     """
-    if fallback_tau is not None:
-        check_leaf(fallback_tau)
-    a1, a2, b1, b2 = coeffs.A1, coeffs.A2, coeffs.B1, coeffs.B2
-    d, underflows = boundary_d(a1, a2, b1, b2)
-    if underflows:
-        if fallback_tau is None:
-            raise DegenerateLimit(f"{d_underflow(d)} at z={coeffs.z}, sep={coeffs.sep};"
-                                  " supply fallback_tau for the free-space limit")
-        state = equilibrium_free(fallback_tau, coeffs.ratio)
-        return BoundaryEquilibrium(state=state, tau_eq=float(fallback_tau),
-                                   trace_mismatch=math.nan, is_limit=True)
-    c, _ = boundary_x(a1, a2, b1, b2, d)
-    s = (a1 - a2) * b1 * (2.0 * b1 + b2) / d
-    tau_eq = (2.0 * a1 + a2) * b1 * (b1 - b2) / d
-    state = FanoState(c * Z_AXIS, c * Z_AXIS, s * np.outer(Z_AXIS, Z_AXIS))
-    return BoundaryEquilibrium(state=state, tau_eq=tau_eq,
-                               trace_mismatch=abs(tau_eq - state.trace_sum),
-                               is_limit=False)
+    return equilibrium_free(coeffs.ratio * coeffs.ratio, coeffs.ratio)
 
 
 # ----- equation of motion and integrator -----
 
-def ode_rhs(state: FanoState, coeffs: KossakowskiFree, *,
-            tau: float | None = None) -> FanoState:
-    """Time derivative of the Pauli coefficients under the free dissipator.
+@cache
+def _rates() -> np.ndarray:
+    """[M | c] per unit A and per unit B, shape (2, 15, 16), built once per
+    process: the dissipator L[rho] = sum_ij a_ij (S_j rho S_i - {S_i S_j,
+    rho} / 2) with collective spins S_i = sigma_i x 1 + 1 x sigma_i, for
+    a_ij = delta_ij and a_ij = -i eps_ijk n_k, as dy/dt = M y + c on the
+    Pauli coefficients y of rho = I/4 + sum_k y_k F_k (F_k from ``qmat``).
+    The entries are integers, and c = 0 for the A part."""
+    kossakowski = np.array([np.eye(3), [[0, -1j, 0], [1j, 0, 0], [0, 0, 0]]])
+    spins = _PAULI_PAIRS[1:, 0] + _PAULI_PAIRS[0, 1:]
+    basis = np.concatenate([_FANO_BASIS, [0.25 * np.eye(4)]])   # F_k, then I/4
+    pairs = np.einsum("xij,iab,jbc->xac", kossakowski, spins, spins)[:, None]
+    images = (np.einsum("xij,jab,kbc,icd->xkad", kossakowski, spins, basis, spins)
+              - 0.5 * (pairs @ basis + basis @ pairs))
+    # y_l = Tr(rho 4 F_l), so column k holds Tr(4 F_l L[F_k])
+    rates = 4.0 * np.einsum("lab,xkba->xlk", _FANO_BASIS, images).real
+    rates.setflags(write=False)
+    return rates
 
-    Along n = (0, 0, 1) the C coefficient drops out of every asymptotic
-    quantity and is omitted. tau defaults to the state's own correlation
-    trace; the derivative of sum_i T_ii is -12 A (sum_i T_ii - tau), so the
-    trace is conserved on its own leaf.
 
-    The Bloch-vector equations contract the correlation block on opposite
-    sides (n_k T_ki for the A side, n_k T_ik for the B side). The signs of
-    the B couplings in the correlation-block equation are fixed by
-    requiring that the semigroup generated here is trace preserving and
-    completely positive, with :func:`equilibrium_free` its exact stationary
-    family; a common transcription of these equations flips them.
+@cache
+def _rate_matrices() -> tuple:
+    """(M_A - 4 u u^T, M_B), u the indicator of T's diagonal: the linear
+    parts of :func:`_rates`, with the conserved trace u^T y pulled to 0 at
+    rate 12 A. Both agree on deviations from equilibrium, which have zero
+    trace. At a zero rate, a rounding error along the trace would double
+    at each squaring of the interval map, and overflow at t_end = 1e300."""
+    per_a, per_b = _rates()
+    trace = np.isin(np.arange(15), (6, 10, 14)).astype(float)
+    m_a = per_a[:, :15] - 4.0 * np.outer(trace, trace)
+    m_a.setflags(write=False)
+    return m_a, per_b[:, :15]
+
+
+def ode_rhs(state: FanoState, coeffs: KossakowskiFree) -> FanoState:
+    """Time derivative M y + c of the Pauli coefficients y under the free
+    dissipator, [M | c] = A [M_A | 0] + B [M_B | c_B] from :func:`_rates`.
+    The correlation trace sum_i T_ii is conserved, and
+    :func:`equilibrium_free` is the stationary state on each of its leaves.
     """
-    n = Z_AXIS
     if not math.isfinite(coeffs.A):
         raise DomainError("ode_rhs needs finite coefficients")
-    a_coef, b_coef = coeffs.A, coeffs.B
-    av, bv, t = state.a_vec, state.b_vec, state.t_mat
-    if tau is None:
-        tau = state.trace_sum
-    da = -4.0 * a_coef * av - 2.0 * b_coef * (2.0 + tau) * n + 2.0 * b_coef * (n @ t)
-    db = -4.0 * a_coef * bv - 2.0 * b_coef * (2.0 + tau) * n + 2.0 * b_coef * (t @ n)
-    dt = (-4.0 * a_coef * (2.0 * t + t.T - tau * np.eye(3))
-          - 4.0 * b_coef * (np.outer(n, bv) + np.outer(av, n))
-          - 2.0 * b_coef * (np.outer(n, av) + np.outer(bv, n))
-          + 2.0 * b_coef * np.eye(3) * (n @ (av + bv)))
-    return FanoState(da, db, dt)
+    per_a, per_b = _rates()
+    rates = coeffs.A * per_a + coeffs.B * per_b
+    return FanoState.from_vector(rates @ np.append(state.to_vector(), 1.0))
 
 
 def relaxation_horizon(coeffs: KossakowskiFree) -> float:
     """Hard equilibration horizon 20 / (4 A - 2 B), twenty e-folds of the
-    slowest decay rate; DomainError unless A is positive and finite, with
-    its own message where A = inf, the infinite-temperature limit."""
+    slowest nonzero decay rate (the rate along the tau leaf is zero);
+    DomainError unless A is positive and finite, with its own message where
+    A = inf, the infinite-temperature limit."""
     if coeffs.A == math.inf:
         raise DomainError("the Unruh temperature is infinite, so A = inf"
                           " (accel = inf, or 2 pi omega / accel so small that"
@@ -379,19 +363,6 @@ def relaxation_horizon(coeffs: KossakowskiFree) -> float:
     if not (coeffs.A > 0.0 and math.isfinite(coeffs.A)):
         raise DomainError(f"the dynamics need a positive finite A, not {coeffs.A!r}")
     return 20.0 / (4.0 * coeffs.A - 2.0 * coeffs.B)
-
-
-@cache
-def _rate_matrices() -> tuple:
-    """(M_A, M_B): the linear part of :func:`ode_rhs` per unit A and per
-    unit B, probed once per process; tau enters only its constant part."""
-    parts = []
-    for a_coef, b_coef in ((1.0, 0.0), (0.0, 1.0)):
-        coeffs = KossakowskiFree(A=a_coef, B=b_coef, ratio=math.nan)
-        probe = [ode_rhs(FanoState.from_vector(y), coeffs, tau=0.0).to_vector()
-                 for y in np.eye(16, 15)]   # e_1, ..., e_15, then 0
-        parts.append(np.column_stack(probe[:15]) - probe[15][:, None])
-    return tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -427,8 +398,9 @@ def evolve(state: FanoState, coeffs: KossakowskiFree, t_end: float | None = None
     """Solve the coefficient equations exactly on the state's own tau leaf
     at ``samples`` uniform times on [0, t_end] (default: the horizon):
     y(t) = y_eq + exp(t M) (y0 - y_eq), y_eq from :func:`equilibrium_free`,
-    M = A M_A + B M_B. Rows [m, 2m) of the deviations are P^m times rows
-    [0, m), P = exp(step M), step = t_end / (S - 1); sample 0 is y0.
+    M = A M_A + B M_B of :func:`_rate_matrices`. Rows [m, 2m) of the
+    deviations are P^m times rows [0, m), P = exp(step M),
+    step = t_end / (S - 1); sample 0 is y0.
 
     One finiteness check and one stacked ``eigvalsh`` follow; UnphysicalDrift
     names the earliest sample with a minimum eigenvalue below -1e-6.

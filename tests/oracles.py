@@ -6,6 +6,10 @@ Bob's steered ensemble, l1 coherences of qubit states in the eigenbasis of
 a Bloch axis, and B-side dephasing as a 4x4 projector sum. They do no
 argument checking: callers pass unit or nonzero axes and physical states.
 
+The dynamics have two references: the free-space equations of motion as
+written by hand in Fano coordinates, and the Lindblad generator with one
+Kossakowski block per pair of atoms, as a 16x16 matrix on 4x4 matrices.
+
 The package writes sweep tables and does not read them; ``read_csv`` and
 ``read_json`` read them back for the round-trip tests, the JSON one with a
 parser that rejects every non-standard token. ``column`` builds a table
@@ -18,7 +22,7 @@ import math
 import numpy as np
 
 from unruh_steer.model import equilibrium_free
-from unruh_steer.qmat import fano_to_matrix, min_eigenvalue
+from unruh_steer.qmat import FanoState, fano_to_matrix, min_eigenvalue
 from unruh_steer.sweeps import DIAGNOSTICS_COLUMN, SweepResult
 
 PAULI_XYZ = (np.array([[0, 1], [1, 0]], dtype=complex),
@@ -109,6 +113,76 @@ def steerability_pairings_free(tau, ratio):
 
     return (coh("y", "x") + coh("z", "y") + coh("x", "z"),
             coh("z", "x") + coh("x", "y") + coh("y", "z"))
+
+
+def ode_rhs_by_hand(state, A, B):
+    """Free-space equations of motion on the state's own tau leaf, C = 0.
+
+    The Bloch-vector equations contract T on opposite sides (n_k T_ki for
+    a, n_k T_ik for b); the derivative of sum_i T_ii is zero. A common
+    transcription flips the signs of the B couplings in the T equation.
+    """
+    n, eye = np.array([0.0, 0.0, 1.0]), np.eye(3)
+    av, bv, t = state.a_vec, state.b_vec, state.t_mat
+    tau = state.trace_sum
+    da = -4.0 * A * av - 2.0 * B * (2.0 + tau) * n + 2.0 * B * (n @ t)
+    db = -4.0 * A * bv - 2.0 * B * (2.0 + tau) * n + 2.0 * B * (t @ n)
+    dt = (-4.0 * A * (2.0 * t + t.T - tau * eye)
+          - 4.0 * B * (np.outer(n, bv) + np.outer(av, n))
+          - 2.0 * B * (np.outer(n, av) + np.outer(bv, n))
+          + 2.0 * B * eye * (n @ (av + bv)))
+    return np.concatenate([da, db, dt.ravel()])
+
+
+def exact_trajectory(y0, A, B, times):
+    """Rows y(t) at ``times`` of dy/dt = M y + c from :func:`ode_rhs_by_hand`
+    on y0's tau leaf: scipy's expm of G = [[M, c], [0, 0]] applied to
+    (y0, 1), with M and c probed from the equations."""
+    from scipy.linalg import expm
+
+    def rhs(y):
+        return ode_rhs_by_hand(FanoState.from_vector(y), A, B)
+
+    c = rhs(np.zeros(15))
+    gen = np.zeros((16, 16))
+    gen[:15, :15] = np.column_stack([rhs(e) - c for e in np.eye(15)])
+    gen[:15, 15] = c
+    return (expm(np.multiply.outer(times, gen)) @ np.append(y0, 1.0))[:, :15]
+
+
+def block_dissipator(rho, same, cross):
+    """sum_{alpha beta} sum_ij a^{alpha beta}_ij (s^beta_j rho s^alpha_i
+    - {s^alpha_i s^beta_j, rho} / 2), s^1_i = sigma_i x 1, s^2_i = 1 x
+    sigma_i, with a^{11} = a^{22} from ``same`` = (A1, B1, C1) and a^{12} =
+    a^{21} from ``cross`` = (A2, B2, C2), each A delta_ij - i B eps_ijk n_k
+    + C n_i n_j."""
+    eps_n = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], dtype=complex)
+    nn = np.diag([0.0, 0.0, 1.0])
+    blocks = [[a * np.eye(3) - 1j * b * eps_n + c * nn for a, b, c in pair]
+              for pair in ((same, cross), (cross, same))]
+    ops = ([np.kron(p, np.eye(2)) for p in PAULI_XYZ],
+           [np.kron(np.eye(2), p) for p in PAULI_XYZ])
+    out = np.zeros((4, 4), dtype=complex)
+    for alpha in range(2):
+        for beta in range(2):
+            for i in range(3):
+                for j in range(3):
+                    si, sj = ops[alpha][i], ops[beta][j]
+                    out += blocks[alpha][beta][i, j] * (
+                        sj @ rho @ si - 0.5 * (si @ sj @ rho + rho @ si @ sj))
+    return out
+
+
+def block_stationary_state(same, cross):
+    """(rho, gap): the stationary 4x4 state of :func:`block_dissipator` as
+    the null vector of its 16x16 matrix, and the second-smallest singular
+    value of that matrix, which is nonzero when the state is unique."""
+    units = np.eye(16).reshape(16, 4, 4)
+    liouvillian = np.column_stack([block_dissipator(unit, same, cross).ravel()
+                                   for unit in units])
+    _, singular, vh = np.linalg.svd(liouvillian)
+    rho = vh[-1].conj().reshape(4, 4)
+    return rho / np.trace(rho), singular[-2]
 
 
 def is_physical(state, tol=1e-10):

@@ -200,7 +200,7 @@ def test_criterion_7_boundary():
         sep = 10.0 ** rng.uniform(-2.0, 1.0)
         coeffs = kossakowski_boundary(UnruhParams(OMEGA, accel), z, sep)
         eq = equilibrium_boundary(coeffs)
-        worst_sic = max(worst_sic, steering_induced_coherence(eq.state))
+        worst_sic = max(worst_sic, steering_induced_coherence(eq))
 
     axes = (("a", np.geomspace(0.1, 100.0, 50)),
             ("z", np.geomspace(0.1, 10.0, 50)),

@@ -50,6 +50,23 @@ def test_unknown_option_is_usage_error(capsys):
     assert info.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["node", "--tau", "0.25", "--frobnicate"],
+    ["equilibrium", "--accel", "2", "--tau", "0.5", "--plot"],
+    ["evolve", "--accel", "1", "extra"],
+])
+def test_unknown_argument_shows_the_subcommand_usage(capsys, argv):
+    # the subcommand's own usage line and prog name, not the top level's
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: unruh-steer {argv[0]} [-h]")
+    assert captured.err.endswith(f"unruh-steer {argv[0]}: error: unrecognized"
+                                 f" arguments: {argv[-1]}\n")
+
+
 def test_node_output(capsys):
     assert main(["node", "--tau", "0.25"]) == 0
     out = capsys.readouterr().out
@@ -86,19 +103,24 @@ def test_equilibrium_boundary_csv(capsys):
     assert main(["equilibrium", "--accel", "6.283185307179586",
                  "--z", "1", "--sep", "1"]) == 0
     header, rows = _csv_rows(capsys.readouterr().out)
-    assert "tau_eq" in header and "is_limit" in header
+    assert header == ["omega", "a", "z", "L", "R", "tau", *cli.STATE_COLUMNS]
     r = float(rows[0]["R"])
-    assert float(rows[0]["tau_eq"]) == pytest.approx(r * r, abs=1e-11)
-    assert rows[0]["is_limit"] == "false"
+    assert float(rows[0]["tau"]) == r * r
+    state = equilibrium_free(r * r, r).to_vector()
+    assert [float(rows[0][name]) for name in cli.STATE_COLUMNS] == list(state)
 
 
 def test_equilibrium_boundary_rejects_out_of_range_tau(capsys):
-    # --tau is the fallback leaf; it is checked even where D does not underflow
-    assert main(["equilibrium", "--accel", "2", "--z", "1", "--sep", "1",
-                 "--tau", "7"]) == EXIT_DOMAIN
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "tau = 7.0 outside [-3, 1]" in captured.err
+    # the mirror equilibrium sits on the leaf tau = R^2, so --tau, in range
+    # or not, is a usage error with --z and --sep
+    for tau in ("7", "0.5"):
+        assert main(["equilibrium", "--accel", "2", "--z", "1", "--sep", "1",
+                     "--tau", tau]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("unruh-steer: error: --tau is not taken with"
+                                " --z and --sep: the mirror equilibrium sits"
+                                " on tau = R^2\n")
 
 
 def test_equilibrium_usage_errors(capsys):

@@ -9,17 +9,13 @@ evaluators. Sizes stay small (<= 3 points per grid axis, <= 3 samples,
 fixture. Every run must end in one of two ways:
 
 - exit 0, with output that a strict JSON parser reads and no null cell in
-  a row without a diagnostic;
+  a row without a diagnostic (so every ``equilibrium`` table is null-free);
 - exit 2 or 64, with one error line on stderr and nothing on stdout.
 
 The commands that take ``--plot`` also run, on some draws, with ``--out``
 to a CSV file and ``--plot``: on exit 0, every column index in the
 script's ``using`` names a column of the CSV header; on any other exit,
 neither file exists.
-
-One null is documented behaviour: ``trace_mismatch`` of an ``is_limit`` row
-of ``equilibrium --z``, where the free-space fallback has no boundary trace
-to compare with.
 """
 
 import json
@@ -155,8 +151,6 @@ def _check_table(text):
         if row.get(DIAGNOSTICS_COLUMN):
             continue
         nulls = [name for name, cell in row.items() if cell is None]
-        if row.get("is_limit") is True:
-            nulls = [name for name in nulls if name != "trace_mismatch"]
         assert not nulls, f"null {nulls} in an unflagged row {row}"
 
 
@@ -213,13 +207,3 @@ def test_cli_grammar(command, tmp_path, capsys, deadline):
         run = example(SPAN_EXAMPLES[command], False)(run)
     run()
 
-
-def test_equilibrium_fallback_row_has_no_trace_mismatch(capsys):
-    # the documented null of the grammar property: D underflows at
-    # z = 1e-9, and the free-space fallback row has no boundary trace
-    code, stdout, _ = _run(["equilibrium", "--accel=2.0", "--z=1e-09",
-                            "--sep=1.0", "--tau=0.0", "--format=json"], capsys)
-    assert code == EXIT_OK
-    (row,) = json.loads(stdout, parse_constant=_reject)["rows"]
-    assert row["is_limit"] is True and row["trace_mismatch"] is None
-    assert DIAGNOSTICS_COLUMN not in row

@@ -6,7 +6,8 @@ through ``cli.main`` into a temporary directory; their digests must equal
 JSON must match the digest pinned here and read back equal to the fig3 CSV,
 two ``evolve`` outputs and seven sweeps with flagged rows must match the
 digests pinned here, and so must the ``sic`` column of one ``theorem-check``
-run. Four of the flagged sweeps pin flag columns that carry NaN. The nine
+run. The ``evolve`` samples must also follow the hand-written equations of
+motion. Four of the flagged sweeps pin flag columns that carry NaN. The nine
 pins that do not depend on the machine's kernels must also hold in a child
 process run with another OpenBLAS kernel or without some of numpy's SIMD
 loops.
@@ -25,7 +26,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unruh_steer.cli import main
+from oracles import exact_trajectory, read_csv, read_json
+from unruh_steer.cli import STATE_COLUMNS, main
+from unruh_steer.model import UnruhParams, kossakowski_free
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -52,18 +55,20 @@ FIG3_JSON_SHA256 = (
     "fa5bf8f9af2ac4374091e88be74255f6ff19119aff6a8d346959548180919c13")
 
 # evolve outputs with SOURCE_DATE_EPOCH=1700000000, as the exact propagator
-# (einsum products, numpy's own loops) writes them
+# (einsum products, numpy's own loops) of the generator built from the
+# Kossakowski matrix writes them
 EVOLVE_SHA256 = {
     ("--init", "excited", "--accel", "1", "--format", "csv"):
-        "ac7e9143ecf43b1586e98d81d1a1f07d644824139d96de16f7418ac99165a9f5",
+        "8556977c54dc6e3864a7e4bc943181511f455b8674f6d36c99aa816ad0708cc0",
     ("--init", "tau-mixed", "--tau", "0.5", "--accel", "2", "--format", "json"):
-        "f882025bdb01b4b1ea3b59ba6f766befe539e85b859cf83cc87f76a4111fe07f",
+        "03d5663565358cdf9bcdd4c3b0cb516b7f703975baf834b3260a38b3420cb82d",
 }
 
 # sweeps with flagged rows (out-of-range tau and accel, NaN tau) and with
 # accelerations at the ends of the float range, with SOURCE_DATE_EPOCH=
 # 1700000000, as the array evaluator with its flagged-row pass wrote them;
-# the bench digests hold no flagged row. The boundary scan and the surface
+# of the bench digests only the boundary scan holds flagged rows (1200
+# DenominatorZero rows where R rounds to 1). The boundary scan and the surface
 # below have flag columns with NaN on their flagged rows (out-of-range
 # inputs, DegenerateLimit and DenominatorZero; the singular point), as the
 # evaluators wrote them into lists of Python cells
@@ -129,6 +134,21 @@ def test_evolve_matches_pinned_digest(tmp_path, monkeypatch, argv):
     path = tmp_path / "evolve.out"
     _run(["evolve", *argv, "--out", str(path)])
     assert hashlib.sha256(path.read_bytes()).hexdigest() == EVOLVE_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", list(EVOLVE_SHA256),
+                         ids=["excited-csv", "tau-mixed-json"])
+def test_evolve_pins_follow_the_hand_written_equations(tmp_path, argv):
+    # the pinned samples, read back, lie within 1e-12 of expm of the
+    # generator of the hand-written equations of motion
+    path = tmp_path / "evolve.out"
+    _run(["evolve", *argv, "--out", str(path)])
+    table = (read_json if "json" in argv else read_csv)(path)
+    accel = float(argv[argv.index("--accel") + 1])
+    coeffs = kossakowski_free(UnruhParams(1.0, accel))
+    samples = np.column_stack([table.column(name) for name in STATE_COLUMNS])
+    exact = exact_trajectory(samples[0], coeffs.A, coeffs.B, table.column("t"))
+    assert np.abs(samples - exact).max() <= 1e-12
 
 
 def _dispatch_targets(levels):

@@ -3,8 +3,9 @@
 The ODE cross-check below rebuilds the generator from scratch at the matrix
 level: both detectors couple to the same bath, so the dissipator carries all
 four operator-pair sectors with one shared coefficient matrix
-A delta_ij - i B eps_ijk n_k (the n n^T part damps nothing along n = z and is
-not part of the coefficient equations).
+A delta_ij - i B eps_ijk n_k (the model takes C = 0 for the n n^T part). The
+equations of motion as written by hand, and the mirror generator with one
+coefficient block per atom pair, live in ``tests/oracles.py``.
 """
 
 import dataclasses
@@ -15,16 +16,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import is_physical
+from oracles import (block_dissipator, block_stationary_state, is_physical,
+                     ode_rhs_by_hand)
 from unruh_steer import model
 from unruh_steer.errors import DegenerateLimit, DomainError, UnphysicalDrift
 from unruh_steer.model import (KossakowskiFree, UnruhParams,
                                equilibrium_boundary, equilibrium_free, evolve,
                                kossakowski_boundary, kossakowski_free, ode_rhs,
                                relaxation_horizon, steering_node_acceleration)
-from unruh_steer.qmat import (FanoState, fano_to_matrix, min_eigenvalue,
-                              random_fano_state)
-from unruh_steer.steering import steerability_verdict_boundary
+from unruh_steer.qmat import (FanoState, fano_to_matrix, matrix_to_fano,
+                              min_eigenvalue, random_fano_state)
+from unruh_steer.steering import (steerability_verdict_boundary,
+                                  steering_induced_coherence)
 
 REF = UnruhParams(1.0, 2.0 * math.pi)  # beta * omega = 1
 
@@ -178,9 +181,32 @@ def test_ode_matches_matrix_dissipator():
     rng = np.random.default_rng(3)
     for _ in range(10):
         st = random_fano_state(rng)
-        got = _coefficients_to_matrix(ode_rhs(st, k))
+        d = ode_rhs(st, k)
+        got = _coefficients_to_matrix(d)
         want = _two_detector_rhs(fano_to_matrix(st), k.A, k.B)
-        assert np.abs(got - want).max() < 1e-14
+        assert np.abs(got - want).max() <= 1e-14
+        assert np.abs(d.to_vector() - ode_rhs_by_hand(st, k.A, k.B)).max() <= 1e-14
+
+
+def test_rate_matrices_are_integers():
+    # the generator built from the Kossakowski matrix, per unit A and per
+    # unit B, has small integer entries; only the B part has a constant,
+    # -4 in a_z and b_z (entries 2 and 5)
+    per_a, per_b = model._rates()
+    assert per_a.shape == per_b.shape == (15, 16)
+    assert set(np.unique(per_a)) == {-8.0, -4.0, 0.0, 4.0}
+    assert set(np.unique(per_b)) == {-4.0, -2.0, 0.0, 2.0}
+    assert np.array_equal(per_a[:, 15], np.zeros(15))
+    assert np.array_equal(per_b[:, 15], -4.0 * np.eye(15)[2] - 4.0 * np.eye(15)[5])
+    # evolve's copy pulls the trace u^T y to 0 at 12 A and is M elsewhere
+    trace = np.zeros(15)
+    trace[[6, 10, 14]] = 1.0
+    assert np.array_equal(trace @ per_a[:, :15], np.zeros(15))
+    assert np.array_equal(trace @ per_b[:, :15], np.zeros(15))
+    m_a, m_b = model._rate_matrices()
+    assert np.array_equal(m_a, per_a[:, :15] - 4.0 * np.outer(trace, trace))
+    assert np.array_equal(trace @ m_a, -12.0 * trace)
+    assert np.array_equal(m_b, per_b[:, :15])
 
 
 def test_ode_conserves_correlation_trace():
@@ -189,20 +215,6 @@ def test_ode_conserves_correlation_trace():
     for _ in range(10):
         d = ode_rhs(random_fano_state(rng), k)
         assert abs(np.trace(d.t_mat)) < 1e-13
-
-
-def test_ode_explicit_tau_pull():
-    # with an explicit target the correlation trace relaxes at rate 12 A
-    k = kossakowski_free(REF)
-    st = random_fano_state(np.random.default_rng(8))
-    d = ode_rhs(st, k, tau=0.3)
-    assert np.trace(d.t_mat) == pytest.approx(
-        -12.0 * k.A * (st.trace_sum - 0.3), rel=1e-12)
-    # tau is keyword-only, so no positional argument is taken for it
-    with pytest.raises(TypeError):
-        ode_rhs(st, k, 0.3)
-    with pytest.raises(TypeError):
-        evolve(st, k, tau=0.3)
 
 
 def test_ode_rhs_needs_finite_coefficients():
@@ -237,19 +249,17 @@ def test_evolve_ground_state_relaxes():
 
 
 def test_default_horizon_lands_random_states():
-    # the slowest decay rate of the coefficient equations is 4A - 2B
-    # (2A as a -> 0); a horizon in units of 4A stops short at small a
+    # M = A M_A + B M_B has exactly one zero rate, along the conserved tau,
+    # and its slowest nonzero decay rate is 4A - 2B (2A as a -> 0); a
+    # horizon in units of 4A stops short at small a
     rng = np.random.default_rng(3)
+    per_a, per_b = model._rates()
     for accel in (0.5, 1.0, 2.0 * math.pi, 50.0):
         k = kossakowski_free(UnruhParams(1.0, accel))
-
-        def rhs(y):
-            return ode_rhs(FanoState.from_vector(y), k, tau=0.0).to_vector()
-
-        c = rhs(np.zeros(15))
-        m = np.column_stack([rhs(e) - c for e in np.eye(15)])
-        slowest = -np.linalg.eigvals(m).real.max()
-        assert slowest == pytest.approx(4.0 * k.A - 2.0 * k.B, rel=1e-9)
+        m = (k.A * per_a + k.B * per_b)[:, :15]
+        rates = np.sort(-np.linalg.eigvals(m).real)
+        assert abs(rates[0]) <= 1e-12 * k.A
+        assert rates[1] == pytest.approx(4.0 * k.A - 2.0 * k.B, rel=1e-9)
     k = kossakowski_free(UnruhParams(1.0, 1.0))
     traj = evolve(random_fano_state(rng), k)
     assert traj.times[-1] == pytest.approx(20.0 / (4.0 * k.A - 2.0 * k.B),
@@ -481,54 +491,79 @@ def test_boundary_recovers_free_space(accel, z):
 
 
 def test_equilibrium_boundary_thermal_product():
-    for z, sep in ((0.5, 0.2), (1.0, 1.0), (4.0, 0.7)):
-        kb = kossakowski_boundary(REF, z, sep)
+    # a = b = -R n and T = R^2 n n, the free family on the node leaf, where
+    # the steering-induced coherence is exactly zero
+    for z, sep in ((0.5, 0.2), (1.0, 1.0), (4.0, 0.7), (0.1, 0.05)):
+        kb = kossakowski_boundary(UnruhParams(0.3, 1.0), z, sep)
         eq = equilibrium_boundary(kb)
         r = kb.ratio
-        assert not eq.is_limit
-        assert eq.tau_eq == pytest.approx(r * r, abs=1e-11)
-        assert eq.trace_mismatch < 1e-10
-        assert np.allclose(eq.state.b_vec, [0.0, 0.0, -r], atol=1e-11)
-        assert np.allclose(eq.state.a_vec, eq.state.b_vec, atol=1e-11)
-        assert np.allclose(eq.state.t_mat, np.diag([0.0, 0.0, r * r]),
-                           atol=1e-11)
-        assert is_physical(eq.state)
+        assert np.array_equal(eq.to_vector(),
+                              equilibrium_free(r * r, r).to_vector())
+        assert steering_induced_coherence(eq) == 0.0
+        assert np.allclose(eq.b_vec, [0.0, 0.0, -r], atol=1e-15)
+        assert np.allclose(eq.a_vec, eq.b_vec, atol=1e-15)
+        assert np.allclose(eq.t_mat, np.diag([0.0, 0.0, r * r]), atol=1e-15)
+        assert is_physical(eq)
+
+
+_BOX = dict(log_accel=st.floats(-1.0, 2.0), log_z=st.floats(-1.0, 1.0),
+            log_sep=st.floats(-2.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_BOX, damped=st.booleans())
+@example(log_accel=math.log10(0.3), log_z=-1.0, log_sep=math.log10(0.05),
+         damped=False)
+def test_block_generator_has_the_mirror_equilibrium(log_accel, log_z,
+                                                    log_sep, damped):
+    # the Lindblad generator with same-atom blocks (A1, B1, C1) and cross
+    # blocks (A2, B2, C2), C = 0 or the mirror's C = -A, over the README's
+    # boundary-scan box: equilibrium_boundary is its one stationary state
+    kb = kossakowski_boundary(UnruhParams(1.0, 10.0 ** log_accel),
+                              10.0 ** log_z, 10.0 ** log_sep)
+    c = -1.0 if damped else 0.0
+    same, cross = (kb.A1, kb.B1, c * kb.A1), (kb.A2, kb.B2, c * kb.A2)
+    eq = equilibrium_boundary(kb)
+    gap = 1.0 - kb.A2 / kb.A1
+    residual = block_dissipator(fano_to_matrix(eq), same, cross)
+    assert np.abs(residual).max() <= 1e-14 * kb.A1
+    rho, second = block_stationary_state(same, cross)
+    assert second >= 0.5 * gap * kb.A1   # the stationary state is unique
+    # the stationary state of the float coefficients moves with their
+    # rounding by up to ~1e-14 / gap (3000 draws): an exact solve lands
+    # 6.8e-12 from the closed form at (0.32, 1.69, 0.013), where gap = 2e-5
+    tol = 1e-12 * max(1.0, 0.1 / gap)
+    assert np.abs(matrix_to_fano(rho).to_vector() - eq.to_vector()).max() <= tol
 
 
 def test_equilibrium_boundary_degenerate_limit():
+    # A2 = A1, B2 = B1 (sep -> 0) leaves the node-leaf state, with no fallback
     kb = kossakowski_boundary(REF, 1.0, 1.0)
     flat = dataclasses.replace(kb, A2=kb.A1, B2=kb.B1)
-    eq = equilibrium_boundary(flat, fallback_tau=0.25)
-    assert eq.is_limit
-    assert eq.tau_eq == pytest.approx(0.25, abs=0.0)
-    with pytest.raises(DegenerateLimit, match="supply fallback_tau"):
-        equilibrium_boundary(flat)
+    assert np.array_equal(equilibrium_boundary(flat).to_vector(),
+                          equilibrium_free(kb.ratio * kb.ratio,
+                                           kb.ratio).to_vector())
     with pytest.raises(TypeError):
         equilibrium_boundary(flat, 0.25)
 
 
 def test_boundary_ratio_where_a1_underflows():
     # 1 - sinc(2 z omega) rounds to 0 at z = 1e-9, so A1 = B1 = 0; the ratio
-    # is still the thermal B / A, and D underflows onto the free fallback
+    # is still the thermal B / A, and so is the equilibrium's
     params = UnruhParams(1.0, 2.0)
     kb = kossakowski_boundary(params, 1e-9, 1.0)
     assert kb.A1 == 0.0
     ratio = kossakowski_free(params).ratio
     assert kb.ratio == ratio
-    eq = equilibrium_boundary(kb, fallback_tau=0.5)
-    assert eq.is_limit
-    assert np.array_equal(eq.state.to_vector(),
-                          equilibrium_free(0.5, ratio).to_vector())
+    assert np.array_equal(equilibrium_boundary(kb).to_vector(),
+                          equilibrium_free(ratio * ratio, ratio).to_vector())
 
 
-@pytest.mark.parametrize("degenerate", [False, True])
-def test_equilibrium_boundary_checks_fallback_tau(degenerate):
-    # a fallback leaf outside [-3, 1] is an error whether or not D underflows
-    kb = kossakowski_boundary(REF, 1.0, 1.0)
-    if degenerate:
-        kb = dataclasses.replace(kb, A2=kb.A1, B2=kb.B1)
-    with pytest.raises(DomainError, match=r"^tau = 7.0 outside \[-3, 1\]$"):
-        equilibrium_boundary(kb, fallback_tau=7.0)
+@pytest.mark.parametrize("z, sep", [(0.0, 1.0), (-0.0, 1.0), (-1.0, 1.0),
+                                    (1.0, 0.0), (1.0, -1.0), (math.nan, 1.0)])
+def test_kossakowski_boundary_refuses_non_positive_lengths(z, sep):
+    with pytest.raises(DomainError, match="must be positive and finite"):
+        kossakowski_boundary(REF, z, sep)
 
 
 def test_boundary_denominator_gate_is_relative():
@@ -543,17 +578,13 @@ def test_boundary_denominator_gate_is_relative():
     d, underflows = model.boundary_d(tiny.A1, tiny.A2, tiny.B1, tiny.B2)
     assert d == pytest.approx(want * 1e-270, rel=1e-12) and not underflows
     steerability_verdict_boundary(tiny)
-    assert not equilibrium_boundary(tiny).is_limit
-    # A2 = A1, B2 = B1 makes D vanish: both boundary paths raise on the flag
+    # A2 = A1, B2 = B1 makes D vanish: the criterion raises on the flag
     flat = dataclasses.replace(kb, A2=a1, B2=b1)
     d, underflows = model.boundary_d(flat.A1, flat.A2, flat.B1, flat.B2)
     assert underflows
     message = re.escape(f"|D| = {abs(d):.3e} underflows")
     with pytest.raises(DegenerateLimit, match=f"^{message}$"):
         steerability_verdict_boundary(flat)
-    with pytest.raises(DegenerateLimit, match=f"^{message} at z=1.0, sep=1.0;"
-                       " supply fallback_tau for the free-space limit$"):
-        equilibrium_boundary(flat)
 
 
 @pytest.mark.parametrize("field, value", [

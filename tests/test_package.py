@@ -13,7 +13,7 @@ import unruh_steer
 
 
 PUBLIC_NAMES = [
-    "BoundaryEquilibrium", "BoundaryVerdict", "ConsistencyError",
+    "BoundaryVerdict", "ConsistencyError",
     "DegenerateLimit", "DenominatorZero", "DomainError", "FanoState",
     "GridSpec", "KossakowskiBoundary", "KossakowskiFree", "NonHermitian",
     "NotPositive", "SicSolution", "SteerabilityFree", "SweepResult",
