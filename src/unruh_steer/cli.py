@@ -177,13 +177,13 @@ _INIT_STATES = ("ground", "excited", "singlet", "tau-mixed")
 def _initial_state(name: str, tau) -> FanoState:
     if (name == "tau-mixed") != (tau is not None):
         raise _UsageError("--init tau-mixed needs --tau, and no other --init takes it")
+    # T is diagonal, built by np.diag so that no cell is -0 (+ 0.0 maps a
+    # tau of -0 to 0); FanoState refuses a tau of +-inf or NaN
     if name in ("ground", "excited"):
         n = np.array([0.0, 0.0, 1.0 if name == "excited" else -1.0])
-        return FanoState(n, n, np.outer(n, n))
-    if name == "singlet":
-        return FanoState(np.zeros(3), np.zeros(3), -np.eye(3))
-    with np.errstate(invalid="ignore"):   # tau = +-inf: FanoState refuses the NaN
-        return FanoState(np.zeros(3), np.zeros(3), (tau / 3.0) * np.eye(3))
+        return FanoState(n, n, np.diag([0.0, 0.0, 1.0]))
+    diagonal = -1.0 if name == "singlet" else tau / 3.0 + 0.0
+    return FanoState(np.zeros(3), np.zeros(3), np.diag([diagonal] * 3))
 
 
 def cmd_evolve(args) -> int:
@@ -272,28 +272,24 @@ def cmd_boundary_scan(args) -> int:
 
 
 def cmd_node(args) -> int:
-    if args.format and not args.out:
-        raise _UsageError("--format requires --out")
     a_star = steering_node_acceleration(args.tau, args.omega)
     if a_star is None:
-        print(f"no steering node for tau = {args.tau:g} (tau <= 0)")
+        line = f"no steering node for tau = {args.tau:g} (tau <= 0)"
         row, diag = (args.tau, math.nan, math.nan), "no-node"
     elif a_star == 0.0:
-        print(f"steering node for tau = {args.tau:g} only in the"
-              " zero-acceleration limit")
+        line = (f"steering node for tau = {args.tau:g} only in the"
+                " zero-acceleration limit")
         row, diag = (args.tau, 0.0, math.nan), "zero-acceleration-limit"
     else:
         state = equilibrium_free(args.tau, math.sqrt(args.tau))
         sic = steering_induced_coherence(state)
-        print(f"steering node at a = {a_star:.9g} (omega = {args.omega:g});"
-              f" sic(a*) = {sic:.3e}")
+        line = (f"steering node at a = {a_star:.9g} (omega = {args.omega:g});"
+                f" sic(a*) = {sic:.3e}")
         row, diag = (args.tau, a_star, sic), ""
-    if args.out:
-        meta = {"omega": args.omega, "tau": args.tau, "axes": ()}
-        return _deliver(SweepResult(("tau", "a_star", "sic"),
-                                    [np.array([cell]) for cell in row], [diag],
-                                    meta), args)
-    return EXIT_OK
+    meta = {"omega": args.omega, "tau": args.tau, "axes": ()}
+    return _deliver(SweepResult(("tau", "a_star", "sic"),
+                                [np.array([cell]) for cell in row], [diag],
+                                meta), args, (line,))
 
 
 def cmd_theorem_check(args) -> int:

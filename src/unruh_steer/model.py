@@ -37,8 +37,6 @@ import numpy as np
 from .errors import DegenerateLimit, DomainError, UnphysicalDrift
 from .qmat import _FANO_BASIS, _PAULI_PAIRS, FanoState, fano_matrices
 
-Z_AXIS = np.array([0.0, 0.0, 1.0])
-
 RANGE_SLACK = 1e-12        # slack on closed parameter ranges
 SINC_SERIES_CUTOFF = 1e-4  # |x| below which sin(x)/x uses its series
 DEGENERATE_D_REL = 1e-14   # |D| underflow gate, relative to coefficient scale
@@ -156,20 +154,17 @@ class KossakowskiBoundary:
 
     The 1-pair multiplies delta_ij / eps for each atom with itself, the
     2-pair the cross-atom blocks; the n n pairs (C1 = -A1, C2 = -A2) are
-    not computed. ``z`` and ``sep`` are the geometry they were built for.
-    Every record, by hand or by :func:`kossakowski_boundary`, holds
-    :func:`coefficient_mask`'s bound, so D, x1 and x3 stay finite:
-    DomainError naming the first of A1, A2, B1, B2 that is not finite or
-    reaches COEFFICIENT_LIMIT in magnitude.
+    not computed. Every record, by hand or by
+    :func:`kossakowski_boundary`, holds :func:`coefficient_mask`'s bound, so
+    D, x1 and x3 stay finite: DomainError naming the first of A1, A2, B1,
+    B2 that is not finite or reaches COEFFICIENT_LIMIT in magnitude.
     """
 
     A1: float
     A2: float
     B1: float
     B2: float
-    z: float
-    sep: float
-    ratio: float        # B1 / A1, or the free-space B / A where A1 rounds to 0
+    ratio: float        # free-space B / A: B1 / A1 = B2 / A2 for every z, sep
 
     def __post_init__(self):
         for name in ("A1", "A2", "B1", "B2"):
@@ -222,10 +217,12 @@ def kossakowski_boundary(params: UnruhParams, z: float, sep: float) -> Kossakows
         A1, B1 ~ 1 - sinc(2 z omega)
         A2, B2 ~ sinc(sep omega) - sinc(sqrt(sep^2 + 4 z^2) omega)
 
-    with the thermal factor multiplying the A pair. DomainError where an
-    image-point argument overflows, or a coefficient fails the record's
-    bound: an infinite thermal factor (2 pi omega / accel 0 or tiny) makes
-    an A coefficient inf or NaN, a large one too large for D.
+    with the thermal factor multiplying the A pair, so B1 / A1 = B2 / A2 is
+    the free-space ratio; ``ratio`` is :func:`kossakowski_free`'s, bit for
+    bit, also where A1 rounds to 0. DomainError where an image-point
+    argument overflows, or a coefficient fails the record's bound: an
+    infinite thermal factor (2 pi omega / accel 0 or tiny) makes an A
+    coefficient inf or NaN, a large one too large for D.
     """
     if not (z > 0.0 and math.isfinite(z)):
         raise DomainError("z must be positive and finite")
@@ -235,9 +232,8 @@ def kossakowski_boundary(params: UnruhParams, z: float, sep: float) -> Kossakows
     if not all(map(math.isfinite, args)):
         raise DomainError("an image-point distance times omega overflows")
     a1, a2, b1, b2 = boundary_pairs(params.omega, x, args)
-    ratio = b1 / a1 if a1 != 0.0 else kossakowski_free(params).ratio
-    return KossakowskiBoundary(A1=a1, A2=a2, B1=b1, B2=b2, z=z, sep=sep,
-                               ratio=ratio)
+    return KossakowskiBoundary(A1=a1, A2=a2, B1=b1, B2=b2,
+                               ratio=kossakowski_free(params).ratio)
 
 
 # ----- equilibrium states -----
@@ -255,10 +251,13 @@ def equilibrium_free(tau: float, ratio: float) -> FanoState:
     """
     check_leaf(tau, ratio)
     denom = 3.0 + ratio * ratio
-    c = -ratio * (tau + 3.0) / denom
-    t_mat = ((tau - ratio * ratio) * np.eye(3)
-             + ratio * ratio * (tau + 3.0) * np.outer(Z_AXIS, Z_AXIS)) / denom
-    return FanoState(c * Z_AXIS, c * Z_AXIS, t_mat)
+    # + 0.0 turns a -0 (the Bloch z at ratio 0, tau - ratio^2 at tau = -0)
+    # into 0 and leaves every other float as it is: no cell of the state is -0
+    bloch = np.array([0.0, 0.0, -ratio * (tau + 3.0) / denom + 0.0])
+    across = tau - ratio * ratio + 0.0
+    t_mat = np.diag([across, across,
+                     across + ratio * ratio * (tau + 3.0)]) / denom
+    return FanoState(bloch, bloch, t_mat)
 
 
 def boundary_d(a1, a2, b1, b2):
@@ -289,14 +288,15 @@ def d_underflow(d) -> DegenerateLimit:
 
 def equilibrium_boundary(coeffs: KossakowskiBoundary) -> FanoState:
     """Asymptotic state in the boundary case: ``equilibrium_free(R^2, R)``
-    with R = ``coeffs.ratio``.
+    with R = ``coeffs.ratio``, the free-space tanh(pi omega / accel).
 
     Both A pairs carry the thermal factor and the B pairs do not, so
     B1 / A1 = B2 / A2 = R. The generator with same-atom blocks (A1, B1) and
     cross-atom blocks (A2, B2) then has, for every z, sep > 0, one
     stationary state: a = b = -R n, T = R^2 n n, the free-space family on
     the leaf tau = R^2. That leaf is the steering node, so the state's
-    steering-induced coherence is zero.
+    steering-induced coherence is zero. The state depends on (omega, accel)
+    alone: it is the same bits for every z and sep.
     """
     return equilibrium_free(coeffs.ratio * coeffs.ratio, coeffs.ratio)
 

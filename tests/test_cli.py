@@ -69,16 +69,16 @@ def test_unknown_argument_shows_the_subcommand_usage(capsys, argv):
 
 def test_node_output(capsys):
     assert main(["node", "--tau", "0.25"]) == 0
-    out = capsys.readouterr().out
-    assert "5.71920173" in out
-    assert "sic(a*)" in out
+    err = capsys.readouterr().err
+    assert "5.71920173" in err
+    assert "sic(a*)" in err
 
 
 def test_node_without_node(capsys):
     assert main(["node", "--tau", "-1"]) == 0
-    assert "no steering node" in capsys.readouterr().out
+    assert "no steering node" in capsys.readouterr().err
     assert main(["node", "--tau", "1"]) == 0
-    assert "zero-acceleration limit" in capsys.readouterr().out
+    assert "zero-acceleration limit" in capsys.readouterr().err
 
 
 def test_node_domain_error(capsys):
@@ -108,6 +108,46 @@ def test_equilibrium_boundary_csv(capsys):
     assert float(rows[0]["tau"]) == r * r
     state = equilibrium_free(r * r, r).to_vector()
     assert [float(rows[0][name]) for name in cli.STATE_COLUMNS] == list(state)
+
+
+def test_one_ratio_for_free_space_and_the_mirror(capsys):
+    # B1 / A1 = B2 / A2 = tanh(pi omega / a) for every z, L > 0, so the
+    # mirror record carries the free-space ratio bit for bit, also at
+    # z = 1e-9, where A1 rounds to 0; the mirror equilibrium row is then
+    # the same bytes from its R column on for every geometry
+    rng = np.random.default_rng(27)
+    for accel in (10.0 ** rng.uniform(-1.0, 2.0, 200)).tolist():
+        params = UnruhParams(1.0, accel)
+        ratio = kossakowski_free(params).ratio
+        geometries = [(1e-9, 1.0), (1.0, 1.0),
+                      *(10.0 ** rng.uniform(-2.0, 1.0, (4, 2))).tolist()]
+        tails = set()
+        for z, sep in geometries:
+            assert model.kossakowski_boundary(params, z, sep).ratio == ratio
+            assert main(["equilibrium", f"--accel={accel!r}", f"--z={z!r}",
+                         f"--sep={sep!r}"]) == 0
+            row = capsys.readouterr().out.splitlines()[1]
+            tails.add(row.split(",", 4)[4])
+        assert len(tails) == 1, (accel, tails)
+
+
+@pytest.mark.parametrize("argv", [
+    ["equilibrium", "--accel", "2", "--tau", "0.5"],
+    ["equilibrium", "--accel", "inf", "--tau", "0.5"],
+    ["equilibrium", "--accel", "inf", "--tau=-0.0"],
+    ["equilibrium", "--accel", "2", "--z", "1", "--sep", "1"],
+    ["equilibrium", "--accel", "2", "--z", "1e-9", "--sep", "1"],
+    ["evolve", "--accel", "2", "--init", "ground"],
+    ["evolve", "--accel", "2", "--init", "excited"],
+    ["evolve", "--accel", "2", "--init", "singlet"],
+    ["evolve", "--accel", "2", "--init", "tau-mixed", "--tau=-1"],
+    ["evolve", "--accel", "2", "--init", "tau-mixed", "--tau=-0.0"],
+], ids=lambda argv: " ".join(argv[1:]))
+def test_state_cells_have_no_negative_zero(capsys, argv):
+    # a zero coefficient is written 0, not -0, in every row
+    assert main(argv) == 0
+    _, rows = _csv_rows(capsys.readouterr().out)
+    assert "-0" not in [row[name] for row in rows for name in cli.STATE_COLUMNS]
 
 
 def test_equilibrium_boundary_rejects_out_of_range_tau(capsys):
@@ -711,11 +751,16 @@ def test_plot_is_refused_before_any_work(capsys, monkeypatch, argv, evaluator):
     assert captured.err == "unruh-steer: error: --plot requires --out\n"
 
 
-def test_node_format_without_out_is_usage_error(capsys):
-    # without --out, node prints a sentence, not a table
-    assert main(["node", "--tau", "0.25", "--format", "json"]) == EXIT_USAGE
+def test_node_format_without_out_prints_strict_json(capsys):
+    # without --out, node writes its table to stdout like every command,
+    # and its sentence to stderr
+    assert main(["node", "--tau", "0.25", "--format", "json"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == "" and "--format requires --out" in captured.err
+    payload = _strict_json(captured.out)
+    assert payload["meta"]["command"] == "node"
+    assert payload["rows"] == [{"tau": 0.25, "a_star": 5.719201734760255,
+                                "sic": 0.0}]
+    assert captured.err.startswith("steering node at a = 5.71920173")
 
 
 def test_plot_script_written(tmp_path, capsys):
@@ -794,7 +839,7 @@ def test_interpreter_entry_point():
         [sys.executable, "-m", "unruh_steer.cli", "node", "--tau", "0.25"],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
-    assert "5.71920173" in proc.stdout
+    assert "5.71920173" in proc.stderr
 
 
 def _readme_cli_examples():

@@ -10,6 +10,9 @@ fixture. Every run must end in one of two ways:
 
 - exit 0, with output that a strict JSON parser reads and no null cell in
   a row without a diagnostic (so every ``equilibrium`` table is null-free);
+  no state cell of an ``equilibrium`` or ``evolve`` table reads -0, and the
+  R of a mirror ``equilibrium`` row is the free-space ratio of its
+  (omega, a), bit for bit;
 - exit 2 or 64, with one error line on stderr and nothing on stdout.
 
 The commands that take ``--plot`` also run, on some draws, with ``--out``
@@ -28,7 +31,8 @@ from hypothesis import (HealthCheck, example, given, settings,  # noqa: E402
                         strategies as st)
 
 from unruh_steer.cli import (DRAWN, EXIT_DOMAIN, EXIT_OK,  # noqa: E402
-                             EXIT_USAGE, main)
+                             EXIT_USAGE, STATE_COLUMNS, main)
+from unruh_steer.model import UnruhParams, kossakowski_free  # noqa: E402
 from unruh_steer.sweeps import DIAGNOSTICS_COLUMN  # noqa: E402
 
 EDGES = (0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e-12, 1.0 - 1e-12, 1.0,
@@ -148,6 +152,12 @@ def _reject(token):
 def _check_table(text):
     table = json.loads(text, parse_constant=_reject)
     for row in table["rows"]:
+        signs = [math.copysign(1.0, row[name]) for name in STATE_COLUMNS
+                 if row.get(name) == 0.0]
+        assert -1.0 not in signs, f"-0 state cell in {row}"
+        if table["meta"].get("geometry") == "boundary":
+            free = kossakowski_free(UnruhParams(row["omega"], row["a"]))
+            assert row["R"] == free.ratio, (row, free.ratio)
         if row.get(DIAGNOSTICS_COLUMN):
             continue
         nulls = [name for name, cell in row.items() if cell is None]
@@ -173,29 +183,25 @@ def _run(argv, capsys):
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_cli_grammar(command, tmp_path, capsys, deadline):
-    out, table = tmp_path / "table.json", tmp_path / "t.csv"
-    script = tmp_path / "t.csv.gp"
+    table, script = tmp_path / "t.csv", tmp_path / "t.csv.gp"
 
     @settings(max_examples=80, deadline=None, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(COMMANDS[command], st.booleans())
     def run(argv, plot):
-        for path in (out, table, script):
+        for path in (table, script):
             path.unlink(missing_ok=True)
         plot = plot and command in DRAWN
-        # node prints a sentence without --out, so its table goes to a file
-        tail = (["--out", str(table), "--plot"] if plot
-                else ["--out", str(out)] if command == "node"
-                else ["--format=json"])
+        tail = ["--out", str(table), "--plot"] if plot else ["--format=json"]
         code, stdout, stderr = _run([*argv, *tail], capsys)
         assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_USAGE), (argv, code, stderr)
         if code == EXIT_OK:
             if plot:
                 _check_plot(table, script)
             else:
-                _check_table(out.read_text() if command == "node" else stdout)
+                _check_table(stdout)
             return
-        assert stdout == "" and not out.exists(), argv
+        assert stdout == "", argv
         assert not (table.exists() or script.exists()), argv
         errors = [line for line in stderr.splitlines() if ": error: " in line]
         assert len(errors) == 1 and stderr.endswith(errors[0] + "\n"), stderr

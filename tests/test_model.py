@@ -610,8 +610,7 @@ def test_boundary_record_by_hand_fails_with_the_same_text(omega, accel):
     x, args = model.boundary_arguments(omega, accel, 1.0, 1.0)
     a1, a2, b1, b2 = model.boundary_pairs(omega, x, args)
     with pytest.raises(DomainError) as by_hand:
-        model.KossakowskiBoundary(A1=a1, A2=a2, B1=b1, B2=b2, z=1.0, sep=1.0,
-                                  ratio=0.0)
+        model.KossakowskiBoundary(A1=a1, A2=a2, B1=b1, B2=b2, ratio=0.0)
     assert str(by_hand.value) == str(built.value)
 
 
