@@ -17,7 +17,7 @@ form (Gorini, Kossakowski & Sudarshan, J. Math. Phys. 17, 821 (1976);
 Lindblad, Commun. Math. Phys. 48, 119 (1976)) and projected onto the Pauli
 coefficients, and its exact solution, exp(t M) of the generator's linear
 part applied to the deviation from equilibrium, sampled on a uniform grid
-into one (S, 15) array that one stacked eigensolve checks for positivity.
+into one (S, 15) array that one stacked Cholesky factorization certifies.
 
 Conventions: natural units, the dissipator direction is n = (0, 0, 1),
 and ``ratio`` denotes the dissipative asymmetry
@@ -34,7 +34,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import DegenerateLimit, DomainError, UnphysicalDrift
+from .errors import DegenerateLimit, DomainError, NotPositive, UnphysicalDrift
 from .qmat import _FANO_BASIS, _PAULI_PAIRS, FanoState, fano_matrices
 
 RANGE_SLACK = 1e-12        # slack on closed parameter ranges
@@ -337,6 +337,28 @@ def _rate_matrices() -> tuple:
     return m_a, per_b[:, :15]
 
 
+def _interval_maps(a_coef: float, b_coef: float, step: float, samples: int) -> list:
+    """The maps E = P^m - I, m = 1, 2, 4, ... < samples, that :func:`evolve`
+    applies; they depend on (A, B, step, samples) alone. P - I is the
+    Taylor polynomial of x = step M / 2^squarings, |x|_1 <= 1/2, squared as
+    2 E + E^2 (Moler & Van Loan, SIAM Rev. 45, 3 (2003)); einsum runs numpy's
+    loops, so no BLAS moves a bit. DomainError where step |M|_1 overflows."""
+    m_a, m_b = _rate_matrices()
+    rates = a_coef * m_a + b_coef * m_b
+    norm = step * float(np.abs(rates).sum(axis=0).max())
+    if not math.isfinite(norm):
+        raise DomainError(f"the sample interval {step:g} times |M|_1 overflows")
+    squarings = max(0, math.frexp(norm)[1] + 1)
+    x = math.ldexp(step, -squarings) * rates
+    power = x / TAYLOR_DEGREE
+    for k in range(TAYLOR_DEGREE - 1, 0, -1):
+        power = (x + np.einsum("ij,jk->ik", x, power)) / k
+    powers = [power]
+    for _ in range(squarings + (samples - 1).bit_length() - 1):
+        powers.append(2.0 * powers[-1] + np.einsum("ij,jk->ik", powers[-1], powers[-1]))
+    return powers[squarings:]
+
+
 def ode_rhs(state: FanoState, coeffs: KossakowskiFree) -> FanoState:
     """Time derivative M y + c of the Pauli coefficients y under the free
     dissipator, [M | c] = A [M_A | 0] + B [M_B | c_B] from :func:`_rates`.
@@ -402,11 +424,14 @@ def evolve(state: FanoState, coeffs: KossakowskiFree, t_end: float | None = None
     deviations are P^m times rows [0, m), P = exp(step M),
     step = t_end / (S - 1); sample 0 is y0.
 
-    One finiteness check and one stacked ``eigvalsh`` follow; UnphysicalDrift
-    names the earliest sample with a minimum eigenvalue below -1e-6.
-    DomainError for A, t_end, samples or tau out of range, above
-    ``MAX_SAMPLES`` samples, where step |M|_1 overflows, and for a sample
-    that overflows (unless an earlier one drifted).
+    A finiteness check follows, then a stacked Cholesky factorization of
+    rho + 1e-6 I certifies every sample; it disagrees with ``eigvalsh`` only
+    for a minimum eigenvalue within rounding (~1e-15) of -1e-6. Where it
+    fails, ``eigvalsh`` names the earliest sample below -1e-6: NotPositive
+    at t = 0 (not a state; ``sic_solution``'s message at a looser gate),
+    else UnphysicalDrift. DomainError for A, t_end, samples or tau out of
+    range, above ``MAX_SAMPLES`` samples, where step |M|_1 overflows, and
+    for a sample that overflows (unless an earlier one is below -1e-6).
     """
     horizon = relaxation_horizon(coeffs)   # checks A
     t_end = horizon if t_end is None else t_end
@@ -420,42 +445,32 @@ def evolve(state: FanoState, coeffs: KossakowskiFree, t_end: float | None = None
     tau, y0 = state.trace_sum, state.to_vector()
     y_eq = equilibrium_free(tau, coeffs.ratio).to_vector()
     step = t_end / (samples - 1) if samples > 1 else 0.0
-    m_a, m_b = _rate_matrices()
-    rates = coeffs.A * m_a + coeffs.B * m_b
-    norm = step * float(np.abs(rates).sum(axis=0).max())
-    if not math.isfinite(norm):
-        raise DomainError(f"the sample interval {step:g} times |M|_1 overflows")
-
-    # power = exp(x) - I (exact for short steps) from the Taylor polynomial of
-    # x = step M / 2^squarings, |x|_1 <= 1/2, then squared (Moler & Van Loan,
-    # SIAM Rev. 45, 3 (2003)); einsum runs numpy's loops, so no BLAS moves a bit
-    squarings = max(0, math.frexp(norm)[1] + 1)
-    x = math.ldexp(step, -squarings) * rates
-    power = x / TAYLOR_DEGREE
-    for k in range(TAYLOR_DEGREE - 1, 0, -1):
-        power = (x + np.einsum("ij,jk->ik", x, power)) / k
+    maps = _interval_maps(coeffs.A, coeffs.B, step, samples)   # P^m - I
     vectors = np.empty((samples, 15))
     vectors[0] = y0 - y_eq
     m = 1
-    for j in range(squarings + (samples - 1).bit_length()):
-        if j >= squarings:   # power = P^m - I: rows [m, 2m) = P^m rows [0, m)
-            n = min(m, samples - m)
-            vectors[m:m + n] = vectors[:n] + np.einsum("ij,kj->ki", power, vectors[:n])
-            m += n
-        if m < samples:   # double the step: (I + E)^2 - I = 2 E + E^2, E = power
-            power = 2.0 * power + np.einsum("ij,jk->ik", power, power)
+    for power in maps:   # rows [m, 2m) = P^m rows [0, m)
+        n = min(m, samples - m)
+        vectors[m:m + n] = vectors[:n] + np.einsum("ij,kj->ki", power, vectors[:n])
+        m += n
     vectors += y_eq
     vectors[0] = y0
     finite = np.isfinite(vectors).all(axis=1)
     filled = samples if finite.all() else int(finite.argmin())
 
-    # one stacked positivity check; the earliest sample below DRIFT_TOL raises
-    lows = np.linalg.eigvalsh(fano_matrices(vectors[:filled]))[:, 0]
-    drifted = np.flatnonzero(lows < DRIFT_TOL)
-    if drifted.size:
-        k = drifted[0]
-        raise UnphysicalDrift(f"min eigenvalue {lows[k]:.3e} at t = {times[k]:.6g}"
-                              f" (below {DRIFT_TOL})")
+    rhos = fano_matrices(vectors[:filled])
+    try:   # rho - DRIFT_TOL I positive definite: no sample below DRIFT_TOL
+        with np.errstate(invalid="ignore"):   # a failed factor warns
+            np.linalg.cholesky(rhos - DRIFT_TOL * np.eye(4))
+    except np.linalg.LinAlgError:   # the earliest sample below DRIFT_TOL raises
+        lows = np.linalg.eigvalsh(rhos)[:, 0]
+        drifted = np.flatnonzero(lows < DRIFT_TOL)
+        if drifted.size:
+            k = drifted[0]
+            if k == 0:   # nothing drifted: the input is not a state
+                raise NotPositive(f"state has min eigenvalue {lows[0]:.3e}") from None
+            raise UnphysicalDrift(f"min eigenvalue {lows[k]:.3e} at t = {times[k]:.6g}"
+                                  f" (below {DRIFT_TOL})") from None
     if filled < samples:
         raise DomainError(f"state coefficients overflowed at t = {times[filled]:.6g}")
     vectors.setflags(write=False)

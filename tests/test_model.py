@@ -11,6 +11,8 @@ coefficient block per atom pair, live in ``tests/oracles.py``.
 import dataclasses
 import math
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,14 +21,15 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import (block_dissipator, block_stationary_state, is_physical,
                      ode_rhs_by_hand)
 from unruh_steer import model
-from unruh_steer.errors import DegenerateLimit, DomainError, UnphysicalDrift
+from unruh_steer.errors import (DegenerateLimit, DomainError, NotPositive,
+                                UnphysicalDrift)
 from unruh_steer.model import (KossakowskiFree, UnruhParams,
                                equilibrium_boundary, equilibrium_free, evolve,
                                kossakowski_boundary, kossakowski_free, ode_rhs,
                                relaxation_horizon, steering_node_acceleration)
 from unruh_steer.qmat import (FanoState, fano_to_matrix, matrix_to_fano,
                               min_eigenvalue, random_fano_state)
-from unruh_steer.steering import (steerability_verdict_boundary,
+from unruh_steer.steering import (sic_solution, steerability_verdict_boundary,
                                   steering_induced_coherence)
 
 REF = UnruhParams(1.0, 2.0 * math.pi)  # beta * omega = 1
@@ -290,9 +293,15 @@ def test_evolve_skips_sub_ulp_intervals():
 
 
 def test_evolve_rejects_unphysical_input():
+    # nothing drifted at t = 0: the input is not a state, and evolve names
+    # it as sic_solution does
     k = kossakowski_free(REF)
-    with pytest.raises(UnphysicalDrift):
-        evolve(FanoState(np.array([0, 0, 2.0]), np.zeros(3), np.zeros((3, 3))), k)
+    state = FanoState(np.array([0, 0, 2.0]), np.zeros(3), np.zeros((3, 3)))
+    with pytest.raises(NotPositive) as info:
+        evolve(state, k)
+    assert str(info.value) == "state has min eigenvalue -2.500e-01"
+    with pytest.raises(NotPositive, match=f"^{re.escape(str(info.value))}$"):
+        sic_solution(state)
     # no physical state has tau outside [-3, 1], so there is no equilibrium
     with pytest.raises(DomainError):
         evolve(FanoState(np.zeros(3), np.zeros(3), np.eye(3)), k)
@@ -389,6 +398,73 @@ def test_evolve_reports_first_overflowed_sample(monkeypatch):
         with pytest.raises(DomainError) as info:
             evolve(_polarized(0.5), _UNIT, t_end=2.0, samples=9)
     assert str(info.value) == "state coefficients overflowed at t = 0.75"
+
+
+# a_z = 1 + 4 (1e-6 -+ 1e-9) makes the minimum eigenvalue (1 - a_z) / 4 sit
+# 1e-9 above or below DRIFT_TOL; at t = 0 (samples=1), or at t = 1 from
+# a_z / 2 doubled by injected rates ln 2
+_NEAR_TOL = {"above": 1.0 + 4.0 * (1e-6 - 1e-9), "below": 1.0 + 4.0 * (1e-6 + 1e-9)}
+
+
+def test_certificate_at_the_threshold_at_t_0():
+    k = kossakowski_free(REF)
+    assert evolve(_polarized(_NEAR_TOL["above"]), k, samples=1).times.size == 1
+    with pytest.raises(NotPositive) as info:
+        evolve(_polarized(_NEAR_TOL["below"]), k, samples=1)
+    assert str(info.value) == "state has min eigenvalue -1.001e-06"
+
+
+def test_certificate_at_the_threshold_after_a_drift(monkeypatch):
+    monkeypatch.setattr(model, "_rate_matrices", _growth(math.log(2.0)))
+    traj = evolve(_polarized(_NEAR_TOL["above"] / 2.0), _UNIT, t_end=1.0,
+                  samples=2)
+    assert abs(traj.vectors[-1, 2] - _NEAR_TOL["above"]) < 1e-14
+    with pytest.raises(UnphysicalDrift) as info:
+        evolve(_polarized(_NEAR_TOL["below"] / 2.0), _UNIT, t_end=1.0, samples=2)
+    assert str(info.value) == "min eigenvalue -1.001e-06 at t = 1 (below -1e-06)"
+
+
+def test_certified_trajectory_computes_no_eigenvalues(monkeypatch):
+    def refuse(matrices):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    k = kossakowski_free(REF)
+    for seed in range(5):
+        evolve(random_fano_state(np.random.default_rng(seed)), k)
+    evolve(_polarized(_NEAR_TOL["above"]), k, samples=1)
+    # a failed certificate falls back to the eigensolve
+    with pytest.raises(AssertionError, match="eigvalsh called"):
+        evolve(_polarized(_NEAR_TOL["below"]), k, samples=1)
+
+
+def test_positivity_checks_survive_python_O():
+    # the certificate, its fallback and NotPositive raise rather than
+    # assert, so they hold with asserts stripped
+    code = ("import numpy as np\n"
+            "from unruh_steer import NotPositive, UnphysicalDrift, model\n"
+            "from unruh_steer.model import KossakowskiFree, evolve\n"
+            "from unruh_steer.qmat import FanoState\n"
+            "unit = KossakowskiFree(A=1.0, B=0.0, ratio=0.0)\n"
+            "def run(a_z):\n"
+            "    state = FanoState(np.array([0, 0, a_z]), np.zeros(3),"
+            " np.zeros((3, 3)))\n"
+            "    try:\n"
+            "        evolve(state, unit, t_end=2.0, samples=5)\n"
+            "        print('certified')\n"
+            "    except (NotPositive, UnphysicalDrift) as exc:\n"
+            "        print(type(exc).__name__, exc)\n"
+            "run(0.1)\n"
+            "run(1.5)\n"
+            "model._rate_matrices = lambda: (2.0 * np.eye(15), np.zeros((15, 15)))\n"
+            "run(0.1)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.splitlines() == [
+        "certified",
+        "NotPositive state has min eigenvalue -1.250e-01",
+        f"UnphysicalDrift min eigenvalue {(1 - 0.1 * math.exp(3.0)) / 4:.3e}"
+        " at t = 1.5 (below -1e-06)"], proc.stderr
 
 
 def test_evolve_refuses_too_many_samples(deadline, monkeypatch):
