@@ -20,6 +20,7 @@ from . import __version__
 from .errors import UnruhSteerError
 from .model import (
     UnruhParams,
+    check_leaf,
     check_omega,
     check_rows,
     equilibrium_boundary,
@@ -183,7 +184,9 @@ def _initial_state(name: str, tau) -> FanoState:
         n = np.array([0.0, 0.0, 1.0 if name == "excited" else -1.0])
         return FanoState(n, n, np.diag([0.0, 0.0, 1.0]))
     diagonal = -1.0 if name == "singlet" else tau / 3.0 + 0.0
-    return FanoState(np.zeros(3), np.zeros(3), np.diag([diagonal] * 3))
+    state = FanoState(np.zeros(3), np.zeros(3), np.diag([diagonal] * 3))
+    check_leaf(state.trace_sum)   # tau off the leaf: its own message, not NotPositive
+    return state
 
 
 def cmd_evolve(args) -> int:

@@ -17,7 +17,7 @@ form (Gorini, Kossakowski & Sudarshan, J. Math. Phys. 17, 821 (1976);
 Lindblad, Commun. Math. Phys. 48, 119 (1976)) and projected onto the Pauli
 coefficients, and its exact solution, exp(t M) of the generator's linear
 part applied to the deviation from equilibrium, sampled on a uniform grid
-into one (S, 15) array that one stacked Cholesky factorization certifies.
+into one (S, 15) array whose positivity ``qmat`` certifies.
 
 Conventions: natural units, the dissipator direction is n = (0, 0, 1),
 and ``ratio`` denotes the dissipative asymmetry
@@ -34,14 +34,15 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import DegenerateLimit, DomainError, NotPositive, UnphysicalDrift
-from .qmat import _FANO_BASIS, _PAULI_PAIRS, FanoState, fano_matrices
+from .errors import DegenerateLimit, DomainError, UnphysicalDrift
+from .qmat import (_FANO_BASIS, _PAULI_PAIRS, FanoState, fano_matrices, first_below,
+                   require_state)
 
 RANGE_SLACK = 1e-12        # slack on closed parameter ranges
 SINC_SERIES_CUTOFF = 1e-4  # |x| below which sin(x)/x uses its series
 DEGENERATE_D_REL = 1e-14   # |D| underflow gate, relative to coefficient scale
 COEFFICIENT_LIMIT = 1e102  # boundary |coefficients| below it keep D, x1, x3 finite
-DRIFT_TOL = -1e-6          # sampled min eigenvalue below this aborts evolve
+DRIFT_TOL = -1e-6          # a min eigenvalue after t = 0 below this aborts evolve
 LANDING_TOL = 1e-6         # final sample this close to the equilibrium: converged
 MAX_SAMPLES = 10**6        # row limit of every table and evolve run
 TAYLOR_DEGREE = 14         # exp(X) for |X|_1 <= 1/2 to ~4e-17 relative
@@ -424,14 +425,11 @@ def evolve(state: FanoState, coeffs: KossakowskiFree, t_end: float | None = None
     deviations are P^m times rows [0, m), P = exp(step M),
     step = t_end / (S - 1); sample 0 is y0.
 
-    A finiteness check follows, then a stacked Cholesky factorization of
-    rho + 1e-6 I certifies every sample; it disagrees with ``eigvalsh`` only
-    for a minimum eigenvalue within rounding (~1e-15) of -1e-6. Where it
-    fails, ``eigvalsh`` names the earliest sample below -1e-6: NotPositive
-    at t = 0 (not a state; ``sic_solution``'s message at a looser gate),
-    else UnphysicalDrift. DomainError for A, t_end, samples or tau out of
-    range, above ``MAX_SAMPLES`` samples, where step |M|_1 overflows, and
-    for a sample that overflows (unless an earlier one is below -1e-6).
+    NotPositive (``qmat.require_state``) unless the input is a state, and
+    UnphysicalDrift for the earliest later sample below -1e-6 (``qmat``'s
+    certificate, after a finiteness check). DomainError for A, t_end,
+    samples or tau out of range, above ``MAX_SAMPLES`` samples, where step
+    |M|_1 overflows, and for a sample that overflows (unless one drifts first).
     """
     horizon = relaxation_horizon(coeffs)   # checks A
     t_end = horizon if t_end is None else t_end
@@ -443,6 +441,7 @@ def evolve(state: FanoState, coeffs: KossakowskiFree, t_end: float | None = None
     times = np.linspace(0.0, t_end, samples)
     times.setflags(write=False)
     tau, y0 = state.trace_sum, state.to_vector()
+    require_state(fano_matrices(y0))
     y_eq = equilibrium_free(tau, coeffs.ratio).to_vector()
     step = t_end / (samples - 1) if samples > 1 else 0.0
     maps = _interval_maps(coeffs.A, coeffs.B, step, samples)   # P^m - I
@@ -458,19 +457,9 @@ def evolve(state: FanoState, coeffs: KossakowskiFree, t_end: float | None = None
     finite = np.isfinite(vectors).all(axis=1)
     filled = samples if finite.all() else int(finite.argmin())
 
-    rhos = fano_matrices(vectors[:filled])
-    try:   # rho - DRIFT_TOL I positive definite: no sample below DRIFT_TOL
-        with np.errstate(invalid="ignore"):   # a failed factor warns
-            np.linalg.cholesky(rhos - DRIFT_TOL * np.eye(4))
-    except np.linalg.LinAlgError:   # the earliest sample below DRIFT_TOL raises
-        lows = np.linalg.eigvalsh(rhos)[:, 0]
-        drifted = np.flatnonzero(lows < DRIFT_TOL)
-        if drifted.size:
-            k = drifted[0]
-            if k == 0:   # nothing drifted: the input is not a state
-                raise NotPositive(f"state has min eigenvalue {lows[0]:.3e}") from None
-            raise UnphysicalDrift(f"min eigenvalue {lows[k]:.3e} at t = {times[k]:.6g}"
-                                  f" (below {DRIFT_TOL})") from None
+    if drifted := first_below(fano_matrices(vectors[1:filled]), -DRIFT_TOL):
+        raise UnphysicalDrift(f"min eigenvalue {drifted[1]:.3e} at t ="
+                              f" {times[drifted[0] + 1]:.6g} (below {DRIFT_TOL})")
     if filled < samples:
         raise DomainError(f"state coefficients overflowed at t = {times[filled]:.6g}")
     vectors.setflags(write=False)

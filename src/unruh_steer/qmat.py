@@ -8,9 +8,9 @@ A two-qubit density matrix is carried as
 with qubit A the left tensor factor and the computational basis ordered
 |00>, |01>, |10>, |11>. ``a`` and ``b`` are the local Bloch vectors of A
 and B, ``T`` the 3x3 correlation block. Hermiticity is automatic for real
-coefficients; positivity is not, and is checked only where an operation
-requires it. Maps such as the B-side dephasing along Bob's Bloch axis e,
-which takes (a, b, T) to (a, b, T e e^T), act on the coefficients directly
+coefficients; positivity is not, and :func:`require_state` alone decides it.
+Maps such as the B-side dephasing along Bob's Bloch axis e, which takes
+(a, b, T) to (a, b, T e e^T), act on the coefficients directly
 (``steering.one_sided_mid`` builds only the block T (I - e e^T) it removes).
 """
 
@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError, NonHermitian, NotPositive
 
 HERMITICITY_TOL = 1e-9
-POSITIVITY_TOL = 1e-8   # concurrence input gate
+PHYSICALITY_TOL = 1e-10   # an input state's eigenvalues may dip this far below 0
 
 # sigma_0, sigma_x, sigma_y, sigma_z
 PAULI = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]],
@@ -88,10 +88,8 @@ def fano_to_matrix(state: FanoState) -> np.ndarray:
     depends on the coefficients.
     """
     # Becomes ``return fano_matrices(state.to_vector())`` with ROADMAP item 1,
-    # which stops the benchmark's peak_rss_mb growing with items per run. In
-    # one pair of 25 s ``theorem`` runs (seed 1), the switch took p50 from
-    # 0.83 to 0.18 ms and ran 94,000 items instead of 28,000, and
-    # peak_rss_mb read 80.6 against 53.0 MB: +52%, against a 10% bound.
+    # which stops the benchmark's peak_rss_mb growing with items per run
+    # (the switch ran 3-4x the items and read 80.6 against 53.0 MB).
     m = np.eye(4, dtype=complex)
     for i in range(3):
         m += state.a_vec[i] * np.kron(PAULI[i + 1], PAULI[0])
@@ -147,18 +145,39 @@ def min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(m)[0])
 
 
+def first_below(rhos: np.ndarray, tol: float):
+    """(k, min eigenvalue) of the first matrix in the Hermitian stack ``rhos``
+    with an eigenvalue below -tol, else None. A Cholesky factorization of
+    rho + tol I (one triangle read) certifies; only if it fails does
+    ``eigvalsh`` run. The two differ only within rounding (~1e-15) of -tol."""
+    try:
+        with np.errstate(invalid="ignore"):   # a failed factor warns
+            np.linalg.cholesky(rhos + tol * np.eye(4))
+        return None
+    except np.linalg.LinAlgError:
+        lows = np.linalg.eigvalsh(rhos)[:, 0]
+    below = np.flatnonzero(lows < -tol)
+    return (int(below[0]), float(lows[below[0]])) if below.size else None
+
+
+def require_state(m: np.ndarray) -> None:
+    """NotPositive unless Hermitian ``m`` has no eigenvalue below -1e-10."""
+    if found := first_below(m.reshape(1, 4, 4), PHYSICALITY_TOL):
+        raise NotPositive(f"state has min eigenvalue {found[1]:.3e}")
+
+
 # ----- entanglement -----
 
 def concurrence(m: np.ndarray) -> float:
     """Wootters concurrence max(0, l1 - l2 - l3 - l4) of a physical state.
 
     The l_k are the descending square roots of the eigenvalues of
-    m (yy) m* (yy). Raises NotPositive when the input dips below -1e-8.
+    m (yy) m* (yy). NonHermitian, else :func:`require_state`'s NotPositive,
+    for an input that is not a state.
     """
     m = np.asarray(m, dtype=complex).reshape(4, 4)
-    low = min_eigenvalue(m)
-    if low < -POSITIVITY_TOL:
-        raise NotPositive(f"min eigenvalue {low:.3e} < -{POSITIVITY_TOL}")
+    _require_hermitian(m)
+    require_state(m)
     flipped = _YY @ m.conj() @ _YY
     vals = np.linalg.eigvals(m @ flipped)
     # abs() guards the sqrt against tiny negative rounding of real spectra

@@ -27,23 +27,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DenominatorZero, NotPositive
+from .errors import DenominatorZero
 from .model import boundary_d, boundary_x, check_leaf, d_underflow
-from .qmat import FanoState, fano_matrices, fano_to_matrix, min_eigenvalue, trace_norm
+from .qmat import FanoState, fano_matrices, fano_to_matrix, require_state, trace_norm
 
 SQRT6 = math.sqrt(6.0)
 DEGENERACY_GATE = 1e-9    # |b| below this: reduced state treated as maximally mixed
-PHYSICALITY_TOL = 1e-10   # min-eigenvalue gate on input states
 # analytically 1 + x1 = 1 - ratio > 0; rounding noise in x1 is ~5e-12, so
 # anything at or below this is saturation, not signal (the quotient's sign
 # can even flip there)
 DENOMINATOR_GATE = 1e-9
-
-
-def _require_physical(state: FanoState) -> None:
-    low = min_eigenvalue(fano_to_matrix(state))
-    if low < -PHYSICALITY_TOL:
-        raise NotPositive(f"state has min eigenvalue {low:.3e}")
 
 
 # ----- steering-induced coherence -----
@@ -68,9 +61,10 @@ def sic_solution(state: FanoState) -> SicSolution:
     The value and Alice's axis are its top singular value and right
     singular vector. Bob's axis e is b/|b|; below the degeneracy gate
     |b| < 1e-9, b is dropped (error bounded by |b|) and e is T's top right
-    singular vector, which makes the value sigma_2(T).
+    singular vector, which makes the value sigma_2(T). NotPositive, from
+    :func:`~unruh_steer.qmat.require_state`, unless ``state`` is a state.
     """
-    _require_physical(state)
+    require_state(fano_to_matrix(state))
     blen = float(np.linalg.norm(state.b_vec))
     if blen < DEGENERACY_GATE:
         e_hat = np.linalg.svd(state.t_mat)[2][0]

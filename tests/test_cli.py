@@ -642,6 +642,15 @@ def test_evolve_tau_mixed_at_infinite_tau(capsys, tau):
                             " be finite\n")
 
 
+def test_evolve_tau_mixed_off_the_leaf(capsys):
+    # the state is not positive, but the error names the tau the user gave
+    assert main(["evolve", "--accel", "1", "--init", "tau-mixed",
+                 "--tau", "1.5"]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "unruh-steer: error: tau = 1.5 outside [-3, 1]\n"
+
+
 @pytest.mark.parametrize("out", [True, False])
 def test_failed_header_writes_nothing(tmp_path, capsys, monkeypatch, out):
     # the JSON header holds the timestamp, made before the file is opened

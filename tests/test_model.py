@@ -302,8 +302,9 @@ def test_evolve_rejects_unphysical_input():
     assert str(info.value) == "state has min eigenvalue -2.500e-01"
     with pytest.raises(NotPositive, match=f"^{re.escape(str(info.value))}$"):
         sic_solution(state)
-    # no physical state has tau outside [-3, 1], so there is no equilibrium
-    with pytest.raises(DomainError):
+    # no physical state has tau outside [-3, 1]: the gate names such a
+    # state before its equilibrium is sought, as sic_solution does
+    with pytest.raises(NotPositive, match=r"^state has min eigenvalue -5\.000e-01$"):
         evolve(FanoState(np.zeros(3), np.zeros(3), np.eye(3)), k)
 
 
@@ -401,17 +402,20 @@ def test_evolve_reports_first_overflowed_sample(monkeypatch):
 
 
 # a_z = 1 + 4 (1e-6 -+ 1e-9) makes the minimum eigenvalue (1 - a_z) / 4 sit
-# 1e-9 above or below DRIFT_TOL; at t = 0 (samples=1), or at t = 1 from
-# a_z / 2 doubled by injected rates ln 2
+# 1e-9 above or below DRIFT_TOL, at t = 1 from a_z / 2 doubled by injected
+# rates ln 2; a_z = 1 + 4 (1e-10 -+ 1e-12) puts it 1e-12 above or below the
+# input gate -PHYSICALITY_TOL at t = 0
 _NEAR_TOL = {"above": 1.0 + 4.0 * (1e-6 - 1e-9), "below": 1.0 + 4.0 * (1e-6 + 1e-9)}
+_NEAR_GATE = {"above": 1.0 + 4.0 * (1e-10 - 1e-12),
+              "below": 1.0 + 4.0 * (1e-10 + 1e-12)}
 
 
 def test_certificate_at_the_threshold_at_t_0():
     k = kossakowski_free(REF)
-    assert evolve(_polarized(_NEAR_TOL["above"]), k, samples=1).times.size == 1
+    assert evolve(_polarized(_NEAR_GATE["above"]), k, samples=1).times.size == 1
     with pytest.raises(NotPositive) as info:
-        evolve(_polarized(_NEAR_TOL["below"]), k, samples=1)
-    assert str(info.value) == "state has min eigenvalue -1.001e-06"
+        evolve(_polarized(_NEAR_GATE["below"]), k, samples=1)
+    assert str(info.value) == "state has min eigenvalue -1.010e-10"
 
 
 def test_certificate_at_the_threshold_after_a_drift(monkeypatch):
@@ -432,19 +436,20 @@ def test_certified_trajectory_computes_no_eigenvalues(monkeypatch):
     k = kossakowski_free(REF)
     for seed in range(5):
         evolve(random_fano_state(np.random.default_rng(seed)), k)
-    evolve(_polarized(_NEAR_TOL["above"]), k, samples=1)
+    evolve(_polarized(_NEAR_GATE["above"]), k, samples=1)
     # a failed certificate falls back to the eigensolve
     with pytest.raises(AssertionError, match="eigvalsh called"):
-        evolve(_polarized(_NEAR_TOL["below"]), k, samples=1)
+        evolve(_polarized(_NEAR_GATE["below"]), k, samples=1)
 
 
 def test_positivity_checks_survive_python_O():
     # the certificate, its fallback and NotPositive raise rather than
-    # assert, so they hold with asserts stripped
+    # assert, so they hold with asserts stripped, in every caller of the gate
     code = ("import numpy as np\n"
             "from unruh_steer import NotPositive, UnphysicalDrift, model\n"
             "from unruh_steer.model import KossakowskiFree, evolve\n"
-            "from unruh_steer.qmat import FanoState\n"
+            "from unruh_steer.qmat import FanoState, concurrence, fano_to_matrix\n"
+            "from unruh_steer.steering import sic_solution\n"
             "unit = KossakowskiFree(A=1.0, B=0.0, ratio=0.0)\n"
             "def run(a_z):\n"
             "    state = FanoState(np.array([0, 0, a_z]), np.zeros(3),"
@@ -456,6 +461,13 @@ def test_positivity_checks_survive_python_O():
             "        print(type(exc).__name__, exc)\n"
             "run(0.1)\n"
             "run(1.5)\n"
+            "bad = FanoState(np.zeros(3), np.zeros(3), np.eye(3))\n"
+            "for call in (sic_solution, lambda s: concurrence(fano_to_matrix(s))):\n"
+            "    try:\n"
+            "        call(bad)\n"
+            "        print('accepted')\n"
+            "    except NotPositive as exc:\n"
+            "        print(type(exc).__name__, exc)\n"
             "model._rate_matrices = lambda: (2.0 * np.eye(15), np.zeros((15, 15)))\n"
             "run(0.1)\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code],
@@ -463,6 +475,8 @@ def test_positivity_checks_survive_python_O():
     assert proc.stdout.splitlines() == [
         "certified",
         "NotPositive state has min eigenvalue -1.250e-01",
+        "NotPositive state has min eigenvalue -5.000e-01",
+        "NotPositive state has min eigenvalue -5.000e-01",
         f"UnphysicalDrift min eigenvalue {(1 - 0.1 * math.exp(3.0)) / 4:.3e}"
         " at t = 1.5 (below -1e-06)"], proc.stderr
 

@@ -6,14 +6,16 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import PAULI_XYZ, basis_from_axis, dephase_b, is_physical
 from unruh_steer.errors import DomainError, NonHermitian, NotPositive
+from unruh_steer.model import UnruhParams, evolve, kossakowski_free, leaf_mask
 from unruh_steer.qmat import (FanoState, concurrence, fano_matrices,
                               fano_to_matrix, matrix_to_fano, min_eigenvalue,
                               random_density_matrix, random_fano_state,
                               trace_norm)
+from unruh_steer.steering import sic_solution
 
 SINGLET = FanoState(a_vec=np.zeros(3), b_vec=np.zeros(3), t_mat=-np.eye(3))
 
@@ -167,6 +169,55 @@ def test_concurrence_rejects_unphysical():
     assert not is_physical(bad)
     with pytest.raises(NotPositive):
         concurrence(fano_to_matrix(bad))
+    # Cholesky reads one triangle, so Hermiticity is checked first
+    with pytest.raises(NonHermitian):
+        concurrence(np.triu(np.ones((4, 4))) / 4.0)
+
+
+def _pushed(family, seed, low):
+    # a state of ``family`` whose minimum eigenvalue is ``low``, to rounding:
+    # a polarized state along a random axis, min (1 - |a|) / 4; a Werner
+    # state T = -p I with a = b = d z, min (1 - p - 2 d) / 4 at |11>; a
+    # random state dilated about I / 4
+    rng = np.random.default_rng(seed)
+    if family == "polarized":
+        axis = rng.normal(size=3)
+        a_vec = (1.0 - 4.0 * low) * axis / np.linalg.norm(axis)
+        return FanoState(a_vec, np.zeros(3), np.zeros((3, 3)))
+    if family == "werner":
+        p = rng.uniform(-0.3, 0.9)   # so d > 0 and no other eigenvalue is lower
+        bloch = np.array([0.0, 0.0, (1.0 - p - 4.0 * low) / 2.0])
+        return FanoState(bloch, bloch, -p * np.eye(3))
+    rho = random_density_matrix(rng)
+    scale = (0.25 - low) / (0.25 - np.linalg.eigvalsh(rho)[0])
+    return matrix_to_fano(0.25 * np.eye(4) + scale * (rho - 0.25 * np.eye(4)))
+
+
+def _verdict(call):
+    try:
+        call()
+    except NotPositive as exc:
+        return str(exc)
+    return "state"
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["polarized", "werner", "random"]),
+       seed=st.integers(0, 2 ** 32 - 1), below=st.booleans(),
+       exponent=st.floats(-13.0, -3.0))
+def test_one_positivity_gate(family, seed, below, exponent):
+    # sic_solution, concurrence and evolve take one verdict, with one text,
+    # on a state whose minimum eigenvalue lies 1e-13 to 1e-3 from the gate
+    # -1e-10 (closer, Cholesky and eigvalsh may round apart)
+    low = -1e-10 + (-1.0 if below else 1.0) * 10.0 ** exponent
+    state = _pushed(family, seed, low)
+    assume(leaf_mask(state.trace_sum, 0.0))
+    coeffs = kossakowski_free(UnruhParams(1.0, 1.0))
+    verdicts = {_verdict(lambda: sic_solution(state)),
+                _verdict(lambda: concurrence(fano_to_matrix(state))),
+                _verdict(lambda: evolve(state, coeffs, samples=2))}
+    assert len(verdicts) == 1, verdicts
+    assert (verdicts == {"state"}) == (not below)
 
 
 def test_random_density_matrix_is_physical():
