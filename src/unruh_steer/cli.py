@@ -69,6 +69,10 @@ PRESETS = {
                  GridSpec("R", "linear", 0.0, 1.0, 500))}},
 }
 
+# command -> its list option, that list's axis, the grid's axis, its help
+SIC_SWEEPS = {"sic-sweep": ("tau", "tau", "a", "coherence vs acceleration"),
+              "tau-sweep": ("accel", "a", "tau", "coherence vs initial correlation")}
+
 # command -> the column its --plot script draws; the one-row tables take no --plot
 DRAWN = {"evolve": "az", "sic-sweep": "sic", "tau-sweep": "sic",
          "steerability-surface": "literal", "boundary-scan": "value",
@@ -211,28 +215,21 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_sic_sweep(args) -> int:
-    if args.tau is None:
-        raise _UsageError("--tau list is required (or use --preset fig1)")
-    (grid,) = _pick_grids(args.grid, ("a",))
-    axes = (("tau", np.asarray(args.tau, dtype=float)), ("a", grid.values()))
-    meta = {"omega": args.omega, "tau": list(args.tau),
+    option, listed, gridded, _ = SIC_SWEEPS[args.command]
+    values = getattr(args, option)
+    if values is None:
+        raise _UsageError(f"--{option} list is required"
+                          f" (or use --preset {', '.join(PRESETS[args.command])})")
+    (grid,) = _pick_grids(args.grid, (gridded,))
+    axes = ((listed, np.asarray(values, dtype=float)), (gridded, grid.values()))
+    meta = {"omega": args.omega, option: list(values),
             "grid": grid.spec_string(), "preset": args.preset or ""}
-    result = run_grid(axes, partial(eval_sic_free, args.omega),
-                      SIC_SWEEP_COLUMNS, meta=meta)
-    return _deliver(result, args)
 
+    def evaluate(*flat):
+        cells = dict(zip((listed, gridded), flat))
+        return eval_sic_free(args.omega, cells["tau"], cells["a"])
 
-def cmd_tau_sweep(args) -> int:
-    if args.accel is None:
-        raise _UsageError("--accel list is required (or use --preset fig2)")
-    (grid,) = _pick_grids(args.grid, ("tau",))
-    axes = (("a", np.asarray(args.accel, dtype=float)), ("tau", grid.values()))
-    meta = {"omega": args.omega, "accel": list(args.accel),
-            "grid": grid.spec_string(), "preset": args.preset or ""}
-    result = run_grid(axes,
-                      lambda accel, tau: eval_sic_free(args.omega, tau, accel),
-                      SIC_SWEEP_COLUMNS, meta=meta)
-    return _deliver(result, args)
+    return _deliver(run_grid(axes, evaluate, SIC_SWEEP_COLUMNS, meta=meta), args)
 
 
 def _surface_summary(result: SweepResult):
@@ -342,13 +339,9 @@ def build_parser() -> _Parser:
     p.add_argument("--t-end", type=float, dest="t_end")
     p.add_argument("--samples", type=_int_arg, default=201)
 
-    p = command("sic-sweep", cmd_sic_sweep, "coherence vs acceleration",
-                grid=True)
-    p.add_argument("--tau", type=_float_list)
-
-    p = command("tau-sweep", cmd_tau_sweep, "coherence vs initial correlation",
-                grid=True)
-    p.add_argument("--accel", type=_float_list)
+    for name, (option, *_, about) in SIC_SWEEPS.items():
+        p = command(name, cmd_sic_sweep, about, grid=True)
+        p.add_argument(f"--{option}", type=_float_list)
 
     command("steerability-surface", cmd_surface,
             "criterion functional over (tau, R)", omega=False, grid=True)

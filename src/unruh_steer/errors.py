@@ -35,4 +35,4 @@ class DenominatorZero(UnruhSteerError):
 
 
 class ConsistencyError(UnruhSteerError):
-    """A closed-form identity the computation relies on failed numerically."""
+    """A column count, length or dtype does not fit a ``SweepResult`` table."""

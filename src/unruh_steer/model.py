@@ -142,11 +142,15 @@ class UnruhParams:
 
 @dataclass(frozen=True)
 class KossakowskiFree:
-    """Free-space Kossakowski coefficients A and B (C is not computed)."""
+    """Free-space Kossakowski coefficients A and B (C is not computed), and
+    B / A as ``ratio``; floats, or arrays from :func:`free_coefficients`."""
 
     A: float
     B: float
-    ratio: float        # B / A, equals tanh(pi omega / accel)
+
+    @property
+    def ratio(self) -> float:
+        return self.B / self.A
 
 
 @dataclass(frozen=True)
@@ -176,17 +180,19 @@ class KossakowskiBoundary:
                                   f" {COEFFICIENT_LIMIT:g} in magnitude")
 
 
-def kossakowski_free(params: UnruhParams) -> KossakowskiFree:
-    """Free-space coefficients at the Unruh temperature.
+def free_coefficients(omega, x) -> KossakowskiFree:
+    """A = (omega/4pi) (1 + e^-x)/(1 - e^-x) and B = omega/4pi at the thermal
+    argument x = 2 pi omega / accel in [0, inf], a float or an array (the
+    thermal factor through ``_each``). B / A = tanh(x/2), held to 1e-12 by
+    the tests; where x is 0 (accel = inf) or so small that the thermal
+    factor overflows, A = inf and B / A = 0."""
+    pref = omega / (4.0 * math.pi)
+    return KossakowskiFree(A=pref * _each(_thermal_factor, x), B=pref)
 
-    A = (omega/4pi) (1 + e^-x)/(1 - e^-x) with x = 2 pi omega / accel and
-    B = omega/4pi. The ratio B/A equals tanh(x/2); the tests hold it to
-    1e-12. Where x is 0 (accel = inf) or so small that the thermal factor
-    overflows, A = inf and the ratio is 0.
-    """
-    pref = params.omega / (4.0 * math.pi)
-    a_coef = pref * _thermal_factor(params.beta * params.omega)
-    return KossakowskiFree(A=a_coef, B=pref, ratio=pref / a_coef)
+
+def kossakowski_free(params: UnruhParams) -> KossakowskiFree:
+    """Free-space coefficients at the Unruh temperature."""
+    return free_coefficients(params.omega, params.beta * params.omega)
 
 
 def boundary_arguments(omega, accel, z, sep):
@@ -199,14 +205,13 @@ def boundary_arguments(omega, accel, z, sep):
 
 
 def boundary_pairs(omega, x, args):
-    """(A1, A2, B1, B2) from :func:`boundary_arguments`; Python floats or
-    numpy arrays alike, with sinc and the thermal factor through ``_each``.
-    An x of 0 or tiny makes the thermal factor inf, and A1, A2 +-inf or NaN."""
-    pref = omega / (4.0 * math.pi)
-    th = _each(_thermal_factor, x)
+    """(A1, A2, B1, B2) from :func:`boundary_arguments`, the free (A, B)
+    times sinc factors through ``_each``; Python floats or numpy arrays
+    alike. An x of 0 or tiny makes A inf, and A1, A2 +-inf or NaN."""
+    free = free_coefficients(omega, x)
     same = 1.0 - _each(sinc, args[0])
     cross = _each(sinc, args[1]) - _each(sinc, args[2])
-    return pref * th * same, pref * th * cross, pref * same, pref * cross
+    return free.A * same, free.A * cross, free.B * same, free.B * cross
 
 
 def kossakowski_boundary(params: UnruhParams, z: float, sep: float) -> KossakowskiBoundary:

@@ -1,9 +1,9 @@
 """Deterministic parameter-sweep engine with CSV/JSON emission.
 
 Evaluators take the whole grid at once, flattened in lexicographic order, one
-array per axis; the surface and boundary evaluators work on whole arrays,
-the others row by row. Domain errors at single points become row
-diagnostics instead of aborting the sweep. The result table is
+array per axis; the SIC, surface and boundary evaluators work on whole
+arrays, the theorem evaluator row by row. Domain errors at single points
+become row diagnostics instead of aborting the sweep. The result table is
 column-major, one 1-D numpy array per column, and both writers emit it in
 blocks of ``BLOCK_ROWS`` rows, a column at a time within a block, so no
 writer holds a whole file's text. Serialization is reproducible: CSV
@@ -35,6 +35,7 @@ from .model import (
     check_rows,
     coefficient_mask,
     d_underflow,
+    free_coefficients,
     kossakowski_boundary,
     kossakowski_free,
     leaf_mask,
@@ -174,9 +175,8 @@ def _fill_rows(columns, diagnostics, rows, point, *axes):
     """Store the scalar ``point`` at each of ``rows`` into the columns.
 
     An UnruhSteerError makes the row NaN, with the diagnostic
-    "{Class}: {message}". The row-by-row evaluators flag every row here;
-    ``eval_surface`` and ``eval_boundary`` flag their gated rows themselves
-    and send only the rest here.
+    "{Class}: {message}". ``eval_theorem`` sends every row here; the array
+    evaluators send only the rows their masks refuse.
     """
     for i in rows:
         try:
@@ -188,24 +188,23 @@ def _fill_rows(columns, diagnostics, rows, point, *axes):
             column[i] = value
 
 
-def _pointwise(point, n_out, *axes):
-    """Float columns and diagnostics of the scalar ``point``, row by row."""
-    n = axes[0].size
-    columns, diagnostics = [np.empty(n) for _ in range(n_out)], [""] * n
-    _fill_rows(columns, diagnostics, range(n), point, *axes)
-    return columns, diagnostics
-
-
 def eval_sic_free(omega: float, tau, accel):
-    """Columns (R, sic) for the free-space equilibrium, row by row: R from
-    ``kossakowski_free``, the (tau, R) domain check of ``equilibrium_free``
-    (which accepts only positive states), then the closed-form SIC."""
-    def point(t, a):
-        ratio = kossakowski_free(UnruhParams(omega, a)).ratio
-        check_leaf(t, ratio)
-        return ratio, sic_closed_form_free(t, ratio)
+    """Columns (R, sic) of the free-space equilibrium on whole arrays, bit for
+    bit the scalar path's; rows that ``UnruhParams`` (x = 0 here) or
+    ``leaf_mask`` refuses go through the scalar checks, which flag them."""
+    def point(t, a):   # raises on every row sent here, with the scalar text
+        check_leaf(t, kossakowski_free(UnruhParams(omega, a)).ratio)
 
-    return _pointwise(point, len(SIC_SWEEP_COLUMNS), tau, accel)
+    fast = (accel > 0.0) & (0.0 < omega / (4.0 * math.pi) < math.inf)
+    with np.errstate(all="ignore"):   # x, A = inf are limits; NaN only if refused
+        x = np.where(fast, 2.0 * math.pi / accel * omega, 0.0)
+        ratio = free_coefficients(omega, x).ratio
+    fast &= leaf_mask(tau, ratio)
+    columns = [np.where(fast, cells, math.nan)
+               for cells in (ratio, sic_closed_form_free(tau, ratio))]
+    diagnostics = [""] * tau.size
+    _fill_rows(columns, diagnostics, np.flatnonzero(~fast), point, tau, accel)
+    return columns, diagnostics
 
 
 def eval_surface(tau, ratio):
@@ -285,8 +284,11 @@ def eval_boundary(omega: float, accel, z, sep):
 def eval_theorem(states: np.ndarray, index):
     """Columns (sic, mid, residual) of ``states[index]``, state by state,
     each row from ``sic_mid_row``."""
-    return _pointwise(lambda i: sic_mid_row(matrix_to_fano(states[int(i)])),
-                      len(THEOREM_COLUMNS), index)
+    columns = [np.empty(index.size) for _ in THEOREM_COLUMNS]
+    diagnostics = [""] * index.size
+    _fill_rows(columns, diagnostics, range(index.size),
+               lambda i: sic_mid_row(matrix_to_fano(states[int(i)])), index)
+    return columns, diagnostics
 
 
 SIC_SWEEP_COLUMNS = ("R", "sic")

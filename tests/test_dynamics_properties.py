@@ -11,6 +11,7 @@ and with its own generator, so the two agree to rounding: every
 sample within 1e-12, and within 1e-14 on 2000 short intervals.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,8 +21,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from oracles import exact_trajectory  # noqa: E402
-from unruh_steer.model import (UnruhParams, equilibrium_free, evolve,  # noqa: E402
-                               kossakowski_free)
+from unruh_steer.model import (KossakowskiFree, UnruhParams,  # noqa: E402
+                               equilibrium_free, evolve, kossakowski_free)
 from unruh_steer.qmat import (FanoState, fano_to_matrix,  # noqa: E402
                               matrix_to_fano, min_eigenvalue,
                               random_density_matrix)
@@ -69,6 +70,25 @@ def test_evolve_matches_expm(seed, log_accel, t_end, samples):
     assert np.abs(traj.vectors - exact).max() <= 1e-12
     y_eq = equilibrium_free(tau, coeffs.ratio).to_vector()
     assert traj.landing == np.abs(traj.vectors[-1] - y_eq).max()
+
+
+_AT_ONE = kossakowski_free(UnruhParams(1.0, 1.0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: KossakowskiFree(A=1.0, B=0.5),
+    lambda: dataclasses.replace(_AT_ONE, B=0.5 * _AT_ONE.A),
+], ids=["by-hand", "replaced-B"])
+def test_evolve_lands_where_its_own_coefficients_lead(make):
+    # the generator is built from A and B, so the equilibrium must use
+    # R = B / A = 0.5 too, not a ratio stored apart from them
+    coeffs = make()
+    state = FanoState(np.zeros(3), np.zeros(3), 0.1 * np.eye(3))
+    traj = evolve(state, coeffs)
+    exact = exact_trajectory(state.to_vector(), coeffs.A, coeffs.B, traj.times)
+    assert np.abs(traj.vectors - exact).max() <= 1e-12
+    y_eq = equilibrium_free(traj.tau, 0.5).to_vector()
+    assert traj.converged and traj.landing == np.abs(traj.vectors[-1] - y_eq).max()
 
 
 @pytest.mark.parametrize("accel", [0.5, 1.0])

@@ -36,7 +36,9 @@ TAUS = st.one_of(st.sampled_from([-3.0, -3.0 - 1e-12, -3.5, 1.0 - 3e-13, 1.0,
 RATIOS = st.one_of(st.sampled_from([0.0, -1e-12, -1e-9, 1.0 - 3e-13, 1.0,
                                     1.0 + 1e-9]),
                    st.floats(-0.2, 1.2))
-ACCELS = st.one_of(st.sampled_from([math.inf, 0.0, -1.0, 2.0 * math.pi]),
+# nan is refused by UnruhParams; at 5e-324, x = 2 pi omega / a is inf, R = 1
+ACCELS = st.one_of(st.sampled_from([math.inf, 0.0, -1.0, 2.0 * math.pi,
+                                    math.nan, 5e-324]),
                    st.floats(0.05, 1000.0))
 
 
@@ -84,27 +86,36 @@ def test_eval_surface_equals_scalar_functional(taus, ratios):
     _assert_rows_match(res, 2, _surface_scalar)
 
 
-def _sic_scalar(tau, accel):
-    ratio = kossakowski_free(UnruhParams(1.0, accel)).ratio
-    equilibrium_free(tau, ratio)
-    return (ratio, sic_closed_form_free(tau, ratio)), ""
+def _sic_scalar(omega):
+    def scalar(tau, accel):
+        ratio = kossakowski_free(UnruhParams(omega, accel)).ratio
+        equilibrium_free(tau, ratio)
+        return (ratio, sic_closed_form_free(tau, ratio)), ""
+    return scalar
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(TAUS, min_size=1, max_size=5),
-       st.lists(ACCELS, min_size=1, max_size=5), st.booleans())
-def test_eval_sic_free_equals_scalar_path(taus, accels, tau_outer):
+       st.lists(ACCELS, min_size=1, max_size=5), st.booleans(),
+       st.sampled_from([1.0, 1e-300, 5e-324, 0.0, -1.0, math.nan, math.inf]))
+@example([0.5], [5e-324, math.nan], True, 1.0)
+@example([0.5], [1e-3], False, -1.0)   # x = -2000 pi: math.exp overflows
+def test_eval_sic_free_equals_scalar_path(taus, accels, tau_outer, omega):
+    # a bad omega is refused by UnruhParams on every row; the array path
+    # must flag those rows before the thermal factor, where a negative x
+    # overflows math.exp, and raise no RuntimeWarning
     accels = accels + [math.inf]
+    scalar = _sic_scalar(omega)
     if tau_outer:  # sic-sweep: the tau list outermost
         res = run_grid((("tau", taus), ("a", accels)),
-                       lambda tau, a: eval_sic_free(1.0, tau, a),
+                       lambda tau, a: eval_sic_free(omega, tau, a),
                        SIC_SWEEP_COLUMNS)
-        _assert_rows_match(res, 2, _sic_scalar)
+        _assert_rows_match(res, 2, scalar)
     else:  # tau-sweep: the acceleration list outermost
         res = run_grid((("a", accels), ("tau", taus)),
-                       lambda a, tau: eval_sic_free(1.0, tau, a),
+                       lambda a, tau: eval_sic_free(omega, tau, a),
                        SIC_SWEEP_COLUMNS)
-        _assert_rows_match(res, 2, lambda a, tau: _sic_scalar(tau, a))
+        _assert_rows_match(res, 2, lambda a, tau: scalar(tau, a))
 
 
 def test_out_of_range_tau_rows_carry_the_equilibrium_error_text():

@@ -48,6 +48,9 @@ def test_kossakowski_reference_point():
     assert k.B == pytest.approx(0.07957747154594767, abs=1e-16)
     assert k.ratio == pytest.approx(math.tanh(0.5), abs=1e-15)
     assert k.B == pytest.approx(1.0 / (4.0 * math.pi), abs=1e-16)
+    # ratio is derived from A and B, never stored apart from them
+    assert [f.name for f in dataclasses.fields(k)] == ["A", "B"]
+    assert k.ratio == k.B / k.A
 
 
 def test_ratio_identity_over_decades():
@@ -350,7 +353,7 @@ def test_dynamics_reject_non_positive_rate(A):
 
 # at ratio 0 the equilibrium of a tau = 0 state is the maximally mixed
 # state, so with rates M injected a state's coefficients are exp(t M) y0
-_UNIT = KossakowskiFree(A=1.0, B=0.0, ratio=0.0)
+_UNIT = KossakowskiFree(A=1.0, B=0.0)
 
 
 def _growth(rate):
@@ -450,7 +453,7 @@ def test_positivity_checks_survive_python_O():
             "from unruh_steer.model import KossakowskiFree, evolve\n"
             "from unruh_steer.qmat import FanoState, concurrence, fano_to_matrix\n"
             "from unruh_steer.steering import sic_solution\n"
-            "unit = KossakowskiFree(A=1.0, B=0.0, ratio=0.0)\n"
+            "unit = KossakowskiFree(A=1.0, B=0.0)\n"
             "def run(a_z):\n"
             "    state = FanoState(np.array([0, 0, a_z]), np.zeros(3),"
             " np.zeros((3, 3)))\n"

@@ -18,7 +18,7 @@ from unruh_steer.steering import (one_sided_mid, sic_closed_form_free,
                                   steering_induced_coherence, theorem1_residual)
 from unruh_steer.sweeps import (BOUNDARY_COLUMNS, DIAGNOSTICS_COLUMN,
                                 SURFACE_COLUMNS, GridSpec, SweepResult,
-                                _pointwise, csv_chunks, eval_boundary,
+                                _fill_rows, csv_chunks, eval_boundary,
                                 eval_sic_free, eval_surface, eval_theorem,
                                 json_chunks, plot_script, run_grid,
                                 write_result)
@@ -74,7 +74,9 @@ def _flaky_point(x, y):
 
 def _flaky(x, y):
     # row by row through the guard the package's evaluators use
-    return _pointwise(_flaky_point, 1, x, y)
+    columns, diagnostics = [np.empty(x.size)], [""] * x.size
+    _fill_rows(columns, diagnostics, range(x.size), _flaky_point, x, y)
+    return columns, diagnostics
 
 
 def test_run_grid_serial_rows():
