@@ -36,7 +36,6 @@ from .qmat import (
     concurrence,
     fano_to_matrix,
     matrix_to_fano,
-    min_eigenvalue,
     random_density_matrix,
     random_fano_state,
     trace_norm,
@@ -84,7 +83,6 @@ __all__ = [
     "kossakowski_boundary",
     "kossakowski_free",
     "matrix_to_fano",
-    "min_eigenvalue",
     "ode_rhs",
     "one_sided_mid",
     "random_density_matrix",

@@ -30,9 +30,11 @@ from .model import (
     kossakowski_free,
     steering_node_acceleration,
 )
-from .qmat import FanoState, random_density_matrix
-from .steering import SQRT6, steering_induced_coherence
+from .qmat import (FanoState, fano_matrices, matrix_to_fano,
+                   random_density_matrix, require_state)
+from .steering import SQRT6, sic_mid_rows, steering_induced_coherence
 from .sweeps import (
+    BLOCK_ROWS,
     BOUNDARY_COLUMNS,
     SIC_SWEEP_COLUMNS,
     SURFACE_COLUMNS,
@@ -43,7 +45,6 @@ from .sweeps import (
     eval_boundary,
     eval_sic_free,
     eval_surface,
-    eval_theorem,
     run_grid,
     write_result,
 )
@@ -295,11 +296,17 @@ def cmd_node(args) -> int:
 def cmd_theorem_check(args) -> int:
     check_rows(args.count)
     rng = np.random.default_rng(args.seed)
-    states = np.stack([random_density_matrix(rng) for _ in range(args.count)])
+    vectors = np.array([matrix_to_fano(random_density_matrix(rng)).to_vector()
+                        for _ in range(args.count)])
+    columns = np.empty((len(THEOREM_COLUMNS), args.count))
+    for lo in range(0, args.count, BLOCK_ROWS):
+        block = vectors[lo:lo + BLOCK_ROWS]
+        require_state(fano_matrices(block))
+        columns[:, lo:lo + BLOCK_ROWS] = sic_mid_rows(block)
     axes = (("state_index", np.arange(args.count, dtype=float)),)
     meta = {"seed": args.seed, "count": args.count}
-    result = run_grid(axes, partial(eval_theorem, states), THEOREM_COLUMNS,
-                      meta=meta)
+    result = run_grid(axes, lambda index: (columns, [""] * index.size),
+                      THEOREM_COLUMNS, meta=meta)
     residual = max(result.column("residual"))
     summary = (f"max |sic - mid| = {residual:.3e} over {args.count} states"
                f" (seed {args.seed})",)

@@ -50,8 +50,8 @@ TAYLOR_DEGREE = 14         # exp(X) for |X|_1 <= 1/2 to ~4e-17 relative
 
 def check_rows(rows: int) -> None:
     """DomainError for a table, or an ``evolve`` run, of more than
-    ``MAX_SAMPLES`` rows. A row holds at most ~1.2 kB at peak (a
-    ``theorem-check`` state), so a table stays below ~1.2 GB."""
+    ``MAX_SAMPLES`` rows. A row holds at most ~0.9 kB at peak (an
+    ``evolve`` sample), so a table stays below ~0.9 GB."""
     if rows > MAX_SAMPLES:
         raise DomainError(f"{rows} rows exceed the limit of {MAX_SAMPLES:.0e}"
                           " per table")
@@ -143,13 +143,16 @@ class UnruhParams:
 @dataclass(frozen=True)
 class KossakowskiFree:
     """Free-space Kossakowski coefficients A and B (C is not computed), and
-    B / A as ``ratio``; floats, or arrays from :func:`free_coefficients`."""
+    B / A as ``ratio`` (DomainError for a float A that is not positive);
+    floats, or arrays from :func:`free_coefficients`, which divide as they are."""
 
     A: float
     B: float
 
     @property
     def ratio(self) -> float:
+        if not (isinstance(self.A, np.ndarray) or self.A > 0.0):
+            raise DomainError(f"ratio B / A needs A > 0, not A = {self.A!r}")
         return self.B / self.A
 
 

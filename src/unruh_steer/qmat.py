@@ -11,7 +11,7 @@ and B, ``T`` the 3x3 correlation block. Hermiticity is automatic for real
 coefficients; positivity is not, and :func:`require_state` alone decides it.
 Maps such as the B-side dephasing along Bob's Bloch axis e, which takes
 (a, b, T) to (a, b, T e e^T), act on the coefficients directly
-(``steering.one_sided_mid`` builds only the block T (I - e e^T) it removes).
+(``steering.sic_mid_rows`` builds only the block T (I - e e^T) it removes).
 """
 
 from __future__ import annotations
@@ -139,12 +139,6 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(m)).sum())
 
 
-def min_eigenvalue(m: np.ndarray) -> float:
-    m = np.asarray(m, dtype=complex)
-    _require_hermitian(m)
-    return float(np.linalg.eigvalsh(m)[0])
-
-
 def first_below(rhos: np.ndarray, tol: float):
     """(k, min eigenvalue) of the first matrix in the Hermitian stack ``rhos``
     with an eigenvalue below -tol, else None. A Cholesky factorization of
@@ -161,8 +155,8 @@ def first_below(rhos: np.ndarray, tol: float):
 
 
 def require_state(m: np.ndarray) -> None:
-    """NotPositive unless Hermitian ``m`` has no eigenvalue below -1e-10."""
-    if found := first_below(m.reshape(1, 4, 4), PHYSICALITY_TOL):
+    """NotPositive unless each Hermitian 4x4 in ``m`` has no eigenvalue below -1e-10."""
+    if found := first_below(m.reshape(-1, 4, 4), PHYSICALITY_TOL):
         raise NotPositive(f"state has min eigenvalue {found[1]:.3e}")
 
 

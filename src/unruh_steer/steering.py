@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DenominatorZero
 from .model import boundary_d, boundary_x, check_leaf, d_underflow
-from .qmat import FanoState, fano_matrices, fano_to_matrix, require_state, trace_norm
+from .qmat import FanoState, fano_matrices, fano_to_matrix, require_state
 
 SQRT6 = math.sqrt(6.0)
 DEGENERACY_GATE = 1e-9    # |b| below this: reduced state treated as maximally mixed
@@ -55,23 +55,36 @@ def _frozen(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def sic_solution(state: FanoState) -> SicSolution:
-    """Optimal SIC value and axes from the SVD of (I - e e^T) T^T.
+def sic_rows(vectors):
+    """SIC values, Alice's axes and Bob's axes of an (n, 15) stack of
+    :meth:`FanoState.to_vector` rows: sigma_max of (I - e e^T) T^T and its
+    top right singular vector. Bob's axis e is b/|b|, or below the gate
+    |b| < 1e-9 (b dropped, error bounded by |b|) T's top right singular
+    vector, which gives sigma_2(T). No positivity check. A row's bits are
+    those of a stack of one and, on all BLAS kernels but one (ROADMAP item
+    7), of 2-D calls on its state."""
+    vectors = np.asarray(vectors, dtype=float).reshape(-1, 15)
+    b, t = vectors[:, 3:6], vectors[:, 6:].reshape(-1, 3, 3)
+    blen = np.sqrt(b[:, None] @ b[:, :, None])[:, 0]   # np.linalg.norm's bits
+    degenerate = blen[:, 0] < DEGENERACY_GATE
+    e = b / np.where(degenerate[:, None], 1.0, blen)
+    if degenerate.any():   # an SVD of an empty stack is not free
+        e[degenerate] = np.linalg.svd(t[degenerate])[2][:, 0]
+    projected = (np.eye(3) - e[:, :, None] * e[:, None, :]) @ t.transpose(0, 2, 1)
+    _, s, vt = np.linalg.svd(projected)
+    return s[:, 0], vt[:, 0], e
 
-    The value and Alice's axis are its top singular value and right
-    singular vector. Bob's axis e is b/|b|; below the degeneracy gate
-    |b| < 1e-9, b is dropped (error bounded by |b|) and e is T's top right
-    singular vector, which makes the value sigma_2(T). NotPositive, from
-    :func:`~unruh_steer.qmat.require_state`, unless ``state`` is a state.
-    """
+
+def _gated(state: FanoState) -> np.ndarray:
     require_state(fano_to_matrix(state))
-    blen = float(np.linalg.norm(state.b_vec))
-    if blen < DEGENERACY_GATE:
-        e_hat = np.linalg.svd(state.t_mat)[2][0]
-    else:
-        e_hat = state.b_vec / blen
-    _, s, vt = np.linalg.svd((np.eye(3) - np.outer(e_hat, e_hat)) @ state.t_mat.T)
-    return SicSolution(float(s[0]), _frozen(vt[0]), _frozen(e_hat))
+    return state.to_vector()
+
+
+def sic_solution(state: FanoState) -> SicSolution:
+    """:func:`sic_rows` of one state; NotPositive, from
+    :func:`~unruh_steer.qmat.require_state`, unless ``state`` is a state."""
+    value, meas_axis, ref_axis = sic_rows(_gated(state))
+    return SicSolution(float(value[0]), _frozen(meas_axis[0]), _frozen(ref_axis[0]))
 
 
 def steering_induced_coherence(state: FanoState) -> float:
@@ -86,31 +99,29 @@ def sic_closed_form_free(tau: float, ratio: float) -> float:
 
 # ----- one-sided measurement-induced disturbance -----
 
+def sic_mid_rows(vectors):
+    """Columns (sic, mid, |sic - mid|) of an (n, 15) stack from one
+    :func:`sic_rows`; no positivity check. MID = Tr|rho - D_B(rho)|, with
+    D_B the B-side dephasing along the SIC's reference axis e, (a, b, T) ->
+    (a, b, T e e^T) in Fano coordinates (below the degeneracy gate the SIC
+    drops b, and so does MID): the trace norm of the block T (I - e e^T),
+    1/4 sum_ij [T (I - e e^T)]_ij s_i x s_j, built without rho."""
+    sic, _, e = sic_rows(vectors)
+    t = np.reshape(vectors, (-1, 15))[:, 6:].reshape(-1, 3, 3)
+    block = np.zeros((len(t), 15))
+    block[:, 6:] = (t - (t @ e[:, :, None]) * e[:, None, :]).reshape(-1, 9)
+    mid = np.abs(np.linalg.eigvalsh(fano_matrices(block) - 0.25 * np.eye(4))).sum(-1)
+    return sic, mid, np.abs(sic - mid)
+
+
 def one_sided_mid(state: FanoState) -> float:
-    """Trace-norm disturbance Tr|rho - D_B(rho)| under B-side dephasing.
-
-    D_B dephases along the reference axis e that ``sic_solution`` selects;
-    in Fano coordinates it maps (a, b, T) to (a, b, T e e^T): above the
-    degeneracy gate e = b/|b| keeps b, and below it the SIC drops b, so MID
-    does too. rho - D_B(rho) is the correlation block T (I - e e^T) alone,
-    1/4 sum_ij [T (I - e e^T)]_ij s_i x s_j, built here without rho.
-    """
-    return sic_mid_row(state)[1]
-
-
-def sic_mid_row(state: FanoState) -> tuple:
-    """(SIC, MID, |SIC - MID|) of ``state`` from one ``sic_solution``."""
-    solution = sic_solution(state)
-    e = solution.ref_axis
-    removed = state.t_mat - np.outer(state.t_mat @ e, e)
-    block = np.concatenate([np.zeros(6), removed.ravel()])
-    mid = trace_norm(fano_matrices(block) - 0.25 * np.eye(4))
-    return solution.value, mid, abs(solution.value - mid)
+    """MID of one state (see :func:`sic_mid_rows`), gated as :func:`sic_solution` is."""
+    return float(sic_mid_rows(_gated(state))[1][0])
 
 
 def theorem1_residual(state: FanoState) -> float:
     """|SIC - MID|: SVD value against 4x4 trace norm, zero up to rounding."""
-    return sic_mid_row(state)[2]
+    return float(sic_mid_rows(_gated(state))[2][0])
 
 
 # ----- coherence-sum steering criteria -----

@@ -1,8 +1,7 @@
 """Deterministic parameter-sweep engine with CSV/JSON emission.
 
 Evaluators take the whole grid at once, flattened in lexicographic order, one
-array per axis; the SIC, surface and boundary evaluators work on whole
-arrays, the theorem evaluator row by row. Domain errors at single points
+array per axis, and work on whole arrays. Domain errors at single points
 become row diagnostics instead of aborting the sweep. The result table is
 column-major, one 1-D numpy array per column, and both writers emit it in
 blocks of ``BLOCK_ROWS`` rows, a column at a time within a block, so no
@@ -40,13 +39,11 @@ from .model import (
     kossakowski_free,
     leaf_mask,
 )
-from .qmat import matrix_to_fano
 from .steering import (
     DENOMINATOR_GATE,
     SQRT6,
     coherence_sum_terms,
     sic_closed_form_free,
-    sic_mid_row,
     steerability_functional_free,
     steerability_verdict_boundary,
     zero_denominator,
@@ -175,8 +172,8 @@ def _fill_rows(columns, diagnostics, rows, point, *axes):
     """Store the scalar ``point`` at each of ``rows`` into the columns.
 
     An UnruhSteerError makes the row NaN, with the diagnostic
-    "{Class}: {message}". ``eval_theorem`` sends every row here; the array
-    evaluators send only the rows their masks refuse.
+    "{Class}: {message}". The evaluators send only the rows their masks
+    refuse.
     """
     for i in rows:
         try:
@@ -278,16 +275,6 @@ def eval_boundary(omega: float, accel, z, sep):
                 + tuple(steerability_verdict_boundary(coeffs)))
 
     _fill_rows(columns, diagnostics, np.flatnonzero(~fast), point, accel, z, sep)
-    return columns, diagnostics
-
-
-def eval_theorem(states: np.ndarray, index):
-    """Columns (sic, mid, residual) of ``states[index]``, state by state,
-    each row from ``sic_mid_row``."""
-    columns = [np.empty(index.size) for _ in THEOREM_COLUMNS]
-    diagnostics = [""] * index.size
-    _fill_rows(columns, diagnostics, range(index.size),
-               lambda i: sic_mid_row(matrix_to_fano(states[int(i)])), index)
     return columns, diagnostics
 
 

@@ -5,6 +5,8 @@ form. These oracles rebuild the pieces from their definitions instead:
 Bob's steered ensemble, l1 coherences of qubit states in the eigenbasis of
 a Bloch axis, and B-side dephasing as a 4x4 projector sum. They do no
 argument checking: callers pass unit or nonzero axes and physical states.
+``sic_by_state`` and ``mid_by_state`` are the SIC and MID formulas taken
+one state at a time, the bitwise reference for the package's stacked core.
 
 The dynamics have two references: the free-space equations of motion as
 written by hand in Fano coordinates, and the Lindblad generator with one
@@ -22,7 +24,7 @@ import math
 import numpy as np
 
 from unruh_steer.model import equilibrium_free
-from unruh_steer.qmat import FanoState, fano_to_matrix, min_eigenvalue
+from unruh_steer.qmat import FanoState, fano_matrices, fano_to_matrix, trace_norm
 from unruh_steer.sweeps import DIAGNOSTICS_COLUMN, SweepResult
 
 PAULI_XYZ = (np.array([[0, 1], [1, 0]], dtype=complex),
@@ -115,6 +117,27 @@ def steerability_pairings_free(tau, ratio):
             coh("z", "x") + coh("x", "y") + coh("y", "z"))
 
 
+def sic_by_state(state):
+    """(value, Alice's axis, Bob's axis e) of one state's SIC: sigma_max and
+    the top right singular vector of (I - e e^T) T^T, e = b/|b|, or T's top
+    right singular vector where |b| < 1e-9."""
+    blen = float(np.linalg.norm(state.b_vec))
+    if blen < 1e-9:
+        e_hat = np.linalg.svd(state.t_mat)[2][0]
+    else:
+        e_hat = state.b_vec / blen
+    _, s, vt = np.linalg.svd((np.eye(3) - np.outer(e_hat, e_hat)) @ state.t_mat.T)
+    return float(s[0]), vt[0], e_hat
+
+
+def mid_by_state(state, e):
+    """One state's MID along Bob's axis e: the trace norm of the 4x4 matrix
+    of the correlation block T (I - e e^T)."""
+    removed = state.t_mat - np.outer(state.t_mat @ e, e)
+    block = np.concatenate([np.zeros(6), removed.ravel()])
+    return trace_norm(fano_matrices(block) - 0.25 * np.eye(4))
+
+
 def ode_rhs_by_hand(state, A, B):
     """Free-space equations of motion on the state's own tau leaf, C = 0.
 
@@ -187,7 +210,7 @@ def block_stationary_state(same, cross):
 
 def is_physical(state, tol=1e-10):
     """True when the 4x4 matrix of a FanoState has no eigenvalue below -tol."""
-    return min_eigenvalue(fano_to_matrix(state)) >= -tol
+    return np.linalg.eigvalsh(fano_to_matrix(state))[0] >= -tol
 
 
 # ----- sweep table readers -----

@@ -21,7 +21,10 @@ from unruh_steer import cli, model
 from unruh_steer.cli import EXIT_DOMAIN, EXIT_IO, EXIT_USAGE, main
 from unruh_steer.model import (UnruhParams, equilibrium_free, kossakowski_free,
                                relaxation_horizon)
-from unruh_steer.steering import sic_closed_form_free
+from unruh_steer.qmat import matrix_to_fano, random_density_matrix
+from unruh_steer.steering import (one_sided_mid, sic_closed_form_free,
+                                  steering_induced_coherence)
+from unruh_steer.sweeps import BLOCK_ROWS
 
 
 def _csv_rows(text):
@@ -544,6 +547,32 @@ def test_theorem_check_deterministic(capsys):
     assert "max |sic - mid|" in first.err
     _, rows = _csv_rows(first.out)
     assert all(float(r["residual"]) < 1e-4 for r in rows)
+
+
+def test_theorem_check_blocks_match_the_single_state_api(capsys):
+    # BLOCK_ROWS + 3 states: a full block and a short one, each with one
+    # gate and one sic_mid_rows call; the rows on either side of the seam,
+    # and the first ones, have the text of the per-state functions
+    count = BLOCK_ROWS + 3
+    assert main(["theorem-check", "--seed", "2", "--count", str(count)]) == 0
+    _, rows = _csv_rows(capsys.readouterr().out)
+    assert len(rows) == count
+    rng = np.random.default_rng(2)
+    states = [matrix_to_fano(random_density_matrix(rng)) for _ in range(count)]
+    for k in [*range(4), *range(BLOCK_ROWS - 8, count)]:
+        sic, mid = steering_induced_coherence(states[k]), one_sided_mid(states[k])
+        assert (rows[k]["sic"], rows[k]["mid"], rows[k]["residual"]) == (
+            f"{sic:.17g}", f"{mid:.17g}", f"{abs(sic - mid):.17g}"), k
+
+
+def test_theorem_check_stops_at_a_non_state(capsys, monkeypatch):
+    # random_density_matrix draws states only; a drawn non-state stops the
+    # command with the gate's NotPositive instead of flagging a row
+    monkeypatch.setattr(cli, "random_density_matrix",
+                        lambda rng: np.diag([0.5, 0.6, 0.0, -0.1]).astype(complex))
+    got, line = _refusal(["theorem-check", "--count", "3"], capsys)
+    assert got == EXIT_DOMAIN
+    assert line == "unruh-steer: error: state has min eigenvalue -1.000e-01"
 
 
 def test_out_file_json(tmp_path, capsys, monkeypatch):

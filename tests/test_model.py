@@ -28,7 +28,7 @@ from unruh_steer.model import (KossakowskiFree, UnruhParams,
                                kossakowski_boundary, kossakowski_free, ode_rhs,
                                relaxation_horizon, steering_node_acceleration)
 from unruh_steer.qmat import (FanoState, fano_to_matrix, matrix_to_fano,
-                              min_eigenvalue, random_fano_state)
+                              random_fano_state)
 from unruh_steer.steering import (sic_solution, steerability_verdict_boundary,
                                   steering_induced_coherence)
 
@@ -80,6 +80,22 @@ def test_infinite_acceleration_limit():
     assert k.B == pytest.approx(1.0 / (4.0 * math.pi), abs=1e-16)
     assert k.ratio == 0.0
     assert UnruhParams(1.0, math.inf).beta == 0.0
+
+
+@pytest.mark.parametrize("a_coef", [0.0, -0.0, -1.0, -math.inf, math.nan, 0])
+def test_ratio_refuses_a_record_without_positive_a(a_coef):
+    # B / A of a hand-made record is a DomainError naming A, not a bare
+    # ZeroDivisionError or a negative ratio
+    with pytest.raises(DomainError) as info:
+        KossakowskiFree(A=a_coef, B=0.5).ratio
+    assert str(info.value) == f"ratio B / A needs A > 0, not A = {a_coef!r}"
+
+
+def test_array_records_divide_as_they_are():
+    # eval_sic_free masks bad-omega rows with A = -inf; an array record
+    # divides cell by cell, with no check that would refuse those rows
+    ratio = KossakowskiFree(A=np.array([2.0, -math.inf]), B=0.5).ratio
+    assert ratio.tolist() == [0.25, -0.0]
 
 
 @pytest.mark.parametrize("accel", [1e300, 1e20])
@@ -374,7 +390,7 @@ def test_evolve_reports_earliest_drift(monkeypatch):
         evolve(_polarized(0.1), _UNIT, t_end=2.0, samples=5)
     monkeypatch.setattr(model, "DRIFT_TOL", -math.inf)
     sample = evolve(_polarized(0.1), _UNIT, t_end=2.0, samples=5).states[3]
-    low = min_eigenvalue(fano_to_matrix(sample))
+    low = np.linalg.eigvalsh(fano_to_matrix(sample))[0]
     assert low < -0.1
     assert str(info.value) == f"min eigenvalue {low:.3e} at t = 1.5 (below -1e-06)"
 

@@ -20,7 +20,7 @@ PUBLIC_NAMES = [
     "Trajectory", "UnphysicalDrift", "UnruhParams", "UnruhSteerError",
     "__version__", "concurrence", "equilibrium_boundary", "equilibrium_free",
     "evolve", "fano_to_matrix", "kossakowski_boundary", "kossakowski_free",
-    "matrix_to_fano", "min_eigenvalue", "ode_rhs", "one_sided_mid",
+    "matrix_to_fano", "ode_rhs", "one_sided_mid",
     "random_density_matrix", "random_fano_state", "relaxation_horizon",
     "run_grid", "sic_closed_form_free", "sic_solution",
     "steerability_functional_free", "steerability_verdict_boundary",

@@ -12,7 +12,7 @@ from oracles import PAULI_XYZ, basis_from_axis, dephase_b, is_physical
 from unruh_steer.errors import DomainError, NonHermitian, NotPositive
 from unruh_steer.model import UnruhParams, evolve, kossakowski_free, leaf_mask
 from unruh_steer.qmat import (FanoState, concurrence, fano_matrices,
-                              fano_to_matrix, matrix_to_fano, min_eigenvalue,
+                              fano_to_matrix, matrix_to_fano,
                               random_density_matrix, random_fano_state,
                               trace_norm)
 from unruh_steer.steering import sic_solution
@@ -109,10 +109,6 @@ def test_trace_norm_rejects_nonhermitian():
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, timeout=60)
     assert proc.stdout.strip() == "NonHermitian", proc.stderr
-
-
-def test_min_eigenvalue():
-    assert abs(min_eigenvalue(np.diag([0.5, -0.25])) + 0.25) < 1e-15
 
 
 def test_basis_from_axis_eigenvectors():
@@ -225,7 +221,7 @@ def test_random_density_matrix_is_physical():
     for _ in range(25):
         m = random_density_matrix(rng)
         assert np.allclose(m, m.conj().T, atol=1e-14)
-        assert min_eigenvalue(m) > -1e-13
+        assert np.linalg.eigvalsh(m)[0] > -1e-13
         assert abs(np.trace(m).real - 1.0) < 1e-13
 
 

@@ -9,15 +9,16 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (alpha_matrix, conditional_coherence, dephase_b,
-                     is_physical, l1_coherence_bloch, steer_bob,
-                     steerability_pairings_free)
+                     is_physical, l1_coherence_bloch, mid_by_state,
+                     sic_by_state, steer_bob, steerability_pairings_free)
 from unruh_steer.errors import DegenerateLimit, DenominatorZero, DomainError
 from unruh_steer.model import (UnruhParams, equilibrium_free,
                                kossakowski_boundary, steering_node_acceleration)
 from unruh_steer.qmat import (FanoState, fano_to_matrix, random_fano_state,
                               trace_norm)
 from unruh_steer.steering import (one_sided_mid, sic_closed_form_free,
-                                  sic_solution, steerability_functional_free,
+                                  sic_mid_rows, sic_rows, sic_solution,
+                                  steerability_functional_free,
                                   steerability_verdict_boundary,
                                   steering_induced_coherence,
                                   theorem1_residual)
@@ -254,6 +255,43 @@ def test_mid_ignores_b_below_the_degeneracy_gate():
                           / np.linalg.norm(v))
         assert is_physical(state)
         assert one_sided_mid(state) <= 1e-15
+
+
+def _stacked_state(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "bell":
+        return next(_unital_states(rng, 1))[0]
+    if kind == "equilibrium":
+        return equilibrium_free(rng.uniform(-3.0, 1.0), rng.uniform(0.0, 1.0))
+    state = random_fano_state(rng)
+    if kind == "random":
+        return state
+    # |b| within a few ulps of DEGENERACY_GATE, on either side
+    length = 1e-9 * (1.0 + rng.integers(-4, 5) * 2.0 ** -52)
+    return FanoState(state.a_vec, length * state.b_vec / np.linalg.norm(state.b_vec),
+                     state.t_mat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(
+    st.sampled_from(("random", "bell", "gate", "equilibrium")),
+    st.integers(0, 2**32 - 1)), min_size=1, max_size=12))
+@example(rows=[("gate", 0), ("random", 1), ("bell", 2), ("gate", 3),
+               ("equilibrium", 4), ("gate", 5), ("gate", 6)])
+def test_stacked_core_has_the_bits_of_each_state(rows):
+    # every row of a mixed stack equals the formulas run on that state alone
+    states = [_stacked_state(kind, seed) for kind, seed in rows]
+    vectors = np.array([state.to_vector() for state in states])
+    values, meas_axes, ref_axes = sic_rows(vectors)
+    sic, mid, residual = sic_mid_rows(vectors)
+    for k, state in enumerate(states):
+        value, meas_axis, ref_axis = sic_by_state(state)
+        disturbance = mid_by_state(state, ref_axis)
+        assert values[k] == sic[k] == value
+        assert np.array_equal(meas_axes[k], meas_axis)
+        assert np.array_equal(ref_axes[k], ref_axis)
+        assert mid[k] == disturbance
+        assert residual[k] == abs(value - disturbance)
 
 
 def test_sic_equals_mid_on_random_states():

@@ -10,16 +10,16 @@ import numpy as np
 import pytest
 
 from oracles import read_csv, read_json
-from unruh_steer import steering, sweeps
+from unruh_steer import cli, steering, sweeps
 from unruh_steer.errors import ConsistencyError, DomainError
 from unruh_steer.model import UnruhParams, kossakowski_boundary, kossakowski_free
 from unruh_steer.qmat import matrix_to_fano, random_density_matrix
 from unruh_steer.steering import (one_sided_mid, sic_closed_form_free,
                                   steering_induced_coherence, theorem1_residual)
 from unruh_steer.sweeps import (BOUNDARY_COLUMNS, DIAGNOSTICS_COLUMN,
-                                SURFACE_COLUMNS, GridSpec, SweepResult,
-                                _fill_rows, csv_chunks, eval_boundary,
-                                eval_sic_free, eval_surface, eval_theorem,
+                                SURFACE_COLUMNS, THEOREM_COLUMNS, GridSpec,
+                                SweepResult, _fill_rows, csv_chunks,
+                                eval_boundary, eval_sic_free, eval_surface,
                                 json_chunks, plot_script, run_grid,
                                 write_result)
 
@@ -386,26 +386,31 @@ def test_boundary_eval_columns():
     assert values[-1][0] is False and diag == [""]
 
 
-def test_theorem_rows_solve_each_sic_once(monkeypatch):
-    # one sic_solution per state serves both the SIC and the MID, with the
-    # values the two public functions give separately
-    rng = np.random.default_rng(3)
-    states = np.stack([random_density_matrix(rng) for _ in range(5)])
+def test_theorem_rows_solve_each_sic_once(monkeypatch, tmp_path):
+    # theorem-check makes one sic_rows call per block of states, which
+    # serves both the SIC and the MID, with the values the two public
+    # functions give separately
     calls = []
 
-    def counted(state, solve=steering.sic_solution):
-        calls.append(state)
-        return solve(state)
+    def counted(vectors, solve=steering.sic_rows):
+        calls.append(np.size(vectors) // 15)   # rows of the stack
+        return solve(vectors)
 
-    monkeypatch.setattr(steering, "sic_solution", counted)
-    (sic, mid, residual), diag = eval_theorem(states, np.arange(5.0))
-    assert len(calls) == 5 and diag == [""] * 5
+    monkeypatch.setattr(steering, "sic_rows", counted)
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 2)
+    path = str(tmp_path / "theorem.csv")
+    assert cli.main(["theorem-check", "--seed", "3", "--count", "5",
+                     "--out", path]) == 0
+    assert calls == [2, 2, 1]
+    table = read_csv(path)
+    sic, mid, residual = (table.column(name) for name in THEOREM_COLUMNS)
     calls.clear()
-    assert theorem1_residual(matrix_to_fano(states[0])) == residual[0]
-    assert len(calls) == 1
+    rng = np.random.default_rng(3)
+    states = [matrix_to_fano(random_density_matrix(rng)) for _ in range(5)]
+    assert theorem1_residual(states[0]) == residual[0]
+    assert calls == [1]
     monkeypatch.undo()
-    for k, matrix in enumerate(states):
-        state = matrix_to_fano(matrix)
+    for k, state in enumerate(states):
         assert sic[k] == steering_induced_coherence(state)
         assert mid[k] == one_sided_mid(state)
         assert residual[k] == abs(sic[k] - mid[k])
