@@ -30,7 +30,7 @@ from .model import (
     kossakowski_free,
     steering_node_acceleration,
 )
-from .qmat import (FanoState, fano_matrices, matrix_to_fano,
+from .qmat import (FanoState, fano_matrices, fano_vectors,
                    random_density_matrix, require_state)
 from .steering import SQRT6, sic_mid_rows, steering_induced_coherence
 from .sweeps import (
@@ -296,11 +296,10 @@ def cmd_node(args) -> int:
 def cmd_theorem_check(args) -> int:
     check_rows(args.count)
     rng = np.random.default_rng(args.seed)
-    vectors = np.array([matrix_to_fano(random_density_matrix(rng)).to_vector()
-                        for _ in range(args.count)])
     columns = np.empty((len(THEOREM_COLUMNS), args.count))
     for lo in range(0, args.count, BLOCK_ROWS):
-        block = vectors[lo:lo + BLOCK_ROWS]
+        block = fano_vectors([random_density_matrix(rng)
+                              for _ in range(min(BLOCK_ROWS, args.count - lo))])
         require_state(fano_matrices(block))
         columns[:, lo:lo + BLOCK_ROWS] = sic_mid_rows(block)
     axes = (("state_index", np.arange(args.count, dtype=float)),)

@@ -7,11 +7,11 @@ A two-qubit density matrix is carried as
 
 with qubit A the left tensor factor and the computational basis ordered
 |00>, |01>, |10>, |11>. ``a`` and ``b`` are the local Bloch vectors of A
-and B, ``T`` the 3x3 correlation block. Hermiticity is automatic for real
+and B, ``T`` the 3x3 correlation block. :func:`fano_matrices` builds a
+stack's matrices and :func:`fano_vectors`, the one projection onto the
+coefficients, is its inverse. Hermiticity is automatic for real
 coefficients; positivity is not, and :func:`require_state` alone decides it.
-Maps such as the B-side dephasing along Bob's Bloch axis e, which takes
-(a, b, T) to (a, b, T e e^T), act on the coefficients directly
-(``steering.sic_mid_rows`` builds only the block T (I - e e^T) it removes).
+Maps such as Bob's dephasing along e, (a, b, T) -> (a, b, T e e^T), act on them.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ PAULI = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]],
 _PAULI_PAIRS = np.einsum("iab,jcd->ijacbd", PAULI, PAULI).reshape(4, 4, 4, 4)
 _YY = _PAULI_PAIRS[2, 2]   # sigma_y x sigma_y, the spin flip in the concurrence
 
-# _FANO_BASIS[k] = _PAULI_PAIRS[i, j] / 4 for entry k of FanoState.to_vector:
-# (i, 0) for a, (0, j) for b, then (i, j) for the rows of T
-_FANO_INDEX = ([(i, 0) for i in (1, 2, 3)] + [(0, j) for j in (1, 2, 3)]
-               + [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)])
-_FANO_BASIS = 0.25 * _PAULI_PAIRS[tuple(np.transpose(_FANO_INDEX))]
+# _FANO_BASIS[k] = _PAULI_PAIRS[i, j] / 4 for entry k of FanoState.to_vector,
+# (i, j) column k of _FANO_INDEX: (i, 0) for a, (0, j) for b, then rows of T
+_FANO_INDEX = ((1, 2, 3, 0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3),
+               (0, 0, 0, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3))
+_FANO_BASIS = 0.25 * _PAULI_PAIRS[_FANO_INDEX]
 
 
 @dataclass(frozen=True)
@@ -106,25 +106,28 @@ def fano_matrices(vectors) -> np.ndarray:
     return np.tensordot(vectors, _FANO_BASIS, axes=1) + 0.25 * np.eye(4)
 
 
-def matrix_to_fano(m: np.ndarray) -> FanoState:
-    """Project a Hermitian unit-trace 4x4 matrix onto Pauli coefficients.
-
-    Raises NonHermitian / DomainError when the input violates the
-    Hermiticity or unit-trace precondition beyond 1e-9.
-    """
-    m = np.asarray(m, dtype=complex).reshape(4, 4)
+def fano_vectors(matrices) -> np.ndarray:
+    """Coefficients of a stack of Hermitian unit-trace 4x4 matrices, (..., 4, 4)
+    -> C-ordered (..., 15) in :meth:`FanoState.to_vector` order, the inverse of
+    :func:`fano_matrices`. NonHermitian or DomainError beyond 1e-9."""
+    m = np.asarray(matrices, dtype=complex)
     _require_hermitian(m)
-    tr = np.trace(m).real
-    if abs(tr - 1.0) > HERMITICITY_TOL:
-        raise DomainError(f"trace {tr!r} is not 1 within {HERMITICITY_TOL}")
-    coef = np.einsum("kl,ijlk->ij", m, _PAULI_PAIRS).real
-    return FanoState(coef[1:, 0], coef[0, 1:], coef[1:, 1:])
+    tr = np.trace(m, axis1=-2, axis2=-1).real.ravel()
+    if (off := tr[np.abs(tr - 1.0) > HERMITICITY_TOL]).size:
+        raise DomainError(f"trace {float(off[0])} is not 1 within {HERMITICITY_TOL}")
+    coef = np.einsum("...kl,ijlk->...ij", m, _PAULI_PAIRS).real
+    return np.ascontiguousarray(coef[(..., *_FANO_INDEX)])   # indexing leaves F order
+
+
+def matrix_to_fano(m: np.ndarray) -> FanoState:
+    """:func:`fano_vectors` of one 4x4 matrix, as a :class:`FanoState`."""
+    return FanoState.from_vector(fano_vectors(np.reshape(m, (4, 4))))
 
 
 def _require_hermitian(m: np.ndarray) -> None:
     if not np.isfinite(m).all():
         raise DomainError("matrix has non-finite entries")
-    dev = np.abs(m - m.conj().T).max()
+    dev = np.abs(m - np.swapaxes(m, -1, -2).conj()).max(initial=0.0)
     if dev > HERMITICITY_TOL:
         raise NonHermitian(f"max |m - m^dag| = {dev:.3e}"
                            f" exceeds {HERMITICITY_TOL}")

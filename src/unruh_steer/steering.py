@@ -61,9 +61,9 @@ def sic_rows(vectors):
     top right singular vector. Bob's axis e is b/|b|, or below the gate
     |b| < 1e-9 (b dropped, error bounded by |b|) T's top right singular
     vector, which gives sigma_2(T). No positivity check. A row's bits are
-    those of a stack of one and, on all BLAS kernels but one (ROADMAP item
-    7), of 2-D calls on its state."""
-    vectors = np.asarray(vectors, dtype=float).reshape(-1, 15)
+    those of a stack of one, in any memory layout, and, on all BLAS kernels
+    but one (ROADMAP item 7), of 2-D calls on its state."""
+    vectors = np.ascontiguousarray(vectors, dtype=float).reshape(-1, 15)
     b, t = vectors[:, 3:6], vectors[:, 6:].reshape(-1, 3, 3)
     blen = np.sqrt(b[:, None] @ b[:, :, None])[:, 0]   # np.linalg.norm's bits
     degenerate = blen[:, 0] < DEGENERACY_GATE
@@ -106,8 +106,9 @@ def sic_mid_rows(vectors):
     (a, b, T e e^T) in Fano coordinates (below the degeneracy gate the SIC
     drops b, and so does MID): the trace norm of the block T (I - e e^T),
     1/4 sum_ij [T (I - e e^T)]_ij s_i x s_j, built without rho."""
+    vectors = np.ascontiguousarray(vectors, dtype=float).reshape(-1, 15)
     sic, _, e = sic_rows(vectors)
-    t = np.reshape(vectors, (-1, 15))[:, 6:].reshape(-1, 3, 3)
+    t = vectors[:, 6:].reshape(-1, 3, 3)
     block = np.zeros((len(t), 15))
     block[:, 6:] = (t - (t @ e[:, :, None]) * e[:, None, :]).reshape(-1, 9)
     mid = np.abs(np.linalg.eigvalsh(fano_matrices(block) - 0.25 * np.eye(4))).sum(-1)

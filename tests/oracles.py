@@ -6,7 +6,9 @@ Bob's steered ensemble, l1 coherences of qubit states in the eigenbasis of
 a Bloch axis, and B-side dephasing as a 4x4 projector sum. They do no
 argument checking: callers pass unit or nonzero axes and physical states.
 ``sic_by_state`` and ``mid_by_state`` are the SIC and MID formulas taken
-one state at a time, the bitwise reference for the package's stacked core.
+one state at a time, the bitwise reference for the package's stacked core;
+``fano_by_matrix`` is the same for the projection of a matrix onto its
+Fano coefficients.
 
 The dynamics have two references: the free-space equations of motion as
 written by hand in Fano coordinates, and the Lindblad generator with one
@@ -24,7 +26,8 @@ import math
 import numpy as np
 
 from unruh_steer.model import equilibrium_free
-from unruh_steer.qmat import FanoState, fano_matrices, fano_to_matrix, trace_norm
+from unruh_steer.qmat import (_PAULI_PAIRS, FanoState, fano_matrices, fano_to_matrix,
+                              trace_norm)
 from unruh_steer.sweeps import DIAGNOSTICS_COLUMN, SweepResult
 
 PAULI_XYZ = (np.array([[0, 1], [1, 0]], dtype=complex),
@@ -136,6 +139,14 @@ def mid_by_state(state, e):
     removed = state.t_mat - np.outer(state.t_mat @ e, e)
     block = np.concatenate([np.zeros(6), removed.ravel()])
     return trace_norm(fano_matrices(block) - 0.25 * np.eye(4))
+
+
+def fano_by_matrix(m):
+    """One 4x4 matrix's Fano coefficients, Tr(m s_i x s_j) taken by a 2-D
+    einsum, as a FanoState."""
+    m = np.asarray(m, dtype=complex).reshape(4, 4)
+    coef = np.einsum("kl,ijlk->ij", m, _PAULI_PAIRS).real
+    return FanoState(coef[1:, 0], coef[0, 1:], coef[1:, 1:])
 
 
 def ode_rhs_by_hand(state, A, B):

@@ -11,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -563,6 +564,25 @@ def test_theorem_check_blocks_match_the_single_state_api(capsys):
         sic, mid = steering_induced_coherence(states[k]), one_sided_mid(states[k])
         assert (rows[k]["sic"], rows[k]["mid"], rows[k]["residual"]) == (
             f"{sic:.17g}", f"{mid:.17g}", f"{abs(sic - mid):.17g}"), k
+
+
+def test_theorem_check_holds_a_block_of_states(tmp_path, capsys, monkeypatch,
+                                              deadline):
+    # 20,000 states peak at 5.9 MB: one block's transients beside 24 B a
+    # state of columns. A list of every state's coefficients holds ~390 B
+    # a state and peaks at 7.9 MB. Each draw is a fresh copy of one state:
+    # tracing the RNG's allocations takes most of the deadline and leaves
+    # nothing held.
+    state = random_density_matrix(np.random.default_rng(0))
+    monkeypatch.setattr(cli, "random_density_matrix", lambda rng: state.copy())
+    tracemalloc.start()
+    try:
+        assert main(["theorem-check", "--count", "20000",
+                     "--out", str(tmp_path / "theorem.csv")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_800_000, f"theorem-check peaked at {peak / 1e6:.1f} MB"
 
 
 def test_theorem_check_stops_at_a_non_state(capsys, monkeypatch):

@@ -6,13 +6,15 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import PAULI_XYZ, basis_from_axis, dephase_b, is_physical
+from oracles import (PAULI_XYZ, basis_from_axis, dephase_b, fano_by_matrix,
+                     is_physical)
 from unruh_steer.errors import DomainError, NonHermitian, NotPositive
-from unruh_steer.model import UnruhParams, evolve, kossakowski_free, leaf_mask
+from unruh_steer.model import (UnruhParams, equilibrium_free, evolve,
+                               kossakowski_free, leaf_mask)
 from unruh_steer.qmat import (FanoState, concurrence, fano_matrices,
-                              fano_to_matrix, matrix_to_fano,
+                              fano_to_matrix, fano_vectors, matrix_to_fano,
                               random_density_matrix, random_fano_state,
                               trace_norm)
 from unruh_steer.steering import sic_solution
@@ -74,6 +76,45 @@ def test_fano_matrices_match_kron_loop(vectors):
         assert np.abs(m - fano_to_matrix(FanoState.from_vector(v))).max() <= 1e-15
         assert np.abs(m - m.conj().T).max() <= 1e-15
         assert abs(np.trace(m) - 1.0) <= 1e-15
+
+
+def _drawn_matrix(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "equilibrium":
+        return fano_to_matrix(equilibrium_free(rng.uniform(-3.0, 1.0),
+                                               rng.uniform(0.0, 1.0)))
+    if kind == "bell":
+        # a Bell-diagonal state (c inside the tetrahedron of the four Bell
+        # corners) under a random local unitary, rotated as a 4x4 matrix
+        corners = [[-1, -1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, -1]]
+        c = rng.dirichlet(np.ones(4)) @ np.array(corners, dtype=float)
+        bell = fano_to_matrix(FanoState(np.zeros(3), np.zeros(3), np.diag(c)))
+        u = np.kron(*(np.linalg.qr(rng.normal(size=(2, 2))
+                                   + 1j * rng.normal(size=(2, 2)))[0]
+                      for _ in range(2)))
+        return u @ bell @ u.conj().T
+    return random_density_matrix(rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(
+    st.sampled_from(("random", "bell", "equilibrium")),
+    st.integers(0, 2**32 - 1)), min_size=1, max_size=12))
+@example(rows=[("random", 0), ("bell", 1), ("equilibrium", 2), ("random", 3)])
+def test_stacked_projection_has_the_bits_of_each_matrix(rows):
+    # every row of a mixed stack equals the 2-D projection of its matrix
+    matrices = np.array([_drawn_matrix(kind, seed) for kind, seed in rows])
+    vectors = fano_vectors(matrices)
+    assert vectors.shape == (len(rows), 15)
+    assert vectors.flags.c_contiguous
+    for m, row in zip(matrices, vectors):
+        reference = fano_by_matrix(m).to_vector()
+        assert row.tobytes() == reference.tobytes()
+        assert matrix_to_fano(m).to_vector().tobytes() == reference.tobytes()
+    one = fano_vectors(matrices[-1])
+    assert one.shape == (15,) and one.tobytes() == vectors[-1].tobytes()
+    assert fano_vectors(matrices[None]).shape == (1, len(rows), 15)
+    assert fano_vectors(matrices[:0]).shape == (0, 15)
 
 
 def test_fano_state_arrays_read_only():
@@ -226,11 +267,29 @@ def test_random_density_matrix_is_physical():
 
 
 def test_matrix_to_fano_validation():
-    with pytest.raises(NonHermitian):
+    with pytest.raises(NonHermitian,
+                       match=r"^max \|m - m\^dag\| = 4\.000e-01 exceeds 1e-09$"):
         matrix_to_fano(np.triu(np.ones((4, 4))) / 2.5)
-    with pytest.raises(DomainError):
-        matrix_to_fano(np.eye(4) / 2.0)  # trace 2
+    with pytest.raises(DomainError, match=r"^trace 2\.0 is not 1 within 1e-09$"):
+        matrix_to_fano(np.eye(4) / 2.0)
     nan_entry = np.eye(4) / 4.0
     nan_entry[0, 3] = np.nan
     with pytest.raises(DomainError, match="^matrix has non-finite entries$"):
         matrix_to_fano(nan_entry)
+
+
+def test_stack_errors_name_the_bad_matrix():
+    good = np.eye(4, dtype=complex) / 4.0
+    skew = good.copy()
+    skew[0, 1] = 0.03
+    nan_entry = good.copy()
+    nan_entry[2, 2] = np.nan
+    with pytest.raises(NonHermitian,
+                       match=r"^max \|m - m\^dag\| = 3\.000e-02 exceeds 1e-09$"):
+        fano_vectors([good, skew, good])
+    with pytest.raises(DomainError, match="^matrix has non-finite entries$"):
+        fano_vectors([good, good, nan_entry])
+    # the first matrix off unit trace is named, as a plain float
+    with pytest.raises(DomainError, match=r"^trace 1\.5 is not 1 within 1e-09$"):
+        fano_vectors([[good, np.diag([0.5, 0.5, 0.25, 0.25])],
+                      [good, np.eye(4) / 2.0]])

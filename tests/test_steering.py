@@ -14,7 +14,8 @@ from oracles import (alpha_matrix, conditional_coherence, dephase_b,
 from unruh_steer.errors import DegenerateLimit, DenominatorZero, DomainError
 from unruh_steer.model import (UnruhParams, equilibrium_free,
                                kossakowski_boundary, steering_node_acceleration)
-from unruh_steer.qmat import (FanoState, fano_to_matrix, random_fano_state,
+from unruh_steer.qmat import (FanoState, fano_to_matrix, fano_vectors,
+                              random_density_matrix, random_fano_state,
                               trace_norm)
 from unruh_steer.steering import (one_sided_mid, sic_closed_form_free,
                                   sic_mid_rows, sic_rows, sic_solution,
@@ -292,6 +293,26 @@ def test_stacked_core_has_the_bits_of_each_state(rows):
         assert np.array_equal(ref_axes[k], ref_axis)
         assert mid[k] == disturbance
         assert residual[k] == abs(value - disturbance)
+
+
+_LAYOUTS = {
+    "C": np.copy,
+    "Fortran": np.asfortranarray,
+    "transposed": lambda v: np.ascontiguousarray(v.T).T,
+    "row-slice": lambda v: np.repeat(v, 2, axis=0)[::2],
+}
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+def test_stack_layout_moves_no_bits(layout):
+    # the same states in another memory layout give the same bits
+    rng = np.random.default_rng(31)
+    vectors = fano_vectors([random_density_matrix(rng) for _ in range(3000)])
+    stack = _LAYOUTS[layout](vectors)
+    assert np.array_equal(stack, vectors)
+    for got, want in zip((*sic_rows(stack), *sic_mid_rows(stack)),
+                         (*sic_rows(vectors), *sic_mid_rows(vectors))):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_sic_equals_mid_on_random_states():
