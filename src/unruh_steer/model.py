@@ -35,10 +35,15 @@ from numbers import Integral
 import numpy as np
 
 from .errors import DegenerateLimit, DomainError, UnphysicalDrift
-from .qmat import (_FANO_BASIS, _PAULI_PAIRS, FanoState, fano_matrices, first_below,
-                   require_state)
+from .qmat import (_FANO_BASIS, _PAULI_PAIRS, PHYSICALITY_TOL, FanoState,
+                   fano_matrices, first_below, require_state)
 
 RANGE_SLACK = 1e-12        # slack on closed parameter ranges
+# tau = Tr(rho S), S = sum_i sigma_i x sigma_i, whose eigenvalues are -3 (the
+# singlet) and 1 (the triplet): a state whose eigenvalues dip to -tol, as the
+# input gate allows, has tau in [-3 - 12 tol, 1 + 4 tol], the accepted leaves
+TAU_RANGE = (-3.0 - 12.0 * PHYSICALITY_TOL - RANGE_SLACK,
+             1.0 + 4.0 * PHYSICALITY_TOL + RANGE_SLACK)
 SINC_SERIES_CUTOFF = 1e-4  # |x| below which sin(x)/x uses its series
 DEGENERATE_D_REL = 1e-14   # |D| underflow gate, relative to coefficient scale
 COEFFICIENT_LIMIT = 1e102  # boundary |coefficients| below it keep D, x1, x3 finite
@@ -73,16 +78,15 @@ def _thermal_factor(x: float) -> float:
     return (1.0 + math.exp(-x)) / (-math.expm1(-x)) if x else math.inf
 
 
-def _each(f, x, dtype=float):
-    """f(x) of a float; of a float array, the ``dtype`` array (object for
-    text) of f of each element, called once per distinct bit pattern. An
-    element gets the bits the scalar path gives it, which numpy's power and
-    exp loops do not (they round some differently), nor promise for sin."""
+def _each(f, x):
+    """f(x) of a float; of a float array, the float array of f of each
+    element, called once per distinct bit pattern. An element gets the bits
+    the scalar path gives it, which numpy's power and exp loops do not (they
+    round some differently), nor promise for sin."""
     if not isinstance(x, np.ndarray):
         return f(float(x))
     bits, where = np.unique(x.view(np.int64), return_inverse=True)
-    return np.array([f(v) for v in bits.view(np.float64).tolist()],
-                    dtype=dtype)[where]
+    return np.array([f(v) for v in bits.view(np.float64).tolist()])[where]
 
 
 def _power(x, k):
@@ -92,9 +96,10 @@ def _power(x, k):
 
 
 def leaf_mask(tau, ratio):
-    """True where tau is in [-3, 1] and ratio in [0, 1] within RANGE_SLACK,
-    the domain of the equilibrium family; scalars or arrays, NaN outside."""
-    return ((-3.0 - RANGE_SLACK <= tau) & (tau <= 1.0 + RANGE_SLACK)
+    """True where tau is in [-3, 1] within ``TAU_RANGE`` and ratio in [0, 1]
+    within RANGE_SLACK, the domain of the equilibrium family; scalars or
+    arrays, NaN outside."""
+    return ((TAU_RANGE[0] <= tau) & (tau <= TAU_RANGE[1])
             & (-RANGE_SLACK <= ratio) & (ratio <= 1.0 + RANGE_SLACK))
 
 

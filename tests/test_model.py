@@ -27,8 +27,8 @@ from unruh_steer.model import (KossakowskiFree, UnruhParams,
                                equilibrium_boundary, equilibrium_free, evolve,
                                kossakowski_boundary, kossakowski_free, ode_rhs,
                                relaxation_horizon, steering_node_acceleration)
-from unruh_steer.qmat import (FanoState, fano_to_matrix, matrix_to_fano,
-                              random_fano_state)
+from unruh_steer.qmat import (PHYSICALITY_TOL, FanoState, fano_to_matrix,
+                              matrix_to_fano, random_fano_state)
 from unruh_steer.steering import (sic_solution, steerability_verdict_boundary,
                                   steering_induced_coherence)
 
@@ -138,9 +138,15 @@ def _equilibrium_spectrum(tau, ratio):
 
 
 def test_equilibrium_family_physical():
-    # the spectrum is nonnegative on the whole accepted range, slack included,
-    # so sweeps need no per-row eigensolve of the equilibrium
+    # the spectrum is nonnegative on [-3, 1] x [0, 1], RANGE_SLACK included,
+    # so sweeps need no per-row eigensolve of the equilibrium; at the ends of
+    # TAU_RANGE, the leaves of states that dip to -PHYSICALITY_TOL, it dips
+    # no further than 3 PHYSICALITY_TOL
     slack = model.RANGE_SLACK
+    for tau in model.TAU_RANGE:
+        for ratio in np.linspace(0.0, 1.0, 5):
+            assert (_equilibrium_spectrum(tau, ratio).min()
+                    >= -3.0 * PHYSICALITY_TOL - slack)
     taus = [*np.linspace(-3.0, 1.0, 9), -3.0 - slack, 1.0 + slack]
     ratios = [*np.linspace(0.0, 1.0, 5), -slack, 1.0 + slack]
     for tau in taus:
@@ -325,6 +331,26 @@ def test_evolve_rejects_unphysical_input():
     # state before its equilibrium is sought, as sic_solution does
     with pytest.raises(NotPositive, match=r"^state has min eigenvalue -5\.000e-01$"):
         evolve(FanoState(np.zeros(3), np.zeros(3), np.eye(3)), k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dip=st.floats(0.0, 0.99), singlet_edge=st.booleans())
+@example(dip=0.5, singlet_edge=True)     # FanoState(0, 0, -(1 + 2e-10) I)
+@example(dip=0.99, singlet_edge=False)
+def test_a_state_the_gate_passes_lies_on_a_leaf(dip, singlet_edge):
+    # one verdict at the edges of tau: the Bell-diagonal state whose
+    # eigenvalues dip to -d, d below PHYSICALITY_TOL, at the singlet edge
+    # (tau = -3 - 12 d) or at the other (tau = 1 + 4 d) passes the gate,
+    # and so evolve, its equilibrium and the sweeps' leaf mask take it
+    d = dip * PHYSICALITY_TOL
+    diagonal = -(1.0 + 4.0 * d) if singlet_edge else (1.0 + 4.0 * d) / 3.0
+    state = FanoState(np.zeros(3), np.zeros(3), diagonal * np.eye(3))
+    assert np.linalg.eigvalsh(fano_to_matrix(state))[0] == pytest.approx(
+        -d, abs=1e-16)
+    assert sic_solution(state).value == pytest.approx(abs(diagonal), abs=1e-15)
+    assert model.leaf_mask(state.trace_sum, 0.0)
+    traj = evolve(state, kossakowski_free(UnruhParams(1.0, 1.0)), samples=5)
+    assert traj.tau == state.trace_sum and traj.landing < model.LANDING_TOL
 
 
 @pytest.mark.parametrize("samples", [0, -1, 2.5, True])

@@ -167,14 +167,23 @@ def test_csv_format(tmp_path):
     assert DIAGNOSTICS_COLUMN not in text
 
 
-def test_signed_zero_keeps_its_text(monkeypatch):
-    # the writers spell each distinct float once; -0.0 == 0.0 must not merge
+# the writers spell a float block one distinct value at a time where at most
+# 3/4 of its cells are distinct, else cell by cell: a case for each branch
+BRANCHES = ["few-distinct", "all-distinct"]
+
+
+@pytest.mark.parametrize("cells, text", [
+    ([-0.0, 0.0, -0.0, 0.0], ["-0", "0", "-0", "0"]),
+    ([-0.0, 0.0, 1.5], ["-0", "0", "1.5"])], ids=BRANCHES)
+def test_signed_zero_keeps_its_text(monkeypatch, cells, text):
+    # -0.0 == 0.0 must not merge
     monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
-    res = SweepResult(columns=("x",), data=[np.array([-0.0, 0.0, -0.0])],
-                      diagnostics=[""] * 3)
-    assert "".join(csv_chunks(res)).split("\n")[1:4] == ["-0", "0", "-0"]
+    res = SweepResult(columns=("x",), data=[np.array(cells)],
+                      diagnostics=[""] * len(cells))
+    assert "".join(csv_chunks(res)).split("\n")[1:-1] == text
     rows = json.loads("".join(json_chunks(res)))["rows"]
-    assert [math.copysign(1.0, row["x"]) for row in rows] == [-1.0, 1.0, -1.0]
+    assert ([math.copysign(1.0, row["x"]) for row in rows]
+            == [math.copysign(1.0, x) for x in cells])
 
 
 def test_csv_diagnostics_column_and_booleans():
@@ -237,16 +246,20 @@ def test_json_is_strict_on_flagged_rows(tmp_path):
     assert back.rows[:3] == res.rows[:3]
 
 
-def test_json_maps_every_non_finite_float(tmp_path):
+@pytest.mark.parametrize("repeats", [4, 1], ids=BRANCHES)
+def test_json_maps_every_non_finite_float(tmp_path, repeats):
+    # three rows, each column 3 distinct floats, written 4 times or once
+    x = [math.inf, math.nan, -math.inf]
+    y = [-math.inf, 1.0, math.nan]
     res = SweepResult(columns=("x", "y"),
-                      data=[np.array([math.inf, math.nan]),
-                            np.array([-math.inf, 1.0])],
-                      diagnostics=["", ""],
+                      data=[np.array(x * repeats), np.array(y * repeats)],
+                      diagnostics=[""] * 3 * repeats,
                       meta={"bounds": [-math.inf, math.inf], "gap": math.nan})
     text = "".join(json_chunks(res))
     assert "Infinity" not in text and "NaN" not in text
     payload = json.loads(text)
-    assert payload["rows"] == [{"x": "inf", "y": "-inf"}, {"x": None, "y": 1.0}]
+    assert payload["rows"] == [{"x": "inf", "y": "-inf"}, {"x": None, "y": 1.0},
+                               {"x": "-inf", "y": None}] * repeats
     assert payload["meta"]["bounds"] == ["-inf", "inf"]
     assert payload["meta"]["gap"] is None
     path = str(tmp_path / "out.json")

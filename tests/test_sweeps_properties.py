@@ -15,7 +15,10 @@ columns, awkward
 column names and diagnostics, zero rows, and meta with tuples, None and inf.
 The writers emit the table in blocks of ``BLOCK_ROWS`` rows: the drawn
 tables are written with blocks of 1, 2 and 3 rows as well, and fixed tables
-sit on either side of one and two block boundaries.
+sit on either side of one and two block boundaries. A float block is
+spelled one distinct value at a time where at most 3/4 of its cells are
+distinct, else cell by cell: drawn columns of at most 3 distinct floats,
+and a fixed column at exactly 3/4, take both branches.
 """
 
 import contextlib
@@ -137,12 +140,19 @@ def _oracle_csv(result):
 SPECIAL = (-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308,
            math.nan, math.inf, -math.inf)
 FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats())
-COLUMN_CELLS = st.sampled_from([
+# a float column whose cells are sampled from at most 3 floats: blocks of
+# 1, 2, 3 and BLOCK_ROWS rows of it fall on both sides of the writers' 3/4
+# rule, each distinct float spelled once or every cell spelled
+FEW_FLOATS = st.lists(st.one_of(
+    st.sampled_from((math.nan, math.inf, -math.inf, -0.0, 0.0)),
+    st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=1, max_size=3).map(st.sampled_from)
+COLUMN_CELLS = st.one_of(st.sampled_from([
     FLOATS,                                           # float column
     st.booleans(),                                    # flag column
     st.one_of(st.booleans(), st.just(math.nan)),      # flag column, NaN rows
     st.one_of(FLOATS, st.integers(-10**20, 10**20)),  # ints among floats
-])
+]), FEW_FLOATS)                                       # few distinct floats
 AWKWARD = st.sampled_from('"\\%,é√\n')
 NAMES = st.text(alphabet=st.one_of(st.sampled_from("ab"), AWKWARD),
                 min_size=1, max_size=6).filter(lambda n: n != DIAGNOSTICS_COLUMN)
@@ -184,18 +194,25 @@ def test_csv_bytes_equal_row_encoder(res, block_rows):
 
 def _boundary_table(n_rows):
     """Floats with signed zeros, +-inf and NaN, a column of repeated values
-    (one spelling per block), a flag column with NaN rows, and a diagnostic
-    in the last row only."""
+    (one spelling per block), a flag column with NaN rows, a diagnostic in
+    the last row only, and a column at the writers' 3/4 rule: a full block
+    of it holds exactly 3/4 distinct floats, NaN and +-inf among them, so
+    that its blocks of BLOCK_ROWS - 1 and BLOCK_ROWS rows fall on either
+    side."""
     rng = np.random.default_rng(n_rows)
     floats = rng.normal(size=n_rows).tolist()
     floats[::5] = [SPECIAL[k % len(SPECIAL)] for k in range(0, n_rows, 5)]
     flags = [math.nan if k % 3 == 0 else bool(k % 2) for k in range(n_rows)]
     repeated = [float(k % 7) - 3.0 for k in range(n_rows)]
+    distinct = 3 * BLOCK_ROWS // 4
+    pool = [math.nan, math.inf, -math.inf, -0.0, *rng.normal(size=distinct - 4)]
+    at_rule = [pool[k % BLOCK_ROWS % distinct] for k in range(n_rows)]
     diagnostics = [""] * n_rows
     if n_rows:
         diagnostics[-1] = "DomainError: last row, last block"
-    return SweepResult(columns=("x", "flag", "r"),
-                       data=[column(floats), column(flags), column(repeated)],
+    return SweepResult(columns=("x", "flag", "r", "q"),
+                       data=[column(floats), column(flags), column(repeated),
+                             column(at_rule)],
                        diagnostics=diagnostics,
                        meta={"bound": math.inf})
 
