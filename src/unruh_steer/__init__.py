@@ -38,7 +38,6 @@ from .qmat import (
     matrix_to_fano,
     random_density_matrix,
     random_fano_state,
-    trace_norm,
 )
 from .steering import (
     BoundaryVerdict,
@@ -96,6 +95,5 @@ __all__ = [
     "steering_induced_coherence",
     "steering_node_acceleration",
     "theorem1_residual",
-    "trace_norm",
     "__version__",
 ]

@@ -30,8 +30,8 @@ from .model import (
     kossakowski_free,
     steering_node_acceleration,
 )
-from .qmat import (FanoState, fano_matrices, fano_vectors,
-                   random_density_matrix, require_state)
+from .qmat import (FanoState, fano_vectors, random_density_matrix,
+                   require_state)
 from .steering import SQRT6, sic_mid_rows, steering_induced_coherence
 from .sweeps import (
     BLOCK_ROWS,
@@ -298,9 +298,10 @@ def cmd_theorem_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     columns = np.empty((len(THEOREM_COLUMNS), args.count))
     for lo in range(0, args.count, BLOCK_ROWS):
-        block = fano_vectors([random_density_matrix(rng)
-                              for _ in range(min(BLOCK_ROWS, args.count - lo))])
-        require_state(fano_matrices(block))
+        drawn = np.array([random_density_matrix(rng)
+                          for _ in range(min(BLOCK_ROWS, args.count - lo))])
+        block = fano_vectors(drawn)
+        require_state(drawn)
         columns[:, lo:lo + BLOCK_ROWS] = sic_mid_rows(block)
     axes = (("state_index", np.arange(args.count, dtype=float)),)
     meta = {"seed": args.seed, "count": args.count}

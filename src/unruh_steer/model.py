@@ -30,11 +30,12 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cache, reduce
+from itertools import repeat
 from numbers import Integral
 
 import numpy as np
 
-from .errors import DegenerateLimit, DomainError, UnphysicalDrift
+from .errors import DomainError, UnphysicalDrift
 from .qmat import (_FANO_BASIS, _PAULI_PAIRS, PHYSICALITY_TOL, FanoState,
                    fano_matrices, first_below, require_state)
 
@@ -78,21 +79,22 @@ def _thermal_factor(x: float) -> float:
     return (1.0 + math.exp(-x)) / (-math.expm1(-x)) if x else math.inf
 
 
-def _each(f, x):
-    """f(x) of a float; of a float array, the float array of f of each
-    element, called once per distinct bit pattern. An element gets the bits
-    the scalar path gives it, which numpy's power and exp loops do not (they
-    round some differently), nor promise for sin."""
+def _each(f, x, *args):
+    """f(x, *args) of a float; of a float array, the float array of f of
+    each element, mapped once per distinct bit pattern. An element gets the
+    bits the scalar path gives it, which numpy's power and exp loops do not
+    (they round some differently), nor promise for sin."""
     if not isinstance(x, np.ndarray):
-        return f(float(x))
+        return f(float(x), *args)
     bits, where = np.unique(x.view(np.int64), return_inverse=True)
-    return np.array([f(v) for v in bits.view(np.float64).tolist()])[where]
+    values = bits.view(np.float64).tolist()
+    return np.array(list(map(f, values, *map(repeat, args))))[where]
 
 
 def _power(x, k):
     """x ** k as Python floats take it (C ``pow``), element by element on
     arrays."""
-    return _each(lambda v: v ** k, x)
+    return _each(pow, x, k)
 
 
 def leaf_mask(tau, ratio):
@@ -285,19 +287,6 @@ def boundary_d(a1, a2, b1, b2):
     scale = _power(reduce(np.maximum, (abs(a1), abs(a2), abs(b1), abs(b2),
                                        1e-300)), 3)
     return d, abs(d) <= DEGENERATE_D_REL * scale
-
-
-def boundary_x(a1, a2, b1, b2, d):
-    """x1 = -(A1-A2) B1 (2A1+A2) / D, the equilibrium's Bloch coefficient
-    along n, and x3 = (A1-A2) B1 (2B1+B2-2A1-A2) / D of the boundary
-    steering criterion; Python floats or numpy arrays alike."""
-    return (-(a1 - a2) * b1 * (2.0 * a1 + a2) / d,
-            (a1 - a2) * b1 * (2.0 * b1 + b2 - 2.0 * a1 - a2) / d)
-
-
-def d_underflow(d) -> DegenerateLimit:
-    """The error of a D that underflows, as both boundary paths word it."""
-    return DegenerateLimit(f"|D| = {abs(d):.3e} underflows")
 
 
 def equilibrium_boundary(coeffs: KossakowskiBoundary) -> FanoState:

@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DenominatorZero
-from .model import boundary_d, boundary_x, check_leaf, d_underflow
+from .errors import DegenerateLimit, DenominatorZero
+from .model import boundary_d, check_leaf
 from .qmat import FanoState, fano_matrices, fano_to_matrix, require_state
 
 SQRT6 = math.sqrt(6.0)
@@ -184,28 +184,40 @@ class BoundaryVerdict(NamedTuple):
     satisfied: bool
 
 
-def zero_denominator(denom) -> DenominatorZero:
-    """The error of a gated 1 + x1, as both boundary paths word it."""
-    return DenominatorZero(f"1 + x1 = {denom:.3e}")
+def boundary_verdict_rows(a1, a2, b1, b2):
+    """Coherence-sum steering criterion for the boundary equilibrium, on
+    float arrays of coefficient pairs that pass
+    :func:`~unruh_steer.model.coefficient_mask`: the arrays (x1, x3, value,
+    satisfied), and a dict from each row the gates refuse to its error.
+
+    x1 = -(A1-A2) B1 (2A1+A2) / D, the equilibrium's Bloch coefficient along
+    n, and x3 = (A1-A2) B1 (2B1+B2-2A1-A2) / D share the denominator D of
+    the boundary equilibrium (:func:`~unruh_steer.model.boundary_d`, finite
+    under the mask); the criterion compares x3 / (1 + x1) against sqrt(6).
+    DegenerateLimit where D underflows (z -> 0 and/or sep -> 0), and
+    DenominatorZero where 1 + x1 <= 1e-9 (the ratio saturation regime near
+    zero acceleration, where cancellation noise dominates the denominator).
+    """
+    with np.errstate(all="ignore"):   # a gated row may divide by zero
+        d, underflows = boundary_d(a1, a2, b1, b2)
+        x1 = -(a1 - a2) * b1 * (2.0 * a1 + a2) / d
+        x3 = (a1 - a2) * b1 * (2.0 * b1 + b2 - 2.0 * a1 - a2) / d
+        denom = 1.0 + x1
+        value = x3 / denom
+    zero = ~underflows & (denom <= DENOMINATOR_GATE)
+    errors = {i: DegenerateLimit(f"|D| = {abs(di):.3e} underflows") for i, di
+              in zip(np.flatnonzero(underflows).tolist(), d[underflows].tolist())}
+    errors.update((i, DenominatorZero(f"1 + x1 = {di:.3e}")) for i, di
+                  in zip(np.flatnonzero(zero).tolist(), denom[zero].tolist()))
+    return (x1, x3, value, value > SQRT6), errors
 
 
 def steerability_verdict_boundary(coeffs) -> BoundaryVerdict:
-    """Coherence-sum steering criterion for the boundary equilibrium.
-
-    x1 = -(A1-A2) B1 (2A1+A2) / D and x3 = (A1-A2) B1 (2B1+B2-2A1-A2) / D
-    share the denominator D of the boundary equilibrium
-    (:func:`~unruh_steer.model.boundary_d`, finite for every record); the
-    criterion compares x3 / (1 + x1) against sqrt(6). Raises
-    DegenerateLimit when D underflows (z -> 0 and/or sep -> 0) and
-    DenominatorZero when 1 + x1 <= 1e-9 (the ratio saturation regime near
-    zero acceleration, where cancellation noise dominates the denominator).
-    """
-    d, underflows = boundary_d(coeffs.A1, coeffs.A2, coeffs.B1, coeffs.B2)
-    if underflows:
-        raise d_underflow(d)
-    x1, x3 = boundary_x(coeffs.A1, coeffs.A2, coeffs.B1, coeffs.B2, d)
-    denom = 1.0 + x1
-    if denom <= DENOMINATOR_GATE:
-        raise zero_denominator(denom)
-    value = x3 / denom
-    return BoundaryVerdict(x1=x1, x3=x3, value=value, satisfied=value > SQRT6)
+    """:func:`boundary_verdict_rows` of one coefficient record, as Python
+    floats and a bool; raises the row's DegenerateLimit or DenominatorZero."""
+    pairs = np.array([[coeffs.A1], [coeffs.A2], [coeffs.B1], [coeffs.B2]],
+                     dtype=float)
+    cells, errors = boundary_verdict_rows(*pairs)
+    if errors:
+        raise errors[0]
+    return BoundaryVerdict(*(cell.item() for cell in cells))

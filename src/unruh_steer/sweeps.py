@@ -1,8 +1,10 @@
 """Deterministic parameter-sweep engine with CSV/JSON emission.
 
 Evaluators take the whole grid at once, flattened in lexicographic order, one
-array per axis, and work on whole arrays. Domain errors at single points
-become row diagnostics instead of aborting the sweep. The result table is
+array per axis, and work on whole arrays. Each row gets its cells from one
+path: the arrays compute exactly the rows that the scalar checks accept,
+and a refused row is NaN, named by the error its scalar check raises
+("{Class}: {message}") instead of aborting the sweep. The result table is
 column-major, one 1-D numpy array per column, and both writers emit it in
 blocks of ``BLOCK_ROWS`` rows, a column at a time within a block, so no
 writer holds a whole file's text. Serialization is reproducible: CSV
@@ -30,26 +32,20 @@ from .errors import ConsistencyError, DomainError, UnruhSteerError
 from .model import (
     UnruhParams,
     boundary_arguments,
-    boundary_d,
     boundary_pairs,
-    boundary_x,
     check_leaf,
     check_rows,
     coefficient_mask,
-    d_underflow,
     free_coefficients,
     kossakowski_boundary,
     kossakowski_free,
     leaf_mask,
 )
 from .steering import (
-    DENOMINATOR_GATE,
     SQRT6,
+    boundary_verdict_rows,
     coherence_sum_terms,
     sic_closed_form_free,
-    steerability_functional_free,
-    steerability_verdict_boundary,
-    zero_denominator,
 )
 
 GRID_NAMES = ("a", "tau", "R", "z", "L")
@@ -173,27 +169,25 @@ def _diagnostic(exc: UnruhSteerError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _fill_rows(columns, diagnostics, rows, point, *axes):
-    """Store the scalar ``point`` at each of ``rows`` into the columns.
-
-    An UnruhSteerError makes the row NaN, with the diagnostic
-    "{Class}: {message}". The evaluators send only the rows their masks
-    refuse.
-    """
+def _name_rows(diagnostics, rows, check, *axes):
+    """Name each of ``rows``, whose cells are NaN, by the UnruhSteerError of
+    the scalar ``check`` at its inputs: "{Class}: {message}". The evaluators
+    send exactly the rows their masks refuse, which their checks refuse too;
+    a row the check accepts raises ConsistencyError."""
     for i in rows:
         try:
-            values = point(*(float(axis[i]) for axis in axes))
+            check(*(float(axis[i]) for axis in axes))
         except UnruhSteerError as exc:
-            values = (math.nan,) * len(columns)
             diagnostics[i] = _diagnostic(exc)
-        for column, value in zip(columns, values):
-            column[i] = value
+        else:
+            raise ConsistencyError(f"row {i}: the array mask refuses inputs"
+                                   " that its scalar check accepts")
 
 
 def eval_sic_free(omega: float, tau, accel):
     """Columns (R, sic) of the free-space equilibrium on whole arrays, bit for
     bit the scalar path's; rows that ``UnruhParams`` (x = 0 here) or
-    ``leaf_mask`` refuses go through the scalar checks, which flag them."""
+    ``leaf_mask`` refuses are NaN, named by the scalar checks."""
     def point(t, a):   # raises on every row sent here, with the scalar text
         check_leaf(t, kossakowski_free(UnruhParams(omega, a)).ratio)
 
@@ -205,7 +199,7 @@ def eval_sic_free(omega: float, tau, accel):
     columns = [np.where(fast, cells, math.nan)
                for cells in (ratio, sic_closed_form_free(tau, ratio))]
     diagnostics = [""] * tau.size
-    _fill_rows(columns, diagnostics, np.flatnonzero(~fast), point, tau, accel)
+    _name_rows(diagnostics, np.flatnonzero(~fast), point, tau, accel)
     return columns, diagnostics
 
 
@@ -213,7 +207,8 @@ def eval_surface(tau, ratio):
     """Columns SURFACE_COLUMNS of ``steerability_functional_free``.
 
     Its terms, from ``coherence_sum_terms``, on whole arrays; the singular
-    point comes back NaN/False with the diagnostic "singular".
+    point comes back NaN/False with the diagnostic "singular", and rows
+    outside ``leaf_mask`` NaN, named by ``check_leaf``.
     """
     with np.errstate(all="ignore"):
         term1, num2, denom2, singular = coherence_sum_terms(tau, ratio)
@@ -224,9 +219,10 @@ def eval_surface(tau, ratio):
     flag = object if bad.size else bool   # NaN in a bool array reads True
     columns = [literal, absolute, (literal > SQRT6).astype(flag),
                (absolute > SQRT6).astype(flag)]
+    for column in columns:
+        column[bad] = math.nan
     diagnostics = np.where(singular, "singular", "").tolist()
-    _fill_rows(columns, diagnostics, bad,
-               lambda t, r: steerability_functional_free(t, r)[:4], tau, ratio)
+    _name_rows(diagnostics, bad, check_leaf, tau, ratio)
     return columns, diagnostics
 
 
@@ -236,16 +232,13 @@ def eval_boundary(omega: float, accel, z, sep):
     powers, sqrt, sin and exp through the scalar functions per distinct
     argument (``model._each``).
 
-    A row goes through the arrays when its thermal and image-point
-    arguments are all positive and finite, and its coefficients pass
-    ``model.coefficient_mask`` (finite, and small enough that D, x1 and x3
-    cannot overflow). The arguments imply valid inputs: sqrt(L^2 + 4 z^2)
-    omega > 0 needs omega > 0, and then 2 z omega, L omega and
-    2 pi omega / a in (0, inf) need z, L and a there. Its DegenerateLimit
-    and DenominatorZero flags come from the arrays. Every other row (bad
-    input, an argument at inf or 0, or an infinite, NaN or huge
-    coefficient) goes through ``kossakowski_boundary`` and
-    ``steerability_verdict_boundary``, which flag it.
+    A row goes through the arrays exactly where ``kossakowski_boundary``
+    accepts it: a valid omega, a > 0 (inf allowed), z and sep positive and
+    finite, finite image-point arguments (0 where they underflow), and
+    coefficients that pass ``model.coefficient_mask``. Its cells, and its
+    DegenerateLimit and DenominatorZero flags, come from
+    ``steering.boundary_verdict_rows``. Every other row is NaN, named by
+    ``kossakowski_boundary``.
     """
     n = accel.size
     columns = [np.full(n, math.nan) for _ in BOUNDARY_COLUMNS[:-1]]
@@ -253,33 +246,27 @@ def eval_boundary(omega: float, accel, z, sep):
     diagnostics = [""] * n
     with np.errstate(all="ignore"):
         x, args = boundary_arguments(omega, accel, z, sep)
-        fast = (0.0 < x) & (x < math.inf)
+        fast = ((accel > 0.0) & (0.0 < omega / (4.0 * math.pi) < math.inf)
+                & (0.0 < z) & (z < math.inf) & (0.0 < sep) & (sep < math.inf))
         for arg in args:
-            fast &= (0.0 < arg) & (arg < math.inf)
+            fast &= np.isfinite(arg)
         rows = np.flatnonzero(fast)
         pairs = boundary_pairs(omega, x[rows], [arg[rows] for arg in args])
         finite = coefficient_mask(*pairs)
-        fast[rows[~finite]] = False
-        rows, pairs = rows[finite], [cells[finite] for cells in pairs]
-        d, underflows = boundary_d(*pairs)
-        x1, x3 = boundary_x(*pairs, d)
-        denom = 1.0 + x1
-        value = x3 / denom
-    zero = ~underflows & (denom <= DENOMINATOR_GATE)
-    kept = ~(underflows | zero)
-    for column, cells in zip(columns, (*pairs, x1, x3, value, value > SQRT6)):
+    fast[rows[~finite]] = False
+    rows, pairs = rows[finite], [cells[finite] for cells in pairs]
+    verdicts, errors = boundary_verdict_rows(*pairs)
+    kept = np.ones(rows.size, dtype=bool)
+    kept[list(errors)] = False
+    for column, cells in zip(columns, (*pairs, *verdicts)):
         column[rows[kept]] = cells[kept]
-    for i, di in zip(rows[underflows].tolist(), d[underflows].tolist()):
-        diagnostics[i] = _diagnostic(d_underflow(di))
-    for i, denom_i in zip(rows[zero].tolist(), denom[zero].tolist()):
-        diagnostics[i] = _diagnostic(zero_denominator(denom_i))
+    for i, exc in errors.items():
+        diagnostics[rows[i]] = _diagnostic(exc)
 
-    def point(a, height, distance):
-        coeffs = kossakowski_boundary(UnruhParams(omega, a), height, distance)
-        return ((coeffs.A1, coeffs.A2, coeffs.B1, coeffs.B2)
-                + tuple(steerability_verdict_boundary(coeffs)))
+    def check(a, height, distance):
+        kossakowski_boundary(UnruhParams(omega, a), height, distance)
 
-    _fill_rows(columns, diagnostics, np.flatnonzero(~fast), point, accel, z, sep)
+    _name_rows(diagnostics, np.flatnonzero(~fast), check, accel, z, sep)
     return columns, diagnostics
 
 

@@ -26,8 +26,7 @@ import math
 import numpy as np
 
 from unruh_steer.model import equilibrium_free
-from unruh_steer.qmat import (_PAULI_PAIRS, FanoState, fano_matrices, fano_to_matrix,
-                              trace_norm)
+from unruh_steer.qmat import _PAULI_PAIRS, FanoState, fano_matrices, fano_to_matrix
 from unruh_steer.sweeps import DIAGNOSTICS_COLUMN, SweepResult
 
 PAULI_XYZ = (np.array([[0, 1], [1, 0]], dtype=complex),
@@ -46,6 +45,11 @@ def basis_from_axis(axis):
     n = unit_axis(axis)
     _, kets = np.linalg.eigh(sum(c * s for c, s in zip(n, PAULI_XYZ)))
     return kets[:, ::-1]
+
+
+def trace_norm(m):
+    """Tr|m|, the sum of the absolute eigenvalues of a Hermitian m."""
+    return float(np.abs(np.linalg.eigvalsh(m)).sum())
 
 
 def dephase_b(m, axis):

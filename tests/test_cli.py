@@ -22,7 +22,9 @@ from unruh_steer import cli, model
 from unruh_steer.cli import EXIT_DOMAIN, EXIT_IO, EXIT_USAGE, main
 from unruh_steer.model import (UnruhParams, equilibrium_free, kossakowski_free,
                                relaxation_horizon)
-from unruh_steer.qmat import matrix_to_fano, random_density_matrix
+from unruh_steer.qmat import (PHYSICALITY_TOL, fano_matrices, fano_vectors,
+                              first_below, matrix_to_fano,
+                              random_density_matrix)
 from unruh_steer.steering import (one_sided_mid, sic_closed_form_free,
                                   steering_induced_coherence)
 from unruh_steer.sweeps import BLOCK_ROWS
@@ -568,7 +570,7 @@ def test_theorem_check_blocks_match_the_single_state_api(capsys):
 
 def test_theorem_check_holds_a_block_of_states(tmp_path, capsys, monkeypatch,
                                               deadline):
-    # 20,000 states peak at 5.9 MB: one block's transients beside 24 B a
+    # 20,000 states peak at 5.3 MB: one block's transients beside 24 B a
     # state of columns. A list of every state's coefficients holds ~390 B
     # a state and peaks at 7.9 MB. Each draw is a fresh copy of one state:
     # tracing the RNG's allocations takes most of the deadline and leaves
@@ -583,6 +585,17 @@ def test_theorem_check_holds_a_block_of_states(tmp_path, capsys, monkeypatch,
     finally:
         tracemalloc.stop()
     assert peak < 6_800_000, f"theorem-check peaked at {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_theorem_check_gate_certifies_drawn_and_rebuilt_blocks(seed):
+    # the gate reads the drawn stack, not the matrices rebuilt from its
+    # coefficients; on these blocks both certify, so the choice moves no row
+    rng = np.random.default_rng(seed)
+    drawn = np.array([random_density_matrix(rng) for _ in range(BLOCK_ROWS)])
+    assert first_below(drawn, PHYSICALITY_TOL) is None
+    rebuilt = fano_matrices(fano_vectors(drawn))
+    assert first_below(rebuilt, PHYSICALITY_TOL) is None
 
 
 def test_theorem_check_stops_at_a_non_state(capsys, monkeypatch):

@@ -3,7 +3,10 @@
 On random small grids each evaluator, run through ``run_grid``, must give
 cell for cell what its scalar functions give (the same bits, or both NaN),
 and a row where the scalar functions raise must carry their exact error
-text.
+text. The evaluators compute every accepted row on the arrays and only
+name refused rows by a scalar check, so these comparisons hold the array
+path to the scalar one on each accepted row, including limits such as an
+infinite thermal argument and image-point arguments that underflow to 0.
 The boundary scan is checked against its closed form: on unflagged rows
 x1 = -R, x3 = -R (1 - R) and the criterion value x3 / (1 + x1) = -R.
 """
@@ -141,23 +144,26 @@ def _log_uniform(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
-# bad inputs; a <= 0.3 for DenominatorZero and 1e20 for an infinite thermal
-# factor at omega = 1e-300, 1e25 where 2 pi omega / a underflows there, and
-# 1e-320 for an infinite thermal argument
+# bad inputs (2 pi omega / a is inf at -0.0 and 0.0 too); a <= 0.3 for
+# DenominatorZero and 1e20 for an infinite thermal factor at omega = 1e-300,
+# 1e25 where 2 pi omega / a underflows there, and 1e-320 for an infinite
+# thermal argument
 BOUNDARY_ACCELS = st.one_of(
-    st.sampled_from([-1.0, 0.0, math.nan, math.inf, 1e-320, 0.05, 0.2, 0.3,
-                     1e20, 1e25]),
+    st.sampled_from([-1.0, -0.0, 0.0, math.nan, math.inf, 1e-320, 0.05, 0.2,
+                     0.3, 1e20, 1e25]),
     _log_uniform(0.01, 100.0))
-# bad inputs; tiny lengths for DegenerateLimit, and 1e200, 1e300 (L^2 + 4 z^2)
-# and 1e308 (2 z omega) for image-point arguments that overflow
+# bad inputs (-0.0 and 0.0 give image-point arguments of +-0, as 5e-324 at
+# omega = 1e-300 does by underflow); tiny lengths for DegenerateLimit, and
+# 1e200, 1e300 (L^2 + 4 z^2) and 1e308 (2 z omega) for image-point
+# arguments that overflow
 BOUNDARY_LENGTHS = st.one_of(
-    st.sampled_from([-1.0, 0.0, math.nan, math.inf, 5e-324, 1e-12, 1e-9,
-                     1e200, 1e300, 1e308]),
+    st.sampled_from([-1.0, -0.0, 0.0, math.nan, math.inf, 5e-324, 1e-12,
+                     1e-9, 1e200, 1e300, 1e308]),
     _log_uniform(1e-3, 10.0))
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from([1.0, 2.5, 1e-300]),
+@given(st.sampled_from([1.0, 2.5, 1e-300, 0.0, -1.0, math.nan]),
        st.lists(BOUNDARY_ACCELS, min_size=1, max_size=5),
        st.lists(BOUNDARY_LENGTHS, min_size=1, max_size=5),
        st.lists(BOUNDARY_LENGTHS, min_size=1, max_size=5))
@@ -166,6 +172,9 @@ BOUNDARY_LENGTHS = st.one_of(
          [0.0, math.inf, 1e-12, 1.0, 1e200, 1e308])
 @example(1e-300, [0.0, 1e-300, 1e-299, 0.3, 1e20, 1e25],
          [1e-9, 1.0, 1e300, 1e308], [1e-12, 1e300, 1e308])
+@example(1.0, [1e-320], [1e-4], [3.57e-4])   # x = inf: x1 = -0.9999999970
+@example(1e-300, [-0.0, 0.0, 1.0], [-0.0, 5e-324, 1.0], [-0.0, 5e-324, 1.0])
+@example(math.nan, [1.0], [1.0], [1.0])
 def test_eval_boundary_equals_scalar_path(omega, accels, heights, seps):
     axes = (("a", accels), ("z", heights), ("L", seps))
     res = run_grid(axes, lambda a, z, sep: eval_boundary(omega, a, z, sep),

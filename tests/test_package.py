@@ -25,7 +25,7 @@ PUBLIC_NAMES = [
     "run_grid", "sic_closed_form_free", "sic_solution",
     "steerability_functional_free", "steerability_verdict_boundary",
     "steering_induced_coherence", "steering_node_acceleration",
-    "theorem1_residual", "trace_norm",
+    "theorem1_residual",
 ]
 
 

@@ -10,13 +10,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (alpha_matrix, conditional_coherence, dephase_b,
                      is_physical, l1_coherence_bloch, mid_by_state,
-                     sic_by_state, steer_bob, steerability_pairings_free)
+                     sic_by_state, steer_bob, steerability_pairings_free,
+                     trace_norm)
 from unruh_steer.errors import DegenerateLimit, DenominatorZero, DomainError
 from unruh_steer.model import (UnruhParams, equilibrium_free,
                                kossakowski_boundary, steering_node_acceleration)
 from unruh_steer.qmat import (FanoState, fano_to_matrix, fano_vectors,
-                              random_density_matrix, random_fano_state,
-                              trace_norm)
+                              random_density_matrix, random_fano_state)
 from unruh_steer.steering import (one_sided_mid, sic_closed_form_free,
                                   sic_mid_rows, sic_rows, sic_solution,
                                   steerability_functional_free,
@@ -485,6 +485,8 @@ def test_functional_exceeds_flags():
 
 def test_boundary_verdict_reference_point():
     v = steerability_verdict_boundary(kossakowski_boundary(REF, 1.0, 1.0))
+    # the array verdict on one record hands back Python floats and a bool
+    assert [type(cell) for cell in v] == [float, float, float, bool]
     assert v.x1 == pytest.approx(-0.46211715726000974, abs=1e-15)
     assert v.x3 == pytest.approx(-0.2485648902259372, abs=1e-15)
     assert v.value == pytest.approx(-0.46211715726000974, abs=1e-13)

@@ -18,7 +18,7 @@ from unruh_steer.steering import (one_sided_mid, sic_closed_form_free,
                                   steering_induced_coherence, theorem1_residual)
 from unruh_steer.sweeps import (BOUNDARY_COLUMNS, DIAGNOSTICS_COLUMN,
                                 SURFACE_COLUMNS, THEOREM_COLUMNS, GridSpec,
-                                SweepResult, _fill_rows, csv_chunks,
+                                SweepResult, _name_rows, csv_chunks,
                                 eval_boundary, eval_sic_free, eval_surface,
                                 json_chunks, plot_script, run_grid,
                                 write_result)
@@ -66,16 +66,17 @@ def _square(x, y):
     return (x * y, x - y), [""] * x.size
 
 
-def _flaky_point(x, y):
+def _flaky_check(x, y):
     if x == 2.0 and y == 10.0:
         raise DomainError("bad, point")
-    return (x + y,)
 
 
 def _flaky(x, y):
-    # row by row through the guard the package's evaluators use
-    columns, diagnostics = [np.empty(x.size)], [""] * x.size
-    _fill_rows(columns, diagnostics, range(x.size), _flaky_point, x, y)
+    # sums on the arrays; the row the mask refuses is NaN, named by the
+    # scalar check through the guard the package's evaluators use
+    refused = (x == 2.0) & (y == 10.0)
+    columns, diagnostics = [np.where(refused, math.nan, x + y)], [""] * x.size
+    _name_rows(diagnostics, np.flatnonzero(refused), _flaky_check, x, y)
     return columns, diagnostics
 
 
@@ -98,6 +99,12 @@ def test_run_grid_guards_package_errors():
     assert res.diagnostics[2] == "DomainError: bad, point"
     assert res.diagnostics[0] == ""
     assert res.rows[3] == (2.0, 20.0, 22.0)
+    # the guard only names rows: one its check accepts is a mask at fault
+    diagnostics = [""]
+    with pytest.raises(ConsistencyError, match="^row 0: the array mask"):
+        _name_rows(diagnostics, range(1), _flaky_check, np.array([1.0]),
+                   np.array([10.0]))
+    assert diagnostics == [""]
 
 
 def test_run_grid_rejects_mismatched_columns():
