@@ -40,14 +40,12 @@ from .qmat import (
     random_fano_state,
 )
 from .steering import (
-    BoundaryVerdict,
     SicSolution,
     SteerabilityFree,
     one_sided_mid,
     sic_closed_form_free,
     sic_solution,
     steerability_functional_free,
-    steerability_verdict_boundary,
     steering_induced_coherence,
     theorem1_residual,
 )
@@ -56,7 +54,6 @@ from .sweeps import GridSpec, SweepResult, run_grid
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryVerdict",
     "ConsistencyError",
     "DegenerateLimit",
     "DenominatorZero",
@@ -91,7 +88,6 @@ __all__ = [
     "sic_closed_form_free",
     "sic_solution",
     "steerability_functional_free",
-    "steerability_verdict_boundary",
     "steering_induced_coherence",
     "steering_node_acceleration",
     "theorem1_residual",

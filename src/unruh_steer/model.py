@@ -46,7 +46,6 @@ RANGE_SLACK = 1e-12        # slack on closed parameter ranges
 TAU_RANGE = (-3.0 - 12.0 * PHYSICALITY_TOL - RANGE_SLACK,
              1.0 + 4.0 * PHYSICALITY_TOL + RANGE_SLACK)
 SINC_SERIES_CUTOFF = 1e-4  # |x| below which sin(x)/x uses its series
-DEGENERATE_D_REL = 1e-14   # |D| underflow gate, relative to coefficient scale
 COEFFICIENT_LIMIT = 1e102  # boundary |coefficients| below it keep D, x1, x3 finite
 DRIFT_TOL = -1e-6          # a min eigenvalue after t = 0 below this aborts evolve
 LANDING_TOL = 1e-6         # final sample this close to the equilibrium: converged
@@ -171,8 +170,10 @@ class KossakowskiBoundary:
     2-pair the cross-atom blocks; the n n pairs (C1 = -A1, C2 = -A2) are
     not computed. Every record, by hand or by
     :func:`kossakowski_boundary`, holds :func:`coefficient_mask`'s bound, so
-    D, x1 and x3 stay finite: DomainError naming the first of A1, A2, B1,
-    B2 that is not finite or reaches COEFFICIENT_LIMIT in magnitude.
+    the mirror criterion's D, x1 and x3
+    (:func:`~unruh_steer.steering.boundary_verdict_rows`) stay finite:
+    DomainError naming the first of A1, A2, B1, B2 that is not finite or
+    reaches COEFFICIENT_LIMIT in magnitude.
     """
 
     A1: float
@@ -274,19 +275,6 @@ def equilibrium_free(tau: float, ratio: float) -> FanoState:
     t_mat = np.diag([across, across,
                      across + ratio * ratio * (tau + 3.0)]) / denom
     return FanoState(bloch, bloch, t_mat)
-
-
-def boundary_d(a1, a2, b1, b2):
-    """D = 2 A1^3 - A1^2 A2 - A2 B1 B2 + A1 (B2^2 - A2^2) of the boundary
-    case, and whether |D| underflows to 1e-14 of the coefficient-scale cube.
-    Python floats or numpy arrays alike, powers through ``_power``, which
-    raises OverflowError unless the coefficients pass
-    :func:`coefficient_mask`, as every :class:`KossakowskiBoundary` does."""
-    d = (2.0 * _power(a1, 3) - _power(a1, 2) * a2 - a2 * b1 * b2
-         + a1 * (_power(b2, 2) - _power(a2, 2)))
-    scale = _power(reduce(np.maximum, (abs(a1), abs(a2), abs(b1), abs(b2),
-                                       1e-300)), 3)
-    return d, abs(d) <= DEGENERATE_D_REL * scale
 
 
 def equilibrium_boundary(coeffs: KossakowskiBoundary) -> FanoState:

@@ -23,12 +23,13 @@ v_1, where by singular-value interlacing sigma_max(P_e T^T) = sigma_2(T)
 from __future__ import annotations
 
 import math
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateLimit, DenominatorZero
-from .model import boundary_d, check_leaf
+from .model import _power, check_leaf
 from .qmat import FanoState, fano_matrices, fano_to_matrix, require_state
 
 SQRT6 = math.sqrt(6.0)
@@ -37,6 +38,7 @@ DEGENERACY_GATE = 1e-9    # |b| below this: reduced state treated as maximally m
 # anything at or below this is saturation, not signal (the quotient's sign
 # can even flip there)
 DENOMINATOR_GATE = 1e-9
+DEGENERATE_D_REL = 1e-14   # |D| underflow gate, relative to coefficient scale
 
 
 # ----- steering-induced coherence -----
@@ -138,14 +140,18 @@ class SteerabilityFree(NamedTuple):
 
 
 def coherence_sum_terms(tau, ratio):
-    """term1, the second term's numerator and denominator, and the singular
-    gate |denominator| <= 1e-12 of :func:`steerability_functional_free`;
-    plain arithmetic, so Python floats and numpy arrays alike."""
+    """(literal, absolute, singular) of :func:`steerability_functional_free`,
+    the singular gate being |second denominator| <= 1e-12; plain arithmetic,
+    so Python floats and numpy arrays alike. A singular row divides by its
+    denominator plus 1, not by 0, so nothing raises; its readings mean
+    nothing, and both callers replace them. Elsewhere x + 0 is x."""
     square = ratio * ratio
     denom2 = square - ratio * (tau + 3.0) + 3.0
     term1 = 2.0 * (tau - square) / (3.0 + square)
     num2 = square * (tau + 2.0) - ratio * (tau + 3.0) + tau
-    return term1, num2, denom2, abs(denom2) <= 1e-12
+    singular = abs(denom2) <= 1e-12
+    denom2 = denom2 + singular
+    return term1 + num2 / denom2, abs(term1) + abs(num2) / denom2, singular
 
 
 def steerability_functional_free(tau: float, ratio: float) -> SteerabilityFree:
@@ -164,24 +170,13 @@ def steerability_functional_free(tau: float, ratio: float) -> SteerabilityFree:
     flagged singular with NaN values instead of raising.
     """
     check_leaf(tau, ratio)
-    term1, num2, denom2, singular = coherence_sum_terms(tau, ratio)
+    literal, absolute, singular = coherence_sum_terms(tau, ratio)
     if singular:
         return SteerabilityFree(math.nan, math.nan, False, False, True)
-    literal = term1 + num2 / denom2
-    absolute = abs(term1) + abs(num2) / denom2
     return SteerabilityFree(literal=literal, absolute=absolute,
                             exceeds_literal=literal > SQRT6,
                             exceeds_absolute=absolute > SQRT6,
                             singular=False)
-
-
-class BoundaryVerdict(NamedTuple):
-    """Boundary-case criterion pieces x1 (= x2), x3, their ratio, verdict."""
-
-    x1: float
-    x3: float
-    value: float
-    satisfied: bool
 
 
 def boundary_verdict_rows(a1, a2, b1, b2):
@@ -189,17 +184,25 @@ def boundary_verdict_rows(a1, a2, b1, b2):
     float arrays of coefficient pairs that pass
     :func:`~unruh_steer.model.coefficient_mask`: the arrays (x1, x3, value,
     satisfied), and a dict from each row the gates refuse to its error.
+    The criterion is stated here and nowhere else.
 
     x1 = -(A1-A2) B1 (2A1+A2) / D, the equilibrium's Bloch coefficient along
-    n, and x3 = (A1-A2) B1 (2B1+B2-2A1-A2) / D share the denominator D of
-    the boundary equilibrium (:func:`~unruh_steer.model.boundary_d`, finite
-    under the mask); the criterion compares x3 / (1 + x1) against sqrt(6).
-    DegenerateLimit where D underflows (z -> 0 and/or sep -> 0), and
+    n, and x3 = (A1-A2) B1 (2B1+B2-2A1-A2) / D share the denominator
+
+        D = 2 A1^3 - A1^2 A2 - A2 B1 B2 + A1 (B2^2 - A2^2),
+
+    its powers through ``model._power`` (C ``pow``, which raises
+    OverflowError outside the mask); the criterion compares
+    x3 / (1 + x1) against sqrt(6). DegenerateLimit where |D| underflows to
+    1e-14 of the coefficient-scale cube (z -> 0 and/or sep -> 0), and
     DenominatorZero where 1 + x1 <= 1e-9 (the ratio saturation regime near
     zero acceleration, where cancellation noise dominates the denominator).
     """
+    d = (2.0 * _power(a1, 3) - _power(a1, 2) * a2 - a2 * b1 * b2
+         + a1 * (_power(b2, 2) - _power(a2, 2)))
+    scale = reduce(np.maximum, (abs(a1), abs(a2), abs(b1), abs(b2), 1e-300))
+    underflows = abs(d) <= DEGENERATE_D_REL * _power(scale, 3)
     with np.errstate(all="ignore"):   # a gated row may divide by zero
-        d, underflows = boundary_d(a1, a2, b1, b2)
         x1 = -(a1 - a2) * b1 * (2.0 * a1 + a2) / d
         x3 = (a1 - a2) * b1 * (2.0 * b1 + b2 - 2.0 * a1 - a2) / d
         denom = 1.0 + x1
@@ -210,14 +213,3 @@ def boundary_verdict_rows(a1, a2, b1, b2):
     errors.update((i, DenominatorZero(f"1 + x1 = {di:.3e}")) for i, di
                   in zip(np.flatnonzero(zero).tolist(), denom[zero].tolist()))
     return (x1, x3, value, value > SQRT6), errors
-
-
-def steerability_verdict_boundary(coeffs) -> BoundaryVerdict:
-    """:func:`boundary_verdict_rows` of one coefficient record, as Python
-    floats and a bool; raises the row's DegenerateLimit or DenominatorZero."""
-    pairs = np.array([[coeffs.A1], [coeffs.A2], [coeffs.B1], [coeffs.B2]],
-                     dtype=float)
-    cells, errors = boundary_verdict_rows(*pairs)
-    if errors:
-        raise errors[0]
-    return BoundaryVerdict(*(cell.item() for cell in cells))

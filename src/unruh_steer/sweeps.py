@@ -206,15 +206,13 @@ def eval_sic_free(omega: float, tau, accel):
 def eval_surface(tau, ratio):
     """Columns SURFACE_COLUMNS of ``steerability_functional_free``.
 
-    Its terms, from ``coherence_sum_terms``, on whole arrays; the singular
-    point comes back NaN/False with the diagnostic "singular", and rows
-    outside ``leaf_mask`` NaN, named by ``check_leaf``.
+    Its two readings, from ``coherence_sum_terms``, on whole arrays; the
+    singular point comes back NaN/False with the diagnostic "singular", and
+    rows outside ``leaf_mask`` NaN, named by ``check_leaf``.
     """
     with np.errstate(all="ignore"):
-        term1, num2, denom2, singular = coherence_sum_terms(tau, ratio)
-        literal = np.where(singular, math.nan, term1 + num2 / denom2)
-        absolute = np.where(singular, math.nan,
-                            np.abs(term1) + np.abs(num2) / denom2)
+        *readings, singular = coherence_sum_terms(tau, ratio)
+    literal, absolute = (np.where(singular, math.nan, r) for r in readings)
     bad = np.flatnonzero(~leaf_mask(tau, ratio))
     flag = object if bad.size else bool   # NaN in a bool array reads True
     columns = [literal, absolute, (literal > SQRT6).astype(flag),
@@ -235,9 +233,11 @@ def eval_boundary(omega: float, accel, z, sep):
     A row goes through the arrays exactly where ``kossakowski_boundary``
     accepts it: a valid omega, a > 0 (inf allowed), z and sep positive and
     finite, finite image-point arguments (0 where they underflow), and
-    coefficients that pass ``model.coefficient_mask``. Its cells, and its
-    DegenerateLimit and DenominatorZero flags, come from
-    ``steering.boundary_verdict_rows``. Every other row is NaN, named by
+    coefficients that pass ``model.coefficient_mask``. Its A/B cells come
+    from ``model.boundary_pairs``; its x1, x3, value and satisfied cells,
+    and its DegenerateLimit and DenominatorZero flags, from
+    ``steering.boundary_verdict_rows``, where D, both gates and the
+    criterion are stated once. Every other row is NaN, named by
     ``kossakowski_boundary``.
     """
     n = accel.size

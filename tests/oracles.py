@@ -10,6 +10,10 @@ one state at a time, the bitwise reference for the package's stacked core;
 ``fano_by_matrix`` is the same for the projection of a matrix onto its
 Fano coefficients.
 
+The mirror's coherence-sum criterion has one: ``boundary_verdict_by_record``,
+the printed formulas for D, x1 and x3 on Python floats, with the package's
+gates and error texts.
+
 The dynamics have two references: the free-space equations of motion as
 written by hand in Fano coordinates, and the Lindblad generator with one
 Kossakowski block per pair of atoms, as a 16x16 matrix on 4x4 matrices.
@@ -25,6 +29,7 @@ import math
 
 import numpy as np
 
+from unruh_steer.errors import DegenerateLimit, DenominatorZero
 from unruh_steer.model import equilibrium_free
 from unruh_steer.qmat import _PAULI_PAIRS, FanoState, fano_matrices, fano_to_matrix
 from unruh_steer.sweeps import DIAGNOSTICS_COLUMN, SweepResult
@@ -122,6 +127,28 @@ def steerability_pairings_free(tau, ratio):
 
     return (coh("y", "x") + coh("z", "y") + coh("x", "z"),
             coh("z", "x") + coh("x", "y") + coh("y", "z"))
+
+
+def boundary_verdict_by_record(a1, a2, b1, b2):
+    """(x1, x3, value, satisfied) of the mirror criterion for one record of
+    Python floats, from the printed
+
+        D = 2 A1^3 - A1^2 A2 - A2 B1 B2 + A1 (B2^2 - A2^2),
+        x1 = -(A1-A2) B1 (2A1+A2) / D,  x3 = (A1-A2) B1 (2B1+B2-2A1-A2) / D,
+
+    value = x3 / (1 + x1) against sqrt(6). DegenerateLimit where |D| is at
+    most 1e-14 of the cube of the largest |coefficient| (floored at
+    1e-300), else DenominatorZero where 1 + x1 <= 1e-9."""
+    d = 2.0 * a1 ** 3 - a1 ** 2 * a2 - a2 * b1 * b2 + a1 * (b2 ** 2 - a2 ** 2)
+    if abs(d) <= 1e-14 * max(abs(a1), abs(a2), abs(b1), abs(b2), 1e-300) ** 3:
+        raise DegenerateLimit(f"|D| = {abs(d):.3e} underflows")
+    x1 = -(a1 - a2) * b1 * (2.0 * a1 + a2) / d
+    x3 = (a1 - a2) * b1 * (2.0 * b1 + b2 - 2.0 * a1 - a2) / d
+    denom = 1.0 + x1
+    if denom <= 1e-9:
+        raise DenominatorZero(f"1 + x1 = {denom:.3e}")
+    value = x3 / denom
+    return x1, x3, value, value > math.sqrt(6.0)
 
 
 def sic_by_state(state):

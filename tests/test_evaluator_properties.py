@@ -7,6 +7,9 @@ text. The evaluators compute every accepted row on the arrays and only
 name refused rows by a scalar check, so these comparisons hold the array
 path to the scalar one on each accepted row, including limits such as an
 infinite thermal argument and image-point arguments that underflow to 0.
+The mirror scan's scalar path is ``kossakowski_boundary`` and the
+independent ``oracles.boundary_verdict_by_record``: the printed D, x1 and
+x3 on Python floats, with the same gates and error texts.
 The boundary scan is checked against its closed form: on unflagged rows
 x1 = -R, x3 = -R (1 - R) and the criterion value x3 / (1 + x1) = -R.
 """
@@ -20,12 +23,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from oracles import boundary_verdict_by_record  # noqa: E402
 from unruh_steer.errors import UnruhSteerError  # noqa: E402
 from unruh_steer.model import (UnruhParams, equilibrium_free,  # noqa: E402
                                kossakowski_boundary, kossakowski_free)
 from unruh_steer.steering import (sic_closed_form_free,  # noqa: E402
-                                  steerability_functional_free,
-                                  steerability_verdict_boundary)
+                                  steerability_functional_free)
 from unruh_steer.sweeps import (BOUNDARY_COLUMNS,  # noqa: E402
                                 SIC_SWEEP_COLUMNS, SURFACE_COLUMNS,
                                 eval_boundary, eval_sic_free, eval_surface,
@@ -135,8 +138,8 @@ def test_out_of_range_tau_rows_carry_the_equilibrium_error_text():
 def _boundary_scalar(omega):
     def scalar(accel, z, sep):
         coeffs = kossakowski_boundary(UnruhParams(omega, accel), z, sep)
-        return ((coeffs.A1, coeffs.A2, coeffs.B1, coeffs.B2)
-                + tuple(steerability_verdict_boundary(coeffs))), ""
+        pairs = (coeffs.A1, coeffs.A2, coeffs.B1, coeffs.B2)
+        return pairs + boundary_verdict_by_record(*pairs), ""
     return scalar
 
 

@@ -29,7 +29,7 @@ from unruh_steer.model import (KossakowskiFree, UnruhParams,
                                relaxation_horizon, steering_node_acceleration)
 from unruh_steer.qmat import (PHYSICALITY_TOL, FanoState, fano_to_matrix,
                               matrix_to_fano, random_fano_state)
-from unruh_steer.steering import (sic_solution, steerability_verdict_boundary,
+from unruh_steer.steering import (boundary_verdict_rows, sic_solution,
                                   steering_induced_coherence)
 
 REF = UnruhParams(1.0, 2.0 * math.pi)  # beta * omega = 1
@@ -704,22 +704,33 @@ def test_kossakowski_boundary_refuses_non_positive_lengths(z, sep):
 def test_boundary_denominator_gate_is_relative():
     kb = kossakowski_boundary(REF, 1.0, 1.0)
     a1, a2, b1, b2 = kb.A1, kb.A2, kb.B1, kb.B2
-    want = 2 * a1 ** 3 - a1 ** 2 * a2 - a2 * b1 * b2 + a1 * (b2 ** 2 - a2 ** 2)
-    d, underflows = model.boundary_d(a1, a2, b1, b2)
-    assert d == pytest.approx(want, rel=1e-15) and not underflows
-    # the gate scales with the coefficients: a uniformly tiny set still passes
-    tiny = dataclasses.replace(kb, A1=a1 * 1e-90, A2=a2 * 1e-90,
-                               B1=b1 * 1e-90, B2=b2 * 1e-90)
-    d, underflows = model.boundary_d(tiny.A1, tiny.A2, tiny.B1, tiny.B2)
-    assert d == pytest.approx(want * 1e-270, rel=1e-12) and not underflows
-    steerability_verdict_boundary(tiny)
-    # A2 = A1, B2 = B1 makes D vanish: the criterion raises on the flag
-    flat = dataclasses.replace(kb, A2=a1, B2=b1)
-    d, underflows = model.boundary_d(flat.A1, flat.A2, flat.B1, flat.B2)
-    assert underflows
-    message = re.escape(f"|D| = {abs(d):.3e} underflows")
-    with pytest.raises(DegenerateLimit, match=f"^{message}$"):
-        steerability_verdict_boundary(flat)
+
+    def printed_d(a1, a2, b1, b2):
+        return 2 * a1 ** 3 - a1 ** 2 * a2 - a2 * b1 * b2 + a1 * (b2 ** 2 - a2 ** 2)
+
+    def one_row(*coeffs):
+        return boundary_verdict_rows(*(np.array([c]) for c in coeffs))
+
+    # x1 = -(A1-A2) B1 (2A1+A2) / D carries D, and no gate fires
+    (x1, _, _, _), errors = one_row(a1, a2, b1, b2)
+    want = -(a1 - a2) * b1 * (2 * a1 + a2) / printed_d(a1, a2, b1, b2)
+    assert x1[0] == pytest.approx(want, rel=1e-15) and errors == {}
+    # the gate scales with the coefficients: a uniformly tiny set still
+    # passes, with D down by 1e-270 and x1 as before
+    tiny = [c * 1e-90 for c in (a1, a2, b1, b2)]
+    assert printed_d(*tiny) == pytest.approx(printed_d(a1, a2, b1, b2) * 1e-270,
+                                             rel=1e-12)
+    (x1_tiny, _, _, _), errors = one_row(*tiny)
+    assert x1_tiny[0] == pytest.approx(want, rel=1e-12) and errors == {}
+    # the gate sits at |D| = 1e-14 A1^3: with A2 = k A1 and B2 = k B1,
+    # D = A1^3 (1 - k) (2 + k), so 1 - k = 1e-14 passes and 2e-15 is flagged
+    for gap, flagged in ((1e-14, False), (2e-15, True)):
+        _, errors = one_row(a1, (1.0 - gap) * a1, b1, (1.0 - gap) * b1)
+        assert bool(errors) is flagged
+    # A2 = A1, B2 = B1 makes D vanish: the criterion flags the row
+    _, errors = one_row(a1, a1, b1, b1)
+    assert list(errors) == [0] and type(errors[0]) is DegenerateLimit
+    assert str(errors[0]) == f"|D| = {abs(printed_d(a1, a1, b1, b1)):.3e} underflows"
 
 
 @pytest.mark.parametrize("field, value", [

@@ -13,7 +13,7 @@ import unruh_steer
 
 
 PUBLIC_NAMES = [
-    "BoundaryVerdict", "ConsistencyError",
+    "ConsistencyError",
     "DegenerateLimit", "DenominatorZero", "DomainError", "FanoState",
     "GridSpec", "KossakowskiBoundary", "KossakowskiFree", "NonHermitian",
     "NotPositive", "SicSolution", "SteerabilityFree", "SweepResult",
@@ -23,7 +23,7 @@ PUBLIC_NAMES = [
     "matrix_to_fano", "ode_rhs", "one_sided_mid",
     "random_density_matrix", "random_fano_state", "relaxation_horizon",
     "run_grid", "sic_closed_form_free", "sic_solution",
-    "steerability_functional_free", "steerability_verdict_boundary",
+    "steerability_functional_free",
     "steering_induced_coherence", "steering_node_acceleration",
     "theorem1_residual",
 ]
@@ -52,6 +52,27 @@ def test_no_assert_statements_in_package():
              if isinstance(node, ast.Assert)]
     assert len(list(root.glob("*.py"))) >= 7
     assert found == []
+
+
+def test_no_unused_module_level_imports():
+    # a name a module imports at top level must be read in that module, or,
+    # in the package's __init__, be exported through __all__
+    root = Path(unruh_steer.__file__).parent
+    unused = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                read.update(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{node.lineno} {alias.name}"
+                   for node in tree.body
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names
+                   if (alias.asname or alias.name).split(".")[0] not in read]
+    assert unused == []
 
 
 def test_readme_library_example_runs():

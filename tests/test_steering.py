@@ -17,10 +17,10 @@ from unruh_steer.model import (UnruhParams, equilibrium_free,
                                kossakowski_boundary, steering_node_acceleration)
 from unruh_steer.qmat import (FanoState, fano_to_matrix, fano_vectors,
                               random_density_matrix, random_fano_state)
-from unruh_steer.steering import (one_sided_mid, sic_closed_form_free,
+from unruh_steer.steering import (boundary_verdict_rows, coherence_sum_terms,
+                                  one_sided_mid, sic_closed_form_free,
                                   sic_mid_rows, sic_rows, sic_solution,
                                   steerability_functional_free,
-                                  steerability_verdict_boundary,
                                   steering_induced_coherence,
                                   theorem1_residual)
 
@@ -386,6 +386,21 @@ def test_functional_flagged_singularity():
     assert not f.exceeds_literal and not f.exceeds_absolute
 
 
+def test_coherence_sum_terms_singular_row_does_not_raise():
+    # the second denominator is exactly 0 at (1, 1): on Python floats the
+    # terms divide by 0 + 1 instead, flag the row, and raise nothing
+    literal, absolute, singular = coherence_sum_terms(1.0, 1.0)
+    assert singular is True
+    assert type(literal) is float and type(absolute) is float
+    # an array with the singular row in it: the other rows keep their bits
+    tau, ratio = np.array([1.0, 0.5, -3.0]), np.array([1.0, 0.3, 0.4])
+    lits, abss, flags = coherence_sum_terms(tau, ratio)
+    assert flags.tolist() == [True, False, False]
+    for i in (1, 2):
+        f = steerability_functional_free(float(tau[i]), float(ratio[i]))
+        assert (lits[i], abss[i]) == (f.literal, f.absolute)
+
+
 def test_functional_domain():
     with pytest.raises(DomainError):
         steerability_functional_free(1.2, 0.5)
@@ -483,14 +498,22 @@ def test_functional_exceeds_flags():
 
 # ----- boundary criterion -----
 
+def _one_record(kb):
+    """:func:`boundary_verdict_rows` of one record as one-row arrays."""
+    return boundary_verdict_rows(*(np.array([getattr(kb, name)])
+                                   for name in ("A1", "A2", "B1", "B2")))
+
+
 def test_boundary_verdict_reference_point():
-    v = steerability_verdict_boundary(kossakowski_boundary(REF, 1.0, 1.0))
-    # the array verdict on one record hands back Python floats and a bool
-    assert [type(cell) for cell in v] == [float, float, float, bool]
-    assert v.x1 == pytest.approx(-0.46211715726000974, abs=1e-15)
-    assert v.x3 == pytest.approx(-0.2485648902259372, abs=1e-15)
-    assert v.value == pytest.approx(-0.46211715726000974, abs=1e-13)
-    assert not v.satisfied
+    (x1, x3, value, satisfied), errors = _one_record(
+        kossakowski_boundary(REF, 1.0, 1.0))
+    assert errors == {}
+    assert [cells.dtype for cells in (x1, x3, value, satisfied)] == [
+        np.float64, np.float64, np.float64, np.bool_]
+    assert x1[0] == pytest.approx(-0.46211715726000974, abs=1e-15)
+    assert x3[0] == pytest.approx(-0.2485648902259372, abs=1e-15)
+    assert value[0] == pytest.approx(-0.46211715726000974, abs=1e-13)
+    assert not satisfied[0]
 
 
 def test_boundary_verdict_value_is_minus_ratio():
@@ -499,21 +522,22 @@ def test_boundary_verdict_value_is_minus_ratio():
     for a in (1.0, 2.0, 10.0):
         for z, sep in ((0.3, 0.1), (1.0, 1.0), (5.0, 2.0)):
             kb = kossakowski_boundary(UnruhParams(1.0, a), z, sep)
-            v = steerability_verdict_boundary(kb)
-            assert v.value == pytest.approx(-kb.ratio, abs=1e-9)
-            assert not v.satisfied
+            (_, _, value, satisfied), errors = _one_record(kb)
+            assert errors == {}
+            assert value[0] == pytest.approx(-kb.ratio, abs=1e-9)
+            assert not satisfied[0]
 
 
 def test_boundary_verdict_degenerate_limit():
     kb = kossakowski_boundary(REF, 1.0, 1.0)
     flat = dataclasses.replace(kb, A2=kb.A1, B2=kb.B1)
-    with pytest.raises(DegenerateLimit):
-        steerability_verdict_boundary(flat)
+    _, errors = _one_record(flat)
+    assert list(errors) == [0] and type(errors[0]) is DegenerateLimit
 
 
 def test_boundary_verdict_denominator_zero_at_saturated_ratio():
     # tanh(pi/0.1) rounds to 1.0 in float64, so 1 + x1 underflows
     kb = kossakowski_boundary(UnruhParams(1.0, 0.1), 1.0, 1.0)
     assert kb.ratio == 1.0
-    with pytest.raises(DenominatorZero):
-        steerability_verdict_boundary(kb)
+    _, errors = _one_record(kb)
+    assert list(errors) == [0] and type(errors[0]) is DenominatorZero
