@@ -27,9 +27,8 @@ B / A = tanh(pi omega / accel) in [0, 1].
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 from itertools import repeat
 from numbers import Integral
 
@@ -46,7 +45,6 @@ RANGE_SLACK = 1e-12        # slack on closed parameter ranges
 TAU_RANGE = (-3.0 - 12.0 * PHYSICALITY_TOL - RANGE_SLACK,
              1.0 + 4.0 * PHYSICALITY_TOL + RANGE_SLACK)
 SINC_SERIES_CUTOFF = 1e-4  # |x| below which sin(x)/x uses its series
-COEFFICIENT_LIMIT = 1e102  # boundary |coefficients| below it keep D, x1, x3 finite
 DRIFT_TOL = -1e-6          # a min eigenvalue after t = 0 below this aborts evolve
 LANDING_TOL = 1e-6         # final sample this close to the equilibrium: converged
 MAX_SAMPLES = 10**6        # row limit of every table and evolve run
@@ -112,13 +110,6 @@ def check_leaf(tau: float, ratio: float = 0.0) -> None:
         raise DomainError(f"ratio = {float(ratio)!r} outside [0, 1]")
 
 
-def coefficient_mask(*coeffs):
-    """True where every coefficient is finite and below COEFFICIENT_LIMIT in
-    magnitude, so that D, x1 and x3 of the boundary case stay finite;
-    scalars or arrays, False at NaN."""
-    return reduce(operator.and_, (abs(c) < COEFFICIENT_LIMIT for c in coeffs))
-
-
 def check_omega(omega: float) -> None:
     if not (omega > 0.0 and math.isfinite(omega)):
         raise DomainError("omega must be positive and finite")
@@ -164,16 +155,16 @@ class KossakowskiFree:
 
 @dataclass(frozen=True)
 class KossakowskiBoundary:
-    """A and B coefficient pairs with a reflecting boundary.
+    """A and B coefficient pairs with a reflecting boundary, as computed.
 
     The 1-pair multiplies delta_ij / eps for each atom with itself, the
-    2-pair the cross-atom blocks; the n n pairs (C1 = -A1, C2 = -A2) are
-    not computed. Every record, by hand or by
-    :func:`kossakowski_boundary`, holds :func:`coefficient_mask`'s bound, so
-    the mirror criterion's D, x1 and x3
-    (:func:`~unruh_steer.steering.boundary_verdict_rows`) stay finite:
-    DomainError naming the first of A1, A2, B1, B2 that is not finite or
-    reaches COEFFICIENT_LIMIT in magnitude.
+    2-pair the cross-atom blocks. The n n pairs are not computed: the model
+    takes C = 0 (module docstring), and the equilibria are symmetric about
+    n, so they do not depend on C; the tests run the block generator with
+    both C = 0 and C = -A. At infinite temperature an A coefficient is inf,
+    or NaN where inf meets a zero sinc factor, as :class:`KossakowskiFree`
+    holds A = inf there; the mirror criterion bounds the coefficients
+    (:func:`~unruh_steer.steering.boundary_verdict_rows`), the record does not.
     """
 
     A1: float
@@ -181,14 +172,6 @@ class KossakowskiBoundary:
     B1: float
     B2: float
     ratio: float        # free-space B / A: B1 / A1 = B2 / A2 for every z, sep
-
-    def __post_init__(self):
-        for name in ("A1", "A2", "B1", "B2"):
-            value = getattr(self, name)
-            if not coefficient_mask(value):
-                raise DomainError(f"boundary coefficient {name} = {float(value)!r}:"
-                                  " D needs each finite and below"
-                                  f" {COEFFICIENT_LIMIT:g} in magnitude")
 
 
 def free_coefficients(omega, x) -> KossakowskiFree:
@@ -206,20 +189,18 @@ def kossakowski_free(params: UnruhParams) -> KossakowskiFree:
     return free_coefficients(params.omega, params.beta * params.omega)
 
 
-def boundary_arguments(omega, accel, z, sep):
-    """The thermal argument x = 2 pi omega / accel and the image-point
-    arguments (2 z omega, sep omega, sqrt(sep^2 + 4 z^2) omega) of
-    :func:`kossakowski_boundary`; Python floats or numpy arrays alike."""
+def boundary_arguments(omega, z, sep):
+    """The image-point arguments (2 z omega, sep omega,
+    sqrt(sep^2 + 4 z^2) omega) of :func:`kossakowski_boundary`; Python
+    floats or numpy arrays alike."""
     image = _each(math.sqrt, sep * sep + 4.0 * z * z)
-    return (2.0 * math.pi / accel) * omega, (2.0 * z * omega, sep * omega,
-                                             image * omega)
+    return 2.0 * z * omega, sep * omega, image * omega
 
 
-def boundary_pairs(omega, x, args):
-    """(A1, A2, B1, B2) from :func:`boundary_arguments`, the free (A, B)
-    times sinc factors through ``_each``; Python floats or numpy arrays
-    alike. An x of 0 or tiny makes A inf, and A1, A2 +-inf or NaN."""
-    free = free_coefficients(omega, x)
+def boundary_pairs(free: KossakowskiFree, args):
+    """(A1, A2, B1, B2): the free (A, B) times the sinc factors of
+    :func:`boundary_arguments`, through ``_each``; Python floats or numpy
+    arrays alike. An infinite A makes A1, A2 +-inf or NaN."""
     same = 1.0 - _each(sinc, args[0])
     cross = _each(sinc, args[1]) - _each(sinc, args[2])
     return free.A * same, free.A * cross, free.B * same, free.B * cross
@@ -234,23 +215,20 @@ def kossakowski_boundary(params: UnruhParams, z: float, sep: float) -> Kossakows
         A1, B1 ~ 1 - sinc(2 z omega)
         A2, B2 ~ sinc(sep omega) - sinc(sqrt(sep^2 + 4 z^2) omega)
 
-    with the thermal factor multiplying the A pair, so B1 / A1 = B2 / A2 is
-    the free-space ratio; ``ratio`` is :func:`kossakowski_free`'s, bit for
-    bit, also where A1 rounds to 0. DomainError where an image-point
-    argument overflows, or a coefficient fails the record's bound: an
-    infinite thermal factor (2 pi omega / accel 0 or tiny) makes an A
-    coefficient inf or NaN, a large one too large for D.
+    times :func:`kossakowski_free`'s A and B, so B1 / A1 = B2 / A2 is the
+    free-space ratio; ``ratio`` is that record's, also where A1 rounds to 0.
+    DomainError where an image-point argument overflows.
     """
     if not (z > 0.0 and math.isfinite(z)):
         raise DomainError("z must be positive and finite")
     if not (sep > 0.0 and math.isfinite(sep)):
         raise DomainError("sep must be positive and finite")
-    x, args = boundary_arguments(params.omega, params.accel, z, sep)
+    args = boundary_arguments(params.omega, z, sep)
     if not all(map(math.isfinite, args)):
         raise DomainError("an image-point distance times omega overflows")
-    a1, a2, b1, b2 = boundary_pairs(params.omega, x, args)
-    return KossakowskiBoundary(A1=a1, A2=a2, B1=b1, B2=b2,
-                               ratio=kossakowski_free(params).ratio)
+    free = kossakowski_free(params)
+    a1, a2, b1, b2 = boundary_pairs(free, args)
+    return KossakowskiBoundary(A1=a1, A2=a2, B1=b1, B2=b2, ratio=free.ratio)
 
 
 # ----- equilibrium states -----
@@ -281,13 +259,14 @@ def equilibrium_boundary(coeffs: KossakowskiBoundary) -> FanoState:
     """Asymptotic state in the boundary case: ``equilibrium_free(R^2, R)``
     with R = ``coeffs.ratio``, the free-space tanh(pi omega / accel).
 
-    Both A pairs carry the thermal factor and the B pairs do not, so
-    B1 / A1 = B2 / A2 = R. The generator with same-atom blocks (A1, B1) and
-    cross-atom blocks (A2, B2) then has, for every z, sep > 0, one
-    stationary state: a = b = -R n, T = R^2 n n, the free-space family on
-    the leaf tau = R^2. That leaf is the steering node, so the state's
-    steering-induced coherence is zero. The state depends on (omega, accel)
-    alone: it is the same bits for every z and sep.
+    That state is rho_R x rho_R, rho_R = diag(1 - R, 1 + R) / 2 (a = b =
+    -R n, T = R^2 n n = a b^T): each atom in the Gibbs state at the Unruh
+    temperature. It is the one stationary state of the generator for every
+    z, sep > 0 because every block shares the ratio R: both A pairs carry
+    the thermal factor and the B pairs do not, so B1 / A1 = B2 / A2 = R.
+    A product state steers no coherence (it sits on the leaf tau = R^2, the
+    steering node), and it depends on (omega, accel) alone: the same bits
+    for every z and sep, also at infinite temperature, where R = 0.
     """
     return equilibrium_free(coeffs.ratio * coeffs.ratio, coeffs.ratio)
 

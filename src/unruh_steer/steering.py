@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateLimit, DenominatorZero
+from .errors import DegenerateLimit, DenominatorZero, DomainError
 from .model import _power, check_leaf
 from .qmat import FanoState, fano_matrices, fano_to_matrix, require_state
 
@@ -39,6 +39,7 @@ DEGENERACY_GATE = 1e-9    # |b| below this: reduced state treated as maximally m
 # can even flip there)
 DENOMINATOR_GATE = 1e-9
 DEGENERATE_D_REL = 1e-14   # |D| underflow gate, relative to coefficient scale
+COEFFICIENT_LIMIT = 1e102  # coefficient scale below it keeps D, x1, x3 finite
 
 
 # ----- steering-induced coherence -----
@@ -181,8 +182,7 @@ def steerability_functional_free(tau: float, ratio: float) -> SteerabilityFree:
 
 def boundary_verdict_rows(a1, a2, b1, b2):
     """Coherence-sum steering criterion for the boundary equilibrium, on
-    float arrays of coefficient pairs that pass
-    :func:`~unruh_steer.model.coefficient_mask`: the arrays (x1, x3, value,
+    float arrays of coefficient pairs: the arrays (x1, x3, value,
     satisfied), and a dict from each row the gates refuse to its error.
     The criterion is stated here and nowhere else.
 
@@ -191,16 +191,23 @@ def boundary_verdict_rows(a1, a2, b1, b2):
 
         D = 2 A1^3 - A1^2 A2 - A2 B1 B2 + A1 (B2^2 - A2^2),
 
-    its powers through ``model._power`` (C ``pow``, which raises
-    OverflowError outside the mask); the criterion compares
-    x3 / (1 + x1) against sqrt(6). DegenerateLimit where |D| underflows to
-    1e-14 of the coefficient-scale cube (z -> 0 and/or sep -> 0), and
-    DenominatorZero where 1 + x1 <= 1e-9 (the ratio saturation regime near
-    zero acceleration, where cancellation noise dominates the denominator).
+    its powers through ``model._power`` (C ``pow``); the criterion compares
+    x3 / (1 + x1) against sqrt(6). The gates, first to last:
+    DomainError where the coefficient scale, the largest |coefficient|, is
+    not below COEFFICIENT_LIMIT or is NaN, so that D stays finite (such a
+    row enters D's arithmetic as zeros, since ``pow`` raises OverflowError
+    past ~5.6e102); DegenerateLimit where |D| underflows to
+    1e-14 of the scale's cube (z -> 0 and/or sep -> 0); and DenominatorZero
+    where 1 + x1 <= 1e-9 (the ratio saturation regime near zero
+    acceleration, where cancellation noise dominates the denominator).
+    A refused row's cells mean nothing.
     """
+    coeffs = (a1, a2, b1, b2)
+    scale = reduce(np.maximum, (*map(abs, coeffs), 1e-300))   # NaN stays NaN
+    bounded = scale < COEFFICIENT_LIMIT
+    a1, a2, b1, b2, scale = (np.where(bounded, c, 0.0) for c in (*coeffs, scale))
     d = (2.0 * _power(a1, 3) - _power(a1, 2) * a2 - a2 * b1 * b2
          + a1 * (_power(b2, 2) - _power(a2, 2)))
-    scale = reduce(np.maximum, (abs(a1), abs(a2), abs(b1), abs(b2), 1e-300))
     underflows = abs(d) <= DEGENERATE_D_REL * _power(scale, 3)
     with np.errstate(all="ignore"):   # a gated row may divide by zero
         x1 = -(a1 - a2) * b1 * (2.0 * a1 + a2) / d
@@ -212,4 +219,10 @@ def boundary_verdict_rows(a1, a2, b1, b2):
               in zip(np.flatnonzero(underflows).tolist(), d[underflows].tolist())}
     errors.update((i, DenominatorZero(f"1 + x1 = {di:.3e}")) for i, di
                   in zip(np.flatnonzero(zero).tolist(), denom[zero].tolist()))
+    refused = np.flatnonzero(~bounded)   # this gate's error replaces the others
+    for i, row in zip(refused.tolist(), np.column_stack(coeffs)[refused].tolist()):
+        name, cell = next(pair for pair in zip(("A1", "A2", "B1", "B2"), row)
+                          if not abs(pair[1]) < COEFFICIENT_LIMIT)
+        errors[i] = DomainError(f"boundary coefficient {name} = {cell!r}: D needs each"
+                                f" finite and below {COEFFICIENT_LIMIT:g} in magnitude")
     return (x1, x3, value, value > SQRT6), errors

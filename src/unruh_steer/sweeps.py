@@ -35,7 +35,6 @@ from .model import (
     boundary_pairs,
     check_leaf,
     check_rows,
-    coefficient_mask,
     free_coefficients,
     kossakowski_boundary,
     kossakowski_free,
@@ -232,11 +231,11 @@ def eval_boundary(omega: float, accel, z, sep):
 
     A row goes through the arrays exactly where ``kossakowski_boundary``
     accepts it: a valid omega, a > 0 (inf allowed), z and sep positive and
-    finite, finite image-point arguments (0 where they underflow), and
-    coefficients that pass ``model.coefficient_mask``. Its A/B cells come
-    from ``model.boundary_pairs``; its x1, x3, value and satisfied cells,
-    and its DegenerateLimit and DenominatorZero flags, from
-    ``steering.boundary_verdict_rows``, where D, both gates and the
+    finite, and finite image-point arguments (0 where they underflow). Its
+    A/B cells come from ``model.boundary_pairs``; its x1, x3, value and
+    satisfied cells, and its flags for coefficients too large for D,
+    DegenerateLimit and DenominatorZero, from
+    ``steering.boundary_verdict_rows``, where D, its gates and the
     criterion are stated once. Every other row is NaN, named by
     ``kossakowski_boundary``.
     """
@@ -245,16 +244,14 @@ def eval_boundary(omega: float, accel, z, sep):
     columns.append(np.full(n, math.nan, dtype=object))
     diagnostics = [""] * n
     with np.errstate(all="ignore"):
-        x, args = boundary_arguments(omega, accel, z, sep)
+        args = boundary_arguments(omega, z, sep)
         fast = ((accel > 0.0) & (0.0 < omega / (4.0 * math.pi) < math.inf)
                 & (0.0 < z) & (z < math.inf) & (0.0 < sep) & (sep < math.inf))
         for arg in args:
             fast &= np.isfinite(arg)
         rows = np.flatnonzero(fast)
-        pairs = boundary_pairs(omega, x[rows], [arg[rows] for arg in args])
-        finite = coefficient_mask(*pairs)
-    fast[rows[~finite]] = False
-    rows, pairs = rows[finite], [cells[finite] for cells in pairs]
+        free = free_coefficients(omega, 2.0 * math.pi / accel[rows] * omega)
+        pairs = boundary_pairs(free, [arg[rows] for arg in args])
     verdicts, errors = boundary_verdict_rows(*pairs)
     kept = np.ones(rows.size, dtype=bool)
     kept[list(errors)] = False

@@ -12,11 +12,12 @@ Fano coefficients.
 
 The mirror's coherence-sum criterion has one: ``boundary_verdict_by_record``,
 the printed formulas for D, x1 and x3 on Python floats, with the package's
-gates and error texts.
+bound on the coefficients, gates and error texts.
 
 The dynamics have two references: the free-space equations of motion as
 written by hand in Fano coordinates, and the Lindblad generator with one
-Kossakowski block per pair of atoms, as a 16x16 matrix on 4x4 matrices.
+Kossakowski block per pair of atoms (three blocks, so the atoms may sit at
+unequal distances from the mirror), as a 16x16 matrix on 4x4 matrices.
 
 The package writes sweep tables and does not read them; ``read_csv`` and
 ``read_json`` read them back for the round-trip tests, the JSON one with a
@@ -29,7 +30,7 @@ import math
 
 import numpy as np
 
-from unruh_steer.errors import DegenerateLimit, DenominatorZero
+from unruh_steer.errors import DegenerateLimit, DenominatorZero, DomainError
 from unruh_steer.model import equilibrium_free
 from unruh_steer.qmat import _PAULI_PAIRS, FanoState, fano_matrices, fano_to_matrix
 from unruh_steer.sweeps import DIAGNOSTICS_COLUMN, SweepResult
@@ -136,9 +137,16 @@ def boundary_verdict_by_record(a1, a2, b1, b2):
         D = 2 A1^3 - A1^2 A2 - A2 B1 B2 + A1 (B2^2 - A2^2),
         x1 = -(A1-A2) B1 (2A1+A2) / D,  x3 = (A1-A2) B1 (2B1+B2-2A1-A2) / D,
 
-    value = x3 / (1 + x1) against sqrt(6). DegenerateLimit where |D| is at
-    most 1e-14 of the cube of the largest |coefficient| (floored at
-    1e-300), else DenominatorZero where 1 + x1 <= 1e-9."""
+    value = x3 / (1 + x1) against sqrt(6). DomainError, before any power,
+    naming the first coefficient that is not finite and below 1e102 in
+    magnitude; DegenerateLimit where |D| is at most 1e-14 of the cube of
+    the largest |coefficient| (floored at 1e-300), else DenominatorZero
+    where 1 + x1 <= 1e-9."""
+    for name, value in zip(("A1", "A2", "B1", "B2"), (a1, a2, b1, b2)):
+        if not abs(value) < 1e102:
+            raise DomainError(f"boundary coefficient {name} = {value!r}: D"
+                              " needs each finite and below 1e+102 in"
+                              " magnitude")
     d = 2.0 * a1 ** 3 - a1 ** 2 * a2 - a2 * b1 * b2 + a1 * (b2 ** 2 - a2 ** 2)
     if abs(d) <= 1e-14 * max(abs(a1), abs(a2), abs(b1), abs(b2), 1e-300) ** 3:
         raise DegenerateLimit(f"|D| = {abs(d):.3e} underflows")
@@ -215,16 +223,16 @@ def exact_trajectory(y0, A, B, times):
     return (expm(np.multiply.outer(times, gen)) @ np.append(y0, 1.0))[:, :15]
 
 
-def block_dissipator(rho, same, cross):
+def block_dissipator(rho, first, second, cross):
     """sum_{alpha beta} sum_ij a^{alpha beta}_ij (s^beta_j rho s^alpha_i
     - {s^alpha_i s^beta_j, rho} / 2), s^1_i = sigma_i x 1, s^2_i = 1 x
-    sigma_i, with a^{11} = a^{22} from ``same`` = (A1, B1, C1) and a^{12} =
-    a^{21} from ``cross`` = (A2, B2, C2), each A delta_ij - i B eps_ijk n_k
-    + C n_i n_j."""
+    sigma_i, with a^{11} from ``first``, a^{22} from ``second`` and a^{12} =
+    a^{21} from ``cross``, each a triple (A, B, C) that gives
+    A delta_ij - i B eps_ijk n_k + C n_i n_j."""
     eps_n = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], dtype=complex)
     nn = np.diag([0.0, 0.0, 1.0])
     blocks = [[a * np.eye(3) - 1j * b * eps_n + c * nn for a, b, c in pair]
-              for pair in ((same, cross), (cross, same))]
+              for pair in ((first, cross), (cross, second))]
     ops = ([np.kron(p, np.eye(2)) for p in PAULI_XYZ],
            [np.kron(np.eye(2), p) for p in PAULI_XYZ])
     out = np.zeros((4, 4), dtype=complex)
@@ -238,13 +246,13 @@ def block_dissipator(rho, same, cross):
     return out
 
 
-def block_stationary_state(same, cross):
+def block_stationary_state(first, second, cross):
     """(rho, gap): the stationary 4x4 state of :func:`block_dissipator` as
     the null vector of its 16x16 matrix, and the second-smallest singular
     value of that matrix, which is nonzero when the state is unique."""
     units = np.eye(16).reshape(16, 4, 4)
-    liouvillian = np.column_stack([block_dissipator(unit, same, cross).ravel()
-                                   for unit in units])
+    liouvillian = np.column_stack(
+        [block_dissipator(unit, first, second, cross).ravel() for unit in units])
     _, singular, vh = np.linalg.svd(liouvillian)
     rho = vh[-1].conj().reshape(4, 4)
     return rho / np.trace(rho), singular[-2]

@@ -493,23 +493,25 @@ def test_infinite_temperature_limit_rows(capsys, argv):
             assert float(row["sic"]) == abs(float(row["tau"])) / 3.0
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["equilibrium", "--accel", "1e300", "--z", "1", "--sep", "1"],
-     "boundary coefficient A1 = 1.3813909464470685e+298"),
-    (["equilibrium", "--omega", "1e200", "--accel", "1", "--z", "1",
-      "--sep", "1"], "boundary coefficient A1 = 7.957747154594767e+198"),
-    (["equilibrium", "--omega", "1e-300", "--accel", "1e20", "--z", "1",
-      "--sep", "1"], "boundary coefficient A1 = nan"),
-])
-def test_boundary_coefficients_that_overflow_d_are_domain_errors(
-        capsys, argv, message):
-    # a coefficient whose cube overflows used to end in an OverflowError
-    # traceback, and an infinite thermal factor in a NaN coefficient
-    assert main(argv) == EXIT_DOMAIN
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (f"unruh-steer: error: {message}: D needs each"
-                            " finite and below 1e+102 in magnitude\n")
+@pytest.mark.parametrize("params", [
+    ["--accel", "inf"],                      # A1 = inf: infinite temperature
+    ["--accel", "1e300"],                    # A1 ~ 1e298
+    ["--omega", "1e200", "--accel", "1"],    # A1 ~ 8e198
+    ["--omega", "1e-300", "--accel", "1e20"],   # A1 = NaN, inf times 0
+    ["--omega", "1e110", "--accel", "1e110"],   # A1 ~ 8e108
+], ids=["a-inf", "a-1e300", "omega-1e200", "omega-1e-300", "omega-1e110"])
+def test_mirror_equilibrium_needs_no_bound_on_the_coefficients(capsys,
+                                                               params):
+    # coefficients too large for the mirror criterion's D: the equilibrium
+    # needs only R, and is the free-space state on the leaf tau = R^2 with
+    # the same cells, R = 0 at infinite temperature
+    assert main(["equilibrium", "--z", "1", "--sep", "1"] + params) == 0
+    mirror = _csv_rows(capsys.readouterr().out)[1][0]
+    tau = repr(float(mirror["R"]) ** 2)
+    assert main(["equilibrium", "--tau", tau] + params) == 0
+    free = _csv_rows(capsys.readouterr().out)[1][0]
+    for name in ("R",) + cli.STATE_COLUMNS:
+        assert mirror[name] == free[name], name
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,7 +9,8 @@ path to the scalar one on each accepted row, including limits such as an
 infinite thermal argument and image-point arguments that underflow to 0.
 The mirror scan's scalar path is ``kossakowski_boundary`` and the
 independent ``oracles.boundary_verdict_by_record``: the printed D, x1 and
-x3 on Python floats, with the same gates and error texts.
+x3 on Python floats, with the same bound on the coefficients, gates and
+error texts.
 The boundary scan is checked against its closed form: on unflagged rows
 x1 = -R, x3 = -R (1 - R) and the criterion value x3 / (1 + x1) = -R.
 """

@@ -31,6 +31,7 @@ from unruh_steer.qmat import (PHYSICALITY_TOL, FanoState, fano_to_matrix,
                               matrix_to_fano, random_fano_state)
 from unruh_steer.steering import (boundary_verdict_rows, sic_solution,
                                   steering_induced_coherence)
+from unruh_steer.sweeps import eval_boundary
 
 REF = UnruhParams(1.0, 2.0 * math.pi)  # beta * omega = 1
 
@@ -660,15 +661,44 @@ def test_block_generator_has_the_mirror_equilibrium(log_accel, log_z,
     same, cross = (kb.A1, kb.B1, c * kb.A1), (kb.A2, kb.B2, c * kb.A2)
     eq = equilibrium_boundary(kb)
     gap = 1.0 - kb.A2 / kb.A1
-    residual = block_dissipator(fano_to_matrix(eq), same, cross)
+    residual = block_dissipator(fano_to_matrix(eq), same, same, cross)
     assert np.abs(residual).max() <= 1e-14 * kb.A1
-    rho, second = block_stationary_state(same, cross)
+    rho, second = block_stationary_state(same, same, cross)
     assert second >= 0.5 * gap * kb.A1   # the stationary state is unique
     # the stationary state of the float coefficients moves with their
     # rounding by up to ~1e-14 / gap (3000 draws): an exact solve lands
     # 6.8e-12 from the closed form at (0.32, 1.69, 0.013), where gap = 2e-5
     tol = 1e-12 * max(1.0, 0.1 / gap)
     assert np.abs(matrix_to_fano(rho).to_vector() - eq.to_vector()).max() <= tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(log_accel=st.floats(-1.0, 2.0), log_z1=st.floats(-1.0, 1.0),
+       log_z2=st.floats(-1.0, 1.0), log_sep=st.floats(-2.0, 1.0))
+@example(log_accel=-1.0, log_z1=-1.0, log_z2=-1.0, log_sep=-2.0)
+def test_mirror_equilibrium_is_a_product_at_unequal_distances(
+        log_accel, log_z1, log_z2, log_sep):
+    # atoms at heights z1 and z2 over the mirror, sep apart along it: the
+    # blocks a11, a22 (each atom with itself) and a12 (across) carry the
+    # sinc factors of the image points and of the pair's direct and image
+    # distances, and every B = R A. So for every geometry the one stationary
+    # state is rho_R x rho_R, each atom in the Gibbs state (ROADMAP item 16)
+    free = kossakowski_free(UnruhParams(1.0, 10.0 ** log_accel))
+    z1, z2, sep = 10.0 ** log_z1, 10.0 ** log_z2, 10.0 ** log_sep
+    factors = (1.0 - model.sinc(2.0 * z1), 1.0 - model.sinc(2.0 * z2),
+               model.sinc(math.hypot(sep, z1 - z2))
+               - model.sinc(math.hypot(sep, z1 + z2)))
+    first, second, cross = ((free.A * f, free.B * f, 0.0) for f in factors)
+    rho, gap = block_stationary_state(first, second, cross)
+    largest = max(first[0], second[0])
+    # unique: the narrowest gap of the box is 6.9e-5 of the largest A, at
+    # its corner z1 = z2 = 0.1, sep = 0.01; it closes only where the
+    # Kossakowski matrix is singular, A12^2 = A11 A22
+    assert gap >= 1e-5 * largest
+    assert gap >= (first[0] * second[0] - cross[0] ** 2) / largest
+    gibbs = np.diag([1.0 - free.ratio, 1.0 + free.ratio]) / 2.0
+    tol = 1e-13 * max(1.0, largest / gap)   # the null vector moves as 1 / gap
+    assert np.abs(rho - np.kron(gibbs, gibbs)).max() <= tol
 
 
 def test_equilibrium_boundary_degenerate_limit():
@@ -701,6 +731,12 @@ def test_kossakowski_boundary_refuses_non_positive_lengths(z, sep):
         kossakowski_boundary(REF, z, sep)
 
 
+def _one_row(*coeffs):
+    """:func:`boundary_verdict_rows` of one set of coefficients as one-row
+    arrays."""
+    return boundary_verdict_rows(*(np.array([c]) for c in coeffs))
+
+
 def test_boundary_denominator_gate_is_relative():
     kb = kossakowski_boundary(REF, 1.0, 1.0)
     a1, a2, b1, b2 = kb.A1, kb.A2, kb.B1, kb.B2
@@ -708,11 +744,8 @@ def test_boundary_denominator_gate_is_relative():
     def printed_d(a1, a2, b1, b2):
         return 2 * a1 ** 3 - a1 ** 2 * a2 - a2 * b1 * b2 + a1 * (b2 ** 2 - a2 ** 2)
 
-    def one_row(*coeffs):
-        return boundary_verdict_rows(*(np.array([c]) for c in coeffs))
-
     # x1 = -(A1-A2) B1 (2A1+A2) / D carries D, and no gate fires
-    (x1, _, _, _), errors = one_row(a1, a2, b1, b2)
+    (x1, _, _, _), errors = _one_row(a1, a2, b1, b2)
     want = -(a1 - a2) * b1 * (2 * a1 + a2) / printed_d(a1, a2, b1, b2)
     assert x1[0] == pytest.approx(want, rel=1e-15) and errors == {}
     # the gate scales with the coefficients: a uniformly tiny set still
@@ -720,15 +753,15 @@ def test_boundary_denominator_gate_is_relative():
     tiny = [c * 1e-90 for c in (a1, a2, b1, b2)]
     assert printed_d(*tiny) == pytest.approx(printed_d(a1, a2, b1, b2) * 1e-270,
                                              rel=1e-12)
-    (x1_tiny, _, _, _), errors = one_row(*tiny)
+    (x1_tiny, _, _, _), errors = _one_row(*tiny)
     assert x1_tiny[0] == pytest.approx(want, rel=1e-12) and errors == {}
     # the gate sits at |D| = 1e-14 A1^3: with A2 = k A1 and B2 = k B1,
     # D = A1^3 (1 - k) (2 + k), so 1 - k = 1e-14 passes and 2e-15 is flagged
     for gap, flagged in ((1e-14, False), (2e-15, True)):
-        _, errors = one_row(a1, (1.0 - gap) * a1, b1, (1.0 - gap) * b1)
+        _, errors = _one_row(a1, (1.0 - gap) * a1, b1, (1.0 - gap) * b1)
         assert bool(errors) is flagged
     # A2 = A1, B2 = B1 makes D vanish: the criterion flags the row
-    _, errors = one_row(a1, a1, b1, b1)
+    _, errors = _one_row(a1, a1, b1, b1)
     assert list(errors) == [0] and type(errors[0]) is DegenerateLimit
     assert str(errors[0]) == f"|D| = {abs(printed_d(a1, a1, b1, b1)):.3e} underflows"
 
@@ -737,35 +770,57 @@ def test_boundary_denominator_gate_is_relative():
     ("A1", math.nan), ("A2", math.inf), ("B1", -1e102), ("B2", 6e102)])
 def test_boundary_denominator_rejects_coefficients_that_overflow_d(field,
                                                                    value):
-    # a NaN or infinite coefficient, or one whose cube overflows, used to
-    # give a NaN D or an OverflowError from the power; no record holds one,
-    # so a record built by hand fails as kossakowski_boundary does
+    # a NaN or infinite coefficient, or one whose cube overflows, would give
+    # a NaN D or an OverflowError from the power; the criterion refuses the
+    # row before D, naming the coefficient
     base = kossakowski_boundary(REF, 1.0, 1.0)
-    message = re.escape(f"boundary coefficient {field} = {value!r}: D needs"
-                        " each finite and below 1e+102 in magnitude")
-    with pytest.raises(DomainError, match=f"^{message}$"):
-        dataclasses.replace(base, **{field: value})
+    coeffs = dataclasses.replace(base, **{field: value})
+    _, errors = _one_row(coeffs.A1, coeffs.A2, coeffs.B1, coeffs.B2)
+    assert list(errors) == [0] and type(errors[0]) is DomainError
+    assert str(errors[0]) == (f"boundary coefficient {field} = {value!r}: D"
+                              " needs each finite and below 1e+102 in"
+                              " magnitude")
+
+
+def test_coefficient_bound_sits_at_1e102():
+    # the bound is on the largest |coefficient|: just below 1e102 the row
+    # reaches D, whose cube is still finite, and at 1e102 it does not
+    kb = kossakowski_boundary(REF, 1.0, 1.0)
+    below = math.nextafter(1e102, 0.0)
+    _, errors = _one_row(below, kb.A2, kb.B1, kb.B2)
+    assert not any(type(e) is DomainError for e in errors.values())
+    _, errors = _one_row(1e102, kb.A2, kb.B1, kb.B2)
+    assert str(errors[0]) == ("boundary coefficient A1 = 1e+102: D needs each"
+                              " finite and below 1e+102 in magnitude")
+    # the first coefficient that fails is named, and a refused row leaves the
+    # bits of a valid row stacked with it as they are
+    valid = (kb.A1, kb.A2, kb.B1, kb.B2)
+    alone, no_errors = _one_row(*valid)
+    stacked, errors = boundary_verdict_rows(
+        *(np.array([c, 1e300 if k else 1.0]) for k, c in enumerate(valid)))
+    assert no_errors == {} and list(errors) == [1]
+    assert str(errors[1]).startswith("boundary coefficient A2 = 1e+300: ")
+    for one, both in zip(alone, stacked):
+        assert one.tobytes() == both[:1].tobytes()
 
 
 @pytest.mark.parametrize("omega, accel", [(1e-300, 1e20), (1.0, 1e300),
                                           (1e200, 1.0)])
 def test_boundary_record_by_hand_fails_with_the_same_text(omega, accel):
-    # the coefficients kossakowski_boundary refuses, put in a record by hand
-    with pytest.raises(DomainError) as built:
-        kossakowski_boundary(UnruhParams(omega, accel), 1.0, 1.0)
-    x, args = model.boundary_arguments(omega, accel, 1.0, 1.0)
-    a1, a2, b1, b2 = model.boundary_pairs(omega, x, args)
-    with pytest.raises(DomainError) as by_hand:
-        model.KossakowskiBoundary(A1=a1, A2=a2, B1=b1, B2=b2, ratio=0.0)
-    assert str(by_hand.value) == str(built.value)
-
-
-@pytest.mark.parametrize("omega, accel", [
-    (1e-300, 1e20),   # 2 pi omega / a = 6e-320: infinite thermal factor
-    (1.0, 1e300),     # thermal factor 3e299: A1 ~ 1e298
-    (1e200, 1.0),     # omega / 4 pi ~ 8e198
-])
-def test_kossakowski_boundary_rejects_coefficients_that_overflow_d(omega,
-                                                                   accel):
-    with pytest.raises(DomainError, match="^boundary coefficient A1 = "):
-        kossakowski_boundary(UnruhParams(omega, accel), 1.0, 1.0)
+    # coefficients too large for D, or NaN: the record built by hand from
+    # the model's pieces equals kossakowski_boundary's, and the criterion
+    # refuses it with eval_boundary's text
+    params = UnruhParams(omega, accel)
+    free = kossakowski_free(params)
+    a1, a2, b1, b2 = model.boundary_pairs(
+        free, model.boundary_arguments(omega, 1.0, 1.0))
+    by_hand = model.KossakowskiBoundary(A1=a1, A2=a2, B1=b1, B2=b2,
+                                        ratio=free.ratio)
+    built = kossakowski_boundary(params, 1.0, 1.0)
+    assert (np.array(dataclasses.astuple(by_hand)).tobytes()
+            == np.array(dataclasses.astuple(built)).tobytes())
+    _, errors = _one_row(a1, a2, b1, b2)
+    _, diagnostics = eval_boundary(omega, np.array([accel]), np.array([1.0]),
+                                   np.array([1.0]))
+    assert diagnostics == [f"DomainError: {errors[0]}"]
+    assert diagnostics[0].startswith("DomainError: boundary coefficient A1 = ")

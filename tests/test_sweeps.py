@@ -12,7 +12,7 @@ import pytest
 from oracles import read_csv, read_json
 from unruh_steer import cli, steering, sweeps
 from unruh_steer.errors import ConsistencyError, DomainError
-from unruh_steer.model import UnruhParams, kossakowski_boundary, kossakowski_free
+from unruh_steer.model import UnruhParams, kossakowski_free
 from unruh_steer.qmat import matrix_to_fano, random_density_matrix
 from unruh_steer.steering import (one_sided_mid, sic_closed_form_free,
                                   steering_induced_coherence, theorem1_residual)
@@ -390,13 +390,12 @@ def test_sic_rows_in_the_infinite_temperature_limit():
 def test_boundary_limit_point_fails_the_coefficient_bound(omega, accel,
                                                           coefficient):
     # a = inf, or 2 pi omega / a underflowing to 0, makes the thermal factor
-    # inf; the record's bound refuses A1, in one text on both paths
-    with pytest.raises(DomainError,
-                       match=f"^boundary coefficient {coefficient}: ") as info:
-        kossakowski_boundary(UnruhParams(omega, accel), 1.0, 1.0)
+    # inf; the mirror criterion refuses A1 before D
     _, diagnostics = eval_boundary(omega, np.array([accel]), np.array([1.0]),
                                    np.array([1.0]))
-    assert diagnostics == [f"DomainError: {info.value}"]
+    assert diagnostics == [f"DomainError: boundary coefficient {coefficient}:"
+                           " D needs each finite and below 1e+102 in"
+                           " magnitude"]
 
 
 def test_boundary_eval_columns():
