@@ -4,13 +4,14 @@ Exit codes follow sysexits conventions where they exist: 0 success,
 2 domain errors (bad physics parameters), 64 usage errors, 74 I/O errors.
 Every subcommand writes CSV or JSON through the sweep-result machinery, so
 outputs are byte-identical across runs. Sweeps run in one process, each
-evaluator on whole grid axes.
+evaluator on blocks of grid rows (``sweeps.run_grid``).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import operator
 import sys
 from functools import partial
 
@@ -34,7 +35,6 @@ from .qmat import (FanoState, fano_vectors, random_density_matrix,
                    require_state)
 from .steering import SQRT6, sic_mid_rows, steering_induced_coherence
 from .sweeps import (
-    BLOCK_ROWS,
     BOUNDARY_COLUMNS,
     SIC_SWEEP_COLUMNS,
     SURFACE_COLUMNS,
@@ -234,16 +234,17 @@ def cmd_sic_sweep(args) -> int:
 
 
 def _surface_summary(result: SweepResult):
-    kept = np.flatnonzero([not diag for diag in result.diagnostics])
+    n = len(result.diagnostics)
+    kept = np.fromiter(map(operator.not_, result.diagnostics), bool, n)
     lines = []
     for form in ("literal", "absolute"):
-        if kept.size == 0:
+        if not kept.any():
             lines.append(f"max {form} f: no unflagged grid points")
             continue
-        values = result.column(form)[kept]
-        row = kept[np.argmax(values)]
+        values = np.where(kept, result.column(form), -math.inf)
+        row = int(np.argmax(values))
         tau, ratio = result.column("tau")[row], result.column("R")[row]
-        best = values.max()
+        best = values[row]
         verdict = "EXCEEDED" if best > SQRT6 else "NOT exceeded"
         lines.append(f"max {form} f = {best:.9g} at (tau = {tau:.9g},"
                      f" R = {ratio:.9g}), threshold sqrt(6) {verdict}")
@@ -296,17 +297,16 @@ def cmd_node(args) -> int:
 def cmd_theorem_check(args) -> int:
     check_rows(args.count)
     rng = np.random.default_rng(args.seed)
-    columns = np.empty((len(THEOREM_COLUMNS), args.count))
-    for lo in range(0, args.count, BLOCK_ROWS):
-        drawn = np.array([random_density_matrix(rng)
-                          for _ in range(min(BLOCK_ROWS, args.count - lo))])
+
+    def evaluate(index):
+        drawn = np.array([random_density_matrix(rng) for _ in range(index.size)])
         block = fano_vectors(drawn)
         require_state(drawn)
-        columns[:, lo:lo + BLOCK_ROWS] = sic_mid_rows(block)
+        return sic_mid_rows(block), [""] * index.size
+
     axes = (("state_index", np.arange(args.count, dtype=float)),)
     meta = {"seed": args.seed, "count": args.count}
-    result = run_grid(axes, lambda index: (columns, [""] * index.size),
-                      THEOREM_COLUMNS, meta=meta)
+    result = run_grid(axes, evaluate, THEOREM_COLUMNS, meta=meta)
     residual = max(result.column("residual"))
     summary = (f"max |sic - mid| = {residual:.3e} over {args.count} states"
                f" (seed {args.seed})",)

@@ -1,20 +1,22 @@
 """Deterministic parameter-sweep engine with CSV/JSON emission.
 
-Evaluators take the whole grid at once, flattened in lexicographic order, one
-array per axis, and work on whole arrays. Each row gets its cells from one
-path: the arrays compute exactly the rows that the scalar checks accept,
-and a refused row is NaN, named by the error its scalar check raises
-("{Class}: {message}") instead of aborting the sweep. The result table is
-column-major, one 1-D numpy array per column, and both writers emit it in
-blocks of ``BLOCK_ROWS`` rows, a column at a time within a block, so no
-writer holds a whole file's text. Serialization is reproducible: CSV
-floats at 17 significant digits, JSON floats as the shortest repr that
-round-trips, LF endings, and a timestamp derived from SOURCE_DATE_EPOCH
-(epoch zero when unset) rather than the wall clock. A spelled float costs
-~0.6 us and an indexed cell a fraction of that, so a block's float column
-is spelled one distinct bit pattern at a time only where at most 3/4 of
-its cells are distinct (axis columns, the boundary scan), and cell by cell
-elsewhere.
+The grid is flattened in lexicographic order, one array per axis, and
+evaluated in blocks of at most ``BLOCK_ROWS`` rows, in row order: an
+evaluator is called once per block, works on that block's arrays, and its
+cells go into columns allocated once, so no stage holds whole-grid
+temporaries. Each row gets its cells from one path: the arrays compute
+exactly the rows that the scalar checks accept, and a refused row is NaN,
+named by the error its scalar check raises ("{Class}: {message}") instead
+of aborting the sweep. The result table is column-major, one 1-D numpy
+array per column, and both writers emit it in the same blocks, a column at
+a time within a block, so no writer holds a whole file's text.
+Serialization is reproducible: CSV floats at 17 significant digits, JSON
+floats as the shortest repr that round-trips, LF endings, and a timestamp
+derived from SOURCE_DATE_EPOCH (epoch zero when unset) rather than the wall
+clock. A spelled float costs ~0.6 us and an indexed cell a fraction of
+that, so a block's float column is spelled one distinct bit pattern at a
+time only where at most 3/4 of its cells are distinct (axis columns, the
+boundary scan), and cell by cell elsewhere.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, UnruhSteerError
 from .model import (
+    BLOCK_ROWS,
     UnruhParams,
     boundary_arguments,
     boundary_pairs,
@@ -49,9 +52,9 @@ from .steering import (
 
 GRID_NAMES = ("a", "tau", "R", "z", "L")
 DIAGNOSTICS_COLUMN = "diagnostics"
-BLOCK_ROWS = 4096   # rows per writer chunk: the text of one block is in memory
 _FLAG_TEXT = np.array(["false", "true"], dtype=object)
 _FLAG_TYPES = frozenset((bool, np.bool_))
+_FLAG_DTYPES = frozenset(map(np.dtype, (bool, object)))   # a flag column's, by NaN rows
 
 
 # ----- sweep grid axes -----
@@ -141,28 +144,46 @@ class SweepResult:
 
 
 def run_grid(axes, evaluator, out_columns, meta=None) -> SweepResult:
-    """Evaluate ``evaluator`` on the cartesian product of the axes at once.
+    """Evaluate ``evaluator`` on the cartesian product of the axes, in
+    blocks of at most ``BLOCK_ROWS`` rows.
 
     ``axes`` is a sequence of (name, values) pairs, whose names the table's
     ``meta["axes"]`` records; rows appear in lexicographic order of the
-    axes as given (first axis outermost). The evaluator receives that grid
-    flattened, one 1-D float array per axis, and returns (columns,
-    diagnostics): one array per output column and one diagnostic string
-    per row. A column count, length or dtype that does not fit the table
-    raises ConsistencyError.
+    axes as given (first axis outermost). The evaluator is called once per
+    block, in row order (once with empty axes for an empty grid), with the
+    block's rows of that grid flattened, one 1-D float array per axis, and
+    returns (columns, diagnostics): one array per output column and one
+    diagnostic string per row of the block. Its columns fill columns
+    allocated once; a flag column is object where any block's is. A block
+    whose column count, lengths or dtypes do not fit the table, or whose
+    column changes dtype otherwise, raises ConsistencyError.
     """
     values = [np.asarray(vals, dtype=float) for _, vals in axes]
-    check_rows(math.prod(vals.size for vals in values))
-    grid = np.meshgrid(*values, indexing="ij")
-    flat = [mesh.ravel() for mesh in grid]
-    columns, diagnostics = evaluator(*flat)
+    n = math.prod(vals.size for vals in values)
+    check_rows(n)
+    flat = [mesh.ravel() for mesh in np.meshgrid(*values, indexing="ij")]
+    data, diagnostics = None, []
+    for rows in _row_blocks(max(n, 1)):
+        columns, block_diagnostics = evaluator(*(axis[rows] for axis in flat))
+        block = SweepResult(tuple(out_columns), list(columns),
+                            list(block_diagnostics))
+        if data is None:
+            data = [np.empty(n, dtype=cells.dtype) for cells in block.data]
+        for k, cells in enumerate(block.data):
+            if data[k].dtype != cells.dtype:
+                if {data[k].dtype, cells.dtype} != _FLAG_DTYPES:
+                    raise ConsistencyError(f"column {out_columns[k]!r} changes"
+                                           f" from {data[k].dtype} to {cells.dtype}")
+                if data[k].dtype == bool:   # the first block with NaN flags
+                    data[k] = data[k].astype(object)
+            data[k][rows] = cells
+        diagnostics += block.diagnostics
     names = tuple(name for name, _ in axes)
-    return SweepResult(columns=names + tuple(out_columns),
-                       data=flat + list(columns), diagnostics=list(diagnostics),
-                       meta=dict(meta or {}, axes=names))
+    return SweepResult(columns=names + tuple(out_columns), data=flat + data,
+                       diagnostics=diagnostics, meta=dict(meta or {}, axes=names))
 
 
-# ----- whole-axis evaluators -----
+# ----- block evaluators -----
 
 def _diagnostic(exc: UnruhSteerError) -> str:
     return f"{type(exc).__name__}: {exc}"
@@ -184,8 +205,8 @@ def _name_rows(diagnostics, rows, check, *axes):
 
 
 def eval_sic_free(omega: float, tau, accel):
-    """Columns (R, sic) of the free-space equilibrium on whole arrays, bit for
-    bit the scalar path's; rows that ``UnruhParams`` (x = 0 here) or
+    """Columns (R, sic) of the free-space equilibrium on a block's arrays,
+    bit for bit the scalar path's; rows that ``UnruhParams`` (x = 0 here) or
     ``leaf_mask`` refuses are NaN, named by the scalar checks."""
     def point(t, a):   # raises on every row sent here, with the scalar text
         check_leaf(t, kossakowski_free(UnruhParams(omega, a)).ratio)
@@ -205,26 +226,29 @@ def eval_sic_free(omega: float, tau, accel):
 def eval_surface(tau, ratio):
     """Columns SURFACE_COLUMNS of ``steerability_functional_free``.
 
-    Its two readings, from ``coherence_sum_terms``, on whole arrays; the
+    Its two readings, from ``coherence_sum_terms``, on a block's arrays; the
     singular point comes back NaN/False with the diagnostic "singular", and
     rows outside ``leaf_mask`` NaN, named by ``check_leaf``.
     """
     with np.errstate(all="ignore"):
-        *readings, singular = coherence_sum_terms(tau, ratio)
-    literal, absolute = (np.where(singular, math.nan, r) for r in readings)
+        literal, absolute, singular = coherence_sum_terms(tau, ratio)
+    singular_rows = np.flatnonzero(singular).tolist()
+    literal[singular_rows] = absolute[singular_rows] = math.nan
     bad = np.flatnonzero(~leaf_mask(tau, ratio))
     flag = object if bad.size else bool   # NaN in a bool array reads True
     columns = [literal, absolute, (literal > SQRT6).astype(flag),
                (absolute > SQRT6).astype(flag)]
     for column in columns:
         column[bad] = math.nan
-    diagnostics = np.where(singular, "singular", "").tolist()
+    diagnostics = [""] * tau.size
+    for i in singular_rows:
+        diagnostics[i] = "singular"
     _name_rows(diagnostics, bad, check_leaf, tau, ratio)
     return columns, diagnostics
 
 
 def eval_boundary(omega: float, accel, z, sep):
-    """Columns BOUNDARY_COLUMNS on whole arrays, bit for bit the scalar
+    """Columns BOUNDARY_COLUMNS on a block's arrays, bit for bit the scalar
     path's: ``+ - * /`` on the arrays, which round as Python floats do, and
     powers, sqrt, sin and exp through the scalar functions per distinct
     argument (``model._each``).
@@ -313,10 +337,9 @@ def _column_text(values, spell, strict=False) -> list:
     return text if cells is values else np.array(text, object)[where].tolist()
 
 
-def _row_blocks(result: SweepResult):
-    """Slices of at most ``BLOCK_ROWS`` rows that cover the table in order."""
-    return [slice(lo, lo + BLOCK_ROWS)
-            for lo in range(0, len(result.diagnostics), BLOCK_ROWS)]
+def _row_blocks(n: int):
+    """Slices of at most ``BLOCK_ROWS`` rows that cover ``n`` rows in order."""
+    return [slice(lo, lo + BLOCK_ROWS) for lo in range(0, n, BLOCK_ROWS)]
 
 
 def csv_chunks(result: SweepResult):
@@ -330,7 +353,7 @@ def csv_chunks(result: SweepResult):
     if with_diagnostics:
         header.append(DIAGNOSTICS_COLUMN)
     head = ",".join(header) + "\n"
-    for rows in _row_blocks(result):
+    for rows in _row_blocks(len(result.diagnostics)):
         cells = [_column_text(col[rows], "{:.17g}".format)
                  for col in result.data]
         if with_diagnostics:
@@ -378,7 +401,7 @@ def json_chunks(result: SweepResult):
     row[0] = ",\n    {" + row[0][1:]
     # the rows replace the empty list that closes the text
     head = text[:-len("[]\n}")] + "["
-    for rows in _row_blocks(result):
+    for rows in _row_blocks(len(result.diagnostics)):
         diagnostics = result.diagnostics[rows]
         parts = row * len(diagnostics)
         for k, col in enumerate(result.data):

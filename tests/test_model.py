@@ -13,6 +13,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -445,6 +446,32 @@ def test_evolve_reports_first_overflowed_sample(monkeypatch):
         with pytest.raises(DomainError) as info:
             evolve(_polarized(0.5), _UNIT, t_end=2.0, samples=9)
     assert str(info.value) == "state coefficients overflowed at t = 0.75"
+
+
+@pytest.mark.parametrize("injected", [
+    test_evolve_reports_earliest_drift,
+    test_evolve_drift_wins_over_later_overflow,
+    test_evolve_reports_first_overflowed_sample,
+])
+def test_evolve_injections_in_blocks_of_3(monkeypatch, injected):
+    # the certificate takes samples [0, 3), [3, 6), ...: the t = 1.5 drift
+    # of 5 samples falls in the second block, with the same t and text
+    monkeypatch.setattr(model, "BLOCK_ROWS", 3)
+    injected(monkeypatch)
+
+
+def test_evolve_holds_one_block_of_certificate(deadline):
+    # 100,000 samples hold 12.8 MB (times and coefficients); the (4, 4)
+    # complex stacks of a certificate over all of them peaked 77 MB above
+    k = kossakowski_free(REF)
+    tracemalloc.start()
+    try:
+        traj = evolve(_polarized(0.5), k, samples=100_000)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.converged
+    assert peak - held < 8_000_000, f"{(peak - held) / 1e6:.1f} MB above the run"
 
 
 # a_z = 1 + 4 (1e-6 -+ 1e-9) makes the minimum eigenvalue (1 - a_z) / 4 sit

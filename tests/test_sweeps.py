@@ -5,6 +5,7 @@ import math
 import os
 import stat
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from unruh_steer.qmat import matrix_to_fano, random_density_matrix
 from unruh_steer.steering import (one_sided_mid, sic_closed_form_free,
                                   steering_induced_coherence, theorem1_residual)
 from unruh_steer.sweeps import (BOUNDARY_COLUMNS, DIAGNOSTICS_COLUMN,
-                                SURFACE_COLUMNS, THEOREM_COLUMNS, GridSpec,
+                                SIC_SWEEP_COLUMNS, SURFACE_COLUMNS,
+                                THEOREM_COLUMNS, GridSpec,
                                 SweepResult, _name_rows, csv_chunks,
                                 eval_boundary, eval_sic_free, eval_surface,
                                 json_chunks, plot_script, run_grid,
@@ -114,6 +116,23 @@ def test_run_grid_rejects_mismatched_columns():
         run_grid([("x", [1.0, 2.0])], lambda x: ((x,), [""] * 2), ("y", "z"))
     with pytest.raises(ConsistencyError):
         run_grid([("x", [1.0, 2.0])], lambda x: ((x[:1],), [""] * 2), ("y",))
+
+
+def test_run_grid_refuses_a_column_that_changes_dtype(monkeypatch):
+    # blocks of 2 rows: a flag column may turn object in a later block, as
+    # NaN flags make it, but a float column may not turn into flags
+    monkeypatch.setattr(sweeps, "BLOCK_ROWS", 2)
+
+    def flags_from_row_2(x):
+        return [x, (x > 2.0).astype(object if x[0] > 2.0 else bool)], [""] * x.size
+
+    res = run_grid([("x", [1.0, 2.0, 3.0])], flags_from_row_2, ("y", "f"))
+    assert res.column("f").tolist() == [False, False, True]
+    assert [type(flag) for flag in res.column("f")] == [bool] * 3
+    with pytest.raises(ConsistencyError, match="'y' changes from float64 to bool"):
+        run_grid([("x", [1.0, 2.0, 3.0])],
+                 lambda x: ([x if x[0] < 2.0 else x > 2.0], [""] * x.size),
+                 ("y",))
 
 
 def test_table_is_column_major():
@@ -416,7 +435,7 @@ def test_theorem_rows_solve_each_sic_once(monkeypatch, tmp_path):
         return solve(vectors)
 
     monkeypatch.setattr(steering, "sic_rows", counted)
-    monkeypatch.setattr(cli, "BLOCK_ROWS", 2)
+    monkeypatch.setattr(sweeps, "BLOCK_ROWS", 2)
     path = str(tmp_path / "theorem.csv")
     assert cli.main(["theorem-check", "--seed", "3", "--count", "5",
                      "--out", path]) == 0
@@ -465,3 +484,88 @@ def test_table_holds_one_array_per_column():
     assert held < 6_000_000, f"the table holds {held / 1e6:.1f} MB"
     assert [cells.dtype for cells in res.data] == [np.dtype(float)] * 4 + [
         np.dtype(bool)] * 2
+
+
+def _excess_peak(evaluate):
+    """The result of ``evaluate()`` and its traced peak minus the bytes
+    still held once it returns, the result's."""
+    tracemalloc.start()
+    try:
+        result = evaluate()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - held
+
+
+def test_fig3_surface_holds_one_block_of_transients():
+    # the fig3 table holds 10.5 MB; evaluated whole, its transients (one
+    # "singular"/"" unicode array of 8 MB among them) peaked 12.2 MB above
+    axes = [(grid.name, grid.values()) for grid in
+            cli.PRESETS["steerability-surface"]["fig3"]["grid"]]
+    res, excess = _excess_peak(
+        lambda: run_grid(axes, eval_surface, SURFACE_COLUMNS))
+    assert len(res.diagnostics) == 250_000
+    assert excess < 4_000_000, f"{excess / 1e6:.1f} MB above the table"
+
+
+def test_boundary_scan_holds_one_block_of_transients(deadline):
+    # a 50^3 scan's table holds 13.8 MB; evaluated whole, its transients
+    # peaked 27 MB above it
+    axes = [(name, GridSpec(name, "log", lo, hi, 50).values())
+            for name, lo, hi in (("a", 0.1, 100.0), ("z", 0.1, 10.0),
+                                 ("L", 0.01, 10.0))]
+    res, excess = _excess_peak(
+        lambda: run_grid(axes, partial(eval_boundary, 1.0), BOUNDARY_COLUMNS))
+    assert len(res.diagnostics) == 125_000
+    assert excess < 4_000_000, f"{excess / 1e6:.1f} MB above the table"
+
+
+def _cells(result):
+    """Each column's dtype and cells, bit for bit (an object column's cell
+    by cell, with its type), and the diagnostics."""
+    return ([(cells.dtype, cells.tobytes() if cells.dtype != object
+              else [(type(cell), repr(cell)) for cell in cells.tolist()])
+             for cells in result.data], result.diagnostics)
+
+
+# grid, evaluator, output columns, the flag columns' dtype and the rows
+# with a diagnostic; the rows the scalar checks refuse come last, past a
+# first block of 1, 2 or 3 rows they accept, and the first surface holds
+# the singular point (1, 1)
+BLOCKED = {
+    "surface": ((("tau", [0.5, 1.0, 1.5]), ("R", [0.5, 1.0])), eval_surface,
+                SURFACE_COLUMNS, object, [3, 4, 5]),
+    "surface-clean": ((("tau", [-1.0, 0.0]), ("R", [0.0, 0.5, 0.75])),
+                      eval_surface, SURFACE_COLUMNS, bool, []),
+    "sic": ((("tau", [-1.0, 0.5, 2.0]), ("a", [1.0, 10.0])),
+            partial(eval_sic_free, 1.0), SIC_SWEEP_COLUMNS, None, [4, 5]),
+    # DenominatorZero at a = 0.05, DegenerateLimit at z = 1e-9
+    "boundary": ((("a", [0.05, 2.0 * math.pi, -1.0]), ("z", [0.5, 1e-9]),
+                  ("L", [0.1, 1.0])), partial(eval_boundary, 1.0),
+                 BOUNDARY_COLUMNS, object, [0, 1, 2, 3, 6, 7, 8, 9, 10, 11]),
+}
+FLAG_COLUMNS = ("exceeds_literal", "exceeds_absolute", "satisfied")
+
+
+@pytest.mark.parametrize("case", BLOCKED)
+def test_run_grid_cells_do_not_depend_on_the_block_size(monkeypatch, case):
+    axes, evaluator, columns, flags, flagged = BLOCKED[case]
+    n = math.prod(len(values) for _, values in axes)
+    sizes = []
+
+    def counted(*flat):
+        sizes.append(flat[0].size)
+        return evaluator(*flat)
+
+    tables = {}
+    for rows in (1, 2, 3, 4096):
+        monkeypatch.setattr(sweeps, "BLOCK_ROWS", rows)
+        sizes.clear()
+        tables[rows] = _cells(run_grid(axes, counted, columns))
+        assert sizes == [rows] * (n // rows) + [n % rows] * (n % rows > 0)
+    assert all(table == tables[4096] for table in tables.values())
+    data, diagnostics = tables[4096]
+    assert [dtype for dtype, _ in data[len(axes):]] == [
+        np.dtype(flags if name in FLAG_COLUMNS else float) for name in columns]
+    assert [i for i, diag in enumerate(diagnostics) if diag] == flagged
