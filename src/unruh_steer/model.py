@@ -56,8 +56,8 @@ TAYLOR_DEGREE = 14         # exp(X) for |X|_1 <= 1/2 to ~4e-17 relative
 
 def check_rows(rows: int) -> None:
     """DomainError for a table, or an ``evolve`` run, of more than
-    ``MAX_SAMPLES`` rows. A row holds at most ~0.2 kB at peak (an
-    ``evolve`` sample), so a table stays below ~0.2 GB."""
+    ``MAX_SAMPLES`` rows. A row holds at most ~0.15 kB at peak (an
+    ``evolve`` sample), so a table stays below ~0.15 GB."""
     if rows > MAX_SAMPLES:
         raise DomainError(f"{rows} rows exceed the limit of {MAX_SAMPLES:.0e}"
                           " per table")
@@ -177,19 +177,20 @@ class KossakowskiBoundary:
     ratio: float        # free-space B / A: B1 / A1 = B2 / A2 for every z, sep
 
 
-def free_coefficients(omega, x) -> KossakowskiFree:
-    """A = (omega/4pi) (1 + e^-x)/(1 - e^-x) and B = omega/4pi at the thermal
-    argument x = 2 pi omega / accel in [0, inf], a float or an array (the
-    thermal factor through ``_each``). B / A = tanh(x/2), held to 1e-12 by
-    the tests; where x is 0 (accel = inf) or so small that the thermal
+def free_coefficients(omega, accel) -> KossakowskiFree:
+    """A = (omega/4pi) (1 + e^-x)/(1 - e^-x) and B = omega/4pi at accel, a
+    float or an array, through x = ``UnruhParams.beta`` omega in [0, inf]
+    (the thermal factor through ``_each``). B / A = tanh(x/2), held to 1e-12
+    by the tests; where x is 0 (accel = inf) or so small that the thermal
     factor overflows, A = inf and B / A = 0."""
     pref = omega / (4.0 * math.pi)
+    x = 2.0 * math.pi / accel * omega
     return KossakowskiFree(A=pref * _each(_thermal_factor, x), B=pref)
 
 
 def kossakowski_free(params: UnruhParams) -> KossakowskiFree:
     """Free-space coefficients at the Unruh temperature."""
-    return free_coefficients(params.omega, params.beta * params.omega)
+    return free_coefficients(params.omega, params.accel)
 
 
 def boundary_arguments(omega, z, sep):
@@ -399,10 +400,10 @@ def evolve(state: FanoState, coeffs: KossakowskiFree, t_end: float | None = None
 
     NotPositive (``qmat.require_state``) unless the input is a state, and
     UnphysicalDrift for the earliest later sample below -1e-6 (``qmat``'s
-    certificate on ``BLOCK_ROWS`` samples at a time, after a finiteness
-    check). DomainError for A, t_end, samples or tau out of range, above
-    ``MAX_SAMPLES`` samples, where step |M|_1 overflows, and for a sample
-    that overflows (unless one drifts first).
+    certificate, one block of ``BLOCK_ROWS`` samples at a time up to the
+    first that is not finite). DomainError for A, t_end, samples or tau out
+    of range, above ``MAX_SAMPLES`` samples, where step |M|_1 overflows,
+    and for a sample that overflows (unless one drifts first).
     """
     horizon = relaxation_horizon(coeffs)   # checks A
     t_end = horizon if t_end is None else t_end
@@ -421,24 +422,25 @@ def evolve(state: FanoState, coeffs: KossakowskiFree, t_end: float | None = None
     vectors = np.empty((samples, 15))
     vectors[0] = y0 - y_eq
     m = 1
-    for power in maps:   # rows [m, 2m) = P^m rows [0, m)
+    for power in maps:   # rows [m, 2m) = P^m rows [0, m), written in place
         n = min(m, samples - m)
-        vectors[m:m + n] = vectors[:n] + np.einsum("ij,kj->ki", power, vectors[:n])
+        np.einsum("ij,kj->ki", power, vectors[:n], out=vectors[m:m + n])
+        vectors[m:m + n] += vectors[:n]
         m += n
     vectors += y_eq
     vectors[0] = y0
-    finite = np.isfinite(vectors).all(axis=1)
-    filled = samples if finite.all() else int(finite.argmin())
 
     # blocks of BLOCK_ROWS samples from sample 0, which passed the stricter
-    # input gate and so never drifts here
-    for lo in range(0, filled, BLOCK_ROWS):
-        block = vectors[lo:min(lo + BLOCK_ROWS, filled)]
-        if drifted := first_below(fano_matrices(block), -DRIFT_TOL):
+    # input gate and so never drifts here, each up to its first non-finite
+    for lo in range(0, samples, BLOCK_ROWS):
+        block = vectors[lo:lo + BLOCK_ROWS]
+        filled = int(np.append(np.isfinite(block).all(axis=1), False).argmin())
+        if drifted := first_below(fano_matrices(block[:filled]), -DRIFT_TOL):
             raise UnphysicalDrift(f"min eigenvalue {drifted[1]:.3e} at t ="
                                   f" {times[lo + drifted[0]]:.6g} (below {DRIFT_TOL})")
-    if filled < samples:
-        raise DomainError(f"state coefficients overflowed at t = {times[filled]:.6g}")
+        if filled < len(block):
+            raise DomainError("state coefficients overflowed at t ="
+                              f" {times[lo + filled]:.6g}")
     vectors.setflags(write=False)
 
     landing = float(np.abs(vectors[-1] - y_eq).max())

@@ -189,11 +189,13 @@ def _diagnostic(exc: UnruhSteerError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _name_rows(diagnostics, rows, check, *axes):
-    """Name each of ``rows``, whose cells are NaN, by the UnruhSteerError of
-    the scalar ``check`` at its inputs: "{Class}: {message}". The evaluators
-    send exactly the rows their masks refuse, which their checks refuse too;
-    a row the check accepts raises ConsistencyError."""
+def _name_rows(columns, refused, check, *axes) -> list:
+    """A block's diagnostics: each ``refused`` row named by the error of the
+    scalar ``check`` at its inputs, "{Class}: {message}", and NaN in every
+    column (a bool column turns object: NaN in bool reads True). A row the
+    check accepts is a mask at fault: ConsistencyError, no cell changed."""
+    diagnostics = [""] * refused.size
+    rows = np.flatnonzero(refused).tolist()
     for i in rows:
         try:
             check(*(float(axis[i]) for axis in axes))
@@ -202,6 +204,11 @@ def _name_rows(diagnostics, rows, check, *axes):
         else:
             raise ConsistencyError(f"row {i}: the array mask refuses inputs"
                                    " that its scalar check accepts")
+    for k, column in enumerate(columns):
+        if rows and column.dtype == bool:
+            columns[k] = column = column.astype(object)
+        column[rows] = math.nan
+    return diagnostics
 
 
 def eval_sic_free(omega: float, tau, accel):
@@ -213,14 +220,10 @@ def eval_sic_free(omega: float, tau, accel):
 
     fast = (accel > 0.0) & (0.0 < omega / (4.0 * math.pi) < math.inf)
     with np.errstate(all="ignore"):   # x, A = inf are limits; NaN only if refused
-        x = np.where(fast, 2.0 * math.pi / accel * omega, 0.0)
-        ratio = free_coefficients(omega, x).ratio
-    fast &= leaf_mask(tau, ratio)
-    columns = [np.where(fast, cells, math.nan)
-               for cells in (ratio, sic_closed_form_free(tau, ratio))]
-    diagnostics = [""] * tau.size
-    _name_rows(diagnostics, np.flatnonzero(~fast), point, tau, accel)
-    return columns, diagnostics
+        ratio = free_coefficients(omega, np.where(fast, accel, math.inf)).ratio
+    columns = [ratio, sic_closed_form_free(tau, ratio)]
+    return columns, _name_rows(columns, ~(fast & leaf_mask(tau, ratio)),
+                               point, tau, accel)
 
 
 def eval_surface(tau, ratio):
@@ -228,22 +231,16 @@ def eval_surface(tau, ratio):
 
     Its two readings, from ``coherence_sum_terms``, on a block's arrays; the
     singular point comes back NaN/False with the diagnostic "singular", and
-    rows outside ``leaf_mask`` NaN, named by ``check_leaf``.
+    rows outside ``leaf_mask`` NaN, named by ``check_leaf`` even there.
     """
     with np.errstate(all="ignore"):
         literal, absolute, singular = coherence_sum_terms(tau, ratio)
-    singular_rows = np.flatnonzero(singular).tolist()
-    literal[singular_rows] = absolute[singular_rows] = math.nan
-    bad = np.flatnonzero(~leaf_mask(tau, ratio))
-    flag = object if bad.size else bool   # NaN in a bool array reads True
-    columns = [literal, absolute, (literal > SQRT6).astype(flag),
-               (absolute > SQRT6).astype(flag)]
-    for column in columns:
-        column[bad] = math.nan
-    diagnostics = [""] * tau.size
-    for i in singular_rows:
-        diagnostics[i] = "singular"
-    _name_rows(diagnostics, bad, check_leaf, tau, ratio)
+    literal[singular] = absolute[singular] = math.nan
+    columns = [literal, absolute, literal > SQRT6, absolute > SQRT6]
+    diagnostics = _name_rows(columns, ~leaf_mask(tau, ratio), check_leaf,
+                             tau, ratio)
+    for i in np.flatnonzero(singular).tolist():
+        diagnostics[i] = diagnostics[i] or "singular"
     return columns, diagnostics
 
 
@@ -266,7 +263,6 @@ def eval_boundary(omega: float, accel, z, sep):
     n = accel.size
     columns = [np.full(n, math.nan) for _ in BOUNDARY_COLUMNS[:-1]]
     columns.append(np.full(n, math.nan, dtype=object))
-    diagnostics = [""] * n
     with np.errstate(all="ignore"):
         args = boundary_arguments(omega, z, sep)
         fast = ((accel > 0.0) & (0.0 < omega / (4.0 * math.pi) < math.inf)
@@ -274,20 +270,20 @@ def eval_boundary(omega: float, accel, z, sep):
         for arg in args:
             fast &= np.isfinite(arg)
         rows = np.flatnonzero(fast)
-        free = free_coefficients(omega, 2.0 * math.pi / accel[rows] * omega)
+        free = free_coefficients(omega, accel[rows])
         pairs = boundary_pairs(free, [arg[rows] for arg in args])
     verdicts, errors = boundary_verdict_rows(*pairs)
-    kept = np.ones(rows.size, dtype=bool)
-    kept[list(errors)] = False
+    gated = rows[list(errors)]
     for column, cells in zip(columns, (*pairs, *verdicts)):
-        column[rows[kept]] = cells[kept]
-    for i, exc in errors.items():
-        diagnostics[rows[i]] = _diagnostic(exc)
+        column[rows] = cells
+        column[gated] = math.nan
 
     def check(a, height, distance):
         kossakowski_boundary(UnruhParams(omega, a), height, distance)
 
-    _name_rows(diagnostics, np.flatnonzero(~fast), check, accel, z, sep)
+    diagnostics = _name_rows(columns, ~fast, check, accel, z, sep)
+    for i, exc in errors.items():
+        diagnostics[rows[i]] = _diagnostic(exc)
     return columns, diagnostics
 
 

@@ -10,9 +10,10 @@ fixture. Every run must end in one of two ways:
 
 - exit 0, with output that a strict JSON parser reads and no null cell in
   a row without a diagnostic (so every ``equilibrium`` table is null-free);
-  no state cell of an ``equilibrium`` or ``evolve`` table reads -0, and the
-  R of a mirror ``equilibrium`` row is the free-space ratio of its
-  (omega, a), bit for bit;
+  its "inf"/"-inf" cells read back as floats, no state cell of an
+  ``equilibrium`` or ``evolve`` table reads -0, and the R of a mirror
+  ``equilibrium`` row is the free-space ratio of its (omega, a), bit for
+  bit;
 - exit 2 or 64, with one error line on stderr and nothing on stdout.
 
 The commands that take ``--plot`` also run, on some draws, with ``--out``
@@ -30,6 +31,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import (HealthCheck, example, given, settings,  # noqa: E402
                         strategies as st)
 
+from oracles import _from_json  # noqa: E402
 from unruh_steer.cli import (DRAWN, EXIT_DOMAIN, EXIT_OK,  # noqa: E402
                              EXIT_USAGE, STATE_COLUMNS, main)
 from unruh_steer.model import UnruhParams, kossakowski_free  # noqa: E402
@@ -135,13 +137,17 @@ COMMANDS = {
     "theorem-check": _theorem_check(),
 }
 
-# grids whose bounds are finite but whose span max - min overflows
-SPAN_EXAMPLES = {
+# argvs run on every run: grids whose bounds are finite but whose span
+# max - min overflows, and a mirror equilibrium at a = inf, whose JSON row
+# spells a as "inf"
+EXAMPLES = {
     "tau-sweep": ["tau-sweep", "--omega=1.0", "--accel=1.0",
                   "--grid=tau:linear:-1e308:1e308:3"],
     "steerability-surface": ["steerability-surface",
                              "--grid=tau:linear:-1e308:1e308:3",
                              "--grid=R:linear:0.0:1.0:2"],
+    "equilibrium": ["equilibrium", "--omega=1.0", "--accel=inf", "--z=1.0",
+                    "--sep=1.0"],
 }
 
 
@@ -151,7 +157,7 @@ def _reject(token):
 
 def _check_table(text):
     table = json.loads(text, parse_constant=_reject)
-    for row in table["rows"]:
+    for row in _from_json(table["rows"], None):   # "inf"/"-inf" as floats
         signs = [math.copysign(1.0, row[name]) for name in STATE_COLUMNS
                  if row.get(name) == 0.0]
         assert -1.0 not in signs, f"-0 state cell in {row}"
@@ -209,7 +215,7 @@ def test_cli_grammar(command, tmp_path, capsys, deadline):
             assert stderr.startswith("unruh-steer: error: "), stderr
             assert stderr.count("\n") == 1, stderr
 
-    if command in SPAN_EXAMPLES:
-        run = example(SPAN_EXAMPLES[command], False)(run)
+    if command in EXAMPLES:
+        run = example(EXAMPLES[command], False)(run)
     run()
 

@@ -460,13 +460,16 @@ def test_evolve_injections_in_blocks_of_3(monkeypatch, injected):
     injected(monkeypatch)
 
 
-def test_evolve_holds_one_block_of_certificate(deadline):
+@pytest.mark.parametrize("samples", [100_000, 1_000_000])
+def test_evolve_holds_one_block_of_certificate(samples, deadline):
     # 100,000 samples hold 12.8 MB (times and coefficients); the (4, 4)
-    # complex stacks of a certificate over all of them peaked 77 MB above
+    # complex stacks of a certificate over all of them peaked 77 MB above.
+    # At 1,000,000 samples a whole-run finiteness pass and the doubling's
+    # (n, 15) product of up to S/2 rows peaked 57 MB above
     k = kossakowski_free(REF)
     tracemalloc.start()
     try:
-        traj = evolve(_polarized(0.5), k, samples=100_000)
+        traj = evolve(_polarized(0.5), k, samples=samples)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -75,6 +75,33 @@ def test_no_unused_module_level_imports():
     assert unused == []
 
 
+# numpy's elementwise transcendentals: their loops need not round as libm
+# does (ROADMAP item 3), so the package takes each through the scalar
+# function (model._each); np.geomspace, which spaces log grids, is the one
+# named exception, and np.sqrt and np.linalg are outside this policy
+NUMPY_TRANSCENDENTALS = frozenset((
+    "exp", "exp2", "expm1", "log", "log10", "log1p", "log2", "logaddexp",
+    "logaddexp2", "logspace", "sin", "cos", "tan", "sinh", "cosh", "tanh",
+    "arcsin", "arccos", "arctan", "arctan2", "arcsinh", "arccosh", "arctanh",
+    "power", "float_power", "sinc"))
+
+
+def test_no_numpy_transcendentals_in_package():
+    root = Path(unruh_steer.__file__).parent
+    found = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                module, names = node.value.id, [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                module, names = node.module, [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {module}.{name}" for name in names
+                      if module in ("np", "numpy") and name in NUMPY_TRANSCENDENTALS]
+    assert found == []
+
+
 def test_readme_library_example_runs():
     # the ```python block under "## Library" is executed as written
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(

@@ -74,12 +74,11 @@ def _flaky_check(x, y):
 
 
 def _flaky(x, y):
-    # sums on the arrays; the row the mask refuses is NaN, named by the
-    # scalar check through the guard the package's evaluators use
-    refused = (x == 2.0) & (y == 10.0)
-    columns, diagnostics = [np.where(refused, math.nan, x + y)], [""] * x.size
-    _name_rows(diagnostics, np.flatnonzero(refused), _flaky_check, x, y)
-    return columns, diagnostics
+    # sums on the arrays; the row the mask refuses is made NaN and named by
+    # the scalar check through the step the package's evaluators use
+    columns = [x + y]
+    return columns, _name_rows(columns, (x == 2.0) & (y == 10.0),
+                               _flaky_check, x, y)
 
 
 def test_run_grid_serial_rows():
@@ -101,12 +100,13 @@ def test_run_grid_guards_package_errors():
     assert res.diagnostics[2] == "DomainError: bad, point"
     assert res.diagnostics[0] == ""
     assert res.rows[3] == (2.0, 20.0, 22.0)
-    # the guard only names rows: one its check accepts is a mask at fault
-    diagnostics = [""]
+    # the step only names refused rows: one its check accepts is a mask at
+    # fault, and no cell changes
+    columns = [np.array([11.0])]
     with pytest.raises(ConsistencyError, match="^row 0: the array mask"):
-        _name_rows(diagnostics, range(1), _flaky_check, np.array([1.0]),
+        _name_rows(columns, np.array([True]), _flaky_check, np.array([1.0]),
                    np.array([10.0]))
-    assert diagnostics == [""]
+    assert columns[0].tolist() == [11.0]
 
 
 def test_run_grid_rejects_mismatched_columns():
@@ -180,6 +180,17 @@ def test_eval_surface_flags_singularity():
     assert diag == ["singular"]
     assert math.isnan(values[0][0]) and math.isnan(values[1][0])
     assert values[2][0].item() is False and values[3][0].item() is False
+
+
+def test_eval_surface_refusal_outranks_singularity():
+    # inside the 1e-12 singular gate and past the leaf's upper end: the row
+    # is refused, named by check_leaf, with NaN flags
+    tau, ratio = 1.0 + 1e-9, 1.0 - 5e-10
+    assert steering.coherence_sum_terms(tau, ratio)[2]
+    values, diag = eval_surface(np.array([tau]), np.array([ratio]))
+    assert diag == ["DomainError: tau = 1.000000001 outside [-3, 1]"]
+    assert all(math.isnan(column[0]) for column in values)
+    assert values[2].dtype == values[3].dtype == object
 
 
 def test_csv_format(tmp_path):
