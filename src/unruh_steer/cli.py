@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import operator
 import sys
 from functools import partial
 
@@ -234,15 +233,13 @@ def cmd_sic_sweep(args) -> int:
 
 
 def _surface_summary(result: SweepResult):
-    n = len(result.diagnostics)
-    kept = np.fromiter(map(operator.not_, result.diagnostics), bool, n)
     lines = []
     for form in ("literal", "absolute"):
-        if not kept.any():
+        values = result.column(form)   # NaN on each refused or singular row
+        if np.isnan(values).all():
             lines.append(f"max {form} f: no unflagged grid points")
             continue
-        values = np.where(kept, result.column(form), -math.inf)
-        row = int(np.argmax(values))
+        row = int(np.nanargmax(values))
         tau, ratio = result.column("tau")[row], result.column("R")[row]
         best = values[row]
         verdict = "EXCEEDED" if best > SQRT6 else "NOT exceeded"
@@ -266,7 +263,8 @@ def cmd_boundary_scan(args) -> int:
     meta = {"omega": args.omega, "grid": [g.spec_string() for g in grids]}
     result = run_grid(axes, partial(eval_boundary, args.omega),
                       BOUNDARY_COLUMNS, meta=meta)
-    n_sat = sum(1 for flag in result.column("satisfied") if flag is True)
+    # a bool column, or object with NaN on the flagged rows
+    n_sat = sum(flag is True for flag in result.column("satisfied").tolist())
     n_diag = sum(1 for diag in result.diagnostics if diag)
     summary = (f"criterion satisfied at {n_sat} of {len(result.diagnostics)}"
                f" points ({n_diag} rows flagged)",)

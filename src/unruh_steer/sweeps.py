@@ -185,29 +185,31 @@ def run_grid(axes, evaluator, out_columns, meta=None) -> SweepResult:
 
 # ----- block evaluators -----
 
-def _diagnostic(exc: UnruhSteerError) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _name_rows(columns, refused, check, *axes) -> list:
-    """A block's diagnostics: each ``refused`` row named by the error of the
-    scalar ``check`` at its inputs, "{Class}: {message}", and NaN in every
-    column (a bool column turns object: NaN in bool reads True). A row the
-    check accepts is a mask at fault: ConsistencyError, no cell changed."""
-    diagnostics = [""] * refused.size
-    rows = np.flatnonzero(refused).tolist()
-    for i in rows:
+def _name_rows(columns, refused, check, *axes, errors=None) -> list:
+    """A block's diagnostics, "{Class}: {message}" on each named row: a
+    ``refused`` row is named by the error of the scalar ``check`` at its
+    inputs, and a row of ``errors`` (a dict from block row to error, such as
+    a criterion's gates give) by its own, the check's outranking it. A named
+    row is NaN in every column (a bool column turns object: NaN in bool
+    reads True). A row the check accepts is a mask at fault:
+    ConsistencyError, no cell changed."""
+    errors = dict(errors or {})
+    for i in np.flatnonzero(refused).tolist():
         try:
             check(*(float(axis[i]) for axis in axes))
         except UnruhSteerError as exc:
-            diagnostics[i] = _diagnostic(exc)
+            errors[i] = exc
         else:
             raise ConsistencyError(f"row {i}: the array mask refuses inputs"
                                    " that its scalar check accepts")
+    rows = list(errors)
     for k, column in enumerate(columns):
         if rows and column.dtype == bool:
             columns[k] = column = column.astype(object)
         column[rows] = math.nan
+    diagnostics = [""] * refused.size
+    for i, exc in errors.items():
+        diagnostics[i] = f"{type(exc).__name__}: {exc}"
     return diagnostics
 
 
@@ -250,41 +252,35 @@ def eval_boundary(omega: float, accel, z, sep):
     powers, sqrt, sin and exp through the scalar functions per distinct
     argument (``model._each``).
 
-    A row goes through the arrays exactly where ``kossakowski_boundary``
-    accepts it: a valid omega, a > 0 (inf allowed), z and sep positive and
-    finite, and finite image-point arguments (0 where they underflow). Its
-    A/B cells come from ``model.boundary_pairs``; its x1, x3, value and
-    satisfied cells, and its flags for coefficients too large for D,
+    The A/B cells come from ``model.boundary_pairs``; the x1, x3, value and
+    satisfied cells, and the flags for coefficients too large for D,
     DegenerateLimit and DenominatorZero, from
-    ``steering.boundary_verdict_rows``, where D, its gates and the
-    criterion are stated once. Every other row is NaN, named by
-    ``kossakowski_boundary``.
+    ``steering.boundary_verdict_rows``, where D, its gates and the criterion
+    are stated once. A row keeps its inputs exactly where
+    ``kossakowski_boundary`` accepts it: a valid omega, a > 0 (inf allowed),
+    z and sep positive and finite, and finite image-point arguments (0 where
+    they underflow). Every other row is computed at stand-ins, a = inf and
+    image-point arguments 1, where nothing raises at any omega, and named
+    by ``kossakowski_boundary``. ``_name_rows`` NaNs these rows and those
+    the verdict's gates refuse, so ``satisfied`` is bool in a block with no
+    named row.
     """
-    n = accel.size
-    columns = [np.full(n, math.nan) for _ in BOUNDARY_COLUMNS[:-1]]
-    columns.append(np.full(n, math.nan, dtype=object))
     with np.errstate(all="ignore"):
         args = boundary_arguments(omega, z, sep)
         fast = ((accel > 0.0) & (0.0 < omega / (4.0 * math.pi) < math.inf)
                 & (0.0 < z) & (z < math.inf) & (0.0 < sep) & (sep < math.inf))
         for arg in args:
             fast &= np.isfinite(arg)
-        rows = np.flatnonzero(fast)
-        free = free_coefficients(omega, accel[rows])
-        pairs = boundary_pairs(free, [arg[rows] for arg in args])
-    verdicts, errors = boundary_verdict_rows(*pairs)
-    gated = rows[list(errors)]
-    for column, cells in zip(columns, (*pairs, *verdicts)):
-        column[rows] = cells
-        column[gated] = math.nan
+        free = free_coefficients(omega, np.where(fast, accel, math.inf))
+        pairs = boundary_pairs(free, [np.where(fast, arg, 1.0) for arg in args])
+        verdicts, errors = boundary_verdict_rows(*pairs)
+    columns = [*pairs, *verdicts]
 
     def check(a, height, distance):
         kossakowski_boundary(UnruhParams(omega, a), height, distance)
 
-    diagnostics = _name_rows(columns, ~fast, check, accel, z, sep)
-    for i, exc in errors.items():
-        diagnostics[rows[i]] = _diagnostic(exc)
-    return columns, diagnostics
+    return columns, _name_rows(columns, ~fast, check, accel, z, sep,
+                               errors=errors)
 
 
 SIC_SWEEP_COLUMNS = ("R", "sic")

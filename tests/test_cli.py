@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from oracles import read_json
-from unruh_steer import cli, model
+from unruh_steer import cli, model, steering
 from unruh_steer.cli import EXIT_DOMAIN, EXIT_IO, EXIT_USAGE, main
 from unruh_steer.model import (UnruhParams, equilibrium_free, kossakowski_free,
                                relaxation_horizon)
@@ -438,6 +438,21 @@ def test_boundary_scan(capsys):
     assert "satisfied at 0 of 27 points" in captured.err
     header, rows = _csv_rows(captured.out)
     assert all(row["satisfied"] == "false" for row in rows)
+
+
+@pytest.mark.parametrize("a_grid, summary", [
+    ("a:linear:1:2:2", "satisfied at 8 of 8 points (0 rows flagged)"),
+    ("a:linear:-1:1:2", "satisfied at 4 of 8 points (4 rows flagged)"),
+])
+def test_boundary_scan_counts_satisfied_rows(capsys, monkeypatch, a_grid,
+                                             summary):
+    # the criterion never holds on physical inputs; a threshold of -inf makes
+    # it hold on every computed row, in a bool column or, with flagged rows,
+    # an object one
+    monkeypatch.setattr(steering, "SQRT6", -math.inf)
+    assert main(["boundary-scan", "--grid", a_grid, "--grid",
+                 "z:linear:0.5:1:2", "--grid", "L:linear:0.1:1:2"]) == 0
+    assert f"criterion {summary}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -179,6 +179,7 @@ BOUNDARY_LENGTHS = st.one_of(
 @example(1.0, [1e-320], [1e-4], [3.57e-4])   # x = inf: x1 = -0.9999999970
 @example(1e-300, [-0.0, 0.0, 1.0], [-0.0, 5e-324, 1.0], [-0.0, 5e-324, 1.0])
 @example(math.nan, [1.0], [1.0], [1.0])
+@example(0.0, [1.0], [1.0], [1.0])   # refused, and gated at its stand-ins
 def test_eval_boundary_equals_scalar_path(omega, accels, heights, seps):
     axes = (("a", accels), ("z", heights), ("L", seps))
     res = run_grid(axes, lambda a, z, sep: eval_boundary(omega, a, z, sep),

@@ -102,6 +102,18 @@ def test_no_numpy_transcendentals_in_package():
     assert found == []
 
 
+def test_sweep_evaluators_leave_flag_columns_to_name_rows():
+    # a flag column is bool, and turns object only where sweeps._name_rows
+    # NaNs a row: no evaluator makes an object column of its own
+    path = Path(unruh_steer.__file__).parent / "sweeps.py"
+    found = [f"{func.name}:{node.lineno}"
+             for func in ast.parse(path.read_text(encoding="utf-8")).body
+             if isinstance(func, ast.FunctionDef) and func.name.startswith("eval_")
+             for node in ast.walk(func)
+             if isinstance(node, ast.Name) and node.id == "object"]
+    assert found == []
+
+
 def test_readme_library_example_runs():
     # the ```python block under "## Library" is executed as written
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(

@@ -13,7 +13,8 @@ import pytest
 from oracles import read_csv, read_json
 from unruh_steer import cli, steering, sweeps
 from unruh_steer.errors import ConsistencyError, DomainError
-from unruh_steer.model import UnruhParams, kossakowski_free
+from unruh_steer.model import (UnruhParams, kossakowski_boundary,
+                               kossakowski_free)
 from unruh_steer.qmat import matrix_to_fano, random_density_matrix
 from unruh_steer.steering import (one_sided_mid, sic_closed_form_free,
                                   steering_induced_coherence, theorem1_residual)
@@ -432,7 +433,24 @@ def test_boundary_eval_columns():
     values, diag = eval_boundary(1.0, np.array([2.0 * math.pi]),
                                  np.array([1.0]), np.array([1.0]))
     assert len(values) == len(BOUNDARY_COLUMNS)
-    assert values[-1][0] is False and diag == [""]
+    assert values[-1].dtype == bool and values[-1].tolist() == [False]
+    assert diag == [""]
+
+
+@pytest.mark.parametrize("omega", [-1e300, -math.inf, math.inf, math.nan,
+                                   0.0, 5e-324])
+def test_boundary_refused_omega_raises_nothing(omega):
+    # every row is refused and computed at the stand-ins a = inf and
+    # image-point arguments 1: a finite a would make x = 2 pi omega / a
+    # -inf at omega = -1e300, where exp overflows, and an infinite argument
+    # has no sin
+    accel, z, sep = (np.array([1.0, math.inf]), np.array([1.0, 1e200]),
+                     np.array([1.0, math.inf]))
+    _, diagnostics = eval_boundary(omega, accel, z, sep)
+    for diag, a, height, distance in zip(diagnostics, accel, z, sep):
+        with pytest.raises(DomainError) as exc:
+            kossakowski_boundary(UnruhParams(omega, a), height, distance)
+        assert diag == f"DomainError: {exc.value}"
 
 
 def test_theorem_rows_solve_each_sic_once(monkeypatch, tmp_path):
@@ -555,6 +573,9 @@ BLOCKED = {
     "boundary": ((("a", [0.05, 2.0 * math.pi, -1.0]), ("z", [0.5, 1e-9]),
                   ("L", [0.1, 1.0])), partial(eval_boundary, 1.0),
                  BOUNDARY_COLUMNS, object, [0, 1, 2, 3, 6, 7, 8, 9, 10, 11]),
+    "boundary-clean": ((("a", [1.0, 2.0 * math.pi]), ("z", [0.5, 1.0]),
+                        ("L", [0.1, 1.0])), partial(eval_boundary, 1.0),
+                       BOUNDARY_COLUMNS, bool, []),
 }
 FLAG_COLUMNS = ("exceeds_literal", "exceeds_absolute", "satisfied")
 
