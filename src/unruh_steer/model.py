@@ -64,18 +64,22 @@ def check_rows(rows: int) -> None:
 
 
 def sinc(x: float) -> float:
-    """sin(x)/x with the small-argument series 1 - x^2/6 + x^4/120."""
+    """sin(x)/x with the small-argument series 1 - x^2/6 + x^4/120, and its
+    limit 0 at +-inf; NaN at NaN."""
     x = abs(float(x))
     if x < SINC_SERIES_CUTOFF:
         x2 = x * x
         return 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-    return math.sin(x) / x
+    return 0.0 if x == math.inf else math.sin(x) / x
 
 
 def _thermal_factor(x: float) -> float:
     # (1 + e^-x) / (1 - e^-x); expm1 keeps full precision for small x. At
-    # x = 0 (accel = inf, or 2 pi omega / accel underflowing) it is its limit,
-    # inf, the infinite Unruh temperature, as a subnormal x gives by overflow
+    # x = +-0 (accel = inf, or 2 pi omega / accel underflowing) it is its
+    # limit, inf, the infinite Unruh temperature, as a subnormal x gives by
+    # overflow; NaN for x < 0 or NaN, where no temperature exists
+    if not x >= 0.0:
+        return math.nan
     return (1.0 + math.exp(-x)) / (-math.expm1(-x)) if x else math.inf
 
 
@@ -89,12 +93,6 @@ def _each(f, x, *args):
     bits, where = np.unique(x.view(np.int64), return_inverse=True)
     values = bits.view(np.float64).tolist()
     return np.array(list(map(f, values, *map(repeat, args))))[where]
-
-
-def _power(x, k):
-    """x ** k as Python floats take it (C ``pow``), element by element on
-    arrays."""
-    return _each(pow, x, k)
 
 
 def leaf_mask(tau, ratio):
@@ -182,7 +180,8 @@ def free_coefficients(omega, accel) -> KossakowskiFree:
     float or an array, through x = ``UnruhParams.beta`` omega in [0, inf]
     (the thermal factor through ``_each``). B / A = tanh(x/2), held to 1e-12
     by the tests; where x is 0 (accel = inf) or so small that the thermal
-    factor overflows, A = inf and B / A = 0."""
+    factor overflows, A = inf and B / A = 0, and where x is negative or NaN
+    (no temperature), A is NaN."""
     pref = omega / (4.0 * math.pi)
     x = 2.0 * math.pi / accel * omega
     return KossakowskiFree(A=pref * _each(_thermal_factor, x), B=pref)

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateLimit, DenominatorZero, DomainError
-from .model import _power, check_leaf
+from .model import _each, check_leaf
 from .qmat import FanoState, fano_matrices, fano_to_matrix, require_state
 
 SQRT6 = math.sqrt(6.0)
@@ -191,24 +191,25 @@ def boundary_verdict_rows(a1, a2, b1, b2):
 
         D = 2 A1^3 - A1^2 A2 - A2 B1 B2 + A1 (B2^2 - A2^2),
 
-    its powers through ``model._power`` (C ``pow``); the criterion compares
-    x3 / (1 + x1) against sqrt(6). The gates, first to last:
-    DomainError where the coefficient scale, the largest |coefficient|, is
-    not below COEFFICIENT_LIMIT or is NaN, so that D stays finite (such a
-    row enters D's arithmetic as zeros, since ``pow`` raises OverflowError
-    past ~5.6e102); DegenerateLimit where |D| underflows to
-    1e-14 of the scale's cube (z -> 0 and/or sep -> 0); and DenominatorZero
-    where 1 + x1 <= 1e-9 (the ratio saturation regime near zero
-    acceleration, where cancellation noise dominates the denominator).
-    A refused row's cells mean nothing.
+    its powers through ``model._each(pow, ...)``, C ``pow`` per element;
+    the criterion compares x3 / (1 + x1) against sqrt(6). The gates, first
+    to last: DomainError where the coefficient scale, the largest
+    |coefficient|, is not below COEFFICIENT_LIMIT or is NaN, so that D
+    stays finite (such a row enters D's arithmetic as zeros, the one
+    stand-in of the sweep chain, since ``pow`` raises OverflowError past
+    ~5.6e102); DegenerateLimit where |D| underflows to 1e-14 of the
+    scale's cube (z -> 0 and/or sep -> 0); and DenominatorZero where
+    1 + x1 <= 1e-9 (the ratio saturation regime near zero acceleration,
+    where cancellation noise dominates the denominator). A refused row's
+    cells mean nothing.
     """
     coeffs = (a1, a2, b1, b2)
     scale = reduce(np.maximum, (*map(abs, coeffs), 1e-300))   # NaN stays NaN
     bounded = scale < COEFFICIENT_LIMIT
     a1, a2, b1, b2, scale = (np.where(bounded, c, 0.0) for c in (*coeffs, scale))
-    d = (2.0 * _power(a1, 3) - _power(a1, 2) * a2 - a2 * b1 * b2
-         + a1 * (_power(b2, 2) - _power(a2, 2)))
-    underflows = abs(d) <= DEGENERATE_D_REL * _power(scale, 3)
+    d = (2.0 * _each(pow, a1, 3) - _each(pow, a1, 2) * a2 - a2 * b1 * b2
+         + a1 * (_each(pow, b2, 2) - _each(pow, a2, 2)))
+    underflows = abs(d) <= DEGENERATE_D_REL * _each(pow, scale, 3)
     with np.errstate(all="ignore"):   # a gated row may divide by zero
         x1 = -(a1 - a2) * b1 * (2.0 * a1 + a2) / d
         x3 = (a1 - a2) * b1 * (2.0 * b1 + b2 - 2.0 * a1 - a2) / d

@@ -215,15 +215,15 @@ def _name_rows(columns, refused, check, *axes, errors=None) -> list:
 
 def eval_sic_free(omega: float, tau, accel):
     """Columns (R, sic) of the free-space equilibrium on a block's arrays,
-    bit for bit the scalar path's; rows that ``UnruhParams`` (x = 0 here) or
+    bit for bit the scalar path's; rows that ``UnruhParams`` or
     ``leaf_mask`` refuses are NaN, named by the scalar checks."""
     def point(t, a):   # raises on every row sent here, with the scalar text
         check_leaf(t, kossakowski_free(UnruhParams(omega, a)).ratio)
 
     fast = (accel > 0.0) & (0.0 < omega / (4.0 * math.pi) < math.inf)
     with np.errstate(all="ignore"):   # x, A = inf are limits; NaN only if refused
-        ratio = free_coefficients(omega, np.where(fast, accel, math.inf)).ratio
-    columns = [ratio, sic_closed_form_free(tau, ratio)]
+        ratio = free_coefficients(omega, accel).ratio
+        columns = [ratio, sic_closed_form_free(tau, ratio)]
     return columns, _name_rows(columns, ~(fast & leaf_mask(tau, ratio)),
                                point, tau, accel)
 
@@ -256,14 +256,13 @@ def eval_boundary(omega: float, accel, z, sep):
     satisfied cells, and the flags for coefficients too large for D,
     DegenerateLimit and DenominatorZero, from
     ``steering.boundary_verdict_rows``, where D, its gates and the criterion
-    are stated once. A row keeps its inputs exactly where
-    ``kossakowski_boundary`` accepts it: a valid omega, a > 0 (inf allowed),
-    z and sep positive and finite, and finite image-point arguments (0 where
-    they underflow). Every other row is computed at stand-ins, a = inf and
-    image-point arguments 1, where nothing raises at any omega, and named
-    by ``kossakowski_boundary``. ``_name_rows`` NaNs these rows and those
-    the verdict's gates refuse, so ``satisfied`` is bool in a block with no
-    named row.
+    are stated once. Every row is computed at its own inputs, since the
+    thermal factor and sinc are defined on every float. The mask accepts a
+    row exactly where ``kossakowski_boundary`` does: a valid omega, a > 0
+    (inf allowed), z and sep positive and finite, and finite image-point
+    arguments (0 where they underflow). ``_name_rows`` NaNs the rows the
+    mask refuses, named by ``kossakowski_boundary``, and those the verdict's
+    gates refuse, so ``satisfied`` is bool in a block with no named row.
     """
     with np.errstate(all="ignore"):
         args = boundary_arguments(omega, z, sep)
@@ -271,8 +270,7 @@ def eval_boundary(omega: float, accel, z, sep):
                 & (0.0 < z) & (z < math.inf) & (0.0 < sep) & (sep < math.inf))
         for arg in args:
             fast &= np.isfinite(arg)
-        free = free_coefficients(omega, np.where(fast, accel, math.inf))
-        pairs = boundary_pairs(free, [np.where(fast, arg, 1.0) for arg in args])
+        pairs = boundary_pairs(free_coefficients(omega, accel), args)
         verdicts, errors = boundary_verdict_rows(*pairs)
     columns = [*pairs, *verdicts]
 

@@ -94,8 +94,8 @@ def test_ratio_refuses_a_record_without_positive_a(a_coef):
 
 
 def test_array_records_divide_as_they_are():
-    # eval_sic_free masks bad-omega rows with A = -inf; an array record
-    # divides cell by cell, with no check that would refuse those rows
+    # the sweeps compute refused rows too, and name them themselves; an
+    # array record divides cell by cell, with no check that would refuse them
     ratio = KossakowskiFree(A=np.array([2.0, -math.inf]), B=0.5).ratio
     assert ratio.tolist() == [0.25, -0.0]
 
@@ -110,6 +110,17 @@ def test_zero_thermal_argument_gives_the_infinite_acceleration_record(accel):
     assert ([repr(v) for v in dataclasses.astuple(record)]
             == [repr(v) for v in dataclasses.astuple(limit)])
     assert (limit.A, repr(limit.ratio)) == (math.inf, "0.0")
+
+
+def test_sinc_and_thermal_factor_are_defined_on_every_float():
+    # the sweeps pass a refused row's raw inputs through both: sinc is its
+    # limit 0 at +-inf, the thermal factor its limit inf at x = +-0, and
+    # NaN where no temperature exists; neither raises
+    assert model.sinc(math.inf) == model.sinc(-math.inf) == 0.0
+    assert math.isnan(model.sinc(math.nan))
+    assert model._thermal_factor(0.0) == model._thermal_factor(-0.0) == math.inf
+    for x in (-5e-324, -1.0, -1e308, -math.inf, math.nan):
+        assert math.isnan(model._thermal_factor(x))
 
 
 def test_kossakowski_scales_linearly_in_omega():

@@ -102,16 +102,29 @@ def test_no_numpy_transcendentals_in_package():
     assert found == []
 
 
+def _evaluator_nodes():
+    """("function:line", node) for each node of each eval_* function of sweeps.py."""
+    path = Path(unruh_steer.__file__).parent / "sweeps.py"
+    return [(f"{func.name}:{node.lineno}", node)
+            for func in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(func, ast.FunctionDef) and func.name.startswith("eval_")
+            for node in ast.walk(func) if hasattr(node, "lineno")]
+
+
 def test_sweep_evaluators_leave_flag_columns_to_name_rows():
     # a flag column is bool, and turns object only where sweeps._name_rows
     # NaNs a row: no evaluator makes an object column of its own
-    path = Path(unruh_steer.__file__).parent / "sweeps.py"
-    found = [f"{func.name}:{node.lineno}"
-             for func in ast.parse(path.read_text(encoding="utf-8")).body
-             if isinstance(func, ast.FunctionDef) and func.name.startswith("eval_")
-             for node in ast.walk(func)
-             if isinstance(node, ast.Name) and node.id == "object"]
-    assert found == []
+    assert [where for where, node in _evaluator_nodes()
+            if isinstance(node, ast.Name) and node.id == "object"] == []
+
+
+def test_sweep_evaluators_pass_raw_inputs():
+    # the thermal factor and sinc are defined on every float, so an
+    # evaluator computes each row at its own inputs: no np.where stand-ins
+    # for the rows its mask refuses
+    assert [where for where, node in _evaluator_nodes()
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) in ("np.where", "numpy.where")] == []
 
 
 def test_readme_library_example_runs():

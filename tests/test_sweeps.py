@@ -440,10 +440,9 @@ def test_boundary_eval_columns():
 @pytest.mark.parametrize("omega", [-1e300, -math.inf, math.inf, math.nan,
                                    0.0, 5e-324])
 def test_boundary_refused_omega_raises_nothing(omega):
-    # every row is refused and computed at the stand-ins a = inf and
-    # image-point arguments 1: a finite a would make x = 2 pi omega / a
-    # -inf at omega = -1e300, where exp overflows, and an infinite argument
-    # has no sin
+    # every row is refused and computed at its own inputs: at omega =
+    # -1e300, x = 2 pi omega / a is -inf, where the thermal factor is NaN,
+    # and an infinite image-point argument has sinc 0; nothing raises
     accel, z, sep = (np.array([1.0, math.inf]), np.array([1.0, 1e200]),
                      np.array([1.0, math.inf]))
     _, diagnostics = eval_boundary(omega, accel, z, sep)
