@@ -433,7 +433,8 @@ def evolve(state: FanoState, coeffs: KossakowskiFree, t_end: float | None = None
     # input gate and so never drifts here, each up to its first non-finite
     for lo in range(0, samples, BLOCK_ROWS):
         block = vectors[lo:lo + BLOCK_ROWS]
-        filled = int(np.append(np.isfinite(block).all(axis=1), False).argmin())
+        finite = np.isfinite(block).all(axis=1)
+        filled = len(block) if finite.all() else int(finite.argmin())
         if drifted := first_below(fano_matrices(block[:filled]), -DRIFT_TOL):
             raise UnphysicalDrift(f"min eigenvalue {drifted[1]:.3e} at t ="
                                   f" {times[lo + drifted[0]]:.6g} (below {DRIFT_TOL})")

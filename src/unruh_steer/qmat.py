@@ -39,6 +39,8 @@ _YY = _PAULI_PAIRS[2, 2]   # sigma_y x sigma_y, the spin flip in the concurrence
 _FANO_INDEX = ((1, 2, 3, 0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3),
                (0, 0, 0, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3))
 _FANO_BASIS = 0.25 * _PAULI_PAIRS[_FANO_INDEX]
+_FANO_FLAT = _FANO_BASIS.reshape(15, 16)   # one row per coefficient
+_EYE4, _QUARTER_EYE4 = np.eye(4), 0.25 * np.eye(4)   # I/4: the traced part
 
 
 @dataclass(frozen=True)
@@ -101,9 +103,12 @@ def fano_to_matrix(state: FanoState) -> np.ndarray:
 
 def fano_matrices(vectors) -> np.ndarray:
     """4x4 matrices of a stack of 15-vectors in :meth:`FanoState.to_vector`
-    order, shape (..., 15) -> (..., 4, 4): one contraction with the Fano
-    basis plus I/4. No finiteness or positivity check."""
-    return np.tensordot(vectors, _FANO_BASIS, axes=1) + 0.25 * np.eye(4)
+    order, shape (..., 15) -> (..., 4, 4), so one 15-vector gives one (4, 4)
+    matrix: one product with the flattened Fano basis plus I/4. No
+    finiteness or positivity check."""
+    vectors = np.asarray(vectors)
+    flat = vectors.reshape(-1, 15) @ _FANO_FLAT
+    return flat.reshape(*vectors.shape[:-1], 4, 4) + _QUARTER_EYE4
 
 
 def fano_vectors(matrices) -> np.ndarray:
@@ -142,7 +147,7 @@ def first_below(rhos: np.ndarray, tol: float):
     ``eigvalsh`` run. The two differ only within rounding (~1e-15) of -tol."""
     try:
         with np.errstate(invalid="ignore"):   # a failed factor warns
-            np.linalg.cholesky(rhos + tol * np.eye(4))
+            np.linalg.cholesky(rhos + tol * _EYE4)
         return None
     except np.linalg.LinAlgError:
         lows = np.linalg.eigvalsh(rhos)[:, 0]

@@ -14,10 +14,13 @@ The mirror's coherence-sum criterion has one: ``boundary_verdict_by_record``,
 the printed formulas for D, x1 and x3 on Python floats, with the package's
 bound on the coefficients, gates and error texts.
 
-The dynamics have two references: the free-space equations of motion as
-written by hand in Fano coordinates, and the Lindblad generator with one
-Kossakowski block per pair of atoms (three blocks, so the atoms may sit at
-unequal distances from the mirror), as a 16x16 matrix on 4x4 matrices.
+The dynamics have three references: the free-space equations of motion as
+written by hand in Fano coordinates; their solution in closed form on the
+sector of states symmetric about n, ``sector_trajectory``; and the Lindblad
+generator with one Kossakowski block per pair of atoms (three blocks, so
+the atoms may sit at unequal distances from the mirror), as a 16x16 matrix
+on 4x4 matrices. ``fano_matrices_by_tensordot`` is the bitwise reference
+for the package's build of a stack of 4x4 matrices.
 
 The package writes sweep tables and does not read them; ``read_csv`` and
 ``read_json`` read them back for the round-trip tests, the JSON one with a
@@ -32,7 +35,8 @@ import numpy as np
 
 from unruh_steer.errors import DegenerateLimit, DenominatorZero, DomainError
 from unruh_steer.model import equilibrium_free
-from unruh_steer.qmat import _PAULI_PAIRS, FanoState, fano_matrices, fano_to_matrix
+from unruh_steer.qmat import (_FANO_BASIS, _PAULI_PAIRS, FanoState, fano_matrices,
+                              fano_to_matrix)
 from unruh_steer.sweeps import DIAGNOSTICS_COLUMN, SweepResult
 
 PAULI_XYZ = (np.array([[0, 1], [1, 0]], dtype=complex),
@@ -188,6 +192,12 @@ def fano_by_matrix(m):
     return FanoState(coef[1:, 0], coef[0, 1:], coef[1:, 1:])
 
 
+def fano_matrices_by_tensordot(vectors):
+    """The 4x4 matrices of a (..., 15) stack as one tensordot with the Fano
+    basis plus I/4, the package's build before it flattened the basis."""
+    return np.tensordot(vectors, _FANO_BASIS, axes=1) + 0.25 * np.eye(4)
+
+
 def ode_rhs_by_hand(state, A, B):
     """Free-space equations of motion on the state's own tau leaf, C = 0.
 
@@ -221,6 +231,59 @@ def exact_trajectory(y0, A, B, times):
     gen[:15, :15] = np.column_stack([rhs(e) - c for e in np.eye(15)])
     gen[:15, 15] = c
     return (expm(np.multiply.outer(times, gen)) @ np.append(y0, 1.0))[:, :15]
+
+
+# indices of the sector coordinates in FanoState.to_vector order
+SECTOR_AZ, SECTOR_BZ, SECTOR_P, SECTOR_Q, SECTOR_U = 2, 5, 6, 7, 14
+
+
+def sector_vector(a_z, b_z, p, q, u):
+    """The 15-vector of the state symmetric about n: a = a_z n, b = b_z n,
+    T = [[p, q, 0], [-q, p, 0], [0, 0, u]]."""
+    y = np.zeros(15)
+    y[[SECTOR_AZ, SECTOR_BZ, SECTOR_P, SECTOR_Q, SECTOR_U]] = a_z, b_z, p, q, u
+    y[10], y[9] = p, -q
+    return y
+
+
+def in_sector(y):
+    """True where the 15-vectors of ``y`` (..., 15) are exactly in the sector."""
+    y = np.asarray(y)
+    off = y[..., [0, 1, 3, 4, 8, 11, 12, 13]]
+    return ((off == 0.0).all(-1) & (y[..., 10] == y[..., SECTOR_P])
+            & (y[..., 9] == -y[..., SECTOR_Q]))
+
+
+def sector_trajectory(y0, A, B, times):
+    """Rows y(t) at ``times`` of the free dynamics from a sector state y0,
+    in closed form from :func:`ode_rhs_by_hand` restricted to the sector:
+
+    - d = a_z - b_z and q decay at -4A; tau = 2 p + u is conserved;
+    - s = a_z + b_z and u obey ds/dt = -4A s - 4B (tau - u) - 8B and
+      du/dt = -12A u + 4A tau - 4B s, whose fixed point is
+      s* = -2AB (tau + 3) / (3A^2 + B^2), u* = (A tau - B s*) / (3A);
+    - the deviations (s - s*, u - u*) follow K = [[-4A, 4B], [-4B, -12A]],
+      rates -8A +- w with w = 4 sqrt(A^2 - B^2), real for B <= A, so
+      exp(K t) = e^{-8At} [cosh(wt) I + sinh(wt)/w (K + 8A I)].
+
+    The mixing term e^{-8At} sinh(wt)/w is t e^{-8At} at w = 0 (B = A, as
+    where R rounds to 1.0), so it stays exact where the two rates merge."""
+    y0, t = np.asarray(y0, dtype=float), np.asarray(times, dtype=float)
+    assert in_sector(y0), "y0 is not symmetric about n"
+    a_z, b_z, p, q, u = y0[[SECTOR_AZ, SECTOR_BZ, SECTOR_P, SECTOR_Q, SECTOR_U]]
+    tau = 2.0 * p + u
+    s_eq = -2.0 * A * B * (tau + 3.0) / (3.0 * A * A + B * B)
+    u_eq = (A * tau - B * s_eq) / (3.0 * A)
+    ds, du = a_z + b_z - s_eq, u - u_eq
+    w = 4.0 * math.sqrt((A - B) * (A + B))
+    even = 0.5 * (np.exp((w - 8.0 * A) * t) + np.exp((-w - 8.0 * A) * t))
+    mixing = np.exp(-8.0 * A * t) * (np.sinh(w * t) / w if w else t)
+    s_t = s_eq + even * ds + mixing * 4.0 * (A * ds + B * du)
+    u_t = u_eq + even * du - mixing * 4.0 * (B * ds + A * du)
+    d_t = (a_z - b_z) * np.exp(-4.0 * A * t)
+    return np.stack([sector_vector(*row) for row in zip(
+        (s_t + d_t) / 2.0, (s_t - d_t) / 2.0, (tau - u_t) / 2.0,
+        q * np.exp(-4.0 * A * t), u_t)])
 
 
 def block_dissipator(rho, first, second, cross):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (PAULI_XYZ, basis_from_axis, dephase_b, fano_by_matrix,
-                     is_physical)
+                     fano_matrices_by_tensordot, is_physical)
 from unruh_steer.errors import DomainError, NonHermitian, NotPositive
 from unruh_steer.model import (UnruhParams, equilibrium_free, evolve,
                                kossakowski_free, leaf_mask)
@@ -65,16 +65,26 @@ _FANO_VECTORS = st.lists(
     min_size=1, max_size=6)
 
 
+def _same_bits(got, want):
+    return np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @settings(max_examples=200, deadline=None)
-@given(vectors=_FANO_VECTORS)
-def test_fano_matrices_match_kron_loop(vectors):
+@given(vectors=_FANO_VECTORS, split=st.integers(1, 3))
+def test_fano_matrices_match_kron_loop(vectors, split):
     # most vectors in [-2, 2]^15 are unphysical; the build must not care
-    stack = fano_matrices(np.array(vectors))
+    vectors = np.array(vectors)
+    stack = fano_matrices(vectors)
     assert stack.shape == (len(vectors), 4, 4)
     for v, m in zip(vectors, stack):
         assert np.abs(m - fano_to_matrix(FanoState.from_vector(v))).max() <= 1e-15
         assert np.abs(m - m.conj().T).max() <= 1e-15
         assert abs(np.trace(m) - 1.0) <= 1e-15
+    # (15,), (n, 15), (k, n, 15) and (0, 15) keep their leading axes, with
+    # the bits of one tensordot against the Fano basis
+    whole = vectors[:len(vectors) // split * split]
+    for shaped in (*vectors, vectors, whole.reshape(split, -1, 15), vectors[:0]):
+        assert _same_bits(fano_matrices(shaped), fano_matrices_by_tensordot(shaped))
 
 
 def _drawn_matrix(kind, seed):
