@@ -35,4 +35,5 @@ class DenominatorZero(UnruhSteerError):
 
 
 class ConsistencyError(UnruhSteerError):
-    """A column count, length or dtype does not fit a ``SweepResult`` table."""
+    """A column count, length or dtype does not fit a ``SweepResult`` table,
+    or a check the sweep engine makes on its own work fails."""

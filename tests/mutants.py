@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SECTOR = "tests/test_sector.py::test_evolve_matches_the_sector_closed_form"
+SPELLING = "tests/test_sweeps_properties.py::test_"
 
 
 class Mutant(NamedTuple):
@@ -63,6 +64,22 @@ MUTANTS = (
            "first_below(fano_matrices(block[:filled]), -DRIFT_TOL)",
            "first_below(fano_matrices(block[:filled]), DRIFT_TOL)",
            (SECTOR,)),
+    Mutant("float spelling: y rounded half up", "sweeps.py",
+           "rounded = np.rint(yl)",
+           "rounded = np.floor(yl + 0.5)",
+           (SPELLING + "csv_bytes_equal_row_encoder_on_hard_floats",)),
+    Mutant("float spelling: a zero tie margin", "sweeps.py",
+           "_TIE_MARGIN = 2.0 ** -40",
+           "_TIE_MARGIN = 0.0",
+           (SPELLING + "float_spelling_equals_builtin_on_random_bits",)),
+    Mutant("float spelling: k fixed up without a second product", "sweeps.py",
+           "yh[fix], yl[fix] = _times_pow10(m[fix], e2[fix], 16 - k[fix], tables)",
+           "pass",
+           (SPELLING + "csv_bytes_equal_row_encoder_on_hard_floats",)),
+    Mutant("csv_chunks: the builtin at 16 digits", "sweeps.py",
+           '_G17 = "{:.17g}".format',
+           '_G17 = "{:.16g}".format',
+           (SPELLING + "csv_bytes_equal_row_encoder",)),
 )
 
 

@@ -25,7 +25,9 @@ for the package's build of a stack of 4x4 matrices.
 The package writes sweep tables and does not read them; ``read_csv`` and
 ``read_json`` read them back for the round-trip tests, the JSON one with a
 parser that rejects every non-standard token. ``column`` builds a table
-column from Python cells, as both readers do.
+column from Python cells, as both readers do. The builtin ``'.17g'`` is the
+reference for the CSV float spelling; ``random_doubles`` and
+``near_tie_doubles`` are the cells it is checked on.
 """
 
 import json
@@ -386,3 +388,27 @@ def read_json(path):
             for name in columns]
     return SweepResult(columns=columns, data=data, diagnostics=diagnostics,
                        meta=_from_json(payload["meta"], None))
+
+
+# ----- cells for the CSV float spelling -----
+
+def random_doubles(seed, count):
+    """``count`` finite doubles from uniform random bit patterns: every
+    exponent, subnormals included, either sign."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 0x7FF0000000000000, size=count, dtype=np.int64)
+    return bits.view(float) * rng.choice([-1.0, 1.0], count)
+
+
+def near_tie_doubles():
+    """Doubles whose 17-digit rounding lies within 2**-40 of a tie, not on
+    it, in units of the last digit.
+
+    x = M * 2**-75 with M in [2**52, 2**53) puts x * 10**23 = M * 5**23 /
+    2**52 in [1e16, 1e17), and M is chosen so that it is n + 1/2 + d / 2**52
+    for a small integer d != 0. 10**23 is not a double, so no double-double
+    product of x with it is exact.
+    """
+    inverse = pow(5 ** 23, -1, 2 ** 52)
+    return [math.ldexp((inverse * (2 ** 51 + d)) % 2 ** 52 + 2 ** 52, -75)
+            for d in (1, -1, 2, -3, 100, -100, 4000, -4000)]

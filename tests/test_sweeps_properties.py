@@ -19,12 +19,21 @@ sit on either side of one and two block boundaries. A float block is
 spelled one distinct value at a time where at most 3/4 of its cells are
 distinct, else cell by cell: drawn columns of at most 3 distinct floats,
 and a fixed column at exactly 3/4, take both branches.
+
+Float spelling: a CSV float column of at least ``_NUMPY_SPELL_MIN`` cells is
+spelled in numpy, with the builtin ``'.17g'`` as the reference. A fixed
+table of powers of ten, their neighbours, a tie and the ends of the double
+range goes through ``csv_chunks`` on both branches; 200,000 random bit
+patterns and doubles next to a tie go through the spelling, also under
+``python -O``, and only the zeros and the near-ties take the builtin.
 """
 
 import contextlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -33,7 +42,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from oracles import column, read_csv, read_json  # noqa: E402
+from oracles import (column, near_tie_doubles, random_doubles,  # noqa: E402
+                     read_csv, read_json)
 from unruh_steer import __version__, sweeps  # noqa: E402
 from unruh_steer.sweeps import (BLOCK_ROWS, DIAGNOSTICS_COLUMN,  # noqa: E402
                                 SweepResult, _timestamp, _to_json, csv_chunks,
@@ -225,3 +235,55 @@ def test_bytes_equal_row_encoder_at_block_boundaries(n_rows, tmp_path):
         path = tmp_path / f"table.{fmt}"
         write_result(res, str(path), fmt)
         assert path.read_bytes() == oracle(res).encode("utf-8"), fmt
+
+
+# ----- the CSV float spelling -----
+
+HARD_FLOATS = ([float(f"1e{k}") for k in range(-323, 309)]
+               + [1000000000000000.25,        # y = 1e16 + 2.5 exactly: a tie
+                  2.0 ** 53 - 2, 2.0 ** 53 + 2, 5e-324, 2.2250738585072014e-308,
+                  math.nextafter(2.2250738585072014e-308, 0.0),
+                  1.7976931348623157e308])
+
+
+def _hard_float_table():
+    """Each power of ten, both its neighbours and the special values, with
+    either sign, in a column of distinct cells (spelled cell by cell) and
+    in one of each cell twice (spelled once per distinct cell)."""
+    cells = [y for x in HARD_FLOATS
+             for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+    cells += [-x for x in cells]
+    twice = [cells[k // 2] for k in range(len(cells))]
+    return SweepResult(columns=("x", "twice"), data=[column(cells), column(twice)],
+                       diagnostics=[""] * len(cells))
+
+
+def test_csv_bytes_equal_row_encoder_on_hard_floats():
+    res = _hard_float_table()
+    assert len(res.diagnostics) // 2 >= sweeps._NUMPY_SPELL_MIN
+    assert "".join(csv_chunks(res)) == _oracle_csv(res)
+
+
+def test_float_spelling_equals_builtin_on_random_bits(monkeypatch):
+    near_ties = near_tie_doubles()
+    cells = np.concatenate([random_doubles(7, 200_000), near_ties, [0.0, -0.0]])
+    taken = []
+    monkeypatch.setattr(sweeps, "_G17", lambda x: taken.append(x) or f"{x:.17g}")
+    assert sweeps._spell_floats(cells) == [f"{x:.17g}" for x in cells.tolist()]
+    assert [x.hex() for x in taken] == [x.hex() for x in near_ties + [0.0, -0.0]]
+
+
+def test_float_spelling_survives_python_O():
+    # the spelling's guards are if/raise, so python -O keeps them
+    code = ("import numpy as np\n"
+            "from oracles import near_tie_doubles, random_doubles\n"
+            "from unruh_steer.sweeps import _spell_floats\n"
+            "cells = np.concatenate([random_doubles(7, 200_000),\n"
+            "                        near_tie_doubles()])\n"
+            "print(_spell_floats(cells) == [f'{x:.17g}' for x in cells.tolist()])\n")
+    path = os.pathsep.join([os.path.dirname(os.path.abspath(__file__)),
+                            os.path.dirname(os.path.dirname(sweeps.__file__))])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stdout.strip() == "True", proc.stderr
