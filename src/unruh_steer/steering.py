@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DegenerateLimit, DenominatorZero, DomainError
 from .model import _each, check_leaf
-from .qmat import FanoState, fano_matrices, fano_to_matrix, require_state
+from .qmat import _FANO_FLAT, FanoState, fano_to_matrix, require_state
 
 SQRT6 = math.sqrt(6.0)
 DEGENERACY_GATE = 1e-9    # |b| below this: reduced state treated as maximally mixed
@@ -107,14 +107,13 @@ def sic_mid_rows(vectors):
     :func:`sic_rows`; no positivity check. MID = Tr|rho - D_B(rho)|, with
     D_B the B-side dephasing along the SIC's reference axis e, (a, b, T) ->
     (a, b, T e e^T) in Fano coordinates (below the degeneracy gate the SIC
-    drops b, and so does MID): the trace norm of the block T (I - e e^T),
-    1/4 sum_ij [T (I - e e^T)]_ij s_i x s_j, built without rho."""
+    drops b, and so does MID): the trace norm of 1/4 sum_ij [T (I - e e^T)]_ij
+    s_i x s_j, one product with the Fano basis's T rows, without rho or I/4."""
     vectors = np.ascontiguousarray(vectors, dtype=float).reshape(-1, 15)
     sic, _, e = sic_rows(vectors)
     t = vectors[:, 6:].reshape(-1, 3, 3)
-    block = np.zeros((len(t), 15))
-    block[:, 6:] = (t - (t @ e[:, :, None]) * e[:, None, :]).reshape(-1, 9)
-    mid = np.abs(np.linalg.eigvalsh(fano_matrices(block) - 0.25 * np.eye(4))).sum(-1)
+    removed = (t - (t @ e[:, :, None]) * e[:, None, :]).reshape(-1, 9)
+    mid = np.abs(np.linalg.eigvalsh((removed @ _FANO_FLAT[6:]).reshape(-1, 4, 4))).sum(-1)
     return sic, mid, np.abs(sic - mid)
 
 

@@ -33,6 +33,8 @@ from typing import NamedTuple
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SECTOR = "tests/test_sector.py::test_evolve_matches_the_sector_closed_form"
 SPELLING = "tests/test_sweeps_properties.py::test_"
+STEERING = "tests/test_steering.py::test_"
+MODEL = "tests/test_model.py::test_"
 
 
 class Mutant(NamedTuple):
@@ -80,6 +82,27 @@ MUTANTS = (
            '_G17 = "{:.17g}".format',
            '_G17 = "{:.16g}".format',
            (SPELLING + "csv_bytes_equal_row_encoder",)),
+    Mutant("sic_mid_rows: MID's block through I/4 and back", "steering.py",
+           "@ _FANO_FLAT[6:]).reshape(-1, 4, 4)",
+           "@ _FANO_FLAT[6:]).reshape(-1, 4, 4) + 0.25 * np.eye(4) - 0.25 * np.eye(4)",
+           (STEERING + "mid_scales_exactly_with_the_correlation_block",)),
+    Mutant("sic_mid_rows: the e projection dropped", "steering.py",
+           "removed = (t - (t @ e[:, :, None]) * e[:, None, :]).reshape(-1, 9)",
+           "removed = t.reshape(-1, 9)",
+           (STEERING + "sic_equals_mid_on_random_states",)),
+    Mutant("sic_rows: the degenerate axis from the second singular vector",
+           "steering.py",
+           "np.linalg.svd(t[degenerate])[2][:, 0]",
+           "np.linalg.svd(t[degenerate])[2][:, 1]",
+           (STEERING + "sic_degenerate_is_middle_singular_value",)),
+    Mutant("thermal factor: x = 0 outside the domain", "model.py",
+           "if not x >= 0.0:",
+           "if not x > 0.0:",
+           (MODEL + "sinc_and_thermal_factor_are_defined_on_every_float",)),
+    Mutant("_name_rows: a bool flag column left bool", "sweeps.py",
+           "if rows and column.dtype == bool:",
+           "if False:",
+           ("tests/test_sweeps.py::test_eval_surface_refusal_outranks_singularity",)),
 )
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from unruh_steer.errors import DegenerateLimit, DenominatorZero, DomainError
 from unruh_steer.model import equilibrium_free
-from unruh_steer.qmat import (_FANO_BASIS, _PAULI_PAIRS, FanoState, fano_matrices,
+from unruh_steer.qmat import (_FANO_BASIS, _FANO_FLAT, _PAULI_PAIRS, FanoState,
                               fano_to_matrix)
 from unruh_steer.sweeps import DIAGNOSTICS_COLUMN, SweepResult
 
@@ -180,10 +180,10 @@ def sic_by_state(state):
 
 def mid_by_state(state, e):
     """One state's MID along Bob's axis e: the trace norm of the 4x4 matrix
-    of the correlation block T (I - e e^T)."""
+    of the correlation block T (I - e e^T), one product with the Fano
+    basis's nine T rows."""
     removed = state.t_mat - np.outer(state.t_mat @ e, e)
-    block = np.concatenate([np.zeros(6), removed.ravel()])
-    return trace_norm(fano_matrices(block) - 0.25 * np.eye(4))
+    return trace_norm((removed.reshape(1, 9) @ _FANO_FLAT[6:]).reshape(4, 4))
 
 
 def fano_by_matrix(m):

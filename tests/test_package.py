@@ -1,6 +1,7 @@
 """The package's public surface: ``__all__`` is an explicit list and matches
-what is importable, no module relies on ``assert`` for a runtime check, and
-the README's Library example runs against the current API."""
+what is importable, no module relies on ``assert`` for a runtime check,
+the README's Library example runs against the current API, and the mutant
+table of ``mutants.py`` still applies to the source."""
 
 import ast
 import contextlib
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import unruh_steer
+from mutants import MUTANTS, ROOT
 
 
 PUBLIC_NAMES = [
@@ -140,3 +142,22 @@ def test_readme_library_example_runs():
     assert float(closed_form) == pytest.approx(float(sic), abs=1e-12)
     assert float(mid) == pytest.approx(float(sic), abs=1e-12)
     assert axis.startswith("[")
+
+
+def test_mutant_table_applies_to_the_source():
+    # without running a mutant: each entry's old text occurs once in its
+    # file, as mutants.py requires, and each test it names is defined, so an
+    # edit to mutated code finds a stale entry here
+    stale = []
+    for mutant in MUTANTS:
+        text = (Path(ROOT) / "src" / "unruh_steer" / mutant.path).read_text(
+            encoding="utf-8")
+        if (found := text.count(mutant.old)) != 1:
+            stale.append(f"{mutant.name}: old text occurs {found} times")
+        for test in mutant.tests:
+            path, name = test.split("::")
+            source = Path(ROOT) / path
+            if not (source.is_file() and f"def {name}(" in source.read_text(
+                    encoding="utf-8")):
+                stale.append(f"{mutant.name}: no test {test}")
+    assert stale == []

@@ -17,10 +17,10 @@ from unruh_steer.model import (UnruhParams, equilibrium_free,
                                kossakowski_boundary, steering_node_acceleration)
 from unruh_steer.qmat import (FanoState, fano_to_matrix, fano_vectors,
                               random_density_matrix, random_fano_state)
-from unruh_steer.steering import (boundary_verdict_rows, coherence_sum_terms,
-                                  one_sided_mid, sic_closed_form_free,
-                                  sic_mid_rows, sic_rows, sic_solution,
-                                  steerability_functional_free,
+from unruh_steer.steering import (DEGENERACY_GATE, boundary_verdict_rows,
+                                  coherence_sum_terms, one_sided_mid,
+                                  sic_closed_form_free, sic_mid_rows, sic_rows,
+                                  sic_solution, steerability_functional_free,
                                   steering_induced_coherence,
                                   theorem1_residual)
 
@@ -313,6 +313,24 @@ def test_stack_layout_moves_no_bits(layout):
     for got, want in zip((*sic_rows(stack), *sic_mid_rows(stack)),
                          (*sic_rows(vectors), *sic_mid_rows(vectors))):
         assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_mid_scales_exactly_with_the_correlation_block(seed):
+    # with a and b kept, Bob's axis e is kept, and SIC and MID are both of
+    # degree one in T: T scaled by 2^-k scales each MID cell exactly, and
+    # SIC = MID holds to rounding at every scale
+    rng = np.random.default_rng(seed)
+    vectors = fano_vectors([random_density_matrix(rng) for _ in range(20)])
+    assume((np.linalg.norm(vectors[:, 3:6], axis=1) >= DEGENERACY_GATE).all())
+    _, mid, _ = sic_mid_rows(vectors)
+    for k in (10, 30, 60):
+        scaled = vectors.copy()
+        scaled[:, 6:] *= 2.0 ** -k
+        sic_k, mid_k, residual = sic_mid_rows(scaled)
+        assert mid_k.tobytes() == (mid * 2.0 ** -k).tobytes()
+        assert (residual <= 1e-14 * sic_k).all()
 
 
 def test_sic_equals_mid_on_random_states():
