@@ -195,9 +195,8 @@ def kossakowski_free(params: UnruhParams) -> KossakowskiFree:
 def boundary_arguments(omega, z, sep):
     """The image-point arguments (2 z omega, sep omega,
     sqrt(sep^2 + 4 z^2) omega) of :func:`kossakowski_boundary`; Python
-    floats or numpy arrays alike, the sqrt correctly rounded on both."""
-    square = sep * sep + 4.0 * z * z
-    image = np.sqrt(square) if isinstance(square, np.ndarray) else math.sqrt(square)
+    floats or numpy arrays alike."""
+    image = _each(math.sqrt, sep * sep + 4.0 * z * z)
     return 2.0 * z * omega, sep * omega, image * omega
 
 

@@ -254,8 +254,9 @@ def eval_surface(tau, ratio):
 
 def eval_boundary(omega: float, accel, z, sep):
     """Columns BOUNDARY_COLUMNS on a block's arrays, bit for bit the scalar
-    path's: ``+ - * /`` and sqrt on the arrays, correctly rounded as on
-    Python floats, and powers, sin and exp through ``model._each``.
+    path's: ``+ - * /`` on the arrays, which round as Python floats do, and
+    powers, sqrt, sin and exp through the scalar functions per distinct
+    argument (``model._each``).
 
     The A/B cells come from ``model.boundary_pairs``; the x1, x3, value and
     satisfied cells, and the flags for coefficients too large for D,

@@ -6,9 +6,10 @@ Run from anywhere, with the test dependencies installed:
     python tests/mutants.py
 
 For each entry of ``MUTANTS`` the script copies ``src/`` to a temporary
-directory, replaces the entry's old text, which must occur exactly once in
-its file (else the entry is stale and the run stops), and runs the entry's
-tests with ``PYTHONPATH`` at the copy. A mutant is killed when those tests
+directory, replaces the entry's old text and runs the entry's tests with
+``PYTHONPATH`` at the copy. Before any copy, ``stale_entries`` checks that
+each old text occurs exactly once in its file and that each named test is
+defined; a stale entry stops the run. A mutant is killed when those tests
 fail. First the named tests run once on an unmutated copy, where they must
 pass, so that a test failing for another reason kills nothing. Exit status
 0 when every mutant is killed, 1 when one survives, 2 for a stale entry or
@@ -110,6 +111,29 @@ class Stale(Exception):
     """A mutant no longer applies, or its tests fail without it."""
 
 
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
+def stale_entries() -> list:
+    """One message per way the table no longer fits the source, running no
+    mutant: an old text that does not occur exactly once in its file, or a
+    named test that its test file does not define."""
+    stale = []
+    for mutant in MUTANTS:
+        text = _read(os.path.join(ROOT, "src", "unruh_steer", mutant.path))
+        if (found := text.count(mutant.old)) != 1:
+            stale.append(f"{mutant.name}: old text occurs {found} times in"
+                         f" {mutant.path}, not once")
+        for test in mutant.tests:
+            path, name = test.split("::")
+            path = os.path.join(ROOT, path)
+            if not (os.path.isfile(path) and f"def {name}(" in _read(path)):
+                stale.append(f"{mutant.name}: no test {test}")
+    return stale
+
+
 def copy_source(tmp: str, mutant: Mutant | None = None) -> str:
     """``src/`` copied under ``tmp``, with ``mutant`` applied; its path."""
     src = os.path.join(tmp, "src")
@@ -117,11 +141,7 @@ def copy_source(tmp: str, mutant: Mutant | None = None) -> str:
                     ignore=shutil.ignore_patterns("__pycache__"))
     if mutant is not None:
         path = os.path.join(src, "unruh_steer", mutant.path)
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-        if (found := text.count(mutant.old)) != 1:
-            raise Stale(f"{mutant.name}: old text occurs {found} times in"
-                        f" {mutant.path}, not once")
+        text = _read(path)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text.replace(mutant.old, mutant.new))
     return src
@@ -148,6 +168,9 @@ def check_clean(tmp: str) -> None:
 
 
 def main() -> int:
+    if stale := stale_entries():
+        print("stale: " + "\n       ".join(stale), file=sys.stderr)
+        return 2
     survived = []
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         try:

@@ -180,6 +180,9 @@ BOUNDARY_LENGTHS = st.one_of(
          [1e-9, 1.0, 1e300, 1e308], [1e-12, 1e300, 1e308])
 @example(1.0, [1e-320], [1e-4], [3.57e-4])   # x = inf: x1 = -0.9999999970
 @example(1e-300, [-0.0, 0.0, 1.0], [-0.0, 5e-324, 1.0], [-0.0, 5e-324, 1.0])
+# the smallest normal length, and L^2 + 4 z^2 about and past the largest float
+@example(1.0, [1.0], [2.2250738585072014e-308, 1e154, 1.3407807929942596e154],
+         [2.2250738585072014e-308, 1e154, 1.3407807929942596e154])
 @example(math.nan, [1.0], [1.0], [1.0])
 @example(0.0, [1.0], [1.0], [1.0])   # refused, and gated: A = 0 * inf is NaN
 def test_eval_boundary_equals_scalar_path(omega, accels, heights, seps):

@@ -765,26 +765,6 @@ def test_boundary_ratio_where_a1_underflows():
                           equilibrium_free(ratio * ratio, ratio).to_vector())
 
 
-def test_boundary_arguments_take_the_sqrt_of_math():
-    # np.sqrt and math.sqrt are both correctly rounded: every array element
-    # gets the scalar path's bits, edge values included, and a record built
-    # from floats keeps Python floats
-    edges = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-160, 0.3, 1.0,
-             1e154, 1.3407807929942596e154, 1e308, math.inf, -1.0, math.nan]
-    z, sep = (axis.ravel() for axis in np.meshgrid(edges, edges))
-    for omega in (1.0, 0.5, 1e-300, 1e300):
-        with np.errstate(all="ignore"):
-            args = model.boundary_arguments(omega, z, sep)
-        want = [(2.0 * h * omega, d * omega, math.sqrt(d * d + 4.0 * h * h) * omega)
-                for h, d in zip(z.tolist(), sep.tolist())]
-        for arg, column in zip(args, zip(*want)):
-            assert arg.tobytes() == np.array(column).tobytes()
-        scalars = model.boundary_arguments(omega, 0.3, 1e154)
-        assert [type(x) for x in scalars] == [float] * 3
-    record = kossakowski_boundary(REF, 1.0, 1e-3)
-    assert [type(x) for x in dataclasses.astuple(record)] == [float] * 5
-
-
 @pytest.mark.parametrize("z, sep", [(0.0, 1.0), (-0.0, 1.0), (-1.0, 1.0),
                                     (1.0, 0.0), (1.0, -1.0), (math.nan, 1.0)])
 def test_kossakowski_boundary_refuses_non_positive_lengths(z, sep):
